@@ -606,13 +606,17 @@ def _switchcost_row(label: str, scale: float = 1.0) -> RowData:
         hw = ((ctx.clock.now - t0) / iters - m.costs.hypercall_handler) / 2
         return label, [hw / 1000, 0.105]
     if label == "nested L2->L1 switch":
-        # An L2->L1 delivery leg (exit + forward + entry).
+        # An L2->L1 delivery leg (exit + forward + entry), timed alone;
+        # L1 re-enters L2 outside the timed leg so every exit is legal.
         m = make_machine("kvm-ept (NST)")
         ctx = m.new_context()
-        t0 = ctx.clock.now
+        spent = 0
         for _ in range(iters):
+            t0 = ctx.clock.now
             m.l2_exit_to_l1(ctx, "probe")
-        return label, [(ctx.clock.now - t0) / iters / 1000, 1.3]
+            spent += ctx.clock.now - t0
+            m.l1_resume_l2(ctx)
+        return label, [spent / iters / 1000, 1.3]
     # One PVM switcher leg.
     m = make_machine("pvm (NST)")
     ctx = m.new_context()

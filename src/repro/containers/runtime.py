@@ -423,12 +423,9 @@ class RunDRuntime:
             return
         self._admitted_frames -= need
         machine = container.machine
-        try:
-            machine.teardown_guest_memory()
-            for mctx in machine.contexts:
-                mctx.mmu.drop_vpid(machine.vpid)
-        except Exception:
-            pass
+        machine.teardown_guest_memory()
+        for mctx in machine.contexts:
+            mctx.mmu.drop_vpid(machine.vpid)
 
     def _with_retirement(
         self, stepper: Callable[[], bool], container: SecureContainer
@@ -553,17 +550,14 @@ class RunDRuntime:
             # exactly as destroying the VM would — without the teardown,
             # a relaunched guest that reuses the PCID window could hit
             # the dead lifetime's cached translations.
-            try:
-                if self.memory_qos is not None:
-                    # QoS host: hand every backing frame straight back
-                    # to the shared pool — eviction's whole point.
-                    machine.teardown_guest_memory()
-                machine.kernel.exit_process(container.init)
-                machine.on_process_destroyed(container.ctx, container.init)
-                for mctx in machine.contexts:
-                    mctx.mmu.drop_vpid(machine.vpid)
-            except Exception:
-                pass
+            if self.memory_qos is not None:
+                # QoS host: hand every backing frame straight back to
+                # the shared pool — eviction's whole point.
+                machine.teardown_guest_memory()
+            machine.kernel.exit_process(container.init)
+            machine.on_process_destroyed(container.ctx, container.init)
+            for mctx in machine.contexts:
+                mctx.mmu.drop_vpid(machine.vpid)
             if not budget_exempt:
                 # Evictions are a policy decision, not a fault: they
                 # never consume the member's restart budget, so an

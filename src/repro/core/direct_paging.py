@@ -23,8 +23,7 @@ from repro.core.switcher import GuestWorld
 from repro.guest.kernel import GuestKernel
 from repro.guest.process import Process
 from repro.hw.events import FaultPhase
-from repro.hw.mmu import EptViolationException
-from repro.hw.types import AccessType, PageFault
+from repro.hw.types import PageFault
 
 
 class DirectPagingMachine(PvmMachine):
@@ -32,8 +31,12 @@ class DirectPagingMachine(PvmMachine):
 
     The guest allocates straight from the L1 VM's physical space (the
     hypervisor's allocator *is* the guest's allocator, under hypercall
-    validation), so GPT leaves hold gfn1 values that EPT01 translates.
+    validation), so GPT leaves hold gfn1 values that EPT01 translates:
+    the memory chain has a single level over the warm EPT01, and there
+    is no shadow core — the hardware walks the guest's own tables.
     """
+
+    shadow_paging = False
 
     def __init__(self, *args, **kwargs) -> None:
         kwargs.setdefault("nested", True)
@@ -48,24 +51,6 @@ class DirectPagingMachine(PvmMachine):
             thp=self.config.thp and self.supports_thp,
         )
         self.validated_updates = 0
-
-    # -- translation ---------------------------------------------------------
-
-    def translate(self, ctx, proc: Process, vpn: int, access: AccessType) -> int:
-        """One hardware translation attempt; raises on fault."""
-        asid = self.asid_for(proc)
-        if not self.nested:
-            # Bare-metal direct paging degenerates to native paging.
-            return ctx.mmu.access_1d(ctx.clock, asid, proc.gpt, vpn, access,
-                                     user=True)
-        while True:
-            try:
-                return ctx.mmu.access_2d(
-                    ctx.clock, asid, proc.gpt, self.ept01, vpn, access,
-                    user=True,
-                )
-            except EptViolationException as exc:
-                self._warm_fill(exc.violation)
 
     # -- fault dance: constant-cost, shadow-free --------------------------------
 
@@ -121,58 +106,16 @@ class DirectPagingMachine(PvmMachine):
         self.validated_updates += writes
         sw.vm_enter(ctx.clock, ctx.cpu_id, resume)
 
-    # -- memory chain ---------------------------------------------------------
-
-    def discard_gfn_backing(self, gfn: int) -> bool:
-        """Balloon release under direct paging: there is no shadow chain
-        and no separate L2->L1 mapping — the guest's frame *is* the L1
-        frame — so only the host backing and its EPT01 entry are
-        dropped.  The guest frame itself stays held by the balloon."""
-        if self.huge_block_base(gfn) is not None:
-            return False
-        if not self.nested:
-            return super().discard_gfn_backing(gfn)
-        ent = self.ept01.lookup(gfn)
-        if ent is not None:
-            if ent.huge:
-                return False
-            self.ept01.unmap(gfn)
-        hfn = self._backing.pop(gfn, None)
-        if hfn is not None:
-            self.host_phys.free_frame(hfn)
-        return hfn is not None
-
-    def backing_frame(self, guest_frame: int) -> int:
-        # Direct paging keys _backing by the guest's own frame numbers,
-        # so the refault chokepoint is right here (the base hook skips
-        # nested machines to avoid gfn1/gfn2 namespace collisions).
-        frame = super().backing_frame(guest_frame)
-        if self._discarded_gfns:
-            self.note_gfn_rebacked(guest_frame)
-        return frame
-
-    def accessed_bit_tables(self, proc: Process):
-        """The hardware walks the guest's own tables — A-bits land in
-        the GPT, not in (absent) shadow tables."""
-        return [proc.gpt]
-
     # -- shadow machinery is absent -----------------------------------------------
 
     def invalidate_pages(self, ctx, proc: Process, vpns) -> None:
-        """Zap stale shadow/TLB state after unmap/mprotect."""
+        """Zap stale TLB state after unmap/mprotect (no shadow state)."""
         vpns = tuple(vpns)
         if not vpns:
             return
         self._flush_after_unmap(ctx, proc, len(vpns))
+        self.audit_zap(ctx, proc, vpns)
 
     def on_process_created(self, ctx, child: Process) -> None:
         """No shadow entries to downgrade; COW protection lives in the
         guest's own (validated) tables."""
-
-    def on_process_reset(self, ctx, proc: Process) -> None:
-        """Shadow-side teardown on exec."""
-        pass
-
-    def on_process_destroyed(self, ctx, proc: Process) -> None:
-        """Shadow-side teardown on exit."""
-        pass

@@ -14,7 +14,7 @@ flushes become per-PCID.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.hw.types import (
     PVM_GUEST_KERNEL_PCID_BASE,
@@ -49,6 +49,14 @@ class PcidMapper:
         if not self.enabled:
             return Asid(vpid=self.vpid, pcid=0)
         return Asid(vpid=self.vpid, pcid=self._hw_pcid(guest_pcid, kernel_half))
+
+    def peek(self, guest_pcid: int, kernel_half: bool = False) -> Optional[int]:
+        """The hardware PCID one L2 space is tagged with right now (0 when
+        the mapping is off), or None when it has no slot.  Read-only:
+        unlike :meth:`asid_for` it neither allocates nor touches the LRU."""
+        if not self.enabled:
+            return 0
+        return self._map.get((guest_pcid, kernel_half))
 
     def _hw_pcid(self, guest_pcid: int, kernel_half: bool) -> int:
         key = (guest_pcid, kernel_half)

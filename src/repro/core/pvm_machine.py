@@ -15,7 +15,7 @@ when the prefault optimization is disabled.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, Optional
 
 from repro.core.hypervisor import PvmHypervisor
 from repro.core.pcid import PcidMapper
@@ -27,14 +27,17 @@ from repro.guest.interrupts import Vector
 from repro.guest.process import Process
 from repro.hw.events import FaultPhase, SwitchKind
 from repro.hw.memory import PhysicalMemory
-from repro.hw.mmu import EptViolationException
-from repro.hw.pagetable import PageTable, Pte
-from repro.hw.types import AccessType, Asid, EptViolation, PageFault
+from repro.hw.pagetable import Pte
+from repro.hw.types import Asid, PageFault
 from repro.hypervisors.base import CpuCtx, Machine
+from repro.hypervisors.chain import MemoryChain
 
 
 class PvmMachine(Machine):
     """Secure container under the PVM guest hypervisor."""
+
+    #: Shadow paging (PVM proper); direct paging turns it off.
+    shadow_paging = True
 
     def __init__(self, *args, nested: bool = False, **kwargs) -> None:
         super().__init__(*args, **kwargs)
@@ -47,23 +50,21 @@ class PvmMachine(Machine):
         )
         self.pcids = PcidMapper(self.vpid, enabled=self.config.pcid_mapping)
         self.prefaulter = Prefaulter(enabled=self.config.prefault)
+        table_phys = self.host_phys
         if nested:
             #: The L1 VM's guest-physical space: shadow targets live here.
-            self.l1_phys = PhysicalMemory("l1-vm", self.config.host_mem_bytes)
-            #: EPT01 below us, maintained by the unmodified L0; warm.
-            self.ept01 = PageTable(self.host_phys, name="EPT01")
-            self._l1_backing: Dict[int, int] = {}
-            #: gfn1 bases of 2 MiB L1 blocks (for huge EPT01 warm fills).
-            self._l1_huge_bases: set = set()
-            table_phys, translate = self.l1_phys, self._gfn1_for
-        else:
-            table_phys, translate = self.host_phys, self.backing_frame
-        self.shadow = ShadowManager(
-            table_phys, self.costs, translate, kpti=self.config.kpti,
-            translate_block=(
-                self._gfn1_block_for if nested else self.backing_block
-            ),
-        )
+            self.l1_phys = table_phys = PhysicalMemory(
+                "l1-vm", self.config.host_mem_bytes)
+            # EPT01 below us is maintained by the unmodified L0: warm.
+            self.memory = MemoryChain(
+                self.host_phys, self.events, warm_ept01=True,
+                l1_phys=self.l1_phys if self.shadow_paging else None)
+        if self.shadow_paging:
+            self.shadow = ShadowManager(
+                table_phys, self.costs, self.memory.target,
+                dual=self.config.kpti,
+                translate_block=self.memory.target_block,
+            )
         if not self.config.pcid_mapping:
             # Without per-process PCIDs every guest CR3 load flushes the
             # guest's TLB tag (no NOFLUSH bit usable) — the cold-start
@@ -76,75 +77,22 @@ class PvmMachine(Machine):
         clock.advance(self.costs.tlb_flush_op + self.costs.tlb_vpid_flush_extra)
         self.events.tlb_flush("cr3-load")
 
-    # -- memory chain ---------------------------------------------------------
-
-    def _gfn1_for(self, gfn2: int) -> int:
-        gfn1 = self._l1_backing.get(gfn2)
-        if gfn1 is None:
-            gfn1 = self.l1_phys.alloc_frame(tag="l2-ram")
-            self._l1_backing[gfn2] = gfn1
-            if self._discarded_gfns:
-                self.note_gfn_rebacked(gfn2)
-        return gfn1
-
-    def _gfn1_block_for(self, base2: int) -> int:
-        """Aligned 512-frame gfn1 block backing a guest 2 MiB run."""
-        gfn1 = self._l1_backing.get(base2)
-        if gfn1 is None:
-            block = self.l1_phys.alloc_aligned(512, tag="l2-ram-huge")
-            for i in range(512):
-                self._l1_backing[base2 + i] = block.start + i
-            gfn1 = block.start
-            self._l1_huge_bases.add(gfn1)
-        return gfn1
-
-    def discard_gfn_backing(self, gfn2: int) -> bool:
-        """Balloon release: drop shadow entries (via the rmap) and the
-        L1/host backing of the frame."""
-        if self.huge_block_base(gfn2) is not None:
-            return False
-        for pid, half, vpn in sorted(self.shadow.entries_for_gfn(gfn2)):
-            proc = self.kernel.processes.get(pid)
-            if proc is not None:
-                self.shadow.unmap(proc, vpn)
-                # Scrub cached translations of the zapped entry: a TLB
-                # hit after the host frame is reused would read someone
-                # else's memory.  Raw flush (no clock charge) — reclaim
-                # work is priced by the balloon device, not here.
-                asid = self.asid_for(proc, kernel_half=(half == "kernel"))
-                for cpu in self.contexts:
-                    cpu.tlb.flush_page(asid, vpn)
-        if not self.nested:
-            return super().discard_gfn_backing(gfn2)
-        gfn1 = self._l1_backing.pop(gfn2, None)
-        if gfn1 is None:
-            return False
-        self.l1_phys.free_frame(gfn1)
-        if self.ept01.lookup(gfn1) is not None and not self.ept01.lookup(gfn1).huge:
-            self.ept01.unmap(gfn1)
-        hfn = self._backing.pop(gfn1, None)
-        if hfn is not None:
-            self.host_phys.free_frame(hfn)
-        return hfn is not None
-
-    def accessed_bit_tables(self, proc: Process) -> List[PageTable]:
-        """The walker sets A-bits in SPT12, not the guest's GPT2."""
-        return self.shadow.tables_for(proc)
-
-    def teardown_guest_memory(self) -> None:
-        """Eviction: drop all shadow tables, then (nested) the L1 chain."""
-        self.shadow.drop_all()
-        if self.nested:
-            self.ept01.destroy()
-            for gfn1 in self._l1_backing.values():
-                self.l1_phys.free_frame(gfn1)
-            self._l1_backing.clear()
-            self._l1_huge_bases.clear()
-        super().teardown_guest_memory()
-
     def asid_for(self, proc: Process, kernel_half: bool = False) -> Asid:
         """TLB tag for a process under this stack's PCID policy."""
         return self.pcids.asid_for(proc.pcid, kernel_half)
+
+    def tlb_tag(self, proc: Process) -> Optional[int]:
+        """The user-half tag from the PCID window, without touching it."""
+        hw = self.pcids.peek(proc.pcid)
+        return None if hw is None else Asid(vpid=self.vpid, pcid=hw).key
+
+    def tlb_owners(self) -> Dict[int, Process]:
+        """Attribution needs an active, never-recycled PCID window: with
+        the mapping off every process shares one tag, and a stolen slot
+        may still cache its previous owner's translations."""
+        if not self.pcids.enabled or self.pcids.recycled:
+            return {}
+        return super().tlb_owners()
 
     def new_context(self) -> CpuCtx:
         """Create one vCPU context (clock + private TLB)."""
@@ -152,41 +100,6 @@ class PvmMachine(Machine):
         # The guest starts in user mode from the switcher's viewpoint.
         self.hv.switcher.state_for(ctx.cpu_id).world = GuestWorld.USER
         return ctx
-
-    # -- translation --------------------------------------------------------------
-
-    def translate(self, ctx: CpuCtx, proc: Process, vpn: int,
-                  access: AccessType) -> int:
-        """One hardware translation attempt; raises on fault."""
-        spt = self.shadow.spt(proc, "user")
-        asid = self.asid_for(proc)
-        if not self.nested:
-            return ctx.mmu.access_1d(ctx.clock, asid, spt, vpn, access, user=True)
-        while True:
-            try:
-                return ctx.mmu.access_2d(
-                    ctx.clock, asid, spt, self.ept01, vpn, access, user=True
-                )
-            except EptViolationException as exc:
-                # Warm-EPT01 assumption (§4.1): the L1 VM has been up for
-                # hours; violations are filled by L0 below our notice.
-                self._warm_fill(exc.violation)
-
-    def _warm_fill(self, violation: EptViolation) -> None:
-        gfn1 = violation.gpa >> 12
-        if self.ept01.lookup(gfn1) is not None:
-            self.ept01.protect(gfn1, writable=True)
-            return
-        base = gfn1 - (gfn1 % 512)
-        if base in self._l1_huge_bases:
-            # L0's EPT backs 2 MiB L1 runs with huge entries, preserving
-            # the guest-huge translation's TLB reach.
-            hfn = self.backing_block(base)
-            self.ept01.map_huge(base, Pte(frame=hfn, writable=True,
-                                          user=False, huge=True))
-            return
-        hfn = self.backing_frame(gfn1)
-        self.ept01.map(gfn1, Pte(frame=hfn, writable=True, user=False))
 
     # -- the Figure 9 fault dance -----------------------------------------------------
 
@@ -250,10 +163,6 @@ class PvmMachine(Machine):
         self.hv.switcher.vm_enter(ctx.clock, ctx.cpu_id, GuestWorld.USER)
         self.events.fault(FaultPhase.GUEST_PT, ctx.clock.now, ctx.cpu_id)
 
-    def on_ept_violation(self, ctx: CpuCtx, proc: Process, violation) -> None:
-        """Extended-dimension fault dance (or assertion if N/A)."""
-        raise AssertionError("EPT01 is warmed inside translate()")
-
     def on_segfault(self, ctx: CpuCtx, proc: Process) -> None:
         """SIGSEGV delivery: get back to v_ring3 from wherever the fault
         dance stopped, then run the handler upcall + sigreturn."""
@@ -275,7 +184,7 @@ class PvmMachine(Machine):
                      gpt_pte: Pte, work_attr: str) -> None:
         if gpt_pte.huge:
             vpn -= vpn % 512  # shadow the whole 2 MiB run at its base
-        result = self.shadow.sync(proc, vpn, gpt_pte)
+        result = self.sync_shadow(ctx, proc, vpn, gpt_pte)
         work = getattr(self.costs, work_attr) * max(1, result.entry_writes // 2)
         self.locks.locked_fix(
             ctx.clock,
@@ -284,9 +193,6 @@ class PvmMachine(Machine):
             work_ns=work,
             structural=result.structural,
         )
-        san = self.sanitizers
-        if san is not None:
-            san.shadow.after_sync(ctx, proc, vpn, gpt_pte, result)
 
     # -- write-protected GPT2 ------------------------------------------------------------
 
@@ -334,9 +240,7 @@ class PvmMachine(Machine):
                     work_ns=self.costs.spt_sync_per_entry // 2,
                 )
         self._flush_after_unmap(ctx, proc, len(vpns))
-        san = self.sanitizers
-        if san is not None:
-            san.shadow.after_zap(ctx, proc, vpns)
+        self.audit_zap(ctx, proc, vpns)
 
     def invalidate_asid(self, ctx: CpuCtx, proc: Process) -> None:
         """Flush one process's translations."""
@@ -395,14 +299,6 @@ class PvmMachine(Machine):
                     gfn=(parent.pid, vpn), work_ns=30,
                 )
         self.shadow.write_protect_gpt(child)
-
-    def on_process_reset(self, ctx: CpuCtx, proc: Process) -> None:
-        """Shadow-side teardown on exec."""
-        self.shadow.drop(proc)
-
-    def on_process_destroyed(self, ctx: CpuCtx, proc: Process) -> None:
-        """Shadow-side teardown on exit."""
-        self.shadow.drop(proc)
 
     # -- transitions ------------------------------------------------------------------------------
 

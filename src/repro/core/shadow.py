@@ -1,11 +1,13 @@
-"""PVM's shadow page tables (paper §3.3.2).
+"""Shadow page tables: the one shadow core every shadow-paging machine uses.
 
-PVM maintains **two** shadow tables per L2 process — one for the guest
-user (v_ring3) and one for the guest kernel (v_ring0) — simulating KPTI
-for L2 at the hypervisor level: the user table simply never contains
-kernel mappings.  Synchronization with the guest's GPT2 uses write
-protection: GPT2 is read-only to L2, every guest PTE write traps, and
-the hypervisor applies it to the shadow side.
+PVM (paper §3.3.2) maintains **two** shadow tables per L2 process — one
+for the guest user (v_ring3) and one for the guest kernel (v_ring0) —
+simulating KPTI for L2 at the hypervisor level: the user table simply
+never contains kernel mappings.  KVM's classic shadow MMU (kvm-spt, bare
+metal and nested) keeps a single table per process.  Synchronization
+with the guest's table uses write protection: the GPT is read-only to
+the guest, every guest PTE write traps, and the hypervisor applies it
+to the shadow side.  Lock costs are charged by each machine.
 
 A reverse map (gfn -> shadow entries) makes invalidation by guest frame
 O(entries-for-frame) instead of O(table) — one of the three data groups
@@ -37,14 +39,14 @@ class SyncResult:
 
 
 class ShadowManager:
-    """Dual shadow tables + reverse maps for one PVM hypervisor."""
+    """Per-process shadow tables (one or two halves) + reverse maps."""
 
     def __init__(
         self,
         table_phys: PhysicalMemory,
         costs: CostModel,
         translate_gfn: Callable[[int], int],
-        kpti: bool = True,
+        dual: bool = True,
         translate_block: Optional[Callable[[int], int]] = None,
     ) -> None:
         self.table_phys = table_phys
@@ -56,7 +58,8 @@ class ShadowManager:
         #: translation happens to preserve contiguity (it usually does
         #: not), so machines that support THP must provide this.
         self.translate_block = translate_block
-        self.kpti = kpti
+        #: Two halves (user + kernel) per process, else the user one.
+        self.dual = dual
         #: (pid, half) -> shadow table; half is "user" or "kernel".
         self._spts: Dict[Tuple[int, str], PageTable] = {}
         #: gfn -> set of (pid, half, vpn) shadow entries mapping it.
@@ -84,7 +87,7 @@ class ShadowManager:
 
     def halves(self, proc: Process) -> List[str]:
         """Which shadow tables a user-page sync must update."""
-        return ["user", "kernel"] if self.kpti else ["user"]
+        return ["user", "kernel"] if self.dual else ["user"]
 
     def tables_for(self, proc: Process) -> List[PageTable]:
         """The process's *existing* shadow tables (no creation).
@@ -252,7 +255,7 @@ class ShadowManager:
         """Release every shadow table at once (guest eviction)."""
         dropped = 0
         for table in self._spts.values():
-            dropped += sum(1 for _ in table.iter_mappings())
+            dropped += table.mapped_pages
             table.release()
         self._spts.clear()
         self._rmap.clear()

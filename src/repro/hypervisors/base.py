@@ -17,21 +17,22 @@ contention emerges from the engine's earliest-clock interleaving.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 from repro.guest.addrspace import SegfaultError, Vma  # noqa: F401 (re-exported)
 from repro.guest.kernel import ForkWork, GptFix, GuestKernel
 from repro.guest.process import Process
-from repro.guest.syscalls import Syscall, syscall as lookup_syscall
+from repro.guest.syscalls import syscall as lookup_syscall
 from repro.hw.costs import CostModel, DEFAULT_COSTS
-from repro.hw.events import EventLog, SwitchKind
+from repro.hw.events import EventLog, FaultPhase, SwitchKind
 from repro.hw.memory import PhysicalMemory
 from repro.hw.mmu import EptViolationException, Mmu
 from repro.hw.pagetable import PageFaultException
 from repro.hw.psc import PagingStructureCache
 from repro.hw.tlb import Tlb
 from repro.hw.types import MIB, AccessType, Asid, PageFault
+from repro.hypervisors.chain import MemoryChain
 from repro.sim.clock import Clock
 from repro.sim.locks import SimLock
 
@@ -106,6 +107,8 @@ class Machine(abc.ABC):
     nested: bool = False
     #: Whether this paging design can back 2 MiB guest mappings.
     supports_thp: bool = True
+    #: PVM's fine-grained SPT lock manager; None on the other machines.
+    locks = None
 
     def __init__(
         self,
@@ -146,11 +149,12 @@ class Machine(abc.ABC):
         #: Fault-injection plan consulted by the I/O stack and the
         #: container supervisor (None = no faults, zero-cost paths).
         self.fault_plan = None
-        #: guest frame -> host frame backing (the "memslot" mapping).
-        self._backing: Dict[int, int] = {}
-        #: Guest frames whose host backing was discarded (ballooned /
-        #: reclaimed) and not yet re-established; next touch refaults.
-        self._discarded_gfns: Set[int] = set()
+        #: How guest frames reach host frames (the "memslot" mappings);
+        #: nested machines rebuild it with an L1 level and/or warm EPT01.
+        self.memory = MemoryChain(self.host_phys, self.events)
+        #: Shadow page tables (:class:`repro.core.shadow.ShadowManager`)
+        #: on shadow-paging machines; None where hardware walks the GPT.
+        self.shadow = None
         #: Base gfns of 2 MiB guest allocations (for huge EPT/shadow fills).
         self._huge_gfn_bases: set = set()
         #: Runtime-sanitizer suite (:class:`repro.sanitize.SanitizerSuite`)
@@ -186,6 +190,16 @@ class Machine(abc.ABC):
         self.contexts.append(ctx)
         return ctx
 
+    def vmcs02(self):
+        """The VMCS02 shadow (:class:`repro.hw.vmx.VmcsShadow`) of
+        nested-VT-x machines; None elsewhere."""
+        return None
+
+    def lockdep_classes(self) -> List[Tuple[SimLock, str]]:
+        """Singleton locks lockdep tracks, with their class names."""
+        return [(self.l0_lock, "l0-service"),
+                (self.guest_fork_lock, "guest-fork")]
+
     def _maybe_attach_sanitizers(self) -> None:
         """Attach the sanitizer suite when config or env asks for it."""
         from repro.sanitize import attach_sanitizers, resolve_mode
@@ -197,35 +211,6 @@ class Machine(abc.ABC):
     def spawn_process(self, vmas: Optional[List[Vma]] = None) -> Process:
         """Create the guest's next process."""
         return self.kernel.create_process(vmas)
-
-    def backing_frame(self, guest_frame: int) -> int:
-        """Host frame backing a guest-physical frame (allocated lazily)."""
-        frame = self._backing.get(guest_frame)
-        if frame is None:
-            frame = self.host_phys.alloc_frame(tag="guest-ram")
-            self._backing[guest_frame] = frame
-            # Nested machines key _backing by L1 frames; their gfn2
-            # chokepoints report refaults instead (gfn1/gfn2 numbers
-            # would collide here).
-            if self._discarded_gfns and not self.nested:
-                self.note_gfn_rebacked(guest_frame)
-        return frame
-
-    def note_gfn_rebacked(self, gfn: int) -> None:
-        """Record that a previously discarded guest frame refaulted in."""
-        if gfn in self._discarded_gfns:
-            self._discarded_gfns.discard(gfn)
-            self.events.refault("balloon")
-
-    def backing_block(self, guest_base: int) -> int:
-        """Aligned 512-frame host block backing a guest 2 MiB run."""
-        frame = self._backing.get(guest_base)
-        if frame is None:
-            block = self.host_phys.alloc_aligned(512, tag="guest-ram-huge")
-            for i in range(512):
-                self._backing[guest_base + i] = block.start + i
-            frame = block.start
-        return frame
 
     def fault_body_ns(self, proc: Process, fix: GptFix) -> int:
         """Guest kernel work for one fault fix (shared across stacks).
@@ -251,6 +236,45 @@ class Machine(abc.ABC):
     def asid_for(self, proc: Process, kernel_half: bool = False) -> Asid:
         """TLB tag for a process (PVM overrides to apply PCID mapping)."""
         return Asid(vpid=self.vpid, pcid=proc.pcid)
+
+    # -- read-only oracle (sanitizers) -------------------------------------
+
+    def expected_frame(self, proc: Process, vpn: int) -> Optional[int]:
+        """Host frame a fresh walk of the guest table through the memory
+        chain gives for ``vpn``, or None when unmapped or unbacked.
+
+        Reference semantics for every machine, whatever tables it keeps:
+        read-only, allocates nothing, charges nothing.
+        """
+        pte = proc.gpt.lookup(vpn)
+        if pte is None:
+            return None
+        hfn = self.memory.peek(pte.frame)
+        if hfn is None or not pte.huge:
+            return hfn
+        return hfn + vpn % 512
+
+    def tlb_tag(self, proc: Process) -> Optional[int]:
+        """Packed user-half TLB tag of ``proc``, read without side
+        effects, or None when it has none yet."""
+        return Asid(vpid=self.vpid, pcid=proc.pcid).key
+
+    def tlb_owners(self) -> Dict[int, Process]:
+        """Packed TLB tag -> the one live process it names.  Tags shared
+        by several processes are left out: their entries cannot be
+        attributed."""
+        owners: Dict[int, Process] = {}
+        shared = set()
+        for proc in self.kernel.processes.values():
+            tag = self.tlb_tag(proc) if proc.alive else None
+            if tag is None:
+                continue
+            if tag in owners:
+                shared.add(tag)
+            owners[tag] = proc
+        for tag in shared:
+            del owners[tag]
+        return owners
 
     # ------------------------------------------------------------------
     # workload-facing API
@@ -300,6 +324,8 @@ class Machine(abc.ABC):
                     raise
             except EptViolationException as exc:
                 self.on_ept_violation(ctx, proc, exc.violation)
+            if self.sanitizers is not None:
+                self.sanitizers.shadow.after_fault()
         raise RuntimeError(
             f"{self.name}: fault loop did not converge for vpn {vpn:#x}"
         )
@@ -423,16 +449,26 @@ class Machine(abc.ABC):
 
         Returns True when a host frame was actually released.  Frames
         inside 2 MiB-backed runs are skipped (splitting huge backing is
-        not worth one page).  Subclasses extend this to invalidate
-        their extended/shadow state for the frame.
+        not worth one page).  Shadow entries naming the frame are zapped
+        first (via the reverse map), with their cached translations;
+        machines that price extended tables zap those too.
         """
         if self.huge_block_base(gfn) is not None:
             return False
-        hfn = self._backing.pop(gfn, None)
-        if hfn is None:
-            return False
-        self.host_phys.free_frame(hfn)
-        return True
+        if self.shadow is not None:
+            for pid, half, vpn in sorted(self.shadow.entries_for_gfn(gfn)):
+                proc = self.kernel.processes.get(pid)
+                if proc is None:
+                    continue
+                self.shadow.unmap(proc, vpn)
+                # Scrub cached translations of the zapped entry: a TLB
+                # hit after the host frame is reused would read someone
+                # else's memory.  Raw flush (no clock charge) — reclaim
+                # work is priced by the balloon device, not here.
+                asid = self.asid_for(proc, kernel_half=(half == "kernel"))
+                for cpu in self.contexts:
+                    cpu.tlb.flush_page(asid, vpn)
+        return self.memory.discard(gfn)
 
     # -- memory QoS (working-set estimation + reclaim support) -----------
 
@@ -440,11 +476,12 @@ class Machine(abc.ABC):
         """Page tables whose leaf A-bits the walker sets for ``proc``.
 
         The hardware walker marks accessed/dirty in whatever table it
-        actually walks: the guest table here (EPT designs), the shadow
-        tables on shadow-paging machines (which override this).  Only
-        *existing* tables are returned — a scan must never materialize
-        shadow state.
+        actually walks: the guest table (EPT and direct paging) or the
+        shadow tables.  Only *existing* tables are returned — a scan
+        must never materialize shadow state.
         """
+        if self.shadow is not None:
+            return self.shadow.tables_for(proc)
         return [proc.gpt]
 
     def harvest_working_set(self, ctx: CpuCtx) -> Tuple[int, int]:
@@ -475,20 +512,19 @@ class Machine(abc.ABC):
 
     def resident_guest_pages(self) -> int:
         """Guest pages currently backed by host frames."""
-        return len(self._backing)
+        return self.memory.resident_pages()
 
     def teardown_guest_memory(self) -> None:
         """Release every host frame backing this guest (eviction path).
 
-        Subclasses extend this to drop extended/shadow state that
-        references the freed frames; the base leaves translation caches
-        to the supervisor's regular crash teardown.
+        Shadow tables go first, then the memory chain; machines that
+        price extended tables drop those too.  Translation caches are
+        left to the supervisor's regular crash teardown.
         """
-        for hfn in self._backing.values():
-            self.host_phys.free_frame(hfn)
-        self._backing.clear()
+        if self.shadow is not None:
+            self.shadow.drop_all()
+        self.memory.teardown()
         self._huge_gfn_bases.clear()
-        self._discarded_gfns.clear()
 
     def virtio_doorbell(self, ctx: CpuCtx) -> None:
         """Guest kicks a virtqueue: one exit to the vhost backend.
@@ -532,18 +568,48 @@ class Machine(abc.ABC):
     # architecture-specific machinery
     # ------------------------------------------------------------------
 
-    @abc.abstractmethod
     def translate(self, ctx: CpuCtx, proc: Process, vpn: int,
                   access: AccessType) -> int:
-        """One hardware translation attempt; raises on fault."""
+        """One hardware translation attempt; raises on fault.
 
-    @abc.abstractmethod
+        The hardware walks the shadow table (or, without one, the
+        guest's own table), nested over the chain's warm EPT01 when
+        there is one.  Machines that price an extended dimension
+        override this.
+        """
+        table = (self.shadow.spt(proc, "user") if self.shadow is not None
+                 else proc.gpt)
+        asid = self.asid_for(proc)
+        ept01 = self.memory.ept01
+        if ept01 is None:
+            return ctx.mmu.access_1d(ctx.clock, asid, table, vpn, access,
+                                     user=True)
+        while True:
+            try:
+                return ctx.mmu.access_2d(ctx.clock, asid, table, ept01, vpn,
+                                         access, user=True)
+            except EptViolationException as exc:
+                # Warm-EPT01 assumption (§2.2, §4.1): the L1 VM has been
+                # up for hours; L0 fills violations below our notice.
+                self.memory.warm_fill(exc.violation.gpa >> 12)
+
     def on_guest_fault(self, ctx: CpuCtx, proc: Process, fault: PageFault) -> None:
-        """Architecture-specific guest page-fault dance."""
+        """Guest #PF on a hardware-walked guest table: handled entirely
+        inside the guest, no exit.  Shadow and direct paging override."""
+        self.guest_internal_transition(ctx)
+        ctx.clock.advance(self.costs.pf_delivery)
+        fix = self.kernel.fix_fault(proc, fault.vaddr >> 12, fault.access)
+        ctx.clock.advance(
+            self.fault_body_ns(proc, fix)
+            + fix.entry_writes * self.costs.pte_write
+        )
+        self.guest_internal_transition(ctx)  # iret back to user
+        self.events.fault(FaultPhase.GUEST_PT, ctx.clock.now, ctx.cpu_id)
 
-    @abc.abstractmethod
     def on_ept_violation(self, ctx: CpuCtx, proc: Process, violation) -> None:
-        """Architecture-specific extended-dimension fault dance."""
+        """Extended-dimension fault dance of machines that price one."""
+        raise AssertionError(
+            f"{self.name}: no priced extended dimension to fault on")
 
     @abc.abstractmethod
     def priced_gpt_writes(self, ctx: CpuCtx, proc: Process, writes: int,
@@ -554,9 +620,13 @@ class Machine(abc.ABC):
         ``structural`` marks bulk table construction (fork/exec), whose
         shadow-side bookkeeping touches inter-shadow-page structure."""
 
-    @abc.abstractmethod
     def _syscall_round_trip(self, ctx: CpuCtx, proc: Process) -> None:
-        """User -> kernel -> user transition for one syscall."""
+        """User -> kernel -> user transition for one syscall: inside a
+        hardware-paged guest it never exits (KPTI adds its CR3 work)."""
+        self.guest_internal_transition(ctx)
+        if self.config.kpti:
+            ctx.clock.advance(self.costs.kpti_syscall_overhead)
+        self.guest_internal_transition(ctx)
 
     @abc.abstractmethod
     def _privileged(self, ctx: CpuCtx, kind: str) -> None:
@@ -573,10 +643,12 @@ class Machine(abc.ABC):
     # -- invalidation hooks (default: per-ASID TLB hygiene only) ----------
 
     def invalidate_pages(self, ctx: CpuCtx, proc: Process, vpns) -> None:
-        """Zap stale shadow/TLB state after unmap/mprotect."""
+        """Zap stale TLB state after unmap/mprotect."""
+        vpns = tuple(vpns)
         asid = self.asid_for(proc)
         for vpn in vpns:
             ctx.mmu.flush_page(ctx.clock, asid, vpn)
+        self.audit_zap(ctx, proc, vpns)
 
     def invalidate_asid(self, ctx: CpuCtx, proc: Process) -> None:
         """Flush one process's translations."""
@@ -596,12 +668,41 @@ class Machine(abc.ABC):
         """Hook for shadow-table setup on fork."""
 
     def on_process_reset(self, ctx: CpuCtx, proc: Process) -> None:
-        """Hook for shadow-table teardown on exec."""
+        """Shadow-table teardown on exec."""
+        if self.shadow is not None:
+            self.shadow.drop(proc)
 
     def on_process_destroyed(self, ctx: CpuCtx, proc: Process) -> None:
-        """Hook for shadow-table teardown on exit."""
+        """Shadow-table teardown on exit."""
+        if self.shadow is not None:
+            self.shadow.drop(proc)
 
     # -- shared plumbing -----------------------------------------------------
+
+    def vmx_handler_ns(self, kind: str) -> int:
+        """Handler cost of one VT-x-trapped privileged operation."""
+        return {
+            "hypercall": self.costs.hypercall_handler,
+            "exception": self.costs.exception_handler,
+            "msr": self.costs.msr_handler,
+            "cpuid": self.costs.cpuid_handler,
+            "pio": self.costs.pio_handler,
+        }[kind]
+
+    def sync_shadow(self, ctx: CpuCtx, proc: Process, vpn: int, gpt_pte):
+        """Install the shadow entries for one guest PTE (the caller
+        charges the lock work) and audit them when sanitizers are on."""
+        result = self.shadow.sync(proc, vpn, gpt_pte)
+        san = self.sanitizers
+        if san is not None:
+            san.shadow.after_sync(ctx, proc, vpn, gpt_pte, result)
+        return result
+
+    def audit_zap(self, ctx: CpuCtx, proc: Process, vpns) -> None:
+        """Sanitizer hook after ``invalidate_pages`` zapped shadow state."""
+        san = self.sanitizers
+        if san is not None:
+            san.shadow.after_zap(ctx, proc, vpns)
 
     def hw_exit_entry(self, ctx: CpuCtx, kind: SwitchKind) -> None:
         """One hardware world switch (one direction)."""

@@ -10,14 +10,14 @@ and nearly all the root-mode work serializes on L0.
 
 from __future__ import annotations
 
-from typing import Dict
-
 from repro.guest.process import Process
-from repro.hw.events import FaultPhase, SwitchKind
+from repro.hw.events import FaultPhase
 from repro.hw.memory import PhysicalMemory
 from repro.hw.pagetable import PageTable, Pte
-from repro.hw.types import AccessType, EptViolation, PageFault
+from repro.hw.types import AccessType, EptViolation
 from repro.hypervisors.base import CpuCtx, Machine
+from repro.hypervisors.chain import MemoryChain
+from repro.hypervisors.kvm_ept import install_ept
 from repro.hypervisors.nested import NestedVmxMixin
 
 
@@ -36,30 +36,9 @@ class EptOnEptMachine(NestedVmxMixin, Machine):
         self.ept12 = PageTable(self.l1_phys, name="EPT12")
         #: EPT02: gfn2 -> hfn, the compressed table L0 gives the MMU.
         self.ept02 = PageTable(self.host_phys, name="EPT02")
-        #: gfn2 -> gfn1 backing (L1's memslots for the L2 guest).
-        self._l1_backing: Dict[int, int] = {}
-
-    # -- memory chain -------------------------------------------------------
-
-    def gfn1_for(self, gfn2: int) -> int:
-        """The gfn1 backing one gfn2 (allocated lazily)."""
-        gfn1 = self._l1_backing.get(gfn2)
-        if gfn1 is None:
-            gfn1 = self.l1_phys.alloc_frame(tag="l2-ram")
-            self._l1_backing[gfn2] = gfn1
-            if self._discarded_gfns:
-                self.note_gfn_rebacked(gfn2)
-        return gfn1
-
-    def gfn1_block_for(self, base2: int) -> int:
-        """Aligned 512-frame gfn1 block backing a guest 2 MiB run."""
-        gfn1 = self._l1_backing.get(base2)
-        if gfn1 is None:
-            block = self.l1_phys.alloc_aligned(512, tag="l2-ram-huge")
-            for i in range(512):
-                self._l1_backing[base2 + i] = block.start + i
-            gfn1 = block.start
-        return gfn1
+        #: gfn2 -> gfn1 (L1's memslots for the L2 guest) -> hfn.
+        self.memory = MemoryChain(self.host_phys, self.events,
+                                  l1_phys=self.l1_phys)
 
     # -- translation -----------------------------------------------------------
 
@@ -73,18 +52,6 @@ class EptOnEptMachine(NestedVmxMixin, Machine):
 
     # -- fault handling ------------------------------------------------------------
 
-    def on_guest_fault(self, ctx: CpuCtx, proc: Process, fault: PageFault) -> None:
-        """L2 guest #PF: handled entirely inside L2 (Fig 3b steps 1-3)."""
-        self.guest_internal_transition(ctx)
-        ctx.clock.advance(self.costs.pf_delivery)
-        fix = self.kernel.fix_fault(proc, fault.vaddr >> 12, fault.access)
-        ctx.clock.advance(
-            self.fault_body_ns(proc, fix)
-            + fix.entry_writes * self.costs.pte_write
-        )
-        self.guest_internal_transition(ctx)
-        self.events.fault(FaultPhase.GUEST_PT, ctx.clock.now, ctx.cpu_id)
-
     def on_ept_violation(self, ctx: CpuCtx, proc: Process,
                          violation: EptViolation) -> None:
         """The Figure 3(b) dance: fix EPT12 via L1, then EPT02 via L0."""
@@ -95,8 +62,8 @@ class EptOnEptMachine(NestedVmxMixin, Machine):
             return
         # Phase 1 (steps 1-10): L0 forwards the violation to L1 ...
         self.l2_exit_to_l1(ctx, "ept-violation")
-        gfn1 = self.gfn1_for(gfn2)
-        writes = self._install(self.ept12, gfn2, gfn1)
+        gfn1 = self.memory.gfn1_for(gfn2)
+        writes = install_ept(self.ept12, gfn2, gfn1)
         # ... whose EPT12 updates each trap back to L0 for emulation ...
         for _ in range(writes):
             self.l1_l0_service(
@@ -108,8 +75,8 @@ class EptOnEptMachine(NestedVmxMixin, Machine):
         self.l1_resume_l2(ctx)
         # Phase 2 (steps 11-13): the access faults again on EPT02; L0
         # compresses EPT12 o EPT01 into EPT02 directly.
-        hfn = self.backing_frame(gfn1)
-        writes02 = self._install(self.ept02, gfn2, hfn)
+        hfn = self.memory.backing_frame(gfn1)
+        writes02 = install_ept(self.ept02, gfn2, hfn)
         self.l2_l0_roundtrip(
             ctx, writes02 * self.costs.ept_fix_per_level, reason="ept02-fix"
         )
@@ -119,7 +86,7 @@ class EptOnEptMachine(NestedVmxMixin, Machine):
         """Back a guest 2 MiB run with huge EPT12 and EPT02 entries —
         the same dance, but one entry covers 512 pages."""
         self.l2_exit_to_l1(ctx, "ept-violation")
-        gfn1 = self.gfn1_block_for(base2)
+        gfn1 = self.memory.gfn1_block_for(base2)
         if self.ept12.lookup(base2) is None:
             self.ept12.map_huge(base2, Pte(frame=gfn1, writable=True,
                                            user=False, huge=True))
@@ -128,7 +95,7 @@ class EptOnEptMachine(NestedVmxMixin, Machine):
             reason="ept12-write",
         )
         self.l1_resume_l2(ctx)
-        hfn = self.backing_block(gfn1)
+        hfn = self.memory.backing_block(gfn1)
         if self.ept02.lookup(base2) is None:
             self.ept02.map_huge(base2, Pte(frame=hfn, writable=True,
                                            user=False, huge=True))
@@ -144,22 +111,12 @@ class EptOnEptMachine(NestedVmxMixin, Machine):
             pte = table.lookup(gfn2)
             if pte is not None and not pte.huge:
                 table.unmap(gfn2)
-        gfn1 = self._l1_backing.pop(gfn2, None)
-        if gfn1 is None:
-            return False
-        self.l1_phys.free_frame(gfn1)
-        hfn = self._backing.pop(gfn1, None)
-        if hfn is not None:
-            self.host_phys.free_frame(hfn)
-        return hfn is not None
+        return super().discard_gfn_backing(gfn2)
 
     def teardown_guest_memory(self) -> None:
-        """Eviction: drop both EPT dimensions and the L1 memslots."""
+        """Eviction: drop both EPT dimensions, then the memory chain."""
         self.ept12.destroy()
         self.ept02.destroy()
-        for gfn1 in self._l1_backing.values():
-            self.l1_phys.free_frame(gfn1)
-        self._l1_backing.clear()
         super().teardown_guest_memory()
 
     def priced_gpt_writes(self, ctx: CpuCtx, proc: Process, writes: int,
@@ -185,24 +142,8 @@ class EptOnEptMachine(NestedVmxMixin, Machine):
                 )
                 self.l1_resume_l2(ctx)
 
-    # -- transitions --------------------------------------------------------------------
-
-    def _syscall_round_trip(self, ctx: CpuCtx, proc: Process) -> None:
-        """Syscalls stay inside L2 (Table 2: kvm NST = 0.23 us)."""
-        self.guest_internal_transition(ctx)
-        if self.config.kpti:
-            ctx.clock.advance(self.costs.kpti_syscall_overhead)
-        self.guest_internal_transition(ctx)
-
     def _privileged(self, ctx: CpuCtx, kind: str) -> None:
-        handler = {
-            "hypercall": self.costs.hypercall_handler,
-            "exception": self.costs.exception_handler,
-            "msr": self.costs.msr_handler,
-            "cpuid": self.costs.cpuid_handler,
-            "pio": self.costs.pio_handler,
-        }[kind]
-        self.nested_privileged_roundtrip(ctx, handler, kind)
+        super()._privileged(ctx, kind)
         if kind == "pio":
             # Device emulation lives in L1 userspace; each leg of the
             # kernel<->VMM bounce multiplies into nested VMCS traffic.
@@ -210,54 +151,3 @@ class EptOnEptMachine(NestedVmxMixin, Machine):
                 self.l1_l0_service(
                     ctx, self.costs.vmcs_merge_reload, reason="pio-userspace"
                 )
-
-    def virtio_doorbell(self, ctx: CpuCtx) -> None:
-        """L2's kick is forwarded to L1's vhost, whose backend I/O rides
-        L1's own virtio to the host — a nested round trip plus one
-        ordinary L1<->L0 leg."""
-        self.nested_privileged_roundtrip(
-            ctx, self.costs.virtio_doorbell_handler, "virtio-doorbell"
-        )
-        ctx.clock.advance(self.costs.hw_world_switch)
-        self.events.switch(SwitchKind.HW_L1_L0, ctx.clock.now, ctx.cpu_id)
-        self.events.l0_trap("virtio-backend")
-        self.l0_lock.run_locked(ctx.clock, self.costs.virtio_doorbell_handler)
-        ctx.clock.advance(self.costs.hw_world_switch)
-        self.events.switch(SwitchKind.HW_L1_L0, ctx.clock.now, ctx.cpu_id)
-
-    # -- interrupts / halt ------------------------------------------------------------------
-
-    def deliver_timer(self, ctx: CpuCtx) -> None:
-        """External interrupt: L2 exits to L0, L0 injects into L1, L1
-        handles and re-enters L2 through a full merge/reload."""
-        san = self.vmx_sanitizer
-        if san is not None:
-            san.vm_exit("interrupt")
-        ctx.clock.advance(self.costs.hw_world_switch)
-        self.events.switch(SwitchKind.HW_L2_L0, ctx.clock.now, ctx.cpu_id)
-        self.events.l0_trap("interrupt")
-        self.l0_lock.run_locked(ctx.clock, self.costs.irq_inject)
-        ctx.clock.advance(self.costs.hw_world_switch)
-        self.events.switch(SwitchKind.HW_L1_L0, ctx.clock.now, ctx.cpu_id)
-        ctx.clock.advance(self.costs.irq_handler)
-        self.l1_resume_l2(ctx)
-        self.events.interrupt("timer")
-
-    def halt(self, ctx: CpuCtx, wake_after_ns: int) -> None:
-        """HLT traps through the full nested path in both directions."""
-        self.l2_exit_to_l1(ctx, "hlt")
-        ctx.clock.advance(wake_after_ns)
-        ctx.clock.advance(self.costs.halt_wake_hw)
-        self.l1_resume_l2(ctx)
-        self.events.emulate("hlt")
-
-    # -- helpers ---------------------------------------------------------------------------------
-
-    @staticmethod
-    def _install(table: PageTable, gfn: int, target: int) -> int:
-        if table.lookup(gfn) is not None:
-            table.protect(gfn, writable=True)
-            return 1
-        result = table.map(gfn, Pte(frame=target, writable=True, user=False))
-        return len(result.written_frames)
-

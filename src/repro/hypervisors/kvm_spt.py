@@ -14,71 +14,86 @@ paper measures:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Set, Tuple
-
+from repro.core.shadow import ShadowManager
 from repro.guest.process import Process
 from repro.hw.events import FaultPhase, SwitchKind
-from repro.hw.pagetable import PageTable, Pte
-from repro.hw.types import AccessType, PageFault
+from repro.hw.memory import PhysicalMemory
+from repro.hw.pagetable import Pte
+from repro.hw.types import PageFault
 from repro.hypervisors.base import CpuCtx
-from repro.hypervisors.kvm_ept import KvmEptMachine
+from repro.hypervisors.kvm_ept import KvmMachine
 from repro.sim.locks import SimLock
 
 
-class KvmSptMachine(KvmEptMachine):
+class KvmShadowMixin:
+    """KVM's classic shadow MMU over the shared shadow core.
+
+    One shadow table per process (a single-half
+    :class:`~repro.core.shadow.ShadowManager` naming the memory chain's
+    target frames), every update serialized on one global lock.
+    kvm-spt (BM) and kvm-spt (NST) differ only in which lock that is
+    and in the exit path each trap pays.
+    """
+
+    def init_kvm_shadow(self, table_phys: PhysicalMemory,
+                        lock: SimLock) -> None:
+        """Create the shadow core; ``lock`` serializes every update."""
+        self.shadow = ShadowManager(table_phys, self.costs,
+                                    self.memory.target, dual=False)
+        self.shadow_lock = lock
+
+    def _shadow_locked(self, ctx: CpuCtx, hold_ns: int) -> None:
+        self.shadow_lock.run_locked(ctx.clock, hold_ns=hold_ns,
+                                    overhead_ns=self.costs.mmu_lock_op)
+
+    def _sync_spte(self, ctx: CpuCtx, proc: Process, vpn: int,
+                   gpt_pte: Pte) -> None:
+        """Install one shadow PTE from the guest PTE, under the lock."""
+        result = self.sync_shadow(ctx, proc, vpn, gpt_pte)
+        self._shadow_locked(
+            ctx, self.costs.mmu_lock_hold
+            + result.entry_writes * self.costs.spt_sync_per_entry)
+
+    def _emulate_gpt_write(self, ctx: CpuCtx) -> None:
+        """Apply one trapped guest PTE write to the shadow side."""
+        self._shadow_locked(
+            ctx, self.costs.wp_emulate_write + self.costs.mmu_lock_hold)
+        self.events.emulate("gpt-write")
+
+    def invalidate_pages(self, ctx: CpuCtx, proc: Process, vpns) -> None:
+        """munmap/mprotect: zap stale shadow entries + TLB."""
+        vpns = tuple(vpns)
+        asid = self.asid_for(proc)
+        for vpn in vpns:
+            if self.shadow.unmap(proc, vpn):
+                self._shadow_locked(ctx, self.costs.mmu_lock_hold // 2)
+            ctx.mmu.flush_page(ctx.clock, asid, vpn)
+        self.audit_zap(ctx, proc, vpns)
+
+    def on_process_created(self, ctx: CpuCtx, proc: Process) -> None:
+        """Fork: the parent's mappings were downgraded for COW, so its
+        shadow entries are stale.  KVM zaps and lets them re-sync."""
+        parent = self.kernel.processes.get(proc.parent_pid or -1)
+        if parent is not None:
+            self.on_process_reset(ctx, parent)
+
+    def on_process_reset(self, ctx: CpuCtx, proc: Process) -> None:
+        """Bulk zap: drop the shadow table and flush the process's tag."""
+        self.shadow.drop(proc)
+        self.invalidate_asid(ctx, proc)
+
+
+class KvmSptMachine(KvmShadowMixin, KvmMachine):
     """Secure container under single-level shadow paging (kvm-spt BM)."""
 
     name = "kvm-spt (BM)"
-    nested = False
     #: Classic shadow paging shadows at 4K granularity only.
     supports_thp = False
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        #: Per-process shadow tables: GVA -> HPA.
-        self._spts: Dict[int, PageTable] = {}
-        #: Reverse map: host frame -> {(pid, vpn)} shadow entries naming
-        #: it, so discarding a frame's backing can zap exactly the SPTEs
-        #: that translate to it (KVM's rmap chains).
-        self._spt_rmap: Dict[int, Set[Tuple[int, int]]] = {}
         self.mmu_lock = SimLock("mmu_lock", self.events)
-
-    # -- shadow table management ------------------------------------------
-
-    def spt_for(self, proc: Process) -> PageTable:
-        """The process's shadow table (created on demand)."""
-        spt = self._spts.get(proc.pid)
-        if spt is None:
-            spt = PageTable(self.host_phys, name=f"SPT:{proc.pid}")
-            self._spts[proc.pid] = spt
-        return spt
-
-    def _zap_spt(self, ctx: CpuCtx, proc: Process) -> None:
-        """Drop every shadow entry (KVM's bulk zap on fork/exec)."""
-        spt = self._spts.pop(proc.pid, None)
-        if spt is not None:
-            self._forget_spt_rmap(spt, proc.pid)
-            spt.release()
-        self.invalidate_asid(ctx, proc)
-
-    def _forget_spt_rmap(self, spt: PageTable, pid: int) -> None:
-        """Drop a whole shadow table's reverse-map entries."""
-        for vpn, pte in spt.iter_mappings():
-            entries = self._spt_rmap.get(pte.frame)
-            if entries is not None:
-                entries.discard((pid, vpn))
-                if not entries:
-                    del self._spt_rmap[pte.frame]
-
-    # -- translation ----------------------------------------------------------
-
-    def translate(self, ctx: CpuCtx, proc: Process, vpn: int,
-                  access: AccessType) -> int:
-        """One hardware translation attempt; raises on fault."""
-        return ctx.mmu.access_1d(
-            ctx.clock, self.asid_for(proc), self.spt_for(proc), vpn, access,
-            user=True,
-        )
+        self.init_kvm_shadow(self.host_phys, self.mmu_lock)
 
     # -- fault handling -----------------------------------------------------------
 
@@ -113,33 +128,6 @@ class KvmSptMachine(KvmEptMachine):
         # The retry will fault again on the shadow table and take the
         # sync path above — the "second phase" of §2.2.
 
-    def on_ept_violation(self, ctx: CpuCtx, proc: Process, violation) -> None:
-        """Extended-dimension fault dance (or assertion if N/A)."""
-        raise AssertionError("kvm-spt never performs two-dimensional walks")
-
-    def _sync_spte(self, ctx: CpuCtx, proc: Process, vpn: int, gpt_pte: Pte) -> None:
-        """Install one shadow PTE from the guest PTE, under mmu_lock."""
-        hfn = self.backing_frame(gpt_pte.frame)
-        spt = self.spt_for(proc)
-        existing = spt.lookup(vpn)
-        if existing is None:
-            result = spt.map(vpn, Pte(
-                frame=hfn,
-                writable=gpt_pte.writable,
-                user=gpt_pte.user,
-                executable=gpt_pte.executable,
-            ))
-            self._spt_rmap.setdefault(hfn, set()).add((proc.pid, vpn))
-            levels = len(result.written_frames)
-        else:
-            spt.protect(vpn, writable=gpt_pte.writable, user=gpt_pte.user)
-            levels = 1
-        self.mmu_lock.run_locked(
-            ctx.clock,
-            hold_ns=self.costs.mmu_lock_hold + levels * self.costs.spt_sync_per_entry,
-            overhead_ns=self.costs.mmu_lock_op,
-        )
-
     # -- write-protected guest page tables ----------------------------------------
 
     def priced_gpt_writes(self, ctx: CpuCtx, proc: Process, writes: int,
@@ -149,93 +137,8 @@ class KvmSptMachine(KvmEptMachine):
         for _ in range(writes):
             self.hw_exit_entry(ctx, SwitchKind.HW_L1_L0)
             self.events.l0_trap("gpt-write")
-            self.mmu_lock.run_locked(
-                ctx.clock,
-                hold_ns=self.costs.wp_emulate_write + self.costs.mmu_lock_hold,
-                overhead_ns=self.costs.mmu_lock_op,
-            )
-            self.events.emulate("gpt-write")
+            self._emulate_gpt_write(ctx)
             self.hw_exit_entry(ctx, SwitchKind.HW_L1_L0)
-
-    # -- invalidation --------------------------------------------------------------
-
-    def invalidate_pages(self, ctx: CpuCtx, proc: Process, vpns: Iterable[int]) -> None:
-        """munmap/mprotect: zap stale shadow entries + TLB."""
-        spt = self.spt_for(proc)
-        asid = self.asid_for(proc)
-        for vpn in vpns:
-            if spt.lookup(vpn) is not None:
-                pte = spt.unmap(vpn)
-                entries = self._spt_rmap.get(pte.frame)
-                if entries is not None:
-                    entries.discard((proc.pid, vpn))
-                    if not entries:
-                        del self._spt_rmap[pte.frame]
-                self.mmu_lock.run_locked(
-                    ctx.clock, hold_ns=self.costs.mmu_lock_hold // 2,
-                    overhead_ns=self.costs.mmu_lock_op,
-                )
-            ctx.mmu.flush_page(ctx.clock, asid, vpn)
-
-    # -- process lifecycle hooks -----------------------------------------------------
-
-    def on_process_created(self, ctx: CpuCtx, proc: Process) -> None:
-        # Parent mappings were downgraded for COW; its shadow entries are
-        # stale.  KVM zaps and lets them re-sync on demand.
-        """Shadow-side bookkeeping for a new (forked) process."""
-        parent = self.kernel.processes.get(proc.parent_pid or -1)
-        if parent is not None:
-            self._zap_spt(ctx, parent)
-
-    def on_process_reset(self, ctx: CpuCtx, proc: Process) -> None:
-        """Shadow-side teardown on exec."""
-        self._zap_spt(ctx, proc)
-
-    def on_process_destroyed(self, ctx: CpuCtx, proc: Process) -> None:
-        """Shadow-side teardown on exit."""
-        spt = self._spts.pop(proc.pid, None)
-        if spt is not None:
-            self._forget_spt_rmap(spt, proc.pid)
-            spt.release()
-
-    # -- balloon / reclaim ---------------------------------------------------------
-
-    def discard_gfn_backing(self, gfn: int) -> bool:
-        """Balloon release: zap every SPTE naming the host frame first.
-
-        Without this, the freed (and soon reallocated) host frame stays
-        reachable through stale shadow entries — the gap the
-        shadow-coherence audit catches.
-        """
-        if self.huge_block_base(gfn) is not None:
-            return False
-        hfn = self._backing.get(gfn)
-        if hfn is not None:
-            for pid, vpn in sorted(self._spt_rmap.pop(hfn, ())):
-                spt = self._spts.get(pid)
-                if spt is not None:
-                    pte = spt.lookup(vpn)
-                    if pte is not None and pte.frame == hfn and not pte.huge:
-                        spt.unmap(vpn)
-                proc = self.kernel.processes.get(pid)
-                if proc is not None:
-                    asid = self.asid_for(proc)
-                    for ctx in self.contexts:
-                        ctx.tlb.flush_page(asid, vpn)
-        return super().discard_gfn_backing(gfn)
-
-    def accessed_bit_tables(self, proc: Process) -> List[PageTable]:
-        """The walker sets A-bits in the shadow table, not the GPT."""
-        spt = self._spts.get(proc.pid)
-        return [spt] if spt is not None else []
-
-    def teardown_guest_memory(self) -> None:
-        """Eviction: release every shadow table before freeing backing."""
-        for spt in self._spts.values():
-            spt.release()
-        self._spts.clear()
-        self._spt_rmap.clear()
-        super().teardown_guest_memory()
 
     # -- transitions -------------------------------------------------------------------
 

@@ -34,6 +34,9 @@ class NestedVmxMixin:
         #: VMX state-machine sanitizer (repro.sanitize); None when off.
         self.vmx_sanitizer = None
 
+    def vmcs02(self: Machine) -> VmcsShadow:
+        return self.vmcs_shadow
+
     # -- protocol legs -----------------------------------------------------
 
     def l2_exit_to_l1(self: Machine, ctx: CpuCtx, reason: str,
@@ -122,3 +125,47 @@ class NestedVmxMixin:
         ctx.clock.advance(handler_ns)
         self.events.emulate(reason)
         self.l1_resume_l2(ctx)
+
+    # -- the CPU side of both nested-VT-x machines ----------------------------
+
+    def _privileged(self: Machine, ctx: CpuCtx, kind: str) -> None:
+        """One privileged L2 operation, forwarded to L1 and resumed."""
+        self.nested_privileged_roundtrip(ctx, self.vmx_handler_ns(kind), kind)
+
+    def virtio_doorbell(self: Machine, ctx: CpuCtx) -> None:
+        """L2's kick is forwarded to L1's vhost, whose backend I/O rides
+        L1's own virtio to the host — a nested round trip plus one
+        ordinary L1<->L0 leg."""
+        self.nested_privileged_roundtrip(
+            ctx, self.costs.virtio_doorbell_handler, "virtio-doorbell"
+        )
+        ctx.clock.advance(self.costs.hw_world_switch)
+        self.events.switch(SwitchKind.HW_L1_L0, ctx.clock.now, ctx.cpu_id)
+        self.events.l0_trap("virtio-backend")
+        self.l0_lock.run_locked(ctx.clock, self.costs.virtio_doorbell_handler)
+        ctx.clock.advance(self.costs.hw_world_switch)
+        self.events.switch(SwitchKind.HW_L1_L0, ctx.clock.now, ctx.cpu_id)
+
+    def deliver_timer(self: Machine, ctx: CpuCtx) -> None:
+        """External interrupt: L2 exits to L0, L0 injects into L1, L1
+        handles and re-enters L2 through a full merge/reload."""
+        san = self.vmx_sanitizer
+        if san is not None:
+            san.vm_exit("interrupt")
+        ctx.clock.advance(self.costs.hw_world_switch)
+        self.events.switch(SwitchKind.HW_L2_L0, ctx.clock.now, ctx.cpu_id)
+        self.events.l0_trap("interrupt")
+        self.l0_lock.run_locked(ctx.clock, self.costs.irq_inject)
+        ctx.clock.advance(self.costs.hw_world_switch)
+        self.events.switch(SwitchKind.HW_L1_L0, ctx.clock.now, ctx.cpu_id)
+        ctx.clock.advance(self.costs.irq_handler)
+        self.l1_resume_l2(ctx)
+        self.events.interrupt("timer")
+
+    def halt(self: Machine, ctx: CpuCtx, wake_after_ns: int) -> None:
+        """HLT traps through the full nested path in both directions."""
+        self.l2_exit_to_l1(ctx, "hlt")
+        ctx.clock.advance(wake_after_ns)
+        ctx.clock.advance(self.costs.halt_wake_hw)
+        self.l1_resume_l2(ctx)
+        self.events.emulate("hlt")

@@ -82,11 +82,10 @@ class BalloonDevice:
             machine.virtio_doorbell(ctx)
             # Host side: drop the backing of each reported frame.  A
             # discarded frame refaults its backing on the next guest
-            # touch after deflate — tracked for the refault counter.
+            # touch after deflate — the memory chain counts that.
             for gfn in gfns:
                 if machine.discard_gfn_backing(gfn):
                     self.host_frames_released += 1
-                    machine._discarded_gfns.add(gfn)
             san = machine.sanitizers
             if san is not None:
                 san.shadow.after_discard()

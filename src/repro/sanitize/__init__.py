@@ -106,18 +106,13 @@ def attach_sanitizers(machine, mode: str = "sampled") -> SanitizerSuite:
     lockdep = LockdepSanitizer(report)
     suite = SanitizerSuite(report=report, shadow=shadow, lockdep=lockdep)
 
-    locks = getattr(machine, "locks", None)
-    if locks is not None and hasattr(locks, "install_lockdep"):
-        locks.install_lockdep(lockdep)
-    for attr, cls in (("l0_lock", "l0-service"),
-                      ("guest_fork_lock", "guest-fork"),
-                      ("l1_mmu_lock", "l1-mmu")):
-        lock = getattr(machine, attr, None)
-        if lock is not None:
-            lock.lockdep = lockdep
-            lock.lock_class = cls
+    if machine.locks is not None:
+        machine.locks.install_lockdep(lockdep)
+    for lock, cls in machine.lockdep_classes():
+        lock.lockdep = lockdep
+        lock.lock_class = cls
 
-    vmcs_shadow = getattr(machine, "vmcs_shadow", None)
+    vmcs_shadow = machine.vmcs02()
     if vmcs_shadow is not None:
         vmx = VmxStateSanitizer(report, vmcs_shadow)
         vmcs_shadow.sanitizer = vmx
@@ -126,7 +121,7 @@ def attach_sanitizers(machine, mode: str = "sampled") -> SanitizerSuite:
 
     # Contexts created before attach (none in practice: attach runs on
     # the first new_context) still get the Mmu hook here.
-    for ctx in getattr(machine, "contexts", ()):
+    for ctx in machine.contexts:
         ctx.mmu.sanitizer = shadow
 
     machine.sanitizers = suite

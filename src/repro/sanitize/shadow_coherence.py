@@ -1,34 +1,35 @@
 """Shadow-paging coherence checker.
 
 Cross-checks the *cached* translation state (TLB entries, shadow PTEs)
-against fresh, uncached walks of the authoritative tables (guest GPT,
-L1 backing map, EPT01) — the 2-D ground truth.  Three hook families:
+against fresh, uncached walks of the authoritative state — the guest
+GPT through the machine's memory chain (:meth:`Machine.expected_frame`),
+the same reference semantics on all seven machines.  Three hook
+families:
 
 * ``check_flush_*`` — called by :class:`~repro.hw.mmu.Mmu` immediately
   after each flush executes, asserting the flush left no matching
   translation behind (the "skipped flush" bug class).
-* ``after_sync`` — called after every SPT fix, asserting both shadow
-  halves agree with the guest PTE and the expected target frame.
+* ``after_sync`` — called after every shadow fix, asserting every
+  shadow half agrees with the guest PTE and the expected target frame.
 * ``after_zap`` — called after ``invalidate_pages``, asserting the
-  zapped range is gone from both the shadow tables and the TLB.
+  zapped range is gone from the shadow tables (if any) and the TLB.
 
-``after_sync``/``after_zap`` additionally audit the cached TLB entries
-against fresh guest-GPT×EPT walks: every Nth call in ``sampled`` mode
-(deterministic counter, never wall clock or RNG), every call in
-``full`` mode.
+``after_zap`` and ``after_fault`` (once per fault a machine services)
+additionally audit the cached TLB entries against the reference walk:
+every Nth call in ``sampled`` mode (deterministic counter, never wall
+clock or RNG), every call in ``full`` mode.
 
 All probes are read-only and charge no virtual time: the oracle uses
 ``PageTable.lookup`` (never ``walk``, which sets accessed/dirty bits),
-``dict.get`` on the backing maps (never the lazily-allocating
-``backing_frame``), and :meth:`Tlb.peek_packed` (never ``lookup``,
-which counts hits/misses).
+``MemoryChain.peek``/``peek_target`` (never the lazily-allocating
+backing calls), the machine's side-effect-free TLB tags (never
+``asid_for``, which touches the PCID window), and
+:meth:`Tlb.peek_packed` (never ``lookup``, which counts hits/misses).
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
-from repro.hw.tlb import HUGE_SPAN, HUGE_TAG, KEY_SHIFT, Tlb
+from repro.hw.tlb import HUGE_TAG, KEY_SHIFT, Tlb
 from repro.hw.types import NUM_PCIDS, PCID_BITS, Asid
 from repro.sanitize.core import SanitizeReport, Violation
 
@@ -91,32 +92,33 @@ class ShadowCoherenceSanitizer:
             self._stale(tlb, akey, self._entry_vpn(key, entry),
                         "stale-after-full-flush", "entry survived flush_all")
 
-    # -- SPT fix / zap hooks (PVM machines) ------------------------------
+    # -- shadow fix / zap hooks (shadow-paging machines) -----------------
 
     def after_sync(self, ctx, proc, vpn: int, gpt_pte, result) -> None:
         """Audit the shadow entries just installed for one guest PTE."""
         self.report.check("shadow")
         machine = self.machine
-        target = self._expected_target(gpt_pte.frame)
+        target = machine.memory.peek_target(gpt_pte.frame)
         if target is not None:
             err = machine.shadow.coherence_error(proc, vpn, gpt_pte, target)
             if err is not None:
+                spte = machine.shadow.lookup(proc, vpn)
                 self.report.violation(Violation(
                     checker="shadow", kind="shadow-incoherent-after-sync",
                     detail=err, vpid=machine.vpid, pcid=proc.pcid, vpn=vpn,
                     expected=target,
-                    actual=getattr(machine.shadow.lookup(proc, vpn),
-                                   "frame", None),
+                    actual=spte.frame if spte is not None else None,
                 ))
-        self._maybe_scan()
 
     def after_zap(self, ctx, proc, vpns) -> None:
-        """Audit that a zapped range is gone from shadow tables + TLB."""
+        """Audit that a zapped range is gone from shadow tables (where
+        the machine has them) and from the TLB."""
         machine = self.machine
         self.report.check("shadow", max(1, len(vpns)))
-        akey = self._user_akey(proc)
+        akey = machine.tlb_tag(proc)
+        halves = ("user", "kernel") if machine.shadow is not None else ()
         for vpn in vpns:
-            for half in ("user", "kernel"):
+            for half in halves:
                 pte = machine.shadow.lookup(proc, vpn, half)
                 # A huge leftover is legal: only the aligned base vpn
                 # unmaps a 2 MiB shadow entry, so zapping a partial run
@@ -136,6 +138,16 @@ class ShadowCoherenceSanitizer:
                                 "TLB entry survived invalidate_pages")
         self._maybe_scan()
 
+    def after_fault(self) -> None:
+        """Audit cached translations after the machine serviced a fault.
+
+        Every machine's ``touch`` calls this once per handled fault
+        (guest, shadow or extended), so the TLB audit covers all seven
+        machines whatever tables they keep; shadow syncs happen inside
+        fault handling and are audited here too.
+        """
+        self._maybe_scan()
+
     def after_discard(self) -> None:
         """Audit cached translations after a balloon/reclaim discard.
 
@@ -153,55 +165,28 @@ class ShadowCoherenceSanitizer:
     def scan_tlbs(self) -> int:
         """Cross-check every cached TLB entry against fresh table walks.
 
-        Returns the number of entries audited.  Restricted to machines
-        with shadow tables *and* an active, never-recycled PCID mapping:
-        attribution of a hardware PCID to a guest process is only
-        unambiguous while the mapping window has not stolen slots (and
-        with the mapping disabled, every process shares PCID 0).
+        Returns the number of entries audited.  Only entries whose tag
+        names exactly one live process (:meth:`Machine.tlb_owners`) can
+        be attributed; kernel-half tags are never filled by
+        ``translate`` and are not among the owners.
         """
-        machine = self.machine
-        pcids = getattr(machine, "pcids", None)
-        shadow = getattr(machine, "shadow", None)
-        if pcids is None or shadow is None or not pcids.enabled:
-            return 0
-        if pcids.recycled:
-            return 0
-        # hw pcid -> (guest pcid, kernel_half); read-only view of the map.
-        reverse = {hw: key for key, hw in pcids._map.items()}
-        # guest pcid -> live processes (collisions mod the PCID window
-        # make attribution ambiguous; those entries are skipped).
-        by_pcid = {}
-        for p in machine.kernel.processes.values():
-            if p.alive:
-                by_pcid.setdefault(p.pcid, []).append(p)
+        owners = self.machine.tlb_owners()
         checked = 0
-        for ctx in machine.contexts:
+        for ctx in self.machine.contexts:
             for key, entry in ctx.tlb._entries.items():
                 if entry.global_:
                     continue
-                akey = key >> KEY_SHIFT
-                if akey >> PCID_BITS != machine.vpid:
-                    continue
-                mapping = reverse.get(akey & (NUM_PCIDS - 1))
-                if mapping is None:
-                    continue
-                guest_pcid, kernel_half = mapping
-                if kernel_half:
-                    continue  # translate() only fills user-half tags
-                procs = by_pcid.get(guest_pcid, ())
-                if len(procs) != 1:
+                proc = owners.get(key >> KEY_SHIFT)
+                if proc is None:
                     continue
                 checked += 1
-                self._check_entry(ctx, procs[0], key, entry)
+                self._check_entry(ctx, proc, key, entry)
         if checked:
             self.report.check("shadow-scan", checked)
         return checked
 
     def _check_entry(self, ctx, proc, key: int, entry) -> None:
-        if entry.huge:
-            vpn = (key & (HUGE_TAG - 1)) << 9
-        else:
-            vpn = key & (HUGE_TAG - 1)
+        vpn = self._entry_vpn(key, entry)
         machine = self.machine
         gpt_pte = proc.gpt.lookup(vpn)
         if gpt_pte is None:
@@ -224,9 +209,8 @@ class ShadowCoherenceSanitizer:
         # Past the size check the entry and the guest PTE agree on huge-
         # ness: a 4K pair compares its one frame, a huge pair compares
         # at the 2 MiB base (TLB huge entries are normalized to their
-        # base frame on insert) — either way the guest frame is
-        # ``gpt_pte.frame``.
-        expected = self._expected_host_frame(gpt_pte.frame)
+        # base frame on insert, and ``vpn`` is that base).
+        expected = machine.expected_frame(proc, vpn)
         if expected is None:
             return  # backing not materialized: nothing to compare against
         if entry.frame != expected:
@@ -243,43 +227,6 @@ class ShadowCoherenceSanitizer:
         self._tick += 1
         if self.report.mode == "full" or self._tick % SAMPLE_EVERY == 0:
             self.scan_tlbs()
-
-    def _user_akey(self, proc) -> Optional[int]:
-        """Packed user-half ASID key for ``proc`` without touching the
-        PCID mapper's LRU state (``asid_for`` would)."""
-        machine = self.machine
-        pcids = getattr(machine, "pcids", None)
-        if pcids is None:
-            return (machine.vpid << PCID_BITS) | proc.pcid
-        if not pcids.enabled:
-            return (machine.vpid << PCID_BITS) | 0
-        hw = pcids._map.get((proc.pcid, False))
-        if hw is None:
-            return None
-        return (machine.vpid << PCID_BITS) | hw
-
-    def _expected_target(self, gfn: int) -> Optional[int]:
-        """Shadow target for a guest frame, via read-only map probes."""
-        machine = self.machine
-        if getattr(machine, "nested", False) and hasattr(machine, "_l1_backing"):
-            return machine._l1_backing.get(gfn)
-        return machine._backing.get(gfn)
-
-    def _expected_host_frame(self, gfn: int) -> Optional[int]:
-        """Host frame a fresh 2-D walk would produce for a guest frame."""
-        machine = self.machine
-        target = self._expected_target(gfn)
-        if target is None:
-            return None
-        if not (getattr(machine, "nested", False)
-                and hasattr(machine, "ept01")):
-            return target  # bare metal: shadow targets are host frames
-        ept_pte = machine.ept01.lookup(target)
-        if ept_pte is None:
-            return None  # EPT01 not warmed for this frame yet
-        if ept_pte.huge:
-            return ept_pte.frame + target % HUGE_SPAN
-        return ept_pte.frame
 
     def _entry_vpn(self, key: int, entry) -> int:
         if entry.huge:

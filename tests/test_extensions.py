@@ -143,7 +143,8 @@ class TestDirectPaging:
         m, ctx, proc = _setup("pvm-dp (NST)")
         vma = m.mmap(ctx, proc, 64 * KIB)
         m.touch(ctx, proc, vma.start_vpn, write=True)
-        assert m.shadow.syncs == 0
+        assert m.shadow is None  # no shadow core at all
+        assert m.accessed_bit_tables(proc) == [proc.gpt]
 
     def test_mixed_workload_runs(self):
         from repro.workloads.memalloc import memalloc

@@ -75,10 +75,10 @@ class TestKvmSptBm:
         proc = m.spawn_process()
         vma = m.mmap(ctx, proc, 16 * KIB)
         m.touch(ctx, proc, vma.start_vpn, write=True)
-        assert m.spt_for(proc).mapped_pages == 1
+        assert m.shadow.spt(proc).mapped_pages == 1
         child = m.fork(ctx, proc)
         # Parent SPT dropped (stale writable entries).
-        assert m.spt_for(proc).mapped_pages == 0
+        assert m.shadow.spt(proc).mapped_pages == 0
         m.exit(ctx, child)
 
     def test_kpti_off_no_syscall_trap(self):
@@ -110,10 +110,11 @@ class TestEptOnEpt:
 
     def test_backing_chain_is_two_level(self):
         m = make_machine("kvm-ept (NST)")
-        gfn1 = m.gfn1_for(123)
-        assert m.gfn1_for(123) == gfn1  # stable
-        hfn = m.backing_frame(gfn1)
-        assert m.backing_frame(gfn1) == hfn
+        gfn1 = m.memory.gfn1_for(123)
+        assert m.memory.gfn1_for(123) == gfn1  # stable
+        hfn = m.memory.backing_frame(gfn1)
+        assert m.memory.backing_frame(gfn1) == hfn
+        assert m.memory.peek(123) == hfn
 
     def test_pio_goes_through_userspace_trips(self):
         m = make_machine("kvm-ept (NST)")
@@ -134,7 +135,7 @@ class TestSptOnEpt:
         m.touch(ctx, proc, vma.start_vpn, write=True)
         delta = m.events.l0_exits.total - before
         # Warm EPT01 fills are free; all traps come from the SPT dance.
-        assert m.ept01.mapped_pages > 0
+        assert m.memory.ept01.mapped_pages > 0
         assert delta == m.events.l0_exits.total - before
 
     def test_syscall_traps_through_l0_with_kpti(self):

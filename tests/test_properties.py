@@ -2,11 +2,13 @@
 
 from hypothesis import given, settings, strategies as st
 
+from repro import SCENARIOS, make_machine
+from repro.hypervisors.base import MachineConfig
 from repro.hw.memory import FrameAllocator
 from repro.hw.pagetable import PageTable, Pte
 from repro.hw.memory import PhysicalMemory
 from repro.hw.tlb import Tlb
-from repro.hw.types import MIB, Asid, NUM_PCIDS
+from repro.hw.types import MIB, PAGE_SIZE, Asid, NUM_PCIDS
 from repro.guest.addrspace import AddressSpace, SegfaultError, Vma
 from repro.sim.clock import Clock
 from repro.sim.locks import SimLock
@@ -241,3 +243,42 @@ class TestStatsProperties:
         s.extend(samples)
         assert s.minimum <= s.p50 <= s.p95 <= s.p99 <= s.maximum
         assert s.minimum <= s.mean <= s.maximum
+
+
+class TestFrameConservation:
+    """Balloon inflate/deflate and touch cycles, then eviction teardown,
+    hand every frame back — on all seven machines, at every level."""
+
+    ops = st.lists(
+        st.tuples(st.sampled_from(("touch", "inflate", "deflate")),
+                  st.integers(min_value=1, max_value=48)),
+        max_size=8,
+    )
+
+    @given(scenario=st.sampled_from(SCENARIOS), ops=ops)
+    @settings(max_examples=40, deadline=None)
+    def test_teardown_returns_every_frame(self, scenario, ops):
+        machine = make_machine(scenario, config=MachineConfig(
+            guest_mem_bytes=64 * MIB, host_mem_bytes=256 * MIB))
+        l1 = getattr(machine, "l1_phys", None)
+        host_free = machine.host_phys.free_frames
+        l1_free = l1.free_frames if l1 is not None else None
+        ctx = machine.new_context()
+        proc = machine.spawn_process()
+        for op, pages in ops:
+            if op == "touch":
+                vma = machine.mmap(ctx, proc, pages * PAGE_SIZE)
+                for vpn in range(vma.start_vpn, vma.end_vpn):
+                    machine.touch(ctx, proc, vpn, write=True)
+                machine.munmap(ctx, proc, vma)
+            elif op == "inflate":
+                machine.balloon.inflate(ctx, pages * PAGE_SIZE)
+            else:
+                machine.balloon.deflate(ctx, pages * PAGE_SIZE)
+        machine.balloon.deflate(ctx, machine.balloon.held_bytes)
+        machine.exit(ctx, proc)
+        machine.teardown_guest_memory()
+        assert machine.resident_guest_pages() == 0
+        assert machine.host_phys.free_frames == host_free
+        if l1 is not None:
+            assert l1.free_frames == l1_free

@@ -17,7 +17,7 @@ import os
 
 import pytest
 
-from repro import make_machine
+from repro import SCENARIOS, make_machine
 from repro.bench import experiments
 from repro.hw.events import EventLog
 from repro.hw.tlb import Tlb
@@ -35,20 +35,6 @@ from repro.sim.clock import Clock
 from repro.sim.locks import SimLock
 from repro.sim.stats import sanitizer_stats
 from repro.workloads.apps import APPS
-
-SCENARIOS = (
-    "pvm (BM)",
-    "pvm (NST)",
-    "kvm-spt (BM)",
-    "kvm-ept (BM)",
-    "kvm-ept (NST)",
-)
-
-#: Scenarios whose sanitizers demonstrably execute checks on blogbench.
-#: The non-PVM bare-metal machines run pure EPT or classic SPT without
-#: Mmu-level flushes, SptLockManager locks, or VMCS shadowing on this
-#: workload, so their suites attach but have nothing to check.
-CHECKED_SCENARIOS = ("pvm (BM)", "pvm (NST)", "kvm-ept (NST)")
 
 #: Small per-workload iteration knobs so the clean-run sweep stays fast.
 WORKLOAD_PARAMS = {
@@ -262,11 +248,12 @@ class TestBugDrills:
 class TestCleanRuns:
     @pytest.mark.parametrize("scenario", SCENARIOS)
     def test_blogbench_runs_violation_free(self, scenario):
+        """All seven machines: the TLB audit against the reference walk
+        (``Machine.expected_frame``) runs, and finds nothing."""
         machine, _ = _run_workload(scenario, sanitize=True)
         suite = machine.sanitizers
         assert suite.violations == []
-        if scenario in CHECKED_SCENARIOS:
-            assert suite.report.total_checks > 0
+        assert suite.report.checks.get("shadow-scan", 0) > 0
 
     @pytest.mark.parametrize("workload", sorted(APPS))
     def test_all_tier1_workloads_violation_free(self, workload):
@@ -296,6 +283,36 @@ class TestCleanRuns:
         assert suite.violations == []
         assert suite.report.checks.get("shadow", 0) > 0
         assert suite.report.checks.get("lockdep", 0) > 0
+
+
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    def test_fork_cow_munmap_balloon_all_machines(self, scenario):
+        """Fork + COW break + exec + munmap + balloon discard, fully
+        audited, on every machine."""
+        machine = make_machine(
+            scenario,
+            config=MachineConfig(sanitize=True, sanitize_mode="full"),
+        )
+        ctx = machine.new_context()
+        parent = machine.spawn_process()
+        vma = machine.mmap(ctx, parent, 16 * 4096)
+        for i in range(16):
+            machine.touch(ctx, parent, vma.start_vpn + i, write=True)
+        child = machine.fork(ctx, parent)
+        machine.touch(ctx, child, vma.start_vpn, write=False)
+        machine.touch(ctx, child, vma.start_vpn, write=True)  # COW break
+        machine.exec(ctx, child)
+        machine.munmap(ctx, parent, vma)
+        machine.balloon.inflate(ctx, 16 * 4096)
+        machine.balloon.deflate(ctx, 16 * 4096)
+        again = machine.mmap(ctx, parent, 16 * 4096)
+        for i in range(16):
+            machine.touch(ctx, parent, again.start_vpn + i, write=True)
+        machine.exit(ctx, child)
+        machine.exit(ctx, parent)
+        suite = machine.sanitizers
+        assert suite.violations == []
+        assert suite.report.checks.get("shadow-scan", 0) > 0
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ def env():
         return backing[gfn]
 
     kernel = GuestKernel(guest, DEFAULT_COSTS)
-    shadow = ShadowManager(table_phys, DEFAULT_COSTS, translate, kpti=True)
+    shadow = ShadowManager(table_phys, DEFAULT_COSTS, translate, dual=True)
     proc = kernel.create_process()
     return kernel, shadow, proc
 
@@ -40,7 +40,7 @@ class TestDualTables:
     def test_kpti_off_single_table(self):
         table_phys = PhysicalMemory("l1", 32 * MIB)
         shadow = ShadowManager(table_phys, DEFAULT_COSTS, lambda g: g,
-                               kpti=False)
+                               dual=False)
         kernel = GuestKernel(PhysicalMemory("g", 32 * MIB), DEFAULT_COSTS)
         proc = kernel.create_process()
         assert shadow.halves(proc) == ["user"]
