@@ -76,11 +76,11 @@ class ShadowManager:
 
     def spt(self, proc: Process, half: str = "user") -> PageTable:
         """The process's shadow table for one half (created on demand)."""
-        if half not in ("user", "kernel"):
-            raise ValueError(f"half must be user|kernel, got {half!r}")
         key = (proc.pid, half)
         table = self._spts.get(key)
         if table is None:
+            if half not in ("user", "kernel"):
+                raise ValueError(f"half must be user|kernel, got {half!r}")
             table = PageTable(self.table_phys, name=f"SPT12:{proc.pid}:{half}")
             self._spts[key] = table
         return table

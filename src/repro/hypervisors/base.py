@@ -311,9 +311,9 @@ class Machine(abc.ABC):
         Returns the host frame finally backing the page.
         """
         access = AccessType.WRITE if write else AccessType.READ
-        for _ in range(self.config.max_fault_retries):
+        for attempt in range(self.config.max_fault_retries):
             try:
-                return self.translate(ctx, proc, vpn, access)
+                frame = self.translate(ctx, proc, vpn, access)
             except PageFaultException as exc:
                 try:
                     self.on_guest_fault(ctx, proc, exc.fault)
@@ -324,8 +324,12 @@ class Machine(abc.ABC):
                     raise
             except EptViolationException as exc:
                 self.on_ept_violation(ctx, proc, exc.violation)
-            if self.sanitizers is not None:
-                self.sanitizers.shadow.after_fault()
+            else:
+                if attempt and self.sanitizers is not None:
+                    # Faults were serviced: audit the translation state
+                    # they changed, whatever tables this machine keeps.
+                    self.sanitizers.shadow.after_fault()
+                return frame
         raise RuntimeError(
             f"{self.name}: fault loop did not converge for vpn {vpn:#x}"
         )

@@ -14,7 +14,7 @@ families:
 * ``after_zap`` — called after ``invalidate_pages``, asserting the
   zapped range is gone from the shadow tables (if any) and the TLB.
 
-``after_zap`` and ``after_fault`` (once per fault a machine services)
+``after_zap`` and ``after_fault`` (once per access that faulted)
 additionally audit the cached TLB entries against the reference walk:
 every Nth call in ``sampled`` mode (deterministic counter, never wall
 clock or RNG), every call in ``full`` mode.
@@ -139,12 +139,12 @@ class ShadowCoherenceSanitizer:
         self._maybe_scan()
 
     def after_fault(self) -> None:
-        """Audit cached translations after the machine serviced a fault.
+        """Audit cached translations after an access that faulted.
 
-        Every machine's ``touch`` calls this once per handled fault
-        (guest, shadow or extended), so the TLB audit covers all seven
-        machines whatever tables they keep; shadow syncs happen inside
-        fault handling and are audited here too.
+        Every machine's ``touch`` calls this once its faults (guest,
+        shadow or extended) are serviced, so the TLB audit covers all
+        seven machines whatever tables they keep; shadow syncs happen
+        inside fault handling and are audited here too.
         """
         self._maybe_scan()
 
@@ -187,6 +187,12 @@ class ShadowCoherenceSanitizer:
 
     def _check_entry(self, ctx, proc, key: int, entry) -> None:
         vpn = self._entry_vpn(key, entry)
+        # A huge entry is keyed (and its frame normalized) at its 2 MiB
+        # base, which is the vpn compared here.
+        expected = self.machine.expected_frame(proc, vpn)
+        if expected == entry.frame:
+            return  # the cached translation is what a fresh walk gives
+        # Disagreement: classify it against the guest PTE.
         machine = self.machine
         gpt_pte = proc.gpt.lookup(vpn)
         if gpt_pte is None:
@@ -196,8 +202,7 @@ class ShadowCoherenceSanitizer:
                 vpid=machine.vpid, pcid=proc.pcid, vpn=vpn,
                 expected=None, actual=entry.frame,
             ))
-            return
-        if entry.huge != gpt_pte.huge:
+        elif entry.huge != gpt_pte.huge:
             self.report.violation(Violation(
                 checker="shadow", kind="tlb-page-size-mismatch",
                 detail=f"cached huge={entry.huge} but guest PTE "
@@ -205,18 +210,11 @@ class ShadowCoherenceSanitizer:
                 vpid=machine.vpid, pcid=proc.pcid, vpn=vpn,
                 expected=gpt_pte.huge, actual=entry.huge,
             ))
-            return
-        # Past the size check the entry and the guest PTE agree on huge-
-        # ness: a 4K pair compares its one frame, a huge pair compares
-        # at the 2 MiB base (TLB huge entries are normalized to their
-        # base frame on insert, and ``vpn`` is that base).
-        expected = machine.expected_frame(proc, vpn)
-        if expected is None:
-            return  # backing not materialized: nothing to compare against
-        if entry.frame != expected:
+        elif expected is not None:  # None: backing not materialized
             self.report.violation(Violation(
                 checker="shadow", kind="tlb-stale-translation",
-                detail="cached frame disagrees with fresh GPT x EPT walk",
+                detail="cached frame disagrees with a fresh walk of the "
+                       "guest table through the memory chain",
                 vpid=machine.vpid, pcid=proc.pcid, vpn=vpn,
                 expected=expected, actual=entry.frame,
             ))
