@@ -104,7 +104,8 @@ class EptOnEptMachine(NestedVmxMixin, Machine):
         self.events.fault(FaultPhase.SHADOW_PT, ctx.clock.now, ctx.cpu_id)
 
     def discard_gfn_backing(self, gfn2: int) -> bool:
-        """Balloon release: unwind the gfn2 -> gfn1 -> hfn chain."""
+        """Balloon release: zap the EPT12/EPT02 entries, then let the
+        memory chain unwind gfn2 -> gfn1 -> hfn."""
         if self.huge_block_base(gfn2) is not None:
             return False
         for table in (self.ept12, self.ept02):

@@ -3,7 +3,7 @@
 Cross-checks the *cached* translation state (TLB entries, shadow PTEs)
 against fresh, uncached walks of the authoritative state — the guest
 GPT through the machine's memory chain (:meth:`Machine.expected_frame`),
-the same reference semantics on all seven machines.  Three hook
+the same reference semantics on all seven machines.  Four hook
 families:
 
 * ``check_flush_*`` — called by :class:`~repro.hw.mmu.Mmu` immediately
@@ -13,11 +13,11 @@ families:
   shadow half agrees with the guest PTE and the expected target frame.
 * ``after_zap`` — called after ``invalidate_pages``, asserting the
   zapped range is gone from the shadow tables (if any) and the TLB.
+* ``after_fault`` — called once per access whose faults were serviced.
 
-``after_zap`` and ``after_fault`` (once per access that faulted)
-additionally audit the cached TLB entries against the reference walk:
-every Nth call in ``sampled`` mode (deterministic counter, never wall
-clock or RNG), every call in ``full`` mode.
+``after_zap`` and ``after_fault`` audit the cached TLB entries against
+the reference walk: every Nth call in ``sampled`` mode (deterministic
+counter, never wall clock or RNG), every call in ``full`` mode.
 
 All probes are read-only and charge no virtual time: the oracle uses
 ``PageTable.lookup`` (never ``walk``, which sets accessed/dirty bits),
