@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Set
+from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro import make_machine
 from repro.containers.container import SecureContainer
@@ -45,16 +45,18 @@ from repro.faults import (
     GuestPanicError,
     IoCompletionError,
 )
+from repro.guest.process import Process
 from repro.hw.costs import CostModel, DEFAULT_COSTS
 from repro.hw.memory import PhysicalMemory
 from repro.hw.types import PAGE_SHIFT
 from repro.hypervisors.base import MachineConfig
 from repro.memory.qos import MemoryQosConfig, ReclaimDaemon
 from repro.sim.clock import Clock
+from repro.sim.cpupool import dilated_stepper
 from repro.sim.engine import Engine, SimTask
 from repro.sim.locks import SimLock
 from repro.sim.stats import PressureStats, RecoveryStats
-from repro.workloads.ops import WorkloadResult, gen_stepper
+from repro.workloads.ops import WorkloadResult
 
 
 #: Maximum concurrently-running kvm-ept (NST) containers before the
@@ -98,15 +100,19 @@ class AdmissionError(RuntimeError_):
 class SupervisorPolicy:
     """Knobs of the failure-recovery supervisor.
 
-    All durations are virtual nanoseconds; restart backoff grows
-    ``backoff_base_ns * 2**(failure-1)`` capped at ``backoff_cap_ns``.
+    All durations are virtual nanoseconds.  A member's failure count is
+    every crash it had over the whole run, evictions excepted; it never
+    resets.  Restart backoff grows ``backoff_base_ns * 2**(failures-1)``
+    capped at ``backoff_cap_ns``.
     """
 
-    #: Restarts per container before the supervisor gives up on it.
+    #: Failures a member is restarted after; its next failure (counted
+    #: over the whole run, evictions excepted) makes the supervisor
+    #: give up on it.
     max_restarts: int = 3
     #: Transient boot failures retried per container launch.
     boot_retries: int = 3
-    #: First restart backoff (doubles per consecutive failure).
+    #: First restart backoff (doubles with each further failure).
     backoff_base_ns: int = 10_000_000  # 10 ms
     #: Backoff ceiling.
     backoff_cap_ns: int = 160_000_000  # 160 ms
@@ -114,6 +120,249 @@ class SupervisorPolicy:
     #: long without finishing its workload is declared hung and
     #: restarted.  None disables the watchdog.
     watchdog_ns: Optional[int] = None
+
+
+#: Legal fleet-member transitions.  ``None`` is a member not yet
+#: launched.  Crash reasons ("guest-panic", "evicted", ...) label edges;
+#: they are never states.
+TRANSITIONS: Dict[Optional[str], Tuple[str, ...]] = {
+    None: ("pending", "running", "boot-failed"),
+    "pending": ("running", "boot-failed"),
+    "running": ("backoff", "done", "gave-up"),
+    "backoff": ("running",),
+    "done": (),
+    "gave-up": (),
+    "boot-failed": (),
+}
+
+
+class MemberStateError(RuntimeError):
+    """A fleet member took an edge :data:`TRANSITIONS` does not allow.
+
+    ``history`` is the member's ``(virtual time, from, to, reason)``
+    transitions, the illegal one last.
+    """
+
+    def __init__(self, name: str, history: List[tuple]) -> None:
+        super().__init__(f"{name}: illegal transition; history: {history}")
+        self.history = history
+
+
+class FleetMember:
+    """One slot of a :meth:`RunDRuntime.run_fleet` fleet.
+
+    Owns the slot's engine task, its container, its failure count and
+    one state from :data:`TRANSITIONS`.  ``pending`` waits for memory-QoS
+    admission, ``running`` steps the workload, and ``backoff`` waits out
+    a restart delay; ``done``, ``gave-up`` and ``boot-failed`` are
+    terminal.  Every fleet takes this one path; its mode only limits
+    the edges: without a fault plan a crash or boot failure propagates
+    instead of being taken, and without memory QoS no member is ever
+    pending or retired.
+
+    All methods are private: perfbench's tracer wraps the public methods
+    of this module's classes, and :meth:`_step` runs for every workload
+    operation.
+    """
+
+    def __init__(self, runtime: "RunDRuntime", engine: Engine, index: int,
+                 priority: int, workload_factory: Callable, params: Dict,
+                 cpu_pool=None) -> None:
+        self.runtime = runtime
+        self.engine = engine
+        #: Memory-QoS eviction priority (lowest is evicted first).
+        self.priority = priority
+        self.workload_factory = workload_factory
+        self.params = params
+        self.cpu_pool = cpu_pool
+        #: The member's engine task.  It starts on its own zero clock;
+        #: launch or admission binds it to the container's vCPU clock.
+        self.task = SimTask(name=f"pending-{index}", clock=Clock(0),
+                            stepper=self._step)
+        self.container: Optional[SecureContainer] = None
+        self.state: Optional[str] = None
+        #: Crashes so far, evictions excepted (the restart budget).
+        self.failures = 0
+        #: ``(virtual time, from, to, reason)`` per transition.
+        self.history: List[tuple] = []
+        self._gen = None
+
+    def _enter(self, to: str, reason: str) -> None:
+        """Take the edge to ``to``; raise on an edge not in the table."""
+        self.history.append((self.task.clock.now, self.state, to, reason))
+        if to not in TRANSITIONS[self.state]:
+            raise MemberStateError(self.task.name, self.history)
+        self.state = to
+
+    @property
+    def _since(self) -> int:
+        """Virtual time the member entered its current state."""
+        return self.history[-1][0]
+
+    def _step(self) -> bool:
+        """One engine step in the current state; True while work remains."""
+        if self.state == "backoff":
+            return self._restart()
+        if self.state == "pending":
+            return self._launch()
+        rt = self.runtime
+        plan = rt.fault_plan
+        if plan is not None:
+            cid = self.container.container_id
+            if cid in rt._evicting:
+                rt._evicting.discard(cid)
+                return self._crash("evicted")
+            watchdog = rt.policy.watchdog_ns
+            if watchdog is not None and self.task.clock.now - self._since > watchdog:
+                return self._crash("watchdog")
+        try:
+            if plan is not None:
+                now = self.task.clock.now
+                events = self.container.machine.events
+                if plan.fires(SITE_GUEST_PANIC, now, events=events):
+                    raise GuestPanicError(f"{cid}: injected triple fault")
+                if plan.fires(SITE_GUEST_PHYS, now, events=events):
+                    raise GuestOomError(
+                        f"{cid}: guest-physical frames exhausted"
+                    )
+            next(self._gen)
+            return True
+        except StopIteration:
+            return self._retire("done", "exit")
+        except (GuestPanicError, GuestOomError, MemoryError,
+                IoCompletionError) as exc:
+            if plan is None:
+                raise
+            if isinstance(exc, GuestPanicError):
+                return self._crash("guest-panic")
+            if isinstance(exc, IoCompletionError):
+                return self._crash("io-error")
+            return self._crash("guest-oom")
+
+    def _launch(self) -> bool:
+        """Launch (or, from ``pending``, admit) the member's container.
+
+        A launch past the admission limit queues the member; a queued
+        member retries each QoS scan interval at its task's virtual
+        time.  Returns False once the member failed for good.
+        """
+        rt = self.runtime
+        task = self.task
+        try:
+            container = rt.launch(start_ns=task.clock.now,
+                                  priority=self.priority)
+        except RuntimeError_ as exc:
+            if isinstance(exc, AdmissionError):
+                if self.state is None:
+                    rt.pressure.admissions_deferred += 1
+                    self._enter("pending", "deferred")
+                    return True
+                if rt._admitted_frames:
+                    # A running guest will retire and free its admission.
+                    self.engine.park(
+                        task, task.clock.now + rt.memory_qos.scan_interval_ns
+                    )
+                    return True
+            # Permanent boot failure (retry budget, the NST capacity
+            # cliff, or a guest no retirement can ever make room for):
+            # the member never comes up; its whole window is downtime.
+            self._enter("boot-failed", type(exc).__name__)
+            if rt.fault_plan is None:
+                raise
+            rt.recovery.boot_failures += 1
+            return False
+        # The task becomes the member: the engine re-reads its clock and
+        # name at the next pop.
+        task.name = container.container_id
+        task.clock = container.ctx.clock
+        self.container = container
+        suite = container.machine.sanitizers
+        if suite is not None:
+            self.engine.lockdeps.append(suite.lockdep)
+        self._gen = container.run(self.workload_factory, **self.params)
+        if self.cpu_pool is not None:
+            # Registered only now: a queued member holds no hardware
+            # thread while it waits for admission.
+            task.stepper = dilated_stepper(task, self.cpu_pool)
+        self._enter("running", "admitted" if self.state else "launch")
+        return True
+
+    def _crash(self, reason: str) -> bool:
+        """The guest died: back off for a restart, or give up on it."""
+        rt = self.runtime
+        policy = rt.policy
+        rt.recovery.record_crash(reason)
+        self.container.mark_crashed()
+        self._teardown(exit_init=True)
+        if reason != "evicted":
+            # Evictions are a policy decision, not a fault: they never
+            # consume the restart budget, so an evicted guest is always
+            # restartable once pressure clears (zero abandoned members).
+            self.failures += 1
+        if self.failures > policy.max_restarts:
+            rt.recovery.gave_up += 1
+            self.container.machine.events.recovery("gave-up")
+            return self._retire("gave-up", reason)
+        self._enter("backoff", reason)
+        backoff = min(
+            policy.backoff_base_ns * (1 << max(0, self.failures - 1)),
+            policy.backoff_cap_ns,
+        )
+        self.engine.park(self.task, self.task.clock.now + backoff)
+        return True
+
+    def _restart(self) -> bool:
+        """Woke from backoff: boot a replacement guest and rerun."""
+        rt = self.runtime
+        clock = self.task.clock
+        if self.history[-1][3] == "evicted":
+            qos = rt.memory_qos
+            host = rt.host_phys
+            if host.free_frames < int(host.total_frames * qos.low_watermark):
+                # Restarting into the same pressure would just get this
+                # guest evicted again; hold it down until the host
+                # clears the low watermark.
+                self.engine.park(self.task, clock.now + qos.scan_interval_ns)
+                return True
+        container = self.container
+        container.relaunch(rt._boot(container.machine, clock))
+        self._gen = container.run(self.workload_factory, **self.params)
+        rt.recovery.record_restart(clock.now - self._since)
+        container.machine.events.recovery("restart")
+        self._enter("running", "restart")
+        return True
+
+    def _retire(self, to: str, reason: str) -> bool:
+        """Finish the member (``done`` or ``gave-up``).
+
+        With memory QoS its admission and host memory are released at
+        once, so queued launches can be admitted.
+        """
+        self._enter(to, reason)
+        rt = self.runtime
+        if rt.memory_qos is not None:
+            rt._admitted_frames -= rt.config.guest_mem_bytes >> PAGE_SHIFT
+            self._teardown(exit_init=False)
+        return False
+
+    def _teardown(self, exit_init: bool) -> None:
+        """Tear the guest down as destroying the VM would.
+
+        A QoS host gets every backing frame back in its shared pool.
+        Crashes also reap init, so restarts do not leak guest-physical
+        memory across lifetimes.  Dropping the VPID clears host-side
+        translations: a relaunched guest that reuses the PCID window
+        must not hit a dead lifetime's cached entries.
+        """
+        container = self.container
+        machine = container.machine
+        if self.runtime.memory_qos is not None:
+            machine.teardown_guest_memory()
+        if exit_init:
+            machine.kernel.exit_process(container.init)
+            machine.on_process_destroyed(container.ctx, container.init)
+        for mctx in machine.contexts:
+            mctx.mmu.drop_vpid(machine.vpid)
 
 
 class RunDRuntime:
@@ -147,12 +396,13 @@ class RunDRuntime:
                 * memory_qos.overcommit_ratio)
             if memory_qos is not None else 0
         )
+        #: Guest frames admitted and not yet released by a retirement.
         self._admitted_frames = 0
-        #: container_id -> admitted frame reservation (released on retire).
-        self._admission: Dict[str, int] = {}
-        #: Container ids the reclaim daemon marked for eviction; the
-        #: supervisor crashes them (reason "evicted") at their next step.
-        self._evictions_pending: Set[str] = set()
+        #: Container ids marked by :meth:`evict` whose members have not
+        #: yet crashed.
+        self._evicting: Set[str] = set()
+        #: Members of the last :meth:`run_fleet`, in index order.
+        self._members: List[FleetMember] = []
         #: Memory-pressure scoreboard; reset by each QoS run_fleet.
         self.pressure: Optional[PressureStats] = (
             PressureStats() if memory_qos is not None else None
@@ -227,12 +477,7 @@ class RunDRuntime:
         machine.fault_plan = self.fault_plan
         ctx = machine.new_context()
         ctx.clock.advance_to(start_ns)
-        ctx.clock.advance(retry_ns + BOOT_NS)
-        if pins_host_state(machine):
-            # Hardware-assisted nesting: L0 must build this guest's
-            # VMCS02/shadow-EPT state — serialized across the fleet.
-            self.shared_l0.run_locked(ctx.clock, NESTED_BOOT_L0_NS)
-        init = machine.spawn_process()
+        init = self._boot(machine, ctx.clock, retry_ns)
         container = SecureContainer(
             container_id=f"sc-{next(self._ids)}",
             machine=machine,
@@ -244,10 +489,22 @@ class RunDRuntime:
         self.containers.append(container)
         if qos is not None:
             self._admitted_frames += need
-            self._admission[container.container_id] = need
-            if self.pressure is not None:
-                self.pressure.admissions_admitted += 1
+            self.pressure.admissions_admitted += 1
         return container
+
+    def _boot(self, machine, clock: Clock, retry_ns: int = 0) -> Process:
+        """Boot a guest's init process: one sequence for launch and restart.
+
+        Charges ``retry_ns`` of failed boot attempts plus one boot.
+        Under hardware-assisted nesting L0 must then build the guest's
+        VMCS02/shadow-EPT state, serialized across the fleet on the
+        shared L0 service — the cliff concurrent launches and restarts
+        queue on.
+        """
+        clock.advance(retry_ns + BOOT_NS)
+        if pins_host_state(machine):
+            self.shared_l0.run_locked(clock, NESTED_BOOT_L0_NS)
+        return machine.spawn_process()
 
     def launch_fleet(self, n: int) -> List[SecureContainer]:
         """Launch n containers.
@@ -275,6 +532,22 @@ class RunDRuntime:
         """Containers currently running."""
         return sum(1 for c in self.containers if c.state == "running")
 
+    # -- memory QoS --------------------------------------------------------
+
+    def evict(self, container: SecureContainer) -> None:
+        """Mark a fleet member's container for eviction.
+
+        Its member crashes it with reason ``"evicted"`` at its next
+        step — exempt from the restart budget — and restarts it once
+        host pressure clears.
+        """
+        self._evicting.add(container.container_id)
+
+    @property
+    def evicting(self) -> FrozenSet[str]:
+        """Ids of containers marked for eviction and not yet crashed."""
+        return frozenset(self._evicting)
+
     # -- fleet execution ---------------------------------------------------------
 
     def run_fleet(
@@ -297,349 +570,67 @@ class RunDRuntime:
         failures, guest panics, guest OOM, and watchdog overruns are
         absorbed and recovered per policy instead of propagating, and
         the result carries a :class:`~repro.sim.stats.RecoveryStats`
-        in ``result.recovery``.  Containers are always stopped on the
-        way out, even when the engine raises.
+        in ``result.recovery``.  A member that never boots has no
+        completion entry.  Containers are always stopped on the way
+        out, even when the engine raises.
         """
-        from repro.sim.cpupool import dilated_stepper
-
-        supervised = self.fault_plan is not None
-        qos = self.memory_qos
-        if supervised:
+        if self.fault_plan is not None:
             self.recovery = RecoveryStats()
-        if qos is not None:
+        if self.memory_qos is not None:
             self.pressure = PressureStats()
-            self._evictions_pending.clear()
-        fleet: List[SecureContainer] = []
-        #: (member index, priority) of admission-queued launches.
-        pending: List[tuple] = []
-        #: container_id -> virtual time the supervisor gave up on it.
-        dead_at: Dict[str, int] = {}
+            self._evicting.clear()
+        first = len(self.containers)
+        engine = Engine(max_steps=max_steps)
+        self._members = []
         try:
-            if supervised or qos is not None:
-                for i in range(n):
-                    # Earlier members get higher eviction priority, so
-                    # under pressure the latest arrivals yield first.
-                    try:
-                        fleet.append(self.launch(priority=n - i))
-                    except AdmissionError:
-                        pending.append((i, n - i))
-                        self.pressure.admissions_deferred += 1
-                    except RuntimeError_:
-                        if not supervised:
-                            raise
-                        # Permanent boot failure (retry budget or the
-                        # NST capacity cliff): the member never comes
-                        # up; its whole window counts as downtime.
-                        self.recovery.boot_failures += 1
-            else:
-                fleet = self.launch_fleet(n)
-            engine = Engine(max_steps=max_steps)
-            for container in fleet:
-                suite = container.machine.sanitizers
-                if suite is not None:
-                    engine.lockdeps.append(suite.lockdep)
-            member_tasks: List[SimTask] = []
-            for container in fleet:
-                task = SimTask(
-                    name=container.container_id,
-                    clock=container.ctx.clock,
-                    stepper=lambda: False,
-                )
-                if supervised:
-                    task.stepper = self._supervised_stepper(
-                        engine, task, container, workload_factory, params,
-                        dead_at,
-                    )
-                else:
-                    gen = container.run(workload_factory, **params)
-                    task.stepper = gen_stepper(gen)
-                if qos is not None:
-                    task.stepper = self._with_retirement(task.stepper, container)
-                if cpu_pool is not None:
-                    task.stepper = dilated_stepper(task, cpu_pool)
-                engine.add(task)
-                member_tasks.append(task)
-            for index, priority in pending:
-                task = SimTask(
-                    name=f"pending-{index}", clock=Clock(0),
-                    stepper=lambda: False,
-                )
-                task.stepper = self._pending_stepper(
-                    engine, task, priority, workload_factory, params,
-                    dead_at, supervised, cpu_pool, fleet,
-                )
-                engine.add(task)
-                member_tasks.append(task)
-            if qos is not None:
-                daemon = ReclaimDaemon(
-                    self, qos, self.pressure, watched=list(member_tasks),
-                    plan=self.fault_plan,
-                )
-                daemon.make_task(engine)
+            for i in range(n):
+                # Earlier members get higher eviction priority, so
+                # under pressure the latest arrivals yield first.
+                member = FleetMember(self, engine, i, n - i, workload_factory,
+                                     params, cpu_pool)
+                self._members.append(member)
+                member._launch()
+            # Launched members first, then the admission queue.
+            members = [m for m in self._members if m.state == "running"]
+            members += [m for m in self._members if m.state == "pending"]
+            for m in members:
+                engine.add(m.task)
+            if self.memory_qos is not None:
+                ReclaimDaemon(
+                    self, self.memory_qos, self.pressure,
+                    watched=[m.task for m in members], plan=self.fault_plan,
+                ).make_task(engine)
             makespan = engine.run()
+            fleet = self.containers[first:]
             counters: Dict[str, Dict[str, int]] = {}
             for container in fleet:
                 for name, vals in container.machine.events.snapshot().items():
                     bucket = counters.setdefault(name, {})
                     for k, v in vals.items():
                         bucket[k] = bucket.get(k, 0) + v
-            recovery = None
-            if supervised:
-                recovery = self.recovery
-                for died in dead_at.values():
-                    recovery.total_downtime_ns += max(0, makespan - died)
+            recovery = self.recovery if self.fault_plan is not None else None
+            if recovery is not None:
+                for m in self._members:
+                    if m.state == "gave-up":
+                        recovery.total_downtime_ns += max(0, makespan - m._since)
                 recovery.total_downtime_ns += (
                     recovery.boot_failures * makespan
                 )
                 recovery.finalize(span_ns=makespan, members=n)
-            base = BOOT_NS if (fleet or pending) else 0
+            base = BOOT_NS if fleet else 0
             return WorkloadResult(
                 scenario=self.scenario,
                 n=n,
                 makespan_ns=makespan - base,
-                completions_ns=[
-                    (t.finished_at if t.finished_at is not None else t.clock.now)
-                    - base
-                    for t in member_tasks
-                ],
+                completions_ns=[m.task.finished_at - base for m in members
+                                if m.state != "boot-failed"],
                 counters=counters,
                 recovery=recovery,
             )
         finally:
             self.stop_all()
-
-    # -- memory QoS --------------------------------------------------------
-
-    def _retire(self, container: SecureContainer) -> None:
-        """Release a finished member's admission and host memory.
-
-        Idempotent: only the first call per container does anything.
-        Called when the member's task finishes (workload done *or* the
-        supervisor gave up on it) — either way its guest no longer
-        needs backing, so queued launches can now be admitted.
-        """
-        need = self._admission.pop(container.container_id, None)
-        if need is None:
-            return
-        self._admitted_frames -= need
-        machine = container.machine
-        machine.teardown_guest_memory()
-        for mctx in machine.contexts:
-            mctx.mmu.drop_vpid(machine.vpid)
-
-    def _with_retirement(
-        self, stepper: Callable[[], bool], container: SecureContainer
-    ) -> Callable[[], bool]:
-        """Retire the member the moment its stepper reports done."""
-
-        def step() -> bool:
-            more = stepper()
-            if not more:
-                self._retire(container)
-            return more
-
-        return step
-
-    def _pending_stepper(
-        self,
-        engine: Engine,
-        task: SimTask,
-        priority: int,
-        workload_factory: Callable,
-        params: Dict,
-        dead_at: Dict[str, int],
-        supervised: bool,
-        cpu_pool,
-        fleet: List[SecureContainer],
-    ) -> Callable[[], bool]:
-        """An admission-queued member: retry ``launch`` in virtual time.
-
-        The task starts on its own zero clock; each wake retries the
-        launch at the task's current virtual time.  On admission the
-        task *becomes* the member — clock, name, and stepper are
-        reassigned (the engine re-reads them at the next pop) and the
-        container joins ``fleet`` so counters and stop-all see it.  A
-        member that can never fit (nothing admitted, so nothing can
-        ever retire) gives up as a boot failure instead of parking
-        forever.
-        """
-        from repro.sim.cpupool import dilated_stepper
-
-        qos = self.memory_qos
-
-        def step() -> bool:
-            try:
-                container = self.launch(
-                    start_ns=task.clock.now, priority=priority
-                )
-            except AdmissionError:
-                if self._admitted_frames == 0:
-                    if self.recovery is not None:
-                        self.recovery.boot_failures += 1
-                    return False
-                engine.park(task, task.clock.now + qos.scan_interval_ns)
-                return True
-            except RuntimeError_:
-                if self.recovery is not None:
-                    self.recovery.boot_failures += 1
-                return False
-            fleet.append(container)
-            suite = container.machine.sanitizers
-            if suite is not None:
-                engine.lockdeps.append(suite.lockdep)
-            task.name = container.container_id
-            task.clock = container.ctx.clock
-            if supervised:
-                inner = self._supervised_stepper(
-                    engine, task, container, workload_factory, params,
-                    dead_at,
-                )
-            else:
-                inner = gen_stepper(container.run(workload_factory, **params))
-            task.stepper = self._with_retirement(inner, container)
-            if cpu_pool is not None:
-                # Register with the pool only now: a queued member holds
-                # no hardware thread while it waits for admission.
-                task.stepper = dilated_stepper(task, cpu_pool)
-            return True
-
-        return step
-
-    # -- supervision -------------------------------------------------------
-
-    def _supervised_stepper(
-        self,
-        engine: Engine,
-        task: SimTask,
-        container: SecureContainer,
-        workload_factory: Callable,
-        params: Dict,
-        dead_at: Dict[str, int],
-    ) -> Callable[[], bool]:
-        """Wrap one container's workload with crash detection + restart.
-
-        Per step: the watchdog deadline is checked, the fault plan may
-        panic the guest (triple fault) or exhaust its guest-physical
-        memory, and any injected failure marks the container crashed.
-        A crash parks the task in virtual time for a capped exponential
-        backoff; on wake the guest re-boots (NST guests re-serialize
-        their L0 setup on the shared lock) and the workload restarts
-        from scratch.  Past ``max_restarts`` consecutive lifetimes the
-        supervisor gives up and the member stays down.
-        """
-        plan = self.fault_plan
-        policy = self.policy
-        recovery = self.recovery
-        machine = container.machine
-        events = machine.events
-        clock = container.ctx.clock
-        state = {
-            "inner": gen_stepper(container.run(workload_factory, **params)),
-            "attempt_start": clock.now,
-            "crashed_at": None,
-            "failures": 0,
-            "evicted": False,
-        }
-
-        def crash(reason: str, budget_exempt: bool = False) -> bool:
-            recovery.record_crash(reason)
-            container.mark_crashed()
-            # Reclaim the dead guest's frames so restarts don't leak
-            # guest-physical memory across lifetimes, and tear down the
-            # host-side translation state (shadow tables, TLB/PSC tags)
-            # exactly as destroying the VM would — without the teardown,
-            # a relaunched guest that reuses the PCID window could hit
-            # the dead lifetime's cached translations.
-            if self.memory_qos is not None:
-                # QoS host: hand every backing frame straight back to
-                # the shared pool — eviction's whole point.
-                machine.teardown_guest_memory()
-            machine.kernel.exit_process(container.init)
-            machine.on_process_destroyed(container.ctx, container.init)
-            for mctx in machine.contexts:
-                mctx.mmu.drop_vpid(machine.vpid)
-            if not budget_exempt:
-                # Evictions are a policy decision, not a fault: they
-                # never consume the member's restart budget, so an
-                # evicted guest is always restartable once pressure
-                # clears (zero abandoned containers).
-                state["failures"] += 1
-            if state["failures"] > policy.max_restarts:
-                recovery.gave_up += 1
-                events.recovery("gave-up")
-                dead_at[container.container_id] = clock.now
-                return False
-            state["crashed_at"] = clock.now
-            backoff = min(
-                policy.backoff_base_ns * (1 << max(0, state["failures"] - 1)),
-                policy.backoff_cap_ns,
-            )
-            engine.park(task, clock.now + backoff)
-            return True
-
-        def step() -> bool:
-            if (
-                state["crashed_at"] is None
-                and container.container_id in self._evictions_pending
-            ):
-                # The reclaim daemon marked this guest: crash it with
-                # the eviction reason (budget-exempt — recovery will
-                # restart it once host pressure clears).
-                self._evictions_pending.discard(container.container_id)
-                state["evicted"] = True
-                return crash("evicted", budget_exempt=True)
-            if state["crashed_at"] is not None:
-                if state["evicted"] and self.host_phys is not None:
-                    qcfg = self.memory_qos
-                    low = int(
-                        self.host_phys.total_frames * qcfg.low_watermark
-                    )
-                    if self.host_phys.free_frames < low:
-                        # Restarting into the same pressure would just
-                        # get this guest evicted again; hold it down
-                        # until the host clears the low watermark.
-                        engine.park(task, clock.now + qcfg.scan_interval_ns)
-                        return True
-                state["evicted"] = False
-                # Woke from restart backoff: boot the replacement guest.
-                clock.advance(BOOT_NS)
-                if pins_host_state(machine):
-                    # A hardware-nested restart re-serializes VMCS02 /
-                    # shadow-EPT setup on the host's L0 service — the
-                    # same cliff concurrent launches queue on.
-                    self.shared_l0.run_locked(clock, NESTED_BOOT_L0_NS)
-                init = machine.spawn_process()
-                container.relaunch(init)
-                state["inner"] = gen_stepper(
-                    workload_factory(machine, container.ctx, init, **params)
-                )
-                recovery.record_restart(clock.now - state["crashed_at"])
-                events.recovery("restart")
-                state["crashed_at"] = None
-                state["attempt_start"] = clock.now
-                return True
-            if (
-                policy.watchdog_ns is not None
-                and clock.now - state["attempt_start"] > policy.watchdog_ns
-            ):
-                return crash("watchdog")
-            try:
-                if plan.fires(SITE_GUEST_PANIC, clock.now, events=events):
-                    raise GuestPanicError(
-                        f"{container.container_id}: injected triple fault"
-                    )
-                if plan.fires(SITE_GUEST_PHYS, clock.now, events=events):
-                    raise GuestOomError(
-                        f"{container.container_id}: guest-physical frames "
-                        f"exhausted"
-                    )
-                more = state["inner"]()
-            except GuestPanicError:
-                return crash("guest-panic")
-            except (GuestOomError, MemoryError):
-                return crash("guest-oom")
-            except IoCompletionError:
-                return crash("io-error")
-            return more
-
-        return step
+            for m in self._members:
+                # Cut the members' links back to the engine and the
+                # runtime: refcounting, not the cyclic collector, then
+                # frees a finished fleet's machines.
+                m.task.stepper = m.runtime = None

@@ -14,7 +14,7 @@ its interleaving with guest workloads is deterministic.  Per round it:
      idle memory (capped per guest per round); rounds that reclaim
      nothing double the scan interval up to a cap (backoff);
    * below **min** for ``evict_after_rounds`` consecutive rounds —
-     mark the lowest-priority guest for eviction (the supervisor
+     mark the lowest-priority guest for eviction (its fleet member
      crashes it with reason ``"evicted"`` and restarts it through the
      normal recovery path once pressure clears);
    * above **high** — deflate balloons, returning frames to guests.
@@ -169,11 +169,11 @@ class ReclaimDaemon:
     # -- round phases -----------------------------------------------------
 
     def _running(self) -> List:
-        """Running containers in launch order (deterministic)."""
-        pending = self.runtime._evictions_pending
+        """Running containers not marked for eviction, in launch order."""
+        evicting = self.runtime.evicting
         return [
             c for c in self.runtime.containers
-            if c.state == "running" and c.container_id not in pending
+            if c.state == "running" and c.container_id not in evicting
         ]
 
     def _harvest(self, running: List) -> None:
@@ -246,8 +246,8 @@ class ReclaimDaemon:
         cfg = self.config
         returned = 0
         for c in running:
-            dev = getattr(c.machine, "_balloon", None)
-            if dev is None or not dev.held_pages:
+            dev = c.machine.balloon
+            if not dev.held_pages:
                 continue
             returned += dev.deflate(
                 c.ctx, cfg.reclaim_batch_pages << PAGE_SHIFT
@@ -255,11 +255,11 @@ class ReclaimDaemon:
         return returned
 
     def _evict(self, running: List) -> None:
-        """Mark the lowest-priority guest for supervisor eviction.
+        """Mark the lowest-priority guest for eviction.
 
         Ties break toward the *latest-launched* guest, so long-running
-        members are disturbed last.  The supervisor notices the mark at
-        the victim's next step, crashes it with reason ``"evicted"``
+        members are disturbed last.  The victim's fleet member notices
+        the mark at its next step, crashes it with reason ``"evicted"``
         (restart-budget-exempt), and restarts it through the normal
         recovery path once pressure clears.
         """
@@ -274,7 +274,7 @@ class ReclaimDaemon:
             running,
             key=lambda c: (c.priority, -int(c.container_id.rsplit("-", 1)[1])),
         )
-        self.runtime._evictions_pending.add(victim.container_id)
+        self.runtime.evict(victim)
         self.wse.forget(victim.container_id)
         self.stats.evictions += 1
         victim.machine.events.pressure_event("evict")

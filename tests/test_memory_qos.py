@@ -154,7 +154,9 @@ class TestAdmissionControl:
         rt = _qos_runtime(ratio=1.0, plan=plan)
         rt.run_fleet(4, memalloc, total_bytes=4 * MIB)
         assert rt._admitted_frames == 0
-        assert rt._admission == {}
+        assert {m.state for m in rt._members} == {"done"}
+        assert all(c.machine.resident_guest_pages() == 0
+                   for c in rt.containers)
 
     def test_queued_members_start_later(self):
         plan = FaultPlan(seed=11)
@@ -165,6 +167,27 @@ class TestAdmissionControl:
         first = sorted(res.completions_ns)[:2]
         last = sorted(res.completions_ns)[2:]
         assert min(last) > max(first)
+
+    @pytest.mark.parametrize("plan", [None, FaultPlan(seed=0)])
+    def test_never_admittable_fleet(self, plan):
+        # One guest is larger than the whole admission limit, so no
+        # retirement can ever make room: both members fail to boot.
+        rt = RunDRuntime(
+            "pvm (NST)",
+            config=MachineConfig(host_mem_bytes=8 * MIB,
+                                 guest_mem_bytes=16 * MIB),
+            fault_plan=plan, memory_qos=MemoryQosConfig(),
+        )
+        if plan is None:
+            with pytest.raises(AdmissionError):
+                rt.run_fleet(2, memalloc, total_bytes=MIB)
+            assert rt.containers == []
+            return
+        res = rt.run_fleet(2, memalloc, total_bytes=MIB)
+        assert res.makespan_ns >= 0
+        assert res.completions_ns == []
+        assert res.recovery.boot_failures == 2
+        assert [m.state for m in rt._members] == ["boot-failed"] * 2
 
 
 @pytest.mark.pressure
@@ -209,7 +232,7 @@ class TestReclaimAndEviction:
         )
         rt.run_fleet(4, memalloc, total_bytes=8 * MIB)
         assert rt.pressure.evictions == 0
-        assert rt._evictions_pending == set()
+        assert rt.evicting == frozenset()
 
     def test_deflate_on_relief_returns_frames(self):
         rt = self._harsh()

@@ -1,8 +1,21 @@
 """Property-based tests (hypothesis) on core data-structure invariants."""
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import SCENARIOS, make_machine
+from repro.containers.runtime import (
+    MemberStateError,
+    RunDRuntime,
+    SupervisorPolicy,
+)
+from repro.faults import (
+    SITE_CONTAINER_BOOT,
+    SITE_GUEST_PANIC,
+    SITE_GUEST_PHYS,
+    SITE_MEMORY_PRESSURE,
+    FaultPlan,
+)
 from repro.hypervisors.base import MachineConfig
 from repro.hw.memory import FrameAllocator
 from repro.hw.pagetable import PageTable, Pte
@@ -10,9 +23,11 @@ from repro.hw.memory import PhysicalMemory
 from repro.hw.tlb import Tlb
 from repro.hw.types import MIB, PAGE_SIZE, Asid, NUM_PCIDS
 from repro.guest.addrspace import AddressSpace, SegfaultError, Vma
+from repro.memory.qos import MemoryQosConfig
 from repro.sim.clock import Clock
 from repro.sim.locks import SimLock
 from repro.sim.stats import LatencyStats
+from repro.workloads.memalloc import memalloc
 
 
 vpns = st.integers(min_value=0, max_value=(1 << 35) - 1)
@@ -282,3 +297,63 @@ class TestFrameConservation:
         assert machine.host_phys.free_frames == host_free
         if l1 is not None:
             assert l1.free_frames == l1_free
+
+
+class TestFleetMemberProperties:
+    """The fleet-member state machine over fault seeds and fleet modes."""
+
+    @staticmethod
+    def _run(seed, scenario, qos):
+        plan = FaultPlan(seed=seed)
+        plan.add(SITE_CONTAINER_BOOT, probability=0.3)
+        plan.add(SITE_GUEST_PANIC, probability=0.0008)
+        plan.add(SITE_GUEST_PHYS, probability=0.0003)
+        if qos:
+            plan.add(SITE_MEMORY_PRESSURE, probability=0.5)
+        rt = RunDRuntime(
+            scenario,
+            # Room for two 4 MiB guests: the third member queues, and
+            # spikes on top of resident guests can force evictions.
+            config=MachineConfig(host_mem_bytes=8 * MIB,
+                                 guest_mem_bytes=4 * MIB),
+            fault_plan=plan,
+            policy=SupervisorPolicy(max_restarts=1),
+            memory_qos=MemoryQosConfig(
+                evict_after_rounds=1, spike_frac_lo=0.4, spike_frac_hi=0.6,
+                spike_hold_ns=20_000_000,
+            ) if qos else None,
+        )
+        res = rt.run_fleet(3, memalloc, total_bytes=2 * MIB,
+                           chunk_bytes=MIB // 4, release=False)
+        snapshot = (
+            res.makespan_ns, res.completions_ns, res.counters,
+            res.recovery.snapshot(),
+            rt.pressure.snapshot() if qos else None,
+        )
+        return rt, res, snapshot
+
+    @given(seed=st.integers(0, 1 << 16),
+           scenario=st.sampled_from(["pvm (NST)", "kvm-ept (NST)"]),
+           qos=st.booleans())
+    @settings(max_examples=12, deadline=None)
+    def test_members_terminate_and_replay(self, seed, scenario, qos):
+        rt, res, snapshot = self._run(seed, scenario, qos)
+        for m in rt._members:
+            assert m.state in ("done", "gave-up", "boot-failed")
+            times = [t for t, *_ in m.history]
+            assert times == sorted(times)
+        assert rt._admitted_frames == 0
+        assert 0.0 <= res.recovery.availability <= 1.0
+        assert self._run(seed, scenario, qos)[2] == snapshot
+
+    def test_illegal_edge_raises_with_history(self):
+        rt = RunDRuntime("pvm (NST)")
+        rt.run_fleet(1, memalloc, total_bytes=MIB)
+        member = rt._members[0]
+        with pytest.raises(MemberStateError) as err:
+            member._enter("running", "restart")
+        edges = [(frm, to, why) for _, frm, to, why in err.value.history]
+        assert edges == [(None, "running", "launch"),
+                         ("running", "done", "exit"),
+                         ("done", "running", "restart")]
+        assert member.state == "done"
