@@ -6,9 +6,10 @@ Every benchmark regenerates one of the paper's tables/figures via
 nanoseconds — see EXPERIMENTS.md for the paper-vs-measured record.
 
 Pass ``--bench-jobs N`` (or set ``PVM_BENCH_JOBS=N``) to fan each
-experiment's rows across N worker processes via
-:mod:`repro.bench.parallel`; results are bit-identical to the serial
-run, so every shape assertion is unaffected.
+experiment's rows, with whatever parameters the benchmark passes,
+across N worker processes via :mod:`repro.bench.parallel`; results are
+bit-identical to the serial run, so every shape assertion is
+unaffected.
 """
 
 from __future__ import annotations
@@ -17,14 +18,11 @@ import os
 
 import pytest
 
-from repro.bench.experiments import ALL_EXPERIMENTS
+from repro.bench.experiments import ExperimentSpec
 
 #: Worker processes for registry experiments; overridden by
 #: ``--bench-jobs`` in pytest_configure.
 _JOBS = int(os.environ.get("PVM_BENCH_JOBS", "1") or 1)
-
-#: Registry lookup by callable, so run_once can recognize experiments.
-_EXP_ID_BY_FN = {fn: exp_id for exp_id, fn in ALL_EXPERIMENTS.items()}
 
 
 def pytest_addoption(parser):
@@ -45,16 +43,17 @@ def pytest_configure(config):
 def run_once(benchmark, fn, *args, **kwargs):
     """Run an experiment exactly once under pytest-benchmark timing.
 
-    Registry experiments invoked with only a ``scale`` argument are
-    routed through the parallel work-unit engine when jobs > 1.
+    Registry experiments are routed through the parallel work-unit
+    engine when jobs > 1.
     """
-    exp_id = _EXP_ID_BY_FN.get(fn)
-    if _JOBS > 1 and exp_id is not None and not args and set(kwargs) <= {"scale"}:
+    if _JOBS > 1 and isinstance(fn, ExperimentSpec):
         from repro.bench.parallel import run_experiment
 
+        params = dict(kwargs)
+        scale = params.pop("scale", args[0] if args else 1.0)
         return benchmark.pedantic(
-            run_experiment, args=(exp_id,),
-            kwargs={"scale": kwargs.get("scale", 1.0), "jobs": _JOBS},
+            run_experiment, args=(fn.exp_id, scale),
+            kwargs={"jobs": _JOBS, "params": params},
             rounds=1, iterations=1, warmup_rounds=0,
         )
     return benchmark.pedantic(fn, args=args, kwargs=kwargs,

@@ -1,9 +1,11 @@
 """Content-keyed on-disk cache for experiment work units.
 
 A cached row is valid only while everything that could change its value
-is unchanged, so the key digests four ingredients:
+is unchanged, so the key digests three ingredients:
 
-* the work-unit identity (experiment id, row index, row key, scale),
+* the work-unit identity (experiment id, row index, row key, scale,
+  and the experiment's parameters with their defaults filled in — a
+  re-seeded chaos row is a different entry from the canonical one),
 * the :class:`~repro.hw.costs.CostModel` default calibration
   (re-calibrating a single constant invalidates every row), and
 * a fingerprint of every ``*.py`` file under ``src/repro`` (any code
@@ -94,6 +96,7 @@ class ResultCache:
                 "row_index": unit.row_index,
                 "row_key": unit.row_key,
                 "scale": unit.scale,
+                "params": unit.params,
                 "costs": cost_model_fingerprint(),
                 "tree": source_tree_fingerprint(),
             },

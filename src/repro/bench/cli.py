@@ -32,6 +32,11 @@ from repro.bench.parallel import RunStats, run_experiments
 from repro.bench.report import render, render_chart
 
 
+#: Experiments whose fault plan ``--fault-seed`` re-seeds.
+SEEDED = [exp_id for exp_id, spec in ALL_EXPERIMENTS.items()
+          if "seed" in spec.params]
+
+
 def _stats_line(stats: RunStats, cache_enabled: bool) -> str:
     """The trailing cache/fan-out summary printed after the tables."""
     if cache_enabled:
@@ -55,8 +60,7 @@ def main(argv: List[str] = None) -> int:
     )
     parser.add_argument(
         "experiments", nargs="*",
-        help="experiment ids (table1, table2, fig2, fig4, fig10, table3, "
-             "table4, fig11, fig12, fig13, chaos, overcommit) or 'all'; "
+        help=f"experiment ids ({', '.join(ALL_EXPERIMENTS)}) or 'all'; "
              "'wallclock' runs the simulator-throughput microbenchmark; "
              "'selftest' runs the sanitizer bug drills + a sanitized "
              "chaos smoke",
@@ -81,9 +85,9 @@ def main(argv: List[str] = None) -> int:
     )
     parser.add_argument(
         "--fault-seed", type=int, default=None, metavar="SEED",
-        help="re-seed the chaos experiment's fault plan; its rows are "
-             "then computed directly (serial, never cached) since the "
-             "result cache keys on code, not runtime parameters",
+        help="re-seed the fault plan of every experiment that takes a "
+             f"seed ({', '.join(SEEDED)}); re-seeded rows are cached "
+             "under their seed and fan out like any other run",
     )
     parser.add_argument(
         "--sanitize", nargs="?", const="sampled", default=None,
@@ -130,9 +134,8 @@ def main(argv: List[str] = None) -> int:
         )
 
     if args.list or not args.experiments:
-        for exp_id, fn in ALL_EXPERIMENTS.items():
-            doc = (fn.__doc__ or "").strip().splitlines()[0]
-            print(f"{exp_id:8s} {doc}")
+        for exp_id, spec in ALL_EXPERIMENTS.items():
+            print(f"{exp_id:10s} {spec.summary}")
         return 0
 
     wanted = list(ALL_EXPERIMENTS) if "all" in args.experiments else args.experiments
@@ -143,25 +146,11 @@ def main(argv: List[str] = None) -> int:
 
     use_cache = not args.no_cache and args.sanitize is None
     cache = ResultCache(args.cache_dir) if use_cache else None
-    engine_wanted = list(dict.fromkeys(wanted))
-    reseeded = {}
-    if args.fault_seed is not None or args.sanitize is not None:
-        # A re-seeded (or sanitized) fault-driven run is a different
-        # result than the canonical one; the cache keys on code + scale
-        # only, so route it around the work-unit engine entirely.
-        from repro.bench.experiments import chaos, overcommit
-
-        for exp_id, fn in (("chaos", chaos), ("overcommit", overcommit)):
-            if exp_id in engine_wanted:
-                engine_wanted.remove(exp_id)
-                reseeded[exp_id] = fn(
-                    scale=args.scale, seed=args.fault_seed,
-                    sanitize=args.sanitize is not None,
-                )
+    seed = {} if args.fault_seed is None else {"seed": args.fault_seed}
+    params = {exp_id: seed for exp_id in wanted if exp_id in SEEDED}
     results, stats = run_experiments(
-        engine_wanted, scale=args.scale, jobs=args.jobs, cache=cache
+        wanted, scale=args.scale, jobs=args.jobs, cache=cache, params=params
     )
-    results.update(reseeded)
     if args.as_json:
         json_out = {
             exp_id: {

@@ -1,7 +1,7 @@
 """Parallel experiment fan-out with a deterministic merge.
 
 Every cell of the evaluation surface is a pure function of
-``(experiment, row key, scale)`` over freshly-built machines — the
+``(experiment, row key, scale, params)`` over freshly-built machines — the
 virtual-clock design shares no state across rows — so rows can be
 computed in any order, in any process, and merged back in paper order
 with output **bit-identical** to the serial run.  This module turns
@@ -24,11 +24,16 @@ from __future__ import annotations
 import multiprocessing
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import (
+    Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple,
+)
 
-from repro.bench.experiments import EXPERIMENT_SPECS, RowData
+from repro.bench.experiments import ALL_EXPERIMENTS, Row
 from repro.bench.harness import ExperimentResult
+
+#: Per-experiment parameter overrides: ``{exp_id: {name: value}}``.
+Params = Mapping[str, Mapping[str, Any]]
 
 
 @dataclass(frozen=True)
@@ -41,6 +46,10 @@ class WorkUnit:
     #: part of the cache key so renaming/reordering rows invalidates.
     row_key: str
     scale: float
+    #: Sorted ``(name, value)`` pairs with the defaults filled in
+    #: (:meth:`ExperimentSpec.bind`); part of the cache key, so a
+    #: re-seeded or re-parameterized row never shares an entry.
+    params: Tuple[Tuple[str, Any], ...] = ()
 
 
 @dataclass
@@ -56,26 +65,28 @@ class RunStats:
     compute_seconds: float = 0.0
 
 
-def plan_units(exp_ids: Sequence[str], scale: float = 1.0) -> List[WorkUnit]:
+def plan_units(exp_ids: Sequence[str], scale: float = 1.0,
+               params: Optional[Params] = None) -> List[WorkUnit]:
     """Shard ``exp_ids`` into per-row work units, paper order."""
+    params = params or {}
     units: List[WorkUnit] = []
     for exp_id in exp_ids:
-        spec = EXPERIMENT_SPECS[exp_id]
-        for index, key in enumerate(spec.row_keys(scale)):
-            units.append(WorkUnit(exp_id, index, str(key), scale))
+        spec = ALL_EXPERIMENTS[exp_id]
+        bound = spec.bind(params.get(exp_id))
+        for index, key in enumerate(spec.keys):
+            units.append(WorkUnit(exp_id, index, key, scale, bound))
     return units
 
 
-def compute_unit(unit: WorkUnit) -> Tuple[str, List[float], float]:
-    """Compute one row; returns ``(label, values, compute_seconds)``.
+def compute_unit(unit: WorkUnit) -> Tuple[Row, float]:
+    """Compute one row; returns ``(row, compute_seconds)``.
 
     Module-level so it pickles by reference into worker processes.
     """
-    spec = EXPERIMENT_SPECS[unit.exp_id]
-    key = spec.row_keys(unit.scale)[unit.row_index]
+    spec = ALL_EXPERIMENTS[unit.exp_id]
     t0 = time.perf_counter()
-    label, values = spec.compute_row(key, unit.scale)
-    return label, list(values), time.perf_counter() - t0
+    row = Row(*spec.row(unit.row_key, unit.scale, **dict(unit.params)))
+    return row, time.perf_counter() - t0
 
 
 def _mp_context():
@@ -107,19 +118,28 @@ def map_units(fn: Callable, items: Iterable, jobs: int = 1) -> List:
 def _assemble(
     exp_ids: Sequence[str],
     scale: float,
-    rows: Dict[Tuple[str, int], RowData],
+    rows: Dict[Tuple[str, int], Row],
+    params: Optional[Params] = None,
 ) -> "Dict[str, ExperimentResult]":
     """Merge computed rows back into results, paper order.  Purely a
-    function of the row data — completion order cannot leak in."""
+    function of the row data — completion order cannot leak in.  When
+    the rows ran sanitized fleets, their totals become the notes."""
+    params = params or {}
     out: Dict[str, ExperimentResult] = {}
     for exp_id in exp_ids:
-        spec = EXPERIMENT_SPECS[exp_id]
-        result = spec.header(scale)
-        for index in range(len(spec.row_keys(scale))):
-            label, values = rows[(exp_id, index)]
-            result.add(label, list(values))
+        spec = ALL_EXPERIMENTS[exp_id]
+        result = spec.header(scale, **params.get(exp_id, {}))
+        checks = violations = 0
+        for index in range(len(spec.keys)):
+            row = rows[(exp_id, index)]
+            result.add(row.label, list(row.values))
+            checks += row.sanitize[0]
+            violations += row.sanitize[1]
         if spec.finalize is not None:
             spec.finalize(result)
+        if checks > 0:
+            result.notes = (f"sanitize: {checks} checks, "
+                            f"{violations} violations")
         out[exp_id] = result
     return out
 
@@ -129,35 +149,37 @@ def run_experiments(
     scale: float = 1.0,
     jobs: int = 1,
     cache: Optional[object] = None,
+    params: Optional[Params] = None,
 ) -> Tuple[Dict[str, ExperimentResult], RunStats]:
     """Regenerate several experiments, fanning rows across ``jobs``
     worker processes and serving unchanged rows from ``cache`` (a
-    :class:`repro.bench.cache.ResultCache` or None).
+    :class:`repro.bench.cache.ResultCache` or None).  ``params`` maps an
+    experiment id to its parameter overrides.
 
     Returns ``(results by exp_id, RunStats)``; results are bit-identical
-    to calling each experiment's serial function at the same scale.
+    whatever ``jobs`` is and whichever rows come from the cache.
     """
     t0 = time.perf_counter()
     exp_ids = list(dict.fromkeys(exp_ids))  # dedupe, keep order
-    units = plan_units(exp_ids, scale)
+    units = plan_units(exp_ids, scale, params)
     stats = RunStats(units=len(units), jobs=max(1, jobs))
-    rows: Dict[Tuple[str, int], RowData] = {}
+    rows: Dict[Tuple[str, int], Row] = {}
     pending: List[WorkUnit] = []
     for unit in units:
         hit = cache.get(unit) if cache is not None else None
         if hit is not None:
-            rows[(unit.exp_id, unit.row_index)] = hit
+            rows[(unit.exp_id, unit.row_index)] = Row(*hit)
             stats.cache_hits += 1
         else:
             pending.append(unit)
-    for unit, (label, values, seconds) in zip(
+    for unit, (row, seconds) in zip(
             pending, map_units(compute_unit, pending, jobs)):
-        rows[(unit.exp_id, unit.row_index)] = (label, values)
+        rows[(unit.exp_id, unit.row_index)] = row
         stats.computed += 1
         stats.compute_seconds += seconds
         if cache is not None:
-            cache.put(unit, (label, values))
-    results = _assemble(exp_ids, scale, rows)
+            cache.put(unit, (row.label, row.values))
+    results = _assemble(exp_ids, scale, rows, params)
     stats.wall_seconds = time.perf_counter() - t0
     return results, stats
 
@@ -167,8 +189,10 @@ def run_experiment(
     scale: float = 1.0,
     jobs: int = 1,
     cache: Optional[object] = None,
+    params: Optional[Mapping[str, Any]] = None,
 ) -> ExperimentResult:
     """One experiment through the work-unit engine (see
     :func:`run_experiments`)."""
-    results, _ = run_experiments([exp_id], scale=scale, jobs=jobs, cache=cache)
+    results, _ = run_experiments([exp_id], scale=scale, jobs=jobs,
+                                 cache=cache, params={exp_id: params or {}})
     return results[exp_id]

@@ -337,7 +337,7 @@ def bench_parallel_speedup(scale: float = 1.0) -> Dict[str, float]:
     t0 = time.perf_counter()
     fanned = par.map_units(par.compute_unit, units, jobs=jobs)
     fanned_dt = time.perf_counter() - t0
-    if [r[:2] for r in fanned] != [r[:2] for r in serial]:
+    if [row for row, _ in fanned] != [row for row, _ in serial]:
         raise RuntimeError(
             "parallel fan-out diverged from the serial run — the "
             "determinism guarantee is broken"

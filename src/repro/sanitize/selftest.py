@@ -22,7 +22,9 @@ VMX stale entry        VM entry after a VMCS12 write with no re-merge
 
 from __future__ import annotations
 
+import os
 from typing import Callable, List, Optional, Tuple
+from unittest import mock
 
 from repro.sanitize.core import SanitizerError
 
@@ -125,18 +127,18 @@ def run_selftest(mode: str = "sampled") -> int:
         if problem is not None:
             failures.append(name)
 
-    # Clean-run smoke: one sanitized chaos recovery scenario must
-    # complete with checks executed and zero violations.
-    from repro.bench.experiments import CHAOS_DEFAULT_SEED, _chaos_run
+    # Clean-run smoke: one chaos recovery scenario, sanitized in
+    # ``mode``, must complete with checks executed and zero violations.
+    from repro.bench.experiments import chaos
 
     try:
-        _, checks, violations = _chaos_run(
-            "pvm (NST)", 0.2, CHAOS_DEFAULT_SEED, sanitize=True
-        )
+        with mock.patch.dict(os.environ, {"PVM_SANITIZE": mode}):
+            row = chaos.row("pvm (NST)", 0.2, **chaos.params)
     except SanitizerError as err:
         print(f"chaos smoke               FAILED: {err}")
         failures.append("chaos-smoke")
     else:
+        checks, violations = row.sanitize
         if checks > 0 and violations == 0:
             print(f"chaos smoke               clean ({checks} checks)")
         else:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.bench.cli import main
+from repro.bench.experiments import ALL_EXPERIMENTS
 from repro.guest.syscalls import SYSCALLS, syscall
 
 
@@ -11,6 +12,20 @@ class TestCli:
         assert main(["--list"]) == 0
         out = capsys.readouterr().out
         assert "table1" in out and "fig13" in out
+
+    def test_list_describes_every_experiment(self, capsys):
+        assert main(["--list"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[0] for line in lines] == list(ALL_EXPERIMENTS)
+        assert all(len(line.split()) > 1 for line in lines)
+
+    def test_help_names_every_experiment(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        for exp_id in ALL_EXPERIMENTS:
+            assert exp_id in out
 
     def test_no_args_lists(self, capsys):
         assert main([]) == 0

@@ -535,6 +535,6 @@ class TestChaosExperiment:
     def test_row_shape(self):
         res = experiments.chaos(scale=0.3)
         data = res.as_dict()
-        assert set(data) == set(experiments._CHAOS_ROWS)
+        assert set(data) == set(experiments.chaos.keys)
         for row in data.values():
             assert 0.0 <= row["availability"] <= 1.0

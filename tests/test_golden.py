@@ -47,9 +47,8 @@ def compute_rows(exp_ids, jobs=1):
     the row work units compute them (before any finalize step)."""
     units = plan_units(exp_ids, GOLDEN_SCALE)
     out = {exp_id: [] for exp_id in exp_ids}
-    for unit, (label, values, _) in zip(
-            units, map_units(compute_unit, units, jobs)):
-        out[unit.exp_id].append([label, values])
+    for unit, (row, _) in zip(units, map_units(compute_unit, units, jobs)):
+        out[unit.exp_id].append([row.label, row.values])
     # A JSON round trip gives computed and stored rows the same types.
     return json.loads(json.dumps(out))
 

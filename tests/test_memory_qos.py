@@ -272,16 +272,16 @@ class TestOvercommitExperiment:
     def test_explicit_seed_diverges_and_is_deterministic(self):
         # Full scale on the dense point only: short scaled runs finish
         # before any pressure spike fires, leaving nothing seed-driven.
-        a = experiments._overcommit_run("1.5x", 1.0, 77, sanitize=False)
-        b = experiments._overcommit_run("1.5x", 1.0, 77, sanitize=False)
-        c = experiments._overcommit_run("1.5x", 1.0, 78, sanitize=False)
+        a = experiments.overcommit.row("1.5x", 1.0, seed=77)
+        b = experiments.overcommit.row("1.5x", 1.0, seed=77)
+        c = experiments.overcommit.row("1.5x", 1.0, seed=78)
         assert a == b
-        assert a[0][1] != c[0][1]
+        assert a.values != c.values
 
     def test_density_sweep_never_abandons(self):
         res = experiments.overcommit(scale=0.25)
         data = res.as_dict()
-        assert set(data) == set(experiments._OVERCOMMIT_ROWS)
+        assert set(data) == set(experiments.overcommit.keys)
         for row in data.values():
             assert row["gave up"] == 0.0
             assert 0.0 <= row["availability"] <= 1.0
@@ -299,8 +299,10 @@ class TestOvercommitExperiment:
 @pytest.mark.pressure
 @pytest.mark.sanitize
 class TestSanitizedOvercommit:
-    def test_sweep_clean_and_rows_unchanged(self):
-        sanitized = experiments.overcommit(scale=0.25, sanitize=True)
+    def test_sweep_clean_and_rows_unchanged(self, monkeypatch):
+        monkeypatch.setenv("PVM_SANITIZE", "sampled")
+        sanitized = experiments.overcommit(scale=0.25)
+        monkeypatch.delenv("PVM_SANITIZE")
         plain = experiments.overcommit(
             scale=0.25, seed=experiments.OVERCOMMIT_DEFAULT_SEED)
         assert sanitized.as_dict() == plain.as_dict()

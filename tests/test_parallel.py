@@ -1,9 +1,10 @@
 """Parallel fan-out and result-cache tests.
 
 ``-m parallel_equiv`` selects the serial-vs-parallel bit-equivalence
-targets (also part of the default tier-1 run): two representative
-experiments computed at scale 0.25 in-process and across 2 worker
-processes must produce identical ``ExperimentResult.as_dict()`` output.
+targets (also part of the default tier-1 run): representative
+experiments, with and without parameters, computed in-process and
+across 2 worker processes must produce identical
+``ExperimentResult.as_dict()`` output.
 """
 
 import dataclasses
@@ -16,9 +17,10 @@ from repro.bench.cache import CacheStats, ResultCache, cost_model_fingerprint
 from repro.bench.cli import main
 from repro.bench.experiments import (
     ALL_EXPERIMENTS,
-    EXPERIMENT_SPECS,
-    _fig13_finalize,
-    _fig13_header,
+    ExperimentSpec,
+    chaos,
+    fig4,
+    fig13,
 )
 from repro.bench.parallel import (
     WorkUnit,
@@ -37,7 +39,8 @@ EQUIV_EXPERIMENTS = ("table1", "table2")
 
 class TestSpecs:
     def test_every_experiment_has_a_spec(self):
-        assert set(EXPERIMENT_SPECS) == set(ALL_EXPERIMENTS)
+        for exp_id, spec in ALL_EXPERIMENTS.items():
+            assert isinstance(spec, ExperimentSpec) and spec.exp_id == exp_id
 
     def test_plan_enumerates_rows_in_paper_order(self):
         units = plan_units(["table2", "switchcost"], scale=1.0)
@@ -49,14 +52,25 @@ class TestSpecs:
     def test_spec_rows_match_serial_functions(self):
         for exp_id in ("table1", "table2", "switchcost", "bootstorm"):
             serial = ALL_EXPERIMENTS[exp_id](scale=0.02)
-            keys = EXPERIMENT_SPECS[exp_id].row_keys(0.02)
+            keys = ALL_EXPERIMENTS[exp_id].keys
             assert [label for label, _ in serial.rows] == list(keys)
 
     def test_compute_unit_returns_row_and_timing(self):
         unit = plan_units(["switchcost"], scale=0.02)[0]
-        label, values, seconds = compute_unit(unit)
-        assert label == "single-level hw switch"
-        assert len(values) == 2 and seconds >= 0.0
+        row, seconds = compute_unit(unit)
+        assert row.label == "single-level hw switch"
+        assert len(row.values) == 2 and seconds >= 0.0
+        assert row.sanitize == (0, 0)
+
+    def test_plan_fills_default_params(self):
+        unit = plan_units(["fig4"], params={"fig4": {"procs": [1, 2]}})[0]
+        assert unit.params == (("procs", (1, 2)),)
+        assert plan_units(["fig4"])[0].params == (("procs", (1, 4, 16)),)
+        assert plan_units(["table2"])[0].params == ()
+
+    def test_unknown_param_rejected(self):
+        with pytest.raises(TypeError):
+            plan_units(["table2"], params={"table2": {"seed": 1}})
 
 
 @pytest.mark.parallel_equiv
@@ -78,18 +92,18 @@ class TestParallelEquivalence:
         units = plan_units(["table2"], scale=0.02)
         rows = {}
         for unit in reversed(units):
-            label, values, _ = compute_unit(unit)
-            rows[(unit.exp_id, unit.row_index)] = (label, values)
+            row, _ = compute_unit(unit)
+            rows[(unit.exp_id, unit.row_index)] = row
         merged = _assemble(["table2"], 0.02, rows)["table2"]
         serial = ALL_EXPERIMENTS["table2"](scale=0.02)
         assert merged.as_dict() == serial.as_dict()
 
     def test_fig13_finalize_normalizes_to_base_row(self):
-        r = _fig13_header(1.0)
+        r = fig13.header(1.0)
         n = len(r.columns)
         r.add("kvm-ept (BM)", [2.0] * n)
         r.add("pvm (NST)", [4.0] * n)
-        _fig13_finalize(r)
+        fig13.finalize(r)
         d = r.as_dict()
         assert all(v == 1.0 for v in d["kvm-ept (BM)"].values())
         assert all(v == 0.5 for v in d["pvm (NST)"].values())
@@ -97,7 +111,19 @@ class TestParallelEquivalence:
     def test_map_units_preserves_order_across_processes(self):
         units = plan_units(["table2"], scale=0.02)
         fanned = map_units(compute_unit, units, jobs=2)
-        assert [label for label, _, _ in fanned] == [u.row_key for u in units]
+        assert [row.label for row, _ in fanned] == [u.row_key for u in units]
+
+    def test_params_ride_the_work_unit(self):
+        """Parameterized and re-seeded runs fan out bit-identically."""
+        for spec, scale, params in ((fig4, 0.05, {"procs": (1, 2)}),
+                                    (chaos, 0.3, {"seed": 77})):
+            serial = spec(scale=scale, **params)
+            par = run_experiment(spec.exp_id, scale=scale, jobs=2,
+                                 params=params)
+            assert par.as_dict() == serial.as_dict()
+            assert list(par.columns) == list(serial.columns)
+            assert (par.title, par.unit, par.notes) == (
+                serial.title, serial.unit, serial.notes)
 
 
 class TestResultCache:
@@ -120,8 +146,23 @@ class TestResultCache:
             cache.key_for(dataclasses.replace(unit, row_index=1)),
             cache.key_for(dataclasses.replace(unit, row_key="renamed")),
             cache.key_for(dataclasses.replace(unit, exp_id="table1")),
+            cache.key_for(dataclasses.replace(unit, params=(("x", 1),))),
         }
-        assert len(keys) == 5
+        assert len(keys) == 6
+
+    def test_seeds_never_share_an_entry(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        keys = {seed: {cache.key_for(u) for u in plan_units(
+                    ["chaos"], 0.05, {"chaos": {"seed": seed}})}
+                for seed in (77, 78)}
+        assert not keys[77] & keys[78]
+        r77 = run_experiment("chaos", 0.05, cache=cache, params={"seed": 77})
+        run_experiment("chaos", 0.05, cache=cache, params={"seed": 78})
+        assert cache.stats.hits == 0 and cache.stats.misses == 8
+        warm = ResultCache(tmp_path)
+        again = run_experiment("chaos", 0.05, cache=warm, params={"seed": 77})
+        assert warm.stats.hits == 4 and warm.stats.misses == 0
+        assert again.as_dict() == r77.as_dict()
 
     def test_source_tree_change_invalidates(self, tmp_path, monkeypatch):
         cache = ResultCache(tmp_path)
@@ -148,7 +189,8 @@ class TestResultCache:
     def test_corrupt_entry_is_a_miss_and_repaired(self, tmp_path):
         cache = ResultCache(tmp_path)
         unit = plan_units(["switchcost"], scale=0.02)[0]
-        label, values, _ = compute_unit(unit)
+        row, _ = compute_unit(unit)
+        label, values = row.label, row.values
         cache.put(unit, (label, values))
         cache._path(cache.key_for(unit)).write_text("not json{")
         fresh = ResultCache(tmp_path)
@@ -205,3 +247,13 @@ class TestCliFlags:
         assert payload["_run"]["jobs"] == 2
         assert payload["_run"]["cache_misses"] == 7
         assert payload["table2"]["data"]["pvm (BM) direct-switch"]["kpti"] > 0
+
+    def test_fault_seed_rows_equal_the_seeded_spec(self, tmp_path, capsys):
+        argv = ["chaos", "--fault-seed", "77", "--scale", "0.05", "--json",
+                "--cache-dir", str(tmp_path)]
+        assert main(argv) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["chaos"]["data"] == chaos(scale=0.05, seed=77).as_dict()
+        assert payload["_run"]["cache_misses"] == 4
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["_run"]["cache_hits"] == 4

@@ -340,14 +340,51 @@ class TestBitIdentity:
 @pytest.mark.sanitize
 @pytest.mark.chaos
 class TestSanitizedChaos:
-    def test_all_scenarios_clean_and_rows_unchanged(self):
-        sanitized = experiments.chaos(scale=0.3, sanitize=True)
+    def test_all_scenarios_clean_and_rows_unchanged(self, monkeypatch):
+        monkeypatch.setenv("PVM_SANITIZE", "sampled")
+        sanitized = experiments.chaos(scale=0.3)
+        monkeypatch.delenv("PVM_SANITIZE")
         plain = experiments.chaos(
             scale=0.3, seed=experiments.CHAOS_DEFAULT_SEED)
         assert sanitized.as_dict() == plain.as_dict()
         assert "0 violations" in sanitized.notes
         checks = int(sanitized.notes.split()[1])
         assert checks > 0
+
+
+@pytest.mark.sanitize
+class TestFullModeReachesFleets:
+    """``--sanitize full`` / ``PVM_SANITIZE=full`` must sanitize every
+    fleet machine, and the selftest smoke, in full mode — never fall
+    back to a config-pinned sampled mode."""
+
+    @pytest.fixture
+    def modes(self, monkeypatch):
+        import repro.sanitize as sanitize_mod
+
+        seen = []
+        attach = sanitize_mod.attach_sanitizers
+
+        def spy(machine, mode="sampled"):
+            suite = attach(machine, mode=mode)
+            seen.append(suite.report.mode)
+            return suite
+
+        monkeypatch.setattr(sanitize_mod, "attach_sanitizers", spy)
+        monkeypatch.setenv("PVM_SANITIZE", "full")
+        return seen
+
+    def test_cli_fleets_run_full(self, modes, capsys):
+        from repro.bench.cli import main
+
+        assert main(["chaos", "overcommit", "--sanitize", "full",
+                     "--scale", "0.02", "--json"]) == 0
+        assert modes and set(modes) == {"full"}
+        assert "violations" in capsys.readouterr().out
+
+    def test_selftest_smoke_runs_full(self, modes, capsys):
+        assert selftest.run_selftest("full") == 0
+        assert modes and set(modes) == {"full"}
 
 
 # ---------------------------------------------------------------------------
