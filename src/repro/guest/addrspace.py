@@ -25,11 +25,18 @@ KERNEL_BASE_VPN = 1 << 35
 
 
 class SegfaultError(Exception):
-    """Access outside any VMA (delivered to the process as SIGSEGV)."""
+    """Access outside any VMA (delivered to the process as SIGSEGV).
+
+    ``args`` holds the faulting address, so the error pickles; the
+    message is formatted on demand.
+    """
 
     def __init__(self, vaddr: int) -> None:
-        super().__init__(f"segmentation fault at {vaddr:#x}")
+        super().__init__(vaddr)
         self.vaddr = vaddr
+
+    def __str__(self) -> str:
+        return f"segmentation fault at {self.vaddr:#x}"
 
 
 @dataclass

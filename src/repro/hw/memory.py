@@ -10,7 +10,9 @@ that teardown releases everything.
 
 from __future__ import annotations
 
+import bisect
 from collections import deque
+from operator import attrgetter
 from dataclasses import dataclass, field
 from typing import Deque, Dict, Iterator, List, Optional, Set
 
@@ -31,6 +33,9 @@ class FrameRange:
     def end(self) -> int:
         """One past the last frame of the range."""
         return self.start + self.count
+
+
+_run_start = attrgetter("start")
 
 
 class FrameAllocator:
@@ -90,7 +95,8 @@ class FrameAllocator:
                 if r.count == count:
                     del self._free[i]
                 else:
-                    self._free[i] = FrameRange(r.start + count, r.count - count)
+                    r.start += count
+                    r.count -= count
                 for f in got:
                     self._owner[f] = tag
                 return got
@@ -108,17 +114,23 @@ class FrameAllocator:
         uses this so reclaim releases frames the host actually backs
         instead of inflating into fresh, never-faulted guest memory.
         """
-        if prefer_recycled and self._recycled:
-            frame = self._recycled.popleft()
-            self._owner[frame] = tag
-            return frame
-        if self._free:
-            return self.alloc(1, tag).start
-        if self._recycled:
-            frame = self._recycled.popleft()
-            self._owner[frame] = tag
-            return frame
-        raise MemoryError("out of physical frames")
+        recycled = self._recycled
+        free = self._free
+        if free and not (prefer_recycled and recycled):
+            # First fit for one frame is the lowest run's first frame.
+            run = free[0]
+            frame = run.start
+            if run.count == 1:
+                del free[0]
+            else:
+                run.start += 1
+                run.count -= 1
+        elif recycled:
+            frame = recycled.popleft()
+        else:
+            raise MemoryError("out of physical frames")
+        self._owner[frame] = tag
+        return frame
 
     def alloc_aligned(self, count: int, tag: str = "anon") -> FrameRange:
         """Allocate ``count`` contiguous frames aligned to ``count``.
@@ -163,11 +175,18 @@ class FrameAllocator:
         if self.policy == "stream":
             self._recycled.extend(frames)
         else:
-            self._insert_free(frames)
+            self._insert_free(frames.start, frames.count)
 
     def free_frame(self, frame: int) -> None:
-        """Return one frame to the pool."""
-        self.free(FrameRange(frame, 1))
+        """Return one frame to the pool (:meth:`free` of one frame)."""
+        owner = self._owner
+        if frame not in owner:
+            raise HardwareError(f"double free of frame {frame:#x}")
+        del owner[frame]
+        if self.policy == "stream":
+            self._recycled.append(frame)
+        else:
+            self._insert_free(frame, 1)
 
     def owner_of(self, frame: int) -> Optional[str]:
         """Return the allocation tag of ``frame``, or None if free."""
@@ -204,34 +223,28 @@ class FrameAllocator:
             "fragmentation": 1.0 - largest / contiguous if contiguous else 0.0,
         }
 
-    def _insert_free(self, frames: FrameRange) -> None:
+    def _insert_free(self, start: int, count: int) -> None:
         # Keep the free list sorted by start and coalesce adjacent runs.
-        lo, hi = 0, len(self._free)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self._free[mid].start < frames.start:
-                lo = mid + 1
-            else:
-                hi = mid
-        self._free.insert(lo, frames)
-        self._coalesce_around(lo)
-
-    def _coalesce_around(self, idx: int) -> None:
-        # Merge with the next run first, then the previous one.
-        if idx + 1 < len(self._free):
-            cur, nxt = self._free[idx], self._free[idx + 1]
-            if cur.end > nxt.start:
-                raise HardwareError("overlapping free ranges")
-            if cur.end == nxt.start:
-                self._free[idx] = FrameRange(cur.start, cur.count + nxt.count)
-                del self._free[idx + 1]
-        if idx > 0:
-            prv, cur = self._free[idx - 1], self._free[idx]
-            if prv.end > cur.start:
-                raise HardwareError("overlapping free ranges")
-            if prv.end == cur.start:
-                self._free[idx - 1] = FrameRange(prv.start, prv.count + cur.count)
-                del self._free[idx]
+        # The runs are the allocator's own objects (callers' ranges are
+        # never stored), so merging grows or shifts them in place.
+        free = self._free
+        i = bisect.bisect_left(free, start, key=_run_start)
+        end = start + count
+        prv = free[i - 1] if i else None
+        nxt = free[i] if i < len(free) else None
+        if (prv is not None and prv.end > start) or (
+                nxt is not None and end > nxt.start):
+            raise HardwareError("overlapping free ranges")
+        if prv is not None and prv.end == start:
+            prv.count += count
+            if nxt is not None and nxt.start == end:
+                prv.count += nxt.count
+                del free[i]
+        elif nxt is not None and nxt.start == end:
+            nxt.start = start
+            nxt.count += count
+        else:
+            free.insert(i, FrameRange(start, count))
 
 
 @dataclass

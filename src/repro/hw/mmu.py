@@ -39,12 +39,22 @@ from repro.sim.clock import Clock
 GPA_CACHE_CAPACITY = 512
 
 
+_READ = AccessType.READ
+
+
 class EptViolationException(Exception):
-    """Raised when the extended dimension lacks a required translation."""
+    """Raised when the extended dimension lacks a required translation.
+
+    Like :class:`~repro.hw.pagetable.PageFaultException`, ``args`` holds
+    the descriptor and the message is formatted on demand.
+    """
 
     def __init__(self, violation: EptViolation) -> None:
-        super().__init__(f"EPT violation @ gpa {violation.gpa:#x}")
+        super().__init__(violation)
         self.violation = violation
+
+    def __str__(self) -> str:
+        return f"EPT violation @ gpa {self.violation.gpa:#x}"
 
 
 class Mmu:
@@ -197,9 +207,9 @@ class Mmu:
         # A PSC-resumed walk read fewer guest nodes, so it also performs
         # fewer nested resolutions — the 2-D collapse.
         for node in result.nodes:
-            self._ept_resolve(clock, ept, node.frame, AccessType.READ)
+            self._ept_resolve(clock, ept, node.frame, _READ)
         # Finally translate the leaf guest frame with the real access type.
-        leaf = self._ept_resolve(clock, ept, result.frame, access)
+        frame, huge = self._ept_resolve(clock, ept, result.frame, access)
         # Fill only after every nested leg resolved: caching earlier would
         # let a retry resume past upper nodes whose EPT violations never
         # surfaced, making PSC-on runs *behave* differently (fewer
@@ -209,10 +219,8 @@ class Mmu:
         # A guest-huge translation can only fill a huge TLB entry when the
         # extended dimension preserves contiguity, i.e. the EPT leaf that
         # resolved the guest frame is huge too.
-        self.tlb.insert_packed(
-            akey, vpn, leaf.frame, huge=result.huge and leaf.huge
-        )
-        return leaf.frame
+        self.tlb.insert_packed(akey, vpn, frame, huge=result.huge and huge)
+        return frame
 
     def _walk_cost(
         self,
@@ -239,16 +247,17 @@ class Mmu:
 
     def _ept_resolve(
         self, clock: Clock, ept: PageTable, guest_frame: int, access: AccessType
-    ) -> WalkResult:
-        """Inner EPT walk of one guest frame number.
+    ) -> Tuple[int, bool]:
+        """Inner EPT walk of one guest frame number; ``(frame, huge)``.
 
-        Returns the full :class:`WalkResult` (the leaf caller needs its
-        ``huge`` flag — re-walking via ``ept.lookup`` would double the
-        work).  With PSCs enabled, repeat translations of the same guest
-        frame hit the GPA cache at ``walk_step_cached`` instead of
-        re-walking all ``ept.levels`` levels.
+        Without PSCs this is :meth:`PageTable.walk_leaf`: the leg needs
+        only the leaf, so no visited-node tuple is built.  With PSCs
+        enabled, repeat translations of the same guest frame hit the GPA
+        cache at ``walk_step_cached`` instead of re-walking all
+        ``ept.levels`` levels.
         """
-        if self.psc is not None:
+        psc = self.psc
+        if psc is not None:
             key = (ept.uid << 52) | guest_frame
             hit = self._gpa_cache.get(key)
             if hit is not None:
@@ -259,25 +268,31 @@ class Mmu:
                     walk.pte.accessed = True
                     if access is AccessType.WRITE:
                         walk.pte.dirty = True
-                    return walk
+                    return walk.frame, walk.huge
                 del self._gpa_cache[key]
             self.events.psc_event("gpa-miss")
         try:
-            walk = ept.walk(guest_frame, access, user=False)
+            if psc is None:
+                leaf = ept.walk_leaf(guest_frame, access, False)
+            else:
+                walk = ept.walk(guest_frame, access, user=False)
         except PageFaultException as exc:
-            clock.advance(ept.levels * self.costs.walk_step_1d)
+            clock.now += ept.levels * self.costs.walk_step_1d
             raise EptViolationException(
                 EptViolation(
                     gpa=guest_frame << 12, access=access, level=exc.fault.level
                 )
             ) from exc
-        clock.advance(ept.levels * self.costs.walk_step_1d)
-        if self.psc is not None:
-            cache = self._gpa_cache
-            if len(cache) >= GPA_CACHE_CAPACITY:
-                del cache[next(iter(cache))]
-            cache[(ept.uid << 52) | guest_frame] = (walk, ept.entry_writes)
-        return walk
+        # Inlined clock.advance: the leg's cost is non-negative by
+        # construction, so the guard is redundant.
+        clock.now += ept.levels * self.costs.walk_step_1d
+        if psc is None:
+            return leaf
+        cache = self._gpa_cache
+        if len(cache) >= GPA_CACHE_CAPACITY:
+            del cache[next(iter(cache))]
+        cache[(ept.uid << 52) | guest_frame] = (walk, ept.entry_writes)
+        return walk.frame, walk.huge
 
     # -- flush helpers --------------------------------------------------------
 

@@ -21,17 +21,38 @@ from typing import Callable, Dict, Iterator, List, Optional, Tuple
 from repro.hw.memory import PhysicalMemory
 from repro.hw.types import (
     ENTRIES_PER_TABLE,
+    LEVEL_BITS,
     PT_LEVELS,
     AccessType,
     HardwareError,
     PageFault,
     PageFaultError,
-    table_index,
 )
 
 
 #: Pages covered by one huge (2 MiB, level-2) mapping.
 HUGE_PAGE_PAGES = 512
+
+# The hot paths inline :func:`repro.hw.types.table_index`: the entry
+# index at ``level`` is ``(vpn >> (level - 1) * LEVEL_BITS) & _INDEX_MASK``.
+_INDEX_MASK = ENTRIES_PER_TABLE - 1
+
+_WRITE = AccessType.WRITE
+_EXECUTE = AccessType.EXECUTE
+
+#: Every :class:`PageFaultError` by its int value, so a fault's error
+#: code is one tuple index instead of a chain of ``Flag.__or__`` calls.
+_ERROR_CODES = tuple(
+    PageFaultError(code)
+    for code in range(sum(flag.value for flag in PageFaultError) + 1)
+)
+_PRESENT_BIT = PageFaultError.PRESENT.value
+_WRITE_BIT = PageFaultError.WRITE.value
+_USER_BIT = PageFaultError.USER.value
+_FETCH_BIT = PageFaultError.FETCH.value
+
+#: The :class:`Pte` fields :meth:`PageTable.protect` may change.
+_PROTECTION_FLAGS = frozenset({"writable", "user", "executable", "global_"})
 
 
 @dataclass(slots=True)
@@ -161,11 +182,13 @@ class PageTable:
         name: str = "pt",
         levels: int = PT_LEVELS,
     ) -> None:
-        if levels < 1:
-            raise ValueError(f"levels must be >= 1, got {levels}")
+        if not 1 <= levels <= PT_LEVELS:
+            raise ValueError(f"levels must be in 1..{PT_LEVELS}, got {levels}")
         self.phys = phys
         self.name = name
         self.levels = levels
+        #: Allocation tag of this table's node frames.
+        self._tag = f"pt:{name}"
         #: Identity tag binding cached intermediate-walk entries to this
         #: table instance (a recycled root frame must not revive another
         #: table's cached nodes).
@@ -175,10 +198,10 @@ class PageTable:
         #: release); paging-structure caches validate their cached node
         #: references against it so a stale node can never be resumed.
         self.epoch = 0
-        self.root = PageTableNode(levels, phys.alloc_frame(tag=f"pt:{name}"))
+        self.root = PageTableNode(levels, phys.alloc_frame(tag=self._tag))
         #: Total leaf mappings currently installed.
         self.mapped_pages = 0
-        #: Monotric counters for tests/accounting.
+        #: Monotonic counters for tests/accounting.
         self.node_allocations = 1
         self.entry_writes = 0
         #: Optional hook invoked before any entry write with the frame
@@ -214,23 +237,8 @@ class PageTable:
         Raises :class:`HardwareError` if the page is already mapped;
         callers must unmap first (matching how kernels treat PTE reuse).
         """
-        node = self.root
-        allocated: List[int] = []
-        written: List[int] = []
-        for level in range(self.levels, 1, -1):
-            idx = table_index(vpn, level)
-            child = node.entries.get(idx)
-            if child is None:
-                frame = self.phys.alloc_frame(tag=f"pt:{self.name}")
-                child = PageTableNode(level - 1, frame)
-                self._write_entry(node, idx, child)
-                written.append(node.frame)
-                allocated.append(level - 1)
-                self.node_allocations += 1
-            elif not isinstance(child, PageTableNode):
-                raise HardwareError(f"{self.name}: corrupt non-leaf at L{level}")
-            node = child
-        idx = table_index(vpn, 1)
+        node, allocated, written = self._descend(vpn, 1)
+        idx = vpn & _INDEX_MASK
         if idx in node.entries:
             raise HardwareError(f"{self.name}: vpn {vpn:#x} already mapped")
         self._write_entry(node, idx, pte)
@@ -251,23 +259,8 @@ class PageTable:
         if vpn_base % HUGE_PAGE_PAGES:
             raise ValueError(f"huge mapping base {vpn_base:#x} not aligned")
         pte.huge = True
-        node = self.root
-        allocated: List[int] = []
-        written: List[int] = []
-        for level in range(self.levels, 2, -1):
-            idx = table_index(vpn_base, level)
-            child = node.entries.get(idx)
-            if child is None:
-                frame = self.phys.alloc_frame(tag=f"pt:{self.name}")
-                child = PageTableNode(level - 1, frame)
-                self._write_entry(node, idx, child)
-                written.append(node.frame)
-                allocated.append(level - 1)
-                self.node_allocations += 1
-            elif not isinstance(child, PageTableNode):
-                raise HardwareError(f"{self.name}: corrupt non-leaf at L{level}")
-            node = child
-        idx = table_index(vpn_base, 2)
+        node, allocated, written = self._descend(vpn_base, 2)
+        idx = (vpn_base >> LEVEL_BITS) & _INDEX_MASK
         if idx in node.entries:
             raise HardwareError(
                 f"{self.name}: level-2 slot for {vpn_base:#x} already used"
@@ -288,26 +281,19 @@ class PageTable:
         node = self.root
         path: List[Tuple[PageTableNode, int]] = []
         for level in range(self.levels, 2, -1):
-            idx = table_index(vpn_base, level)
+            idx = (vpn_base >> (level - 1) * LEVEL_BITS) & _INDEX_MASK
             child = node.entries.get(idx)
-            if not isinstance(child, PageTableNode):
+            if type(child) is not PageTableNode:
                 raise HardwareError(f"{self.name}: {vpn_base:#x} not huge-mapped")
             path.append((node, idx))
             node = child
-        idx = table_index(vpn_base, 2)
+        idx = (vpn_base >> LEVEL_BITS) & _INDEX_MASK
         pte = node.entries.get(idx)
-        if not isinstance(pte, Pte) or not pte.huge:
+        if type(pte) is not Pte or not pte.huge:
             raise HardwareError(f"{self.name}: {vpn_base:#x} not huge-mapped")
         self._write_entry(node, idx, None)
         self.mapped_pages -= HUGE_PAGE_PAGES
-        child = node
-        for parent, pidx in reversed(path):
-            if child.entries:
-                break
-            self.phys.free_frame(child.frame)
-            self.epoch += 1
-            self._write_entry(parent, pidx, None)
-            child = parent
+        self._prune(node, path)
         return pte
 
     def split_huge(self, vpn_base: int) -> MapResult:
@@ -317,25 +303,13 @@ class PageTable:
         page-table churn COW-on-fork forces onto huge pages.
         """
         pte = self.unmap_huge(vpn_base)
-        node = self.root
-        written: List[int] = []
-        allocated: List[int] = []
-        for level in range(self.levels, 1, -1):
-            idx = table_index(vpn_base, level)
-            child = node.entries.get(idx)
-            if child is None:
-                frame = self.phys.alloc_frame(tag=f"pt:{self.name}")
-                child = PageTableNode(level - 1, frame)
-                self._write_entry(node, idx, child)
-                written.append(node.frame)
-                allocated.append(level - 1)
-                self.node_allocations += 1
-            node = child
+        node, allocated, written = self._descend(vpn_base, 1)
+        # The base is 512-aligned, so page i of the run sits at index i.
         for i in range(HUGE_PAGE_PAGES):
             small = pte.copy()
             small.huge = False
             small.frame = pte.frame + i
-            self._write_entry(node, table_index(vpn_base + i, 1), small)
+            self._write_entry(node, i, small)
             written.append(node.frame)
         self.mapped_pages += HUGE_PAGE_PAGES
         return MapResult(pte=pte, allocated_levels=tuple(allocated),
@@ -350,39 +324,34 @@ class PageTable:
         path: List[Tuple[PageTableNode, int]] = []
         node = self.root
         for level in range(self.levels, 1, -1):
-            idx = table_index(vpn, level)
+            idx = (vpn >> (level - 1) * LEVEL_BITS) & _INDEX_MASK
             child = node.entries.get(idx)
-            if not isinstance(child, PageTableNode):
+            if type(child) is not PageTableNode:
                 raise HardwareError(f"{self.name}: vpn {vpn:#x} not mapped")
             path.append((node, idx))
             node = child
-        idx = table_index(vpn, 1)
+        idx = vpn & _INDEX_MASK
         pte = node.entries.get(idx)
-        if not isinstance(pte, Pte):
+        if pte is None:
             raise HardwareError(f"{self.name}: vpn {vpn:#x} not mapped")
         self._write_entry(node, idx, None)
         self.mapped_pages -= 1
-        # Prune now-empty nodes bottom-up.
-        child = node
-        for parent, pidx in reversed(path):
-            if child.entries:
-                break
-            self.phys.free_frame(child.frame)
-            self.epoch += 1
-            self._write_entry(parent, pidx, None)
-            child = parent
+        self._prune(node, path)
         return pte
 
     def protect(self, vpn: int, **flags: bool) -> Pte:
         """Update permission flags of an existing mapping in place.
 
-        Accepts the keyword flags of :class:`Pte` (``writable``, ``user``,
-        ``executable``, ``global_``).  Returns the updated PTE.
+        Accepts only the permission flags of :class:`Pte` (``writable``,
+        ``user``, ``executable``, ``global_``); any other keyword raises
+        :class:`ValueError` before the entry is touched.  Returns the
+        updated PTE.
         """
+        unknown = flags.keys() - _PROTECTION_FLAGS
+        if unknown:
+            raise ValueError(f"not a PTE protection flag: {sorted(unknown)}")
         node, idx, pte = self._leaf_of(vpn)
         for key, value in flags.items():
-            if not hasattr(pte, key):
-                raise ValueError(f"unknown PTE flag {key!r}")
             setattr(pte, key, value)
         # A protection change is an entry write (the guest kernel writes
         # the PTE in place), so it must pass through the write hook.
@@ -397,14 +366,13 @@ class PageTable:
         """
         node = self.root
         for level in range(self.levels, 1, -1):
-            child = node.entries.get(table_index(vpn, level))
-            if isinstance(child, Pte):
-                return child if (child.huge and level == 2) else None
-            if not isinstance(child, PageTableNode):
+            child = node.entries.get((vpn >> (level - 1) * LEVEL_BITS) & _INDEX_MASK)
+            if type(child) is not PageTableNode:
+                if child is not None and child.huge and level == 2:
+                    return child
                 return None
             node = child
-        pte = node.entries.get(table_index(vpn, 1))
-        return pte if isinstance(pte, Pte) else None
+        return node.entries.get(vpn & _INDEX_MASK)
 
     # -- walking -------------------------------------------------------
 
@@ -427,40 +395,84 @@ class PageTable:
         """
         node = self.root if start is None else start
         nodes: List[PageTableNode] = [node]
-        for level in range(node.level, 1, -1):
-            child = node.entries.get(table_index(vpn, level))
-            if isinstance(child, Pte) and child.huge and level == 2:
-                if not child.permits(access, user):
-                    raise PageFaultException(
-                        self._fault(vpn, access, user, present=True, level=2)
+        level = node.level
+        while level > 1:
+            child = node.entries.get((vpn >> (level - 1) * LEVEL_BITS) & _INDEX_MASK)
+            if type(child) is not PageTableNode:
+                if child is not None and child.huge and level == 2:
+                    if ((user and not child.user)
+                            or (access is _WRITE and not child.writable)
+                            or (access is _EXECUTE and not child.executable)):
+                        raise PageFaultException(_page_fault(
+                            vpn, access, user, present=True, level=2))
+                    child.accessed = True
+                    if access is _WRITE:
+                        child.dirty = True
+                    return WalkResult(
+                        frame=child.frame + vpn % HUGE_PAGE_PAGES, pte=child,
+                        nodes=tuple(nodes), huge=True,
                     )
-                child.accessed = True
-                if access is AccessType.WRITE:
-                    child.dirty = True
-                offset = vpn % HUGE_PAGE_PAGES
-                return WalkResult(
-                    frame=child.frame + offset, pte=child,
-                    nodes=tuple(nodes), huge=True,
-                )
-            if not isinstance(child, PageTableNode):
                 raise PageFaultException(
-                    self._fault(vpn, access, user, present=False, level=level)
-                )
+                    _page_fault(vpn, access, user, present=False, level=level))
             node = child
             nodes.append(node)
-        pte = node.entries.get(table_index(vpn, 1))
-        if not isinstance(pte, Pte):
+            level -= 1
+        pte = node.entries.get(vpn & _INDEX_MASK)
+        if pte is None:
             raise PageFaultException(
-                self._fault(vpn, access, user, present=False, level=1)
-            )
-        if not pte.permits(access, user):
+                _page_fault(vpn, access, user, present=False, level=1))
+        if ((user and not pte.user)
+                or (access is _WRITE and not pte.writable)
+                or (access is _EXECUTE and not pte.executable)):
             raise PageFaultException(
-                self._fault(vpn, access, user, present=True, level=1)
-            )
+                _page_fault(vpn, access, user, present=True, level=1))
         pte.accessed = True
-        if access is AccessType.WRITE:
+        if access is _WRITE:
             pte.dirty = True
         return WalkResult(frame=pte.frame, pte=pte, nodes=tuple(nodes))
+
+    def walk_leaf(
+        self, vpn: int, access: AccessType, user: bool
+    ) -> Tuple[int, bool]:
+        """Translate ``vpn`` from the root; return ``(frame, huge)``.
+
+        The same walk as :meth:`walk` — same permission checks, same A/D
+        updates, same fault and fault level — for callers that need only
+        the leaf.  It records no visited nodes and builds no
+        :class:`WalkResult`; the nested EPT legs of a 2-D walk use it.
+        """
+        node = self.root
+        level = node.level
+        while level > 1:
+            child = node.entries.get((vpn >> (level - 1) * LEVEL_BITS) & _INDEX_MASK)
+            if type(child) is not PageTableNode:
+                if child is not None and child.huge and level == 2:
+                    if ((user and not child.user)
+                            or (access is _WRITE and not child.writable)
+                            or (access is _EXECUTE and not child.executable)):
+                        raise PageFaultException(_page_fault(
+                            vpn, access, user, present=True, level=2))
+                    child.accessed = True
+                    if access is _WRITE:
+                        child.dirty = True
+                    return child.frame + vpn % HUGE_PAGE_PAGES, True
+                raise PageFaultException(
+                    _page_fault(vpn, access, user, present=False, level=level))
+            node = child
+            level -= 1
+        pte = node.entries.get(vpn & _INDEX_MASK)
+        if pte is None:
+            raise PageFaultException(
+                _page_fault(vpn, access, user, present=False, level=1))
+        if ((user and not pte.user)
+                or (access is _WRITE and not pte.writable)
+                or (access is _EXECUTE and not pte.executable)):
+            raise PageFaultException(
+                _page_fault(vpn, access, user, present=True, level=1))
+        pte.accessed = True
+        if access is _WRITE:
+            pte.dirty = True
+        return pte.frame, False
 
     # -- accessed-bit harvesting ----------------------------------------
 
@@ -516,7 +528,7 @@ class PageTable:
         for frame in self.node_frames():
             self.phys.free_frame(frame)
         self.epoch += 1
-        self.root = PageTableNode(self.levels, self.phys.alloc_frame(tag=f"pt:{self.name}"))
+        self.root = PageTableNode(self.levels, self.phys.alloc_frame(tag=self._tag))
         self.mapped_pages = 0
 
     def release(self) -> None:
@@ -531,6 +543,45 @@ class PageTable:
 
     # -- internals -------------------------------------------------------
 
+    def _descend(
+        self, vpn: int, bottom: int
+    ) -> Tuple[PageTableNode, List[int], List[int]]:
+        """The level-``bottom`` node on ``vpn``'s path, grown on demand.
+
+        Returns the node, the levels of the nodes allocated on the way
+        (root-down) and the frames written to link them in.
+        """
+        node = self.root
+        allocated: List[int] = []
+        written: List[int] = []
+        for level in range(self.levels, bottom, -1):
+            idx = (vpn >> (level - 1) * LEVEL_BITS) & _INDEX_MASK
+            child = node.entries.get(idx)
+            if child is None:
+                frame = self.phys.alloc_frame(tag=self._tag)
+                child = PageTableNode(level - 1, frame)
+                self._write_entry(node, idx, child)
+                written.append(node.frame)
+                allocated.append(level - 1)
+                self.node_allocations += 1
+            elif type(child) is not PageTableNode:
+                raise HardwareError(f"{self.name}: corrupt non-leaf at L{level}")
+            node = child
+        return node, allocated, written
+
+    def _prune(
+        self, node: PageTableNode, path: List[Tuple[PageTableNode, int]]
+    ) -> None:
+        """Free ``node`` and its ancestors on ``path`` while they are empty."""
+        child = node
+        for parent, pidx in reversed(path):
+            if child.entries:
+                break
+            self.phys.free_frame(child.frame)
+            self.epoch += 1
+            self._write_entry(parent, pidx, None)
+            child = parent
+
     def _write_entry(self, node: PageTableNode, idx: int, value: object) -> None:
         if self.write_hook is not None:
             self.write_hook(node.frame)
@@ -543,37 +594,47 @@ class PageTable:
     def _leaf_of(self, vpn: int) -> Tuple[PageTableNode, int, Pte]:
         node = self.root
         for level in range(self.levels, 1, -1):
-            idx = table_index(vpn, level)
+            idx = (vpn >> (level - 1) * LEVEL_BITS) & _INDEX_MASK
             child = node.entries.get(idx)
-            if isinstance(child, Pte) and child.huge and level == 2:
-                return node, idx, child
-            if not isinstance(child, PageTableNode):
+            if type(child) is not PageTableNode:
+                if child is not None and child.huge and level == 2:
+                    return node, idx, child
                 raise HardwareError(f"{self.name}: vpn {vpn:#x} not mapped")
             node = child
-        idx = table_index(vpn, 1)
+        idx = vpn & _INDEX_MASK
         pte = node.entries.get(idx)
-        if not isinstance(pte, Pte):
+        if pte is None:
             raise HardwareError(f"{self.name}: vpn {vpn:#x} not mapped")
         return node, idx, pte
 
-    def _fault(
-        self, vpn: int, access: AccessType, user: bool, present: bool, level: int
-    ) -> PageFault:
-        error = PageFaultError.NONE
-        if present:
-            error |= PageFaultError.PRESENT
-        if access is AccessType.WRITE:
-            error |= PageFaultError.WRITE
-        if access is AccessType.EXECUTE:
-            error |= PageFaultError.FETCH
-        if user:
-            error |= PageFaultError.USER
-        return PageFault(vaddr=vpn << 12, access=access, error=error, level=level)
+
+def _page_fault(
+    vpn: int, access: AccessType, user: bool, present: bool, level: int
+) -> PageFault:
+    """The fault descriptor of a walk of ``vpn`` that stopped at ``level``."""
+    code = _PRESENT_BIT if present else 0
+    if access is _WRITE:
+        code |= _WRITE_BIT
+    elif access is _EXECUTE:
+        code |= _FETCH_BIT
+    if user:
+        code |= _USER_BIT
+    return PageFault(vaddr=vpn << 12, access=access, error=_ERROR_CODES[code],
+                     level=level)
 
 
 class PageFaultException(Exception):
-    """Control-flow carrier for MMU faults (caught by fault handlers)."""
+    """Control-flow carrier for MMU faults (caught by fault handlers).
+
+    ``args`` holds the :class:`PageFault` itself, so the exception
+    pickles (``--jobs`` workers) and its message is only formatted when
+    someone reads it.
+    """
 
     def __init__(self, fault: PageFault) -> None:
-        super().__init__(f"page fault @ {fault.vaddr:#x} ({fault.error})")
+        super().__init__(fault)
         self.fault = fault
+
+    def __str__(self) -> str:
+        fault = self.fault
+        return f"page fault @ {fault.vaddr:#x} ({fault.error})"

@@ -549,7 +549,7 @@ class Machine(abc.ABC):
     # -- Table 1 privileged micro-operations -----------------------------
 
     def hypercall(self, ctx: CpuCtx) -> None:
-        """Look up a hypercall by name (KeyError with catalog on typo)."""
+        """Table-1 micro-op: hypercall round trip."""
         self._privileged(ctx, "hypercall")
 
     def exception(self, ctx: CpuCtx) -> None:

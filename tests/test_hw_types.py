@@ -1,7 +1,12 @@
 """Unit tests for the hardware vocabulary (repro.hw.types)."""
 
+import pickle
+
 import pytest
 
+from repro.guest.addrspace import SegfaultError
+from repro.hw.mmu import EptViolationException
+from repro.hw.pagetable import PageFaultException
 from repro.hw.types import (
     ENTRIES_PER_TABLE,
     NUM_PCIDS,
@@ -9,6 +14,7 @@ from repro.hw.types import (
     PT_LEVELS,
     AccessType,
     Asid,
+    EptViolation,
     PageFault,
     PageFaultError,
     Ring,
@@ -109,6 +115,38 @@ class TestFaultDescriptors:
         assert not f.is_protection
         assert not f.is_write
         assert f.level == 3
+
+
+class TestFaultCarriers:
+    """The exceptions that carry faults survive pickling (``--jobs``
+    workers send them across processes) with the same message."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: PageFaultException(PageFault(
+            vaddr=0x5000, access=AccessType.WRITE,
+            error=PageFaultError.PRESENT | PageFaultError.WRITE, level=1)),
+        lambda: EptViolationException(
+            EptViolation(gpa=0x7000, access=AccessType.READ, level=3)),
+        lambda: SegfaultError(0xDEAD000),
+    ], ids=["page-fault", "ept-violation", "segfault"])
+    def test_pickle_round_trip(self, make):
+        exc = make()
+        back = pickle.loads(pickle.dumps(exc))
+        assert type(back) is type(exc)
+        assert str(back) == str(exc)
+        assert back.args == exc.args
+        assert vars(back) == vars(exc)
+
+    def test_messages(self):
+        fault = PageFault(vaddr=0x5000, access=AccessType.WRITE,
+                          error=PageFaultError.PRESENT | PageFaultError.WRITE,
+                          level=1)
+        assert str(PageFaultException(fault)) == (
+            "page fault @ 0x5000 (PageFaultError.PRESENT|WRITE)")
+        assert str(EptViolationException(
+            EptViolation(gpa=0x7000, access=AccessType.READ, level=3))
+        ) == "EPT violation @ gpa 0x7000"
+        assert str(SegfaultError(0xDEAD000)) == "segmentation fault at 0xdead000"
 
 
 class TestRings:

@@ -94,6 +94,29 @@ class TestProtect:
         pt.protect(0x7, writable=False)
         assert pt.entry_writes == before + 1
 
+    @pytest.mark.parametrize("flags", [
+        {"huge": True, "frame": 99},
+        {"frame": 99},
+        {"accessed": True},
+        {"dirty": True},
+        {"writable": False, "huge": True},
+    ])
+    def test_protect_rejects_non_permission_fields(self, pt, flags):
+        pt.map(0x7, Pte(frame=1))
+        before = pt.entry_writes
+        with pytest.raises(ValueError):
+            pt.protect(0x7, **flags)
+        # Rejected before anything is written, valid flags included.
+        assert pt.lookup(0x7) == Pte(frame=1)
+        assert pt.entry_writes == before
+
+    def test_protect_accepts_every_permission_flag(self, pt):
+        pt.map(0x7, Pte(frame=1))
+        pte = pt.protect(0x7, writable=False, user=False, executable=False,
+                         global_=True)
+        assert pte == Pte(frame=1, writable=False, user=False,
+                          executable=False, global_=True)
+
 
 class TestWalk:
     def test_successful_walk(self, pt):
@@ -141,6 +164,38 @@ class TestWalk:
         pt.map(0x9, Pte(frame=1, executable=False))
         with pytest.raises(PageFaultException):
             pt.walk(0x9, AccessType.EXECUTE, user=True)
+
+
+class TestWalkLeaf:
+    def test_small_and_huge_leaves(self, pt):
+        pt.map(0x1234, Pte(frame=77))
+        pt.map_huge(0x400, Pte(frame=0x800))
+        assert pt.walk_leaf(0x1234, AccessType.READ, user=True) == (77, False)
+        assert pt.walk_leaf(0x405, AccessType.READ, user=True) == (0x805, True)
+
+    def test_sets_accessed_dirty_like_walk(self, pt):
+        pt.map(0x1, Pte(frame=1))
+        pt.map(0x2, Pte(frame=2))
+        pt.walk_leaf(0x1, AccessType.WRITE, user=True)
+        pt.walk_leaf(0x2, AccessType.READ, user=True)
+        assert pt.lookup(0x1).accessed and pt.lookup(0x1).dirty
+        assert pt.lookup(0x2).accessed and not pt.lookup(0x2).dirty
+
+    @pytest.mark.parametrize("pte,vpn,access,user", [
+        (None, 0x1234, AccessType.READ, True),
+        (Pte(frame=5), 0x1001, AccessType.READ, True),
+        (Pte(frame=1, writable=False), 0x1000, AccessType.WRITE, True),
+        (Pte(frame=1, user=False), 0x1000, AccessType.READ, True),
+        (Pte(frame=1, executable=False), 0x1000, AccessType.EXECUTE, False),
+    ])
+    def test_faults_like_walk(self, pt, pte, vpn, access, user):
+        if pte is not None:
+            pt.map(0x1000, pte)
+        with pytest.raises(PageFaultException) as full:
+            pt.walk(vpn, access, user)
+        with pytest.raises(PageFaultException) as leaf:
+            pt.walk_leaf(vpn, access, user)
+        assert leaf.value.fault == full.value.fault
 
 
 class TestIteration:

@@ -18,10 +18,19 @@ from repro.faults import (
 )
 from repro.hypervisors.base import MachineConfig
 from repro.hw.memory import FrameAllocator
-from repro.hw.pagetable import PageTable, Pte
+from repro.hw.pagetable import PageFaultException, PageTable, Pte
 from repro.hw.memory import PhysicalMemory
 from repro.hw.tlb import Tlb
-from repro.hw.types import MIB, PAGE_SIZE, Asid, NUM_PCIDS
+from repro.hw.types import (
+    MIB,
+    NUM_PCIDS,
+    PAGE_SIZE,
+    AccessType,
+    Asid,
+    HardwareError,
+    PageFaultError,
+    table_index,
+)
 from repro.guest.addrspace import AddressSpace, SegfaultError, Vma
 from repro.memory.qos import MemoryQosConfig
 from repro.sim.clock import Clock
@@ -75,6 +84,232 @@ class TestPageTableProperties:
                 assert pt.lookup(vpn) is None
             else:
                 assert pt.lookup(vpn).frame == i
+
+
+# -- page-table walks against a dict reference model ---------------------
+
+_HUGE = 512
+#: Huge-region numbers (vpn // 512) the model exercises: two neighbours
+#: under one level-2 table, one under another level-3 entry and one
+#: under another level-4 entry, so misses stop at every level.
+_REGIONS = (0, 1, 1 << 9, 1 << 18)
+_OFFSETS = (0, 1, 2, _HUGE - 1)
+_MODEL_VPNS = tuple(r * _HUGE + o for r in _REGIONS for o in _OFFSETS)
+#: Probed after the op sequence: the op vpns plus one page per region
+#: that only a huge mapping or its split covers.
+_PROBE_VPNS = _MODEL_VPNS + tuple(r * _HUGE + 7 for r in _REGIONS)
+_PERMS = ("writable", "user", "executable")
+
+_perm_flags = st.fixed_dictionaries({k: st.booleans() for k in _PERMS})
+_pt_ops = st.one_of(
+    st.tuples(st.just("map"), st.sampled_from(_MODEL_VPNS), _perm_flags),
+    st.tuples(st.just("map_huge"), st.sampled_from(_REGIONS), _perm_flags),
+    st.tuples(st.just("unmap"), st.sampled_from(_MODEL_VPNS)),
+    st.tuples(st.just("unmap_huge"), st.sampled_from(_REGIONS)),
+    st.tuples(st.just("split_huge"), st.sampled_from(_REGIONS)),
+    st.tuples(
+        st.just("protect"), st.sampled_from(_MODEL_VPNS),
+        st.dictionaries(st.sampled_from(_PERMS + ("global_",)),
+                        st.booleans(), min_size=1),
+    ),
+    st.tuples(st.just("touch"), st.sampled_from(_MODEL_VPNS),
+              st.sampled_from(list(AccessType)), st.booleans()),
+    st.tuples(st.just("destroy")),
+)
+
+
+class _PtModel:
+    """Reference model: small entries by vpn, huge entries by region.
+
+    Each entry is a dict of the :class:`Pte` fields the walks read or
+    set.  Node existence is derived from the mappings, so a leaked or
+    missing table node shows up as a wrong fault level.
+    """
+
+    def __init__(self) -> None:
+        self.small = {}
+        self.huge = {}
+
+    def entry(self, vpn):
+        """``(entry, is_huge)`` covering ``vpn``, or ``(None, False)``."""
+        if vpn in self.small:
+            return self.small[vpn], False
+        if vpn // _HUGE in self.huge:
+            return self.huge[vpn // _HUGE], True
+        return None, False
+
+    def miss_level(self, vpn) -> int:
+        """The level at which a walk of an unmapped ``vpn`` stops."""
+        mapped = list(self.small) + [r * _HUGE for r in self.huge]
+        if not any(v >> 27 == vpn >> 27 for v in mapped):
+            return 4
+        if not any(v >> 18 == vpn >> 18 for v in mapped):
+            return 3
+        if not any(v >> 9 == vpn >> 9 for v in self.small):
+            return 2
+        return 1
+
+    def entries(self):
+        """``{(vpn, huge): entry}`` as :meth:`PageTable.iter_mappings`
+        reports them."""
+        out = {(v, False): e for v, e in self.small.items()}
+        out.update({(r * _HUGE, True): e for r, e in self.huge.items()})
+        return out
+
+    def clear_ad(self) -> None:
+        for e in self.entries().values():
+            e["accessed"] = e["dirty"] = False
+
+
+def _entry_of(pte) -> dict:
+    return {
+        "frame": pte.frame, "writable": pte.writable, "user": pte.user,
+        "executable": pte.executable, "global_": pte.global_,
+        "accessed": pte.accessed, "dirty": pte.dirty,
+    }
+
+
+def _expected_walk(model, vpn, access, user):
+    """``("ok", frame, huge)`` or ``("fault", level, error)``; applies
+    the A/D bits a successful walk sets to the model."""
+    e, huge = model.entry(vpn)
+    error = PageFaultError.NONE
+    if access is AccessType.WRITE:
+        error |= PageFaultError.WRITE
+    if access is AccessType.EXECUTE:
+        error |= PageFaultError.FETCH
+    if user:
+        error |= PageFaultError.USER
+    if e is None:
+        return "fault", model.miss_level(vpn), error
+    if ((user and not e["user"])
+            or (access is AccessType.WRITE and not e["writable"])
+            or (access is AccessType.EXECUTE and not e["executable"])):
+        return "fault", 2 if huge else 1, error | PageFaultError.PRESENT
+    e["accessed"] = True
+    if access is AccessType.WRITE:
+        e["dirty"] = True
+    frame = e["frame"] + (vpn % _HUGE if huge else 0)
+    return "ok", frame, huge
+
+
+def _run_walk(pt, method, vpn, access, user):
+    try:
+        if method == "walk":
+            result = pt.walk(vpn, access, user)
+            frame, huge = result.frame, result.huge
+        else:
+            frame, huge = pt.walk_leaf(vpn, access, user)
+    except PageFaultException as exc:
+        fault = exc.fault
+        assert fault.vaddr == vpn << 12 and fault.access is access
+        return "fault", fault.level, fault.error
+    if method == "walk":
+        _check_root_down_path(pt, vpn, result)
+    return "ok", frame, huge
+
+
+def _check_root_down_path(pt, vpn, result) -> None:
+    nodes = result.nodes
+    assert nodes[0] is pt.root
+    assert [n.level for n in nodes] == list(
+        range(pt.levels, 1 if result.huge else 0, -1))
+    for parent, child in zip(nodes, nodes[1:]):
+        assert parent.entries[table_index(vpn, parent.level)] is child
+    assert result.levels_walked == len(nodes)
+
+
+def _check_mappings(pt, model) -> None:
+    got = {(v, p.huge): _entry_of(p) for v, p in pt.iter_mappings()}
+    assert got == model.entries()
+    assert pt.mapped_pages == len(model.small) + _HUGE * len(model.huge)
+
+
+def _apply(pt, model, op, n) -> None:
+    """Apply one op to both; invalid ops must raise and change nothing."""
+    kind = op[0]
+    if kind == "map":
+        _, vpn, perms = op
+        ok = model.entry(vpn)[0] is None
+        if ok:
+            model.small[vpn] = {"frame": 1000 + n, "global_": False,
+                                "accessed": False, "dirty": False, **perms}
+        call = lambda: pt.map(vpn, Pte(frame=1000 + n, **perms))  # noqa: E731
+    elif kind == "map_huge":
+        _, region, perms = op
+        ok = region not in model.huge and not any(
+            v // _HUGE == region for v in model.small)
+        frame = (n + 1) * _HUGE
+        if ok:
+            model.huge[region] = {"frame": frame, "global_": False,
+                                  "accessed": False, "dirty": False, **perms}
+        call = lambda: pt.map_huge(region * _HUGE, Pte(frame=frame, **perms))  # noqa: E731
+    elif kind == "unmap":
+        _, vpn = op
+        ok = vpn in model.small
+        if ok:
+            del model.small[vpn]
+        call = lambda: pt.unmap(vpn)  # noqa: E731
+    elif kind in ("unmap_huge", "split_huge"):
+        _, region = op
+        ok = region in model.huge
+        if ok:
+            e = model.huge.pop(region)
+            if kind == "split_huge":
+                for i in range(_HUGE):
+                    model.small[region * _HUGE + i] = {**e, "frame": e["frame"] + i}
+        call = lambda: getattr(pt, kind)(region * _HUGE)  # noqa: E731
+    elif kind == "protect":
+        _, vpn, flags = op
+        e = model.entry(vpn)[0]
+        ok = e is not None
+        if ok:
+            e.update(flags)
+        call = lambda: pt.protect(vpn, **flags)  # noqa: E731
+    elif kind == "touch":
+        _, vpn, access, user = op
+        expected = _expected_walk(model, vpn, access, user)
+        method = "walk" if n % 2 else "walk_leaf"
+        assert _run_walk(pt, method, vpn, access, user) == expected
+        return
+    else:
+        model.small.clear()
+        model.huge.clear()
+        pt.destroy()
+        return
+    if ok:
+        call()
+    else:
+        with pytest.raises(HardwareError):
+            call()
+
+
+class TestWalkModelProperties:
+    @given(st.lists(_pt_ops, max_size=25))
+    @settings(max_examples=60, deadline=None)
+    def test_walks_agree_with_reference_model(self, ops):
+        pt = PageTable(PhysicalMemory("t", 64 * MIB), "p")
+        model = _PtModel()
+        for n, op in enumerate(ops):
+            _apply(pt, model, op, n)
+            _check_mappings(pt, model)
+        for vpn in _PROBE_VPNS:
+            for access in AccessType:
+                for user in (True, False):
+                    for method in ("walk", "walk_leaf"):
+                        pt.harvest_accessed(clear=True)
+                        model.clear_ad()
+                        expected = _expected_walk(model, vpn, access, user)
+                        assert _run_walk(pt, method, vpn, access, user) == expected
+                        _check_mappings(pt, model)
+            e, huge = model.entry(vpn)
+            pte = pt.lookup(vpn)
+            if e is None:
+                assert pte is None
+            else:
+                assert (pte.frame, pte.huge) == (e["frame"], huge)
+        # lookup sets no A/D bits.
+        _check_mappings(pt, model)
 
 
 class TestAllocatorProperties:
