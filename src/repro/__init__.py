@@ -45,7 +45,7 @@ _SCENARIOS = {
     "kvm-ept (NST)": lambda **kw: EptOnEptMachine(**kw),
     "kvm-spt (NST)": lambda **kw: SptOnEptMachine(**kw),
     "pvm (NST)": lambda **kw: PvmMachine(nested=True, **kw),
-    "pvm-dp (NST)": lambda **kw: DirectPagingMachine(nested=True, **kw),
+    "pvm-dp (NST)": lambda **kw: DirectPagingMachine(**kw),
 }
 
 SCENARIOS = tuple(_SCENARIOS)

@@ -63,11 +63,6 @@ class SecureContainer:
         elif self.state == "crashed":
             self.state = "stopped"
 
-    @property
-    def virtual_time_ns(self) -> int:
-        """The container vCPU's current virtual time."""
-        return self.ctx.clock.now
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"<SecureContainer {self.container_id} on {self.machine.name} "

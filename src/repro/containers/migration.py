@@ -67,7 +67,7 @@ def pins_host_state(machine: Machine) -> bool:
     EPT-on-EPT) the compressed EPT02 for every running L2 guest.  PVM
     does not — by design, L0 sees only an ordinary VM.
     """
-    return hasattr(machine, "vmcs_shadow")
+    return machine.vmcs02() is not None
 
 
 class MigrationManager:
@@ -145,7 +145,7 @@ class MigrationManager:
     def _l1_footprint_pages(machine: Machine) -> int:
         """Pages the L1 VM actually uses for this guest (RAM + tables)."""
         used = machine.guest_phys.allocator.used_frames
-        l1_phys = getattr(machine, "l1_phys", None)
-        if l1_phys is not None and l1_phys is not machine.guest_phys:
+        l1_phys = machine.memory.l1_phys
+        if l1_phys is not None:
             used += l1_phys.allocator.used_frames
         return used

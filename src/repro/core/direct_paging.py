@@ -18,16 +18,18 @@ validation work scales with the batch.
 
 from __future__ import annotations
 
-from repro.core.pvm_machine import PvmMachine
+from repro.core.pvm_machine import PvmSwitcherMachine
 from repro.core.switcher import GuestWorld
-from repro.guest.kernel import GuestKernel
 from repro.guest.process import Process
-from repro.hw.events import FaultPhase
+from repro.hw.memory import PhysicalMemory
 from repro.hw.types import PageFault
+from repro.hypervisors.base import CpuCtx
+from repro.hypervisors.chain import MemoryChain
 
 
-class DirectPagingMachine(PvmMachine):
-    """``pvm-dp (NST)``: PVM with direct paging instead of shadowing.
+class DirectPagingMachine(PvmSwitcherMachine):
+    """``pvm-dp (NST)``: PVM's switcher with direct paging instead of
+    shadowing.
 
     The guest allocates straight from the L1 VM's physical space (the
     hypervisor's allocator *is* the guest's allocator, under hypercall
@@ -36,45 +38,37 @@ class DirectPagingMachine(PvmMachine):
     is no shadow core — the hardware walks the guest's own tables.
     """
 
-    shadow_paging = False
+    name = "pvm-dp (NST)"
+    nested = True
 
     def __init__(self, *args, **kwargs) -> None:
-        kwargs.setdefault("nested", True)
         super().__init__(*args, **kwargs)
-        self.name = "pvm-dp (NST)" if self.nested else "pvm-dp (BM)"
-        # Direct paging: guest page tables reference machine (L1) frames
-        # directly; rebuild the kernel over the L1 physical space.
-        if self.nested:
-            self.guest_phys = self.l1_phys
-        self.kernel = GuestKernel(
-            self.guest_phys, self.costs, kpti=self.config.kpti, name=self.name,
-            thp=self.config.thp and self.supports_thp,
-        )
+        #: The L1 VM's physical space is the guest's (see _guest_ram).
+        self.l1_phys = self.guest_phys
+        # EPT01 below us is maintained by the unmodified L0: warm.
+        self.memory = MemoryChain(self.host_phys, self.events,
+                                  warm_ept01=True)
         self.validated_updates = 0
+
+    def _guest_ram(self) -> PhysicalMemory:
+        """Direct paging: guest page tables reference machine (L1)
+        frames directly, so the guest allocates from the L1 space."""
+        return PhysicalMemory("l1-vm", self.config.host_mem_bytes)
 
     # -- fault dance: constant-cost, shadow-free --------------------------------
 
-    def on_guest_fault(self, ctx, proc: Process, fault: PageFault) -> None:
+    def on_guest_fault(self, ctx: CpuCtx, proc: Process, fault: PageFault) -> None:
         """Architecture-specific guest page-fault dance."""
         vpn = fault.vaddr >> 12
         sw = self.hv.switcher
         # Deliver the #PF into the L2 kernel (2 switches).
         sw.vm_exit(ctx.clock, ctx.cpu_id, "#PF")
-        ctx.clock.advance(self.costs.irq_inject // 3)
-        self.events.inject("#PF")
-        sw.vm_enter(ctx.clock, ctx.cpu_id, GuestWorld.KERNEL)
-        ctx.clock.advance(self.costs.pf_delivery)
+        self._inject_pf(ctx)
         # The kernel computes the fix and submits it as ONE batched
         # set_pte hypercall; PVM validates every entry.
-        fix = self.kernel.fix_fault(proc, vpn, fault.access)
-        ctx.clock.advance(self.fault_body_ns(proc, fix))
+        fix = self._guest_fixes_fault(ctx, proc, vpn, fault.access)
         sw.vm_exit(ctx.clock, ctx.cpu_id, "hypercall:set_pte")
-        ctx.clock.advance(
-            self.costs.pvm_hypercall_handler
-            + fix.entry_writes * self.costs.direct_paging_validate
-        )
-        self.events.hypercall("set_pte")
-        self.validated_updates += fix.entry_writes
+        self._validate(ctx, fix.entry_writes)
         self.locks.locked_fix(
             ctx.clock, pt_key=(proc.pid, vpn >> 9), gfn=fix.pte.frame,
             work_ns=0, structural=bool(fix.levels_allocated > 1),
@@ -82,40 +76,24 @@ class DirectPagingMachine(PvmMachine):
         sw.vm_enter(ctx.clock, ctx.cpu_id, GuestWorld.KERNEL)
         # iret hypercall back to user (2 switches; nothing to prefault —
         # the hardware walks the guest's own table).
-        sw.vm_exit(ctx.clock, ctx.cpu_id, "hypercall:iret")
-        ctx.clock.advance(self.costs.pvm_hypercall_handler)
-        self.events.hypercall("iret")
-        sw.vm_enter(ctx.clock, ctx.cpu_id, GuestWorld.USER)
-        self.events.fault(FaultPhase.GUEST_PT, ctx.clock.now, ctx.cpu_id)
+        self._iret_to_user(ctx, proc, vpn)
 
-    def priced_gpt_writes(self, ctx, proc: Process, writes: int,
+    def priced_gpt_writes(self, ctx: CpuCtx, proc: Process, writes: int,
                           kernel_pages: bool = False,
                           structural: bool = False) -> None:
         """Non-fault updates (munmap, mprotect, fork) are batched into a
         single validated hypercall per operation."""
         sw = self.hv.switcher
-        resume = sw.state_for(ctx.cpu_id).world
-        if resume is GuestWorld.HYPERVISOR:
-            resume = GuestWorld.KERNEL
+        resume = self._resume_world(ctx, GuestWorld.KERNEL)
         sw.vm_exit(ctx.clock, ctx.cpu_id, "hypercall:set_pte")
+        self._validate(ctx, writes)
+        sw.vm_enter(ctx.clock, ctx.cpu_id, resume)
+
+    def _validate(self, ctx: CpuCtx, writes: int) -> None:
+        """PVM's set_pte handler: validate a batch of guest PTE updates."""
         ctx.clock.advance(
             self.costs.pvm_hypercall_handler
             + writes * self.costs.direct_paging_validate
         )
         self.events.hypercall("set_pte")
         self.validated_updates += writes
-        sw.vm_enter(ctx.clock, ctx.cpu_id, resume)
-
-    # -- shadow machinery is absent -----------------------------------------------
-
-    def invalidate_pages(self, ctx, proc: Process, vpns) -> None:
-        """Zap stale TLB state after unmap/mprotect (no shadow state)."""
-        vpns = tuple(vpns)
-        if not vpns:
-            return
-        self._flush_after_unmap(ctx, proc, len(vpns))
-        self.audit_zap(ctx, proc, vpns)
-
-    def on_process_created(self, ctx, child: Process) -> None:
-        """No shadow entries to downgrade; COW protection lives in the
-        guest's own (validated) tables."""

@@ -1,4 +1,10 @@
-"""The PVM machine: ``pvm (BM)`` and ``pvm (NST)``.
+"""PVM's switcher CPU side, and the PVM machine: ``pvm (BM)`` and ``pvm (NST)``.
+
+PVM is two separable halves: the switcher, which does every world
+switch (§3.1-3.3), and shadow paging (§3.4).  :class:`PvmSwitcherMachine`
+is the first half, shared by both paging designs built on it;
+:class:`PvmMachine` adds shadow paging, and
+:class:`~repro.core.direct_paging.DirectPagingMachine` direct paging.
 
 One class serves both deployment modes (§4): on bare metal PVM acts as
 the L0 host hypervisor; inside a VM instance it is the L1 guest
@@ -24,47 +30,34 @@ from repro.core.shadow import ShadowManager
 from repro.core.sptlocks import SptLockManager
 from repro.core.switcher import GuestWorld
 from repro.guest.interrupts import Vector
+from repro.guest.kernel import GptFix
 from repro.guest.process import Process
 from repro.hw.events import FaultPhase, SwitchKind
 from repro.hw.memory import PhysicalMemory
 from repro.hw.pagetable import Pte
-from repro.hw.types import Asid, PageFault
+from repro.hw.types import AccessType, Asid, PageFault
 from repro.hypervisors.base import CpuCtx, Machine
 from repro.hypervisors.chain import MemoryChain
 
 
-class PvmMachine(Machine):
-    """Secure container under the PVM guest hypervisor."""
+class PvmSwitcherMachine(Machine):
+    """PVM's CPU side: every world switch goes through the switcher.
 
-    #: Shadow paging (PVM proper); direct paging turns it off.
-    shadow_paging = True
+    It owns the PCID policy and the TLB flushes, the syscall,
+    privileged, timer, HLT and doorbell paths, and the two ends every
+    guest-fault dance shares: injecting the #PF into the L2 kernel and
+    the iret back to the L2 user.  The paging design in between is the
+    subclass's.
+    """
 
-    def __init__(self, *args, nested: bool = False, **kwargs) -> None:
+    def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        self.nested = nested
-        self.name = "pvm (NST)" if nested else "pvm (BM)"
         self.hv = PvmHypervisor(self.costs, self.events)
         self.locks = SptLockManager(
             self.costs, self.events,
             fine_grained=self.config.fine_grained_locks,
         )
         self.pcids = PcidMapper(self.vpid, enabled=self.config.pcid_mapping)
-        self.prefaulter = Prefaulter(enabled=self.config.prefault)
-        table_phys = self.host_phys
-        if nested:
-            #: The L1 VM's guest-physical space: shadow targets live here.
-            self.l1_phys = table_phys = PhysicalMemory(
-                "l1-vm", self.config.host_mem_bytes)
-            # EPT01 below us is maintained by the unmodified L0: warm.
-            self.memory = MemoryChain(
-                self.host_phys, self.events, warm_ept01=True,
-                l1_phys=self.l1_phys if self.shadow_paging else None)
-        if self.shadow_paging:
-            self.shadow = ShadowManager(
-                table_phys, self.costs, self.memory.target,
-                dual=self.config.kpti,
-                translate_block=self.memory.target_block,
-            )
         if not self.config.pcid_mapping:
             # Without per-process PCIDs every guest CR3 load flushes the
             # guest's TLB tag (no NOFLUSH bit usable) — the cold-start
@@ -101,67 +94,45 @@ class PvmMachine(Machine):
         self.hv.switcher.state_for(ctx.cpu_id).world = GuestWorld.USER
         return ctx
 
-    # -- the Figure 9 fault dance -----------------------------------------------------
+    def _resume_world(self, ctx: CpuCtx, fallback: GuestWorld) -> GuestWorld:
+        """The guest world to re-enter after a trap taken now (``fallback``
+        when the vCPU is already in the hypervisor)."""
+        world = self.hv.switcher.state_for(ctx.cpu_id).world
+        return fallback if world is GuestWorld.HYPERVISOR else world
 
-    def on_guest_fault(self, ctx: CpuCtx, proc: Process, fault: PageFault) -> None:
-        """Architecture-specific guest page-fault dance."""
-        vpn = fault.vaddr >> 12
-        gpt_pte = proc.gpt.lookup(vpn)
-        shadow_stale = (
-            gpt_pte is not None and gpt_pte.permits(fault.access, user=True)
-        )
-        triaged = self.config.switcher_fault_triage and not shadow_stale
-        if triaged:
-            # §5 extension: the switcher recognizes a guest-PT fault and
-            # injects it straight into the L2 kernel — a light
-            # switcher-internal transition instead of a full exit to PVM.
-            ctx.clock.advance(
-                self.costs.fault_triage_check + self.costs.ring_transition
-                + self.costs.direct_switch_extra
-            )
-            state = self.hv.switcher.state_for(ctx.cpu_id)
-            state.world = GuestWorld.KERNEL
-            self.events.switch(SwitchKind.PVM_DIRECT, ctx.clock.now, ctx.cpu_id)
-            self.events.inject("#PF")
-        else:
-            # (1)-(2): the #PF lands in the switcher and exits to PVM —
-            # one world switch, entirely inside L1.
-            self.hv.switcher.vm_exit(ctx.clock, ctx.cpu_id, "#PF")
-            if self.config.switcher_fault_triage:
-                ctx.clock.advance(self.costs.fault_triage_check)
-        if shadow_stale:
-            # Shadow-stale fault: sync SPT12 directly, return to user.
-            self._sync_shadow(ctx, proc, vpn, gpt_pte,
-                              work_attr="spt_sync_per_entry")
-            self.hv.switcher.vm_enter(ctx.clock, ctx.cpu_id, GuestWorld.USER)
-            self.events.fault(FaultPhase.SHADOW_PT, ctx.clock.now, ctx.cpu_id)
-            return
-        if not triaged:
-            # (3)-(5): inject the #PF and enter the L2 kernel's handler.
-            ctx.clock.advance(self.costs.irq_inject // 3)
-            self.events.inject("#PF")
-            self.hv.switcher.vm_enter(ctx.clock, ctx.cpu_id, GuestWorld.KERNEL)
+    # -- the two ends of every guest-fault dance --------------------------------------
+
+    def _inject_pf(self, ctx: CpuCtx) -> None:
+        """Figure 9 (3)-(5): PVM injects the #PF and enters the L2
+        kernel's handler."""
+        ctx.clock.advance(self.costs.irq_inject // 3)
+        self.events.inject("#PF")
+        self.hv.switcher.vm_enter(ctx.clock, ctx.cpu_id, GuestWorld.KERNEL)
+
+    def _guest_fixes_fault(self, ctx: CpuCtx, proc: Process, vpn: int,
+                           access: AccessType) -> GptFix:
+        """(6): the L2 kernel's handler fixes its own page table."""
         ctx.clock.advance(self.costs.pf_delivery)
-        # (6): the L2 kernel fixes GPT2 ...
-        fix = self.kernel.fix_fault(proc, vpn, fault.access)
+        fix = self.kernel.fix_fault(proc, vpn, access)
         ctx.clock.advance(self.fault_body_ns(proc, fix))
-        self.shadow.note_gpt_growth(proc)
-        # ... each GPT2 write needing PVM's assistance (2n switches).
-        self.priced_gpt_writes(ctx, proc, fix.entry_writes)
-        # (7): iret hypercall back into PVM (one switch) ...
-        self.prefaulter.arm(proc.pid, vpn)
+        return fix
+
+    def _iret_hypercall(self, ctx: CpuCtx) -> None:
+        """The L2 kernel's iret: one hypercall (switch) into PVM."""
         self.hv.switcher.vm_exit(ctx.clock, ctx.cpu_id, "hypercall:iret")
         ctx.clock.advance(self.costs.pvm_hypercall_handler)
         self.events.hypercall("iret")
-        # (8): ... where the prefault optimization fills SPT12 now,
-        # avoiding the otherwise-inevitable shadow-stale fault.
-        if self.prefaulter.take(proc.pid, vpn):
-            fresh = proc.gpt.lookup(vpn)
-            if fresh is not None:
-                self._sync_shadow(ctx, proc, vpn, fresh, work_attr="prefault_fill")
-        # (9)-(10): return to the L2 user (one switch).
+
+    def _iret_to_user(self, ctx: CpuCtx, proc: Process, vpn: int) -> None:
+        """(7)-(10): iret into PVM, the paging design's iret-path work,
+        then back to the L2 user."""
+        self._iret_hypercall(ctx)
+        self._on_fault_iret(ctx, proc, vpn)
         self.hv.switcher.vm_enter(ctx.clock, ctx.cpu_id, GuestWorld.USER)
         self.events.fault(FaultPhase.GUEST_PT, ctx.clock.now, ctx.cpu_id)
+
+    def _on_fault_iret(self, ctx: CpuCtx, proc: Process, vpn: int) -> None:
+        """Paging-side work on a fault's iret path (none by default)."""
 
     def on_segfault(self, ctx: CpuCtx, proc: Process) -> None:
         """SIGSEGV delivery: get back to v_ring3 from wherever the fault
@@ -180,65 +151,11 @@ class PvmMachine(Machine):
             sw.vm_enter(ctx.clock, ctx.cpu_id, GuestWorld.USER)
         self._syscall_round_trip(ctx, proc)  # handler upcall + sigreturn
 
-    def _sync_shadow(self, ctx: CpuCtx, proc: Process, vpn: int,
-                     gpt_pte: Pte, work_attr: str) -> None:
-        if gpt_pte.huge:
-            vpn -= vpn % 512  # shadow the whole 2 MiB run at its base
-        result = self.sync_shadow(ctx, proc, vpn, gpt_pte)
-        work = getattr(self.costs, work_attr) * max(1, result.entry_writes // 2)
-        self.locks.locked_fix(
-            ctx.clock,
-            pt_key=(proc.pid, vpn >> 9),
-            gfn=gpt_pte.frame,
-            work_ns=work,
-            structural=result.structural,
-        )
-
-    # -- write-protected GPT2 ------------------------------------------------------------
-
-    def priced_gpt_writes(self, ctx: CpuCtx, proc: Process, writes: int,
-                          kernel_pages: bool = False,
-                          structural: bool = False) -> None:
-        """Each guest PTE write traps to PVM via the switcher: two world
-        switches plus the emulation under the fine-grained locks.
-
-        Under the §5 WP-less extension the writes are ordinary stores;
-        the hypervisor validates and synchronizes the dirty entries in
-        batch on the next iret, so only per-entry work is charged."""
-        if self.config.wp_less_sync:
-            ctx.clock.advance(
-                writes * (self.costs.pte_write + self.costs.wpless_sync_per_entry)
-            )
-            self.events.emulate("wpless-batch-sync")
-            return
-        resume = self.hv.switcher.state_for(ctx.cpu_id).world
-        if resume is GuestWorld.HYPERVISOR:
-            resume = GuestWorld.KERNEL
-        for _ in range(writes):
-            self.hv.switcher.vm_exit(ctx.clock, ctx.cpu_id, "gpt-write")
-            self.locks.locked_fix(
-                ctx.clock, pt_key=("wp", proc.pid), gfn=proc.pid,
-                work_ns=self.costs.wp_emulate_write,
-                # Bulk construction (fork/exec) creates shadow pages and
-                # parent/child links: inter-shadow-page state under the
-                # meta lock, which is where PVM forks contend.
-                structural=structural,
-            )
-            self.events.emulate("gpt-write")
-            self.hv.switcher.vm_enter(ctx.clock, ctx.cpu_id, resume)
-
     # -- invalidation ----------------------------------------------------------------------
 
     def invalidate_pages(self, ctx: CpuCtx, proc: Process, vpns) -> None:
-        """Zap stale shadow/TLB state after unmap/mprotect."""
+        """Flush stale TLB state after unmap/mprotect."""
         vpns = tuple(vpns)
-        for vpn in vpns:
-            removed = self.shadow.unmap(proc, vpn)
-            if removed:
-                self.locks.locked_fix(
-                    ctx.clock, pt_key=(proc.pid, vpn >> 9), gfn=(proc.pid, vpn),
-                    work_ns=self.costs.spt_sync_per_entry // 2,
-                )
         self._flush_after_unmap(ctx, proc, len(vpns))
         self.audit_zap(ctx, proc, vpns)
 
@@ -277,28 +194,6 @@ class PvmMachine(Machine):
             # All L2 spaces share one PCID: the switch must flush it,
             # which on this hardware means the whole VPID.
             ctx.mmu.flush_vpid(ctx.clock, self.vpid)
-
-    # -- process lifecycle ---------------------------------------------------------------------
-
-    def on_process_created(self, ctx: CpuCtx, child: Process) -> None:
-        """Shadow-side bookkeeping for a new (forked) process."""
-        parent = self.kernel.processes.get(child.parent_pid or -1)
-        if parent is None:
-            return
-        # COW downgrade: the rmap lets PVM touch exactly the affected
-        # shadow entries instead of zapping whole tables.
-        for vpn in parent.cow_pages:
-            spte = self.shadow.lookup(parent, vpn)
-            if spte is not None and spte.writable:
-                for half in self.shadow.halves(parent):
-                    table = self.shadow.spt(parent, half)
-                    if table.lookup(vpn) is not None:
-                        table.protect(vpn, writable=False)
-                self.locks.locked_fix(
-                    ctx.clock, pt_key=(parent.pid, vpn >> 9),
-                    gfn=(parent.pid, vpn), work_ns=30,
-                )
-        self.shadow.write_protect_gpt(child)
 
     # -- transitions ------------------------------------------------------------------------------
 
@@ -349,9 +244,7 @@ class PvmMachine(Machine):
         backend's real I/O goes through the L1 VM's own virtio (one
         ordinary L1<->L0 leg) — no nested amplification."""
         sw = self.hv.switcher
-        resume = sw.state_for(ctx.cpu_id).world
-        if resume is GuestWorld.HYPERVISOR:
-            resume = GuestWorld.USER
+        resume = self._resume_world(ctx, GuestWorld.USER)
         sw.vm_exit(ctx.clock, ctx.cpu_id, "hypercall:virtio-kick")
         ctx.clock.advance(self.costs.virtio_doorbell_handler)
         self.events.hypercall("send_ipi")  # vhost worker wakeup
@@ -374,9 +267,7 @@ class PvmMachine(Machine):
             self.hw_exit_entry(ctx, SwitchKind.HW_L1_L0)
         self.hv.irq.l0_inject(Vector.TIMER)
         sw = self.hv.switcher
-        resume = sw.state_for(ctx.cpu_id).world
-        if resume is GuestWorld.HYPERVISOR:
-            resume = GuestWorld.USER
+        resume = self._resume_world(ctx, GuestWorld.USER)
         sw.vm_exit(ctx.clock, ctx.cpu_id, "interrupt")
         ctx.clock.advance(self.costs.irq_inject)
         delivered = self.hv.irq.deliver()
@@ -385,9 +276,7 @@ class PvmMachine(Machine):
             return
         sw.vm_enter(ctx.clock, ctx.cpu_id, GuestWorld.KERNEL)
         ctx.clock.advance(self.costs.irq_handler)
-        sw.vm_exit(ctx.clock, ctx.cpu_id, "hypercall:iret")
-        ctx.clock.advance(self.costs.pvm_hypercall_handler)
-        self.events.hypercall("iret")
+        self._iret_hypercall(ctx)
         sw.vm_enter(ctx.clock, ctx.cpu_id, resume)
         self.events.interrupt("timer")
 
@@ -401,5 +290,161 @@ class PvmMachine(Machine):
         ctx.clock.advance(self.costs.halt_wake_pvm)
         sw.vm_enter(ctx.clock, ctx.cpu_id, GuestWorld.USER)
 
-    # -- helpers ------------------------------------------------------------------------------------------
 
+class PvmMachine(PvmSwitcherMachine):
+    """Secure container under the PVM guest hypervisor: the switcher
+    CPU side plus shadow paging (SPT12 over the memory chain)."""
+
+    def __init__(self, *args, nested: bool = False, **kwargs) -> None:
+        # Named before the base builds the guest kernel, which names its
+        # page tables after the machine.
+        self.nested = nested
+        self.name = "pvm (NST)" if nested else "pvm (BM)"
+        super().__init__(*args, **kwargs)
+        self.prefaulter = Prefaulter(enabled=self.config.prefault)
+        table_phys = self.host_phys
+        if nested:
+            #: The L1 VM's guest-physical space: shadow targets live here.
+            self.l1_phys = table_phys = PhysicalMemory(
+                "l1-vm", self.config.host_mem_bytes)
+            # EPT01 below us is maintained by the unmodified L0: warm.
+            self.memory = MemoryChain(
+                self.host_phys, self.events, warm_ept01=True,
+                l1_phys=self.l1_phys)
+        self.shadow = ShadowManager(
+            table_phys, self.costs, self.memory.target,
+            dual=self.config.kpti,
+            translate_block=self.memory.target_block,
+        )
+
+    # -- the Figure 9 fault dance -----------------------------------------------------
+
+    def on_guest_fault(self, ctx: CpuCtx, proc: Process, fault: PageFault) -> None:
+        """Architecture-specific guest page-fault dance."""
+        vpn = fault.vaddr >> 12
+        gpt_pte = proc.gpt.lookup(vpn)
+        shadow_stale = (
+            gpt_pte is not None and gpt_pte.permits(fault.access, user=True)
+        )
+        if self.config.switcher_fault_triage and not shadow_stale:
+            # §5 extension: the switcher recognizes a guest-PT fault and
+            # injects it straight into the L2 kernel — a light
+            # switcher-internal transition instead of a full exit to PVM.
+            ctx.clock.advance(
+                self.costs.fault_triage_check + self.costs.ring_transition
+                + self.costs.direct_switch_extra
+            )
+            self.hv.switcher.state_for(ctx.cpu_id).world = GuestWorld.KERNEL
+            self.events.switch(SwitchKind.PVM_DIRECT, ctx.clock.now, ctx.cpu_id)
+            self.events.inject("#PF")
+        else:
+            # (1)-(2): the #PF lands in the switcher and exits to PVM —
+            # one world switch, entirely inside L1.
+            self.hv.switcher.vm_exit(ctx.clock, ctx.cpu_id, "#PF")
+            if self.config.switcher_fault_triage:
+                ctx.clock.advance(self.costs.fault_triage_check)
+            if shadow_stale:
+                # Shadow-stale fault: sync SPT12 directly, return to user.
+                self._sync_shadow(ctx, proc, vpn, gpt_pte,
+                                  work_attr="spt_sync_per_entry")
+                self.hv.switcher.vm_enter(ctx.clock, ctx.cpu_id,
+                                          GuestWorld.USER)
+                self.events.fault(FaultPhase.SHADOW_PT, ctx.clock.now,
+                                  ctx.cpu_id)
+                return
+            self._inject_pf(ctx)
+        fix = self._guest_fixes_fault(ctx, proc, vpn, fault.access)
+        self.shadow.note_gpt_growth(proc)
+        # Each GPT2 write of the fix needs PVM's assistance (2n switches).
+        self.priced_gpt_writes(ctx, proc, fix.entry_writes)
+        self.prefaulter.arm(proc.pid, vpn)
+        self._iret_to_user(ctx, proc, vpn)
+
+    def _on_fault_iret(self, ctx: CpuCtx, proc: Process, vpn: int) -> None:
+        """(8): the prefault optimization fills SPT12 on the iret path,
+        avoiding the otherwise-inevitable shadow-stale fault."""
+        if self.prefaulter.take(proc.pid, vpn):
+            fresh = proc.gpt.lookup(vpn)
+            if fresh is not None:
+                self._sync_shadow(ctx, proc, vpn, fresh, work_attr="prefault_fill")
+
+    def _sync_shadow(self, ctx: CpuCtx, proc: Process, vpn: int,
+                     gpt_pte: Pte, work_attr: str) -> None:
+        if gpt_pte.huge:
+            vpn -= vpn % 512  # shadow the whole 2 MiB run at its base
+        result = self.sync_shadow(ctx, proc, vpn, gpt_pte)
+        work = getattr(self.costs, work_attr) * max(1, result.entry_writes // 2)
+        self.locks.locked_fix(
+            ctx.clock,
+            pt_key=(proc.pid, vpn >> 9),
+            gfn=gpt_pte.frame,
+            work_ns=work,
+            structural=result.structural,
+        )
+
+    # -- write-protected GPT2 ------------------------------------------------------------
+
+    def priced_gpt_writes(self, ctx: CpuCtx, proc: Process, writes: int,
+                          kernel_pages: bool = False,
+                          structural: bool = False) -> None:
+        """Each guest PTE write traps to PVM via the switcher: two world
+        switches plus the emulation under the fine-grained locks.
+
+        Under the §5 WP-less extension the writes are ordinary stores;
+        the hypervisor validates and synchronizes the dirty entries in
+        batch on the next iret, so only per-entry work is charged."""
+        if self.config.wp_less_sync:
+            ctx.clock.advance(
+                writes * (self.costs.pte_write + self.costs.wpless_sync_per_entry)
+            )
+            self.events.emulate("wpless-batch-sync")
+            return
+        resume = self._resume_world(ctx, GuestWorld.KERNEL)
+        for _ in range(writes):
+            self.hv.switcher.vm_exit(ctx.clock, ctx.cpu_id, "gpt-write")
+            self.locks.locked_fix(
+                ctx.clock, pt_key=("wp", proc.pid), gfn=proc.pid,
+                work_ns=self.costs.wp_emulate_write,
+                # Bulk construction (fork/exec) creates shadow pages and
+                # parent/child links: inter-shadow-page state under the
+                # meta lock, which is where PVM forks contend.
+                structural=structural,
+            )
+            self.events.emulate("gpt-write")
+            self.hv.switcher.vm_enter(ctx.clock, ctx.cpu_id, resume)
+
+    # -- invalidation ----------------------------------------------------------------------
+
+    def invalidate_pages(self, ctx: CpuCtx, proc: Process, vpns) -> None:
+        """Zap stale shadow/TLB state after unmap/mprotect."""
+        vpns = tuple(vpns)
+        for vpn in vpns:
+            removed = self.shadow.unmap(proc, vpn)
+            if removed:
+                self.locks.locked_fix(
+                    ctx.clock, pt_key=(proc.pid, vpn >> 9), gfn=(proc.pid, vpn),
+                    work_ns=self.costs.spt_sync_per_entry // 2,
+                )
+        super().invalidate_pages(ctx, proc, vpns)
+
+    # -- process lifecycle ---------------------------------------------------------------------
+
+    def on_process_created(self, ctx: CpuCtx, child: Process) -> None:
+        """Shadow-side bookkeeping for a new (forked) process."""
+        parent = self.kernel.processes.get(child.parent_pid or -1)
+        if parent is None:
+            return
+        # COW downgrade: the rmap lets PVM touch exactly the affected
+        # shadow entries instead of zapping whole tables.
+        for vpn in parent.cow_pages:
+            spte = self.shadow.lookup(parent, vpn)
+            if spte is not None and spte.writable:
+                for half in self.shadow.halves(parent):
+                    table = self.shadow.spt(parent, half)
+                    if table.lookup(vpn) is not None:
+                        table.protect(vpn, writable=False)
+                self.locks.locked_fix(
+                    ctx.clock, pt_key=(parent.pid, vpn >> 9),
+                    gfn=(parent.pid, vpn), work_ns=30,
+                )
+        self.shadow.write_protect_gpt(child)

@@ -34,11 +34,6 @@ class Process:
     cow_pages: Set[int] = field(default_factory=set)
     alive: bool = True
 
-    @property
-    def kpti(self) -> bool:
-        """True when the process has split user/kernel tables."""
-        return self.gpt_user is not self.gpt
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Process pid={self.pid} pcid={self.pcid} vmas={len(self.addr_space)}>"
 

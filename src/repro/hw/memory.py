@@ -281,10 +281,6 @@ class PhysicalMemory:
         """Allocate one frame; returns its frame number."""
         return self.allocator.alloc_frame(tag, prefer_recycled=prefer_recycled)
 
-    def alloc(self, count: int, tag: str = "anon") -> FrameRange:
-        """Allocate contiguous frames."""
-        return self.allocator.alloc(count, tag)
-
     def free_frame(self, frame: int) -> None:
         """Return one frame to the pool."""
         self.allocator.free_frame(frame)

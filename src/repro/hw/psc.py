@@ -66,11 +66,6 @@ class PscStats:
             setattr(self, name, 0)
 
 
-def _key(uid: int, akey: int, level: int, tag: int) -> int:
-    """Pack one PSC entry key into a single int (hot path)."""
-    return (((((uid << 32) | akey) << 2) | (level - 1)) << _TAG_BITS) | tag
-
-
 class PagingStructureCache:
     """A capacity-bounded, FIFO-evicting cache of intermediate walk nodes.
 
@@ -86,7 +81,9 @@ class PagingStructureCache:
         if capacity <= 0:
             raise ValueError(f"capacity must be positive, got {capacity}")
         self.capacity = capacity
-        # key (see _key) -> (cached node, table epoch at fill time).
+        # One packed int per entry -> (cached node, table epoch at fill
+        # time).  The key, high bits to low: table uid, 32-bit packed
+        # ASID, 2-bit level - 1, then the _TAG_BITS-wide vpn prefix.
         self._entries: Dict[int, Tuple[PageTableNode, int]] = {}
         self.stats = PscStats()
 

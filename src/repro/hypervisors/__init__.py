@@ -12,7 +12,9 @@ API:
 
 plus the SPT-on-EPT nested baseline of §2.2
 (:class:`repro.hypervisors.spt_on_ept.SptOnEptMachine`), which the paper
-analyzes but excludes from §4 for its impractical performance.
+analyzes but excludes from §4 for its impractical performance, and the
+§5 direct-paging design
+(:class:`repro.core.direct_paging.DirectPagingMachine`, ``pvm-dp (NST)``).
 """
 
 from repro.hypervisors.base import Machine, CpuCtx, MachineConfig

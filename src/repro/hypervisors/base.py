@@ -28,13 +28,16 @@ from repro.hw.costs import CostModel, DEFAULT_COSTS
 from repro.hw.events import EventLog, FaultPhase, SwitchKind
 from repro.hw.memory import PhysicalMemory
 from repro.hw.mmu import EptViolationException, Mmu
-from repro.hw.pagetable import PageFaultException
+from repro.hw.pagetable import PageFaultException, PageTable
 from repro.hw.psc import PagingStructureCache
 from repro.hw.tlb import Tlb
 from repro.hw.types import MIB, AccessType, Asid, PageFault
 from repro.hypervisors.chain import MemoryChain
 from repro.sim.clock import Clock
 from repro.sim.locks import SimLock
+
+#: Cap on one access's fault-retry loop; a correct machine never hits it.
+MAX_FAULT_RETRIES = 16
 
 
 @dataclass
@@ -54,10 +57,6 @@ class MachineConfig:
     #: cache).  Off by default so virtual-time numbers stay bit-identical
     #: to the seed model; experiments opt in to study partial walks.
     psc: bool = False
-    #: Cached intermediate entries per vCPU when ``psc`` is on.
-    psc_capacity: int = 64
-    #: Cap on fault-retry loops; a correct machine never hits it.
-    max_fault_retries: int = 16
     # -- PVM optimization toggles (ignored by KVM machines) -------------
     direct_switch: bool = True
     prefault: bool = True
@@ -109,6 +108,12 @@ class Machine(abc.ABC):
     supports_thp: bool = True
     #: PVM's fine-grained SPT lock manager; None on the other machines.
     locks = None
+    #: Extended tables this machine prices (kvm-ept's EPT01, EPT12 and
+    #: EPT02 on kvm-ept (NST)), in the order they are zapped.
+    priced_epts: Tuple[PageTable, ...] = ()
+    #: The priced extended table the hardware walks.  None elsewhere:
+    #: the hardware then walks the chain's warm EPT01, if there is one.
+    walked_ept: Optional[PageTable] = None
 
     def __init__(
         self,
@@ -125,12 +130,7 @@ class Machine(abc.ABC):
         self.host_phys = host_phys or PhysicalMemory(
             "host", self.config.host_mem_bytes
         )
-        # Guest RAM streams: the guest kernel prefers fresh frames, so
-        # the paper's alloc/touch benchmarks keep faulting on new
-        # guest-physical pages (see FrameAllocator policy docs).
-        self.guest_phys = PhysicalMemory(
-            "guest", self.config.guest_mem_bytes, policy="stream"
-        )
+        self.guest_phys = self._guest_ram()
         self.kernel = GuestKernel(
             self.guest_phys, costs, kpti=self.config.kpti, name=self.name,
             thp=self.config.thp and self.supports_thp,
@@ -164,6 +164,16 @@ class Machine(abc.ABC):
         self.sanitizers = None
         self._sanitize_checked = False
 
+    def _guest_ram(self) -> PhysicalMemory:
+        """The physical space the guest kernel allocates from.
+
+        Guest RAM streams: the guest kernel prefers fresh frames, so the
+        paper's alloc/touch benchmarks keep faulting on new
+        guest-physical pages (see FrameAllocator policy docs).
+        """
+        return PhysicalMemory("guest", self.config.guest_mem_bytes,
+                              policy="stream")
+
     # ------------------------------------------------------------------
     # context / process management
     # ------------------------------------------------------------------
@@ -175,10 +185,7 @@ class Machine(abc.ABC):
             self._maybe_attach_sanitizers()
         cpu_id = len(self.contexts)
         tlb = Tlb(self.config.tlb_capacity)
-        psc = (
-            PagingStructureCache(self.config.psc_capacity)
-            if self.config.psc else None
-        )
+        psc = PagingStructureCache() if self.config.psc else None
         ctx = CpuCtx(
             cpu_id=cpu_id,
             clock=Clock(),
@@ -311,7 +318,7 @@ class Machine(abc.ABC):
         Returns the host frame finally backing the page.
         """
         access = AccessType.WRITE if write else AccessType.READ
-        for attempt in range(self.config.max_fault_retries):
+        for attempt in range(MAX_FAULT_RETRIES):
             try:
                 frame = self.translate(ctx, proc, vpn, access)
             except PageFaultException as exc:
@@ -453,12 +460,16 @@ class Machine(abc.ABC):
 
         Returns True when a host frame was actually released.  Frames
         inside 2 MiB-backed runs are skipped (splitting huge backing is
-        not worth one page).  Shadow entries naming the frame are zapped
-        first (via the reverse map), with their cached translations;
-        machines that price extended tables zap those too.
+        not worth one page).  Entries naming the frame are zapped first:
+        those of the priced extended tables, and shadow entries (via the
+        reverse map) with their cached translations.
         """
         if self.huge_block_base(gfn) is not None:
             return False
+        for table in self.priced_epts:
+            pte = table.lookup(gfn)
+            if pte is not None and not pte.huge:
+                table.unmap(gfn)
         if self.shadow is not None:
             for pid, half, vpn in sorted(self.shadow.entries_for_gfn(gfn)):
                 proc = self.kernel.processes.get(pid)
@@ -521,10 +532,12 @@ class Machine(abc.ABC):
     def teardown_guest_memory(self) -> None:
         """Release every host frame backing this guest (eviction path).
 
-        Shadow tables go first, then the memory chain; machines that
-        price extended tables drop those too.  Translation caches are
-        left to the supervisor's regular crash teardown.
+        Priced extended tables and shadow tables go first, then the
+        memory chain.  Translation caches are left to the supervisor's
+        regular crash teardown.
         """
+        for table in self.priced_epts:
+            table.destroy()
         if self.shadow is not None:
             self.shadow.drop_all()
         self.memory.teardown()
@@ -577,10 +590,16 @@ class Machine(abc.ABC):
         """One hardware translation attempt; raises on fault.
 
         The hardware walks the shadow table (or, without one, the
-        guest's own table), nested over the chain's warm EPT01 when
-        there is one.  Machines that price an extended dimension
-        override this.
+        guest's own table) nested over whichever extended table it
+        walks.  Violations on a priced table raise to
+        :meth:`on_ept_violation`; those on the chain's warm EPT01 are
+        filled here.
         """
+        ept = self.walked_ept
+        if ept is not None:
+            # A priced EPT means no shadow: the guest's table is walked.
+            return ctx.mmu.access_2d(ctx.clock, self.asid_for(proc), proc.gpt,
+                                     ept, vpn, access, user=True)
         table = (self.shadow.spt(proc, "user") if self.shadow is not None
                  else proc.gpt)
         asid = self.asid_for(proc)

@@ -12,7 +12,8 @@ Optionally the chain also owns a *warm* EPT01: the unmodified L0's
 extended table below an L1 guest hypervisor, assumed filled long ago
 (§2.2 footnote, §4.1), so violations on it are filled silently without
 charging nested machinery.  Tables a machine *prices* (kvm-ept's EPT01,
-EPT12/EPT02 on kvm-ept (NST)) stay with the machine.
+EPT12/EPT02 on kvm-ept (NST)) stay with the machine; :func:`install_ept`,
+:func:`install_huge_ept` and :meth:`MemoryChain.fill_ept` fill either kind.
 
 The chain is the single owner of the backing maps, balloon discard
 unwinding with its refault notes, eviction teardown, and a read-only
@@ -26,6 +27,24 @@ from typing import Dict, Optional, Set
 from repro.hw.events import EventLog
 from repro.hw.memory import PhysicalMemory
 from repro.hw.pagetable import HUGE_PAGE_PAGES, PageTable, Pte
+
+
+def install_ept(ept: PageTable, gfn: int, target: int) -> int:
+    """Map gfn -> target in an extended table; returns levels written."""
+    if ept.lookup(gfn) is not None:
+        # Permission upgrade or spurious: rewrite leaf in place.
+        ept.protect(gfn, writable=True)
+        return 1
+    result = ept.map(gfn, Pte(frame=target, writable=True, user=False))
+    return len(result.written_frames)
+
+
+def install_huge_ept(ept: PageTable, base: int, target: int) -> None:
+    """Map the 2 MiB run at ``base`` -> ``target`` in an extended table
+    with one huge entry, unless the run is already mapped."""
+    if ept.lookup(base) is None:
+        ept.map_huge(base, Pte(frame=target, writable=True, user=False,
+                               huge=True))
 
 
 class MemoryChain:
@@ -114,22 +133,26 @@ class MemoryChain:
             return self.backing_block(base)
         return self.gfn1_block_for(base)
 
+    def fill_ept(self, ept: PageTable, frame: int,
+                 huge_base: Optional[int]) -> int:
+        """Fill (or upgrade) the EPT entry for one bottom-level frame,
+        backing it lazily; returns the levels written.
+
+        When ``huge_base`` names the 2 MiB run holding an unmapped frame,
+        the whole run is backed by one huge entry (one level).
+        """
+        if huge_base is not None and ept.lookup(frame) is None:
+            install_huge_ept(ept, huge_base, self.backing_block(huge_base))
+            return 1
+        return install_ept(ept, frame, self.backing_frame(frame))
+
     def warm_fill(self, gfn1: int) -> None:
         """Fill (or upgrade) the warm EPT01 entry for one L1 frame."""
-        ept01 = self.ept01
-        if ept01.lookup(gfn1) is not None:
-            ept01.protect(gfn1, writable=True)
-            return
         base = gfn1 - (gfn1 % HUGE_PAGE_PAGES)
-        if base in self._l1_huge_bases:
-            # L0's EPT backs 2 MiB L1 runs with huge entries, preserving
-            # the guest-huge translation's TLB reach.
-            hfn = self.backing_block(base)
-            ept01.map_huge(base, Pte(frame=hfn, writable=True, user=False,
-                                     huge=True))
-            return
-        hfn = self.backing_frame(gfn1)
-        ept01.map(gfn1, Pte(frame=hfn, writable=True, user=False))
+        # L0's EPT backs 2 MiB L1 runs with huge entries, preserving the
+        # guest-huge translation's TLB reach.
+        self.fill_ept(self.ept01, gfn1,
+                      base if base in self._l1_huge_bases else None)
 
     # -- read-only probes ------------------------------------------------------
 

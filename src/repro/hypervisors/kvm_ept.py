@@ -10,20 +10,10 @@ from __future__ import annotations
 
 from repro.guest.process import Process
 from repro.hw.events import FaultPhase, SwitchKind
-from repro.hw.pagetable import PageTable, Pte
-from repro.hw.types import AccessType, EptViolation
+from repro.hw.pagetable import PageTable
+from repro.hw.types import EptViolation
 from repro.hw.vmx import VmxCapabilities
 from repro.hypervisors.base import CpuCtx, Machine
-
-
-def install_ept(ept: PageTable, gfn: int, target: int) -> int:
-    """Map gfn -> target in an extended table; returns levels written."""
-    if ept.lookup(gfn) is not None:
-        # Permission upgrade or spurious: rewrite leaf in place.
-        ept.protect(gfn, writable=True)
-        return 1
-    result = ept.map(gfn, Pte(frame=target, writable=True, user=False))
-    return len(result.written_frames)
 
 
 class KvmMachine(Machine):
@@ -81,33 +71,17 @@ class KvmEptMachine(KvmMachine):
         super().__init__(*args, **kwargs)
         #: EPT01: guest frame number -> host frame number.
         self.ept01 = PageTable(self.host_phys, name="EPT01")
-
-    # -- translation --------------------------------------------------------
-
-    def translate(self, ctx: CpuCtx, proc: Process, vpn: int,
-                  access: AccessType) -> int:
-        """One hardware translation attempt; raises on fault."""
-        return ctx.mmu.access_2d(
-            ctx.clock, self.asid_for(proc), proc.gpt, self.ept01, vpn, access,
-            user=True,
-        )
+        self.priced_epts = (self.ept01,)
+        self.walked_ept = self.ept01
 
     def on_ept_violation(self, ctx: CpuCtx, proc: Process,
                          violation: EptViolation) -> None:
-        """EPT violation: one hardware round trip to L0's TDP MMU."""
+        """EPT violation: one hardware round trip to L0's TDP MMU (a
+        2 MiB guest run is backed by one huge entry)."""
         self.hw_exit_entry(ctx, SwitchKind.HW_L1_L0)  # VM exit
         self.events.l0_trap("ept-violation")
         gfn = violation.gpa >> 12
-        huge_base = self.huge_block_base(gfn)
-        if huge_base is not None and self.ept01.lookup(gfn) is None:
-            # Back the whole 2 MiB guest run with one huge EPT entry.
-            hfn = self.memory.backing_block(huge_base)
-            self.ept01.map_huge(huge_base, Pte(frame=hfn, writable=True,
-                                               user=False, huge=True))
-            levels = 1
-        else:
-            hfn = self.memory.backing_frame(gfn)
-            levels = install_ept(self.ept01, gfn, hfn)
+        levels = self.memory.fill_ept(self.ept01, gfn, self.huge_block_base(gfn))
         ctx.clock.advance(levels * self.costs.ept_fix_per_level)
         self.hw_exit_entry(ctx, SwitchKind.HW_L1_L0)  # VM entry
         self.events.fault(FaultPhase.SHADOW_PT, ctx.clock.now, ctx.cpu_id)
@@ -117,14 +91,3 @@ class KvmEptMachine(KvmMachine):
                           structural: bool = False) -> None:
         """EPT hardware: guest page-table writes are ordinary stores."""
         ctx.clock.advance(writes * self.costs.pte_write)
-
-    def discard_gfn_backing(self, gfn: int) -> bool:
-        """Balloon release: zap the EPT entry before freeing backing."""
-        if self.ept01.lookup(gfn) is not None and not self.ept01.lookup(gfn).huge:
-            self.ept01.unmap(gfn)
-        return super().discard_gfn_backing(gfn)
-
-    def teardown_guest_memory(self) -> None:
-        """Eviction: drop the EPT tree before freeing the backing."""
-        self.ept01.destroy()
-        super().teardown_guest_memory()

@@ -164,11 +164,6 @@ class Engine:
                  for t in self.tasks]
         return max(times) if times else 0
 
-    def mean_completion(self) -> float:
-        """Mean finish time of completed tasks."""
-        done = [t.finished_at for t in self.tasks if t.finished_at is not None]
-        return sum(done) / len(done) if done else 0.0
-
 
 def run_ops(clock: Clock, ops: "list | tuple", execute: Callable[[object], None]) -> SimTask:
     """Convenience: build a stepper over a finite operation list."""

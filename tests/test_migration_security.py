@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import make_machine
+from repro import SCENARIOS, make_machine
 from repro.containers.migration import (
     MigrationBlockedError,
     MigrationManager,
@@ -37,6 +37,12 @@ class TestPinsHostState:
     def test_pvm_does_not_pin(self):
         assert not pins_host_state(make_machine("pvm (NST)"))
         assert not pins_host_state(make_machine("pvm-dp (NST)"))
+
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    def test_every_scenario(self, scenario):
+        """Only hardware-assisted nesting parks a VMCS02 in L0."""
+        expected = scenario in ("kvm-ept (NST)", "kvm-spt (NST)")
+        assert pins_host_state(make_machine(scenario)) is expected
 
 
 class TestMigration:
