@@ -28,6 +28,9 @@ class SecureContainer:
     #: Memory-QoS eviction priority: under sustained min-watermark
     #: pressure the reclaim daemon evicts the *lowest* priority first.
     priority: int = 0
+    #: Launch order within the runtime (1 for its first launch); the
+    #: reclaim daemon breaks eviction-priority ties on it.
+    launch_seq: int = 0
 
     def run(self, workload_factory, **params) -> Generator[None, None, None]:
         """Bind a workload to this container's vCPU and init process."""

@@ -478,13 +478,15 @@ class RunDRuntime:
         ctx = machine.new_context()
         ctx.clock.advance_to(start_ns)
         init = self._boot(machine, ctx.clock, retry_ns)
+        seq = next(self._ids)
         container = SecureContainer(
-            container_id=f"sc-{next(self._ids)}",
+            container_id=f"sc-{seq}",
             machine=machine,
             ctx=ctx,
             init=init,
             boot_ns=BOOT_NS,
             priority=priority,
+            launch_seq=seq,
         )
         self.containers.append(container)
         if qos is not None:

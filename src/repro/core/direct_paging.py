@@ -26,6 +26,7 @@ from repro.hw.types import PageFault
 from repro.hypervisors.base import CpuCtx
 from repro.hypervisors.chain import MemoryChain
 
+_KERNEL = GuestWorld.KERNEL
 
 class DirectPagingMachine(PvmSwitcherMachine):
     """``pvm-dp (NST)``: PVM's switcher with direct paging instead of
@@ -73,7 +74,7 @@ class DirectPagingMachine(PvmSwitcherMachine):
             ctx.clock, pt_key=(proc.pid, vpn >> 9), gfn=fix.pte.frame,
             work_ns=0, structural=bool(fix.levels_allocated > 1),
         )
-        sw.vm_enter(ctx.clock, ctx.cpu_id, GuestWorld.KERNEL)
+        sw.vm_enter(ctx.clock, ctx.cpu_id, _KERNEL)
         # iret hypercall back to user (2 switches; nothing to prefault —
         # the hardware walks the guest's own table).
         self._iret_to_user(ctx, proc, vpn)
@@ -84,7 +85,7 @@ class DirectPagingMachine(PvmSwitcherMachine):
         """Non-fault updates (munmap, mprotect, fork) are batched into a
         single validated hypercall per operation."""
         sw = self.hv.switcher
-        resume = self._resume_world(ctx, GuestWorld.KERNEL)
+        resume = self._resume_world(ctx, _KERNEL)
         sw.vm_exit(ctx.clock, ctx.cpu_id, "hypercall:set_pte")
         self._validate(ctx, writes)
         sw.vm_enter(ctx.clock, ctx.cpu_id, resume)

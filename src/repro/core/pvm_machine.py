@@ -39,6 +39,14 @@ from repro.hw.types import AccessType, Asid, PageFault
 from repro.hypervisors.base import CpuCtx, Machine
 from repro.hypervisors.chain import MemoryChain
 
+_USER = GuestWorld.USER
+_KERNEL = GuestWorld.KERNEL
+_HYPERVISOR = GuestWorld.HYPERVISOR
+_PVM_DIRECT = SwitchKind.PVM_DIRECT
+_HW_L1_L0 = SwitchKind.HW_L1_L0
+_GUEST_PT = FaultPhase.GUEST_PT
+_SHADOW_PT = FaultPhase.SHADOW_PT
+
 
 class PvmSwitcherMachine(Machine):
     """PVM's CPU side: every world switch goes through the switcher.
@@ -58,6 +66,18 @@ class PvmSwitcherMachine(Machine):
             fine_grained=self.config.fine_grained_locks,
         )
         self.pcids = PcidMapper(self.vpid, enabled=self.config.pcid_mapping)
+        costs = self.costs
+        # Running deprivileged inside a VM instance adds event-delivery
+        # bookkeeping to the exception and MSR paths.
+        nst_extra = costs.pvm_nst_event_extra if self.nested else 0
+        #: Handler cost of one privileged operation, served by PVM.
+        self.pvm_handler_ns = {
+            "hypercall": costs.pvm_hypercall_handler,
+            "exception": costs.pvm_exception_handler + nst_extra,
+            "msr": costs.pvm_msr_handler + nst_extra,
+            "cpuid": costs.pvm_cpuid_handler,
+            "pio": costs.pvm_pio_handler,
+        }
         if not self.config.pcid_mapping:
             # Without per-process PCIDs every guest CR3 load flushes the
             # guest's TLB tag (no NOFLUSH bit usable) — the cold-start
@@ -91,14 +111,14 @@ class PvmSwitcherMachine(Machine):
         """Create one vCPU context (clock + private TLB)."""
         ctx = super().new_context()
         # The guest starts in user mode from the switcher's viewpoint.
-        self.hv.switcher.state_for(ctx.cpu_id).world = GuestWorld.USER
+        self.hv.switcher.state_for(ctx.cpu_id).world = _USER
         return ctx
 
     def _resume_world(self, ctx: CpuCtx, fallback: GuestWorld) -> GuestWorld:
         """The guest world to re-enter after a trap taken now (``fallback``
         when the vCPU is already in the hypervisor)."""
         world = self.hv.switcher.state_for(ctx.cpu_id).world
-        return fallback if world is GuestWorld.HYPERVISOR else world
+        return fallback if world is _HYPERVISOR else world
 
     # -- the two ends of every guest-fault dance --------------------------------------
 
@@ -107,7 +127,7 @@ class PvmSwitcherMachine(Machine):
         kernel's handler."""
         ctx.clock.advance(self.costs.irq_inject // 3)
         self.events.inject("#PF")
-        self.hv.switcher.vm_enter(ctx.clock, ctx.cpu_id, GuestWorld.KERNEL)
+        self.hv.switcher.vm_enter(ctx.clock, ctx.cpu_id, _KERNEL)
 
     def _guest_fixes_fault(self, ctx: CpuCtx, proc: Process, vpn: int,
                            access: AccessType) -> GptFix:
@@ -120,7 +140,7 @@ class PvmSwitcherMachine(Machine):
     def _iret_hypercall(self, ctx: CpuCtx) -> None:
         """The L2 kernel's iret: one hypercall (switch) into PVM."""
         self.hv.switcher.vm_exit(ctx.clock, ctx.cpu_id, "hypercall:iret")
-        ctx.clock.advance(self.costs.pvm_hypercall_handler)
+        ctx.clock.now += self.costs.pvm_hypercall_handler
         self.events.hypercall("iret")
 
     def _iret_to_user(self, ctx: CpuCtx, proc: Process, vpn: int) -> None:
@@ -128,8 +148,8 @@ class PvmSwitcherMachine(Machine):
         then back to the L2 user."""
         self._iret_hypercall(ctx)
         self._on_fault_iret(ctx, proc, vpn)
-        self.hv.switcher.vm_enter(ctx.clock, ctx.cpu_id, GuestWorld.USER)
-        self.events.fault(FaultPhase.GUEST_PT, ctx.clock.now, ctx.cpu_id)
+        self.hv.switcher.vm_enter(ctx.clock, ctx.cpu_id, _USER)
+        self.events.fault(_GUEST_PT, ctx.clock.now, ctx.cpu_id)
 
     def _on_fault_iret(self, ctx: CpuCtx, proc: Process, vpn: int) -> None:
         """Paging-side work on a fault's iret path (none by default)."""
@@ -140,15 +160,15 @@ class PvmSwitcherMachine(Machine):
         sw = self.hv.switcher
         state = sw.state_for(ctx.cpu_id)
         ctx.clock.advance(self.costs.pf_delivery)
-        if state.world is GuestWorld.KERNEL:
+        if state.world is _KERNEL:
             if self.config.direct_switch:
                 sw.direct_switch_to_user(ctx.clock, ctx.cpu_id)
             else:
                 sw.vm_exit(ctx.clock, ctx.cpu_id, "sysret")
                 ctx.clock.advance(self.costs.pvm_syscall_dispatch)
-                sw.vm_enter(ctx.clock, ctx.cpu_id, GuestWorld.USER)
-        elif state.world is GuestWorld.HYPERVISOR:
-            sw.vm_enter(ctx.clock, ctx.cpu_id, GuestWorld.USER)
+                sw.vm_enter(ctx.clock, ctx.cpu_id, _USER)
+        elif state.world is _HYPERVISOR:
+            sw.vm_enter(ctx.clock, ctx.cpu_id, _USER)
         self._syscall_round_trip(ctx, proc)  # handler upcall + sigreturn
 
     # -- invalidation ----------------------------------------------------------------------
@@ -198,62 +218,53 @@ class PvmSwitcherMachine(Machine):
     # -- transitions ------------------------------------------------------------------------------
 
     def _syscall_round_trip(self, ctx: CpuCtx, proc: Process) -> None:
-        sw = self.hv.switcher
+        sw, clock, cpu = self.hv.switcher, ctx.clock, ctx.cpu_id
         if self.config.direct_switch:
             # Figure 8: switcher-only user->kernel->user, no hypervisor.
-            sw.direct_switch_to_kernel(ctx.clock, ctx.cpu_id)
+            sw.direct_switch_to_kernel(clock, cpu)
             sw.direct_switch_to_user(
-                ctx.clock, ctx.cpu_id,
-                at_user_ring=self.config.advanced_direct_switch,
+                clock, cpu, at_user_ring=self.config.advanced_direct_switch,
             )  # sysret hypercall (or h_ring3 sysret under the §5 extension)
             return
         # Slow path: both transitions bounce through the PVM hypervisor.
-        sw.vm_exit(ctx.clock, ctx.cpu_id, "syscall")
-        ctx.clock.advance(self.costs.pvm_syscall_dispatch)
-        sw.vm_enter(ctx.clock, ctx.cpu_id, GuestWorld.KERNEL)
-        sw.vm_exit(ctx.clock, ctx.cpu_id, "sysret")
-        ctx.clock.advance(self.costs.pvm_syscall_dispatch)
-        sw.vm_enter(ctx.clock, ctx.cpu_id, GuestWorld.USER)
+        dispatch = self.costs.pvm_syscall_dispatch
+        sw.vm_exit(clock, cpu, "syscall")
+        clock.now += dispatch
+        sw.vm_enter(clock, cpu, _KERNEL)
+        sw.vm_exit(clock, cpu, "sysret")
+        clock.now += dispatch
+        sw.vm_enter(clock, cpu, _USER)
 
     def _privileged(self, ctx: CpuCtx, kind: str) -> None:
-        sw = self.hv.switcher
-        handler = {
-            "hypercall": self.costs.pvm_hypercall_handler,
-            "exception": self.costs.pvm_exception_handler,
-            "msr": self.costs.pvm_msr_handler,
-            "cpuid": self.costs.pvm_cpuid_handler,
-            "pio": self.costs.pvm_pio_handler,
-        }[kind]
-        sw.vm_exit(ctx.clock, ctx.cpu_id, kind)
-        ctx.clock.advance(handler)
-        if self.nested and kind in ("exception", "msr"):
-            ctx.clock.advance(self.costs.pvm_nst_event_extra)
+        sw, clock, cpu = self.hv.switcher, ctx.clock, ctx.cpu_id
+        sw.vm_exit(clock, cpu, kind)
+        clock.now += self.pvm_handler_ns[kind]
         self.events.emulate(kind)
-        sw.vm_enter(ctx.clock, ctx.cpu_id, GuestWorld.USER)
+        sw.vm_enter(clock, cpu, _USER)
         if kind == "pio" and self.nested:
             # The L1 VMM's device backend does real I/O through the host
             # (ordinary single-level VM exits of the L1 VM).
             for _ in range(2):
-                self.hw_exit_entry(ctx, SwitchKind.HW_L1_L0)
+                self.hw_exit_entry(ctx, _HW_L1_L0)
                 self.events.l0_trap("pio-backend")
-                ctx.clock.advance(self.costs.pio_handler)
-                self.hw_exit_entry(ctx, SwitchKind.HW_L1_L0)
+                clock.now += self.costs.pio_handler
+                self.hw_exit_entry(ctx, _HW_L1_L0)
 
     def virtio_doorbell(self, ctx: CpuCtx) -> None:
         """L2's kick is a hypercall into PVM's vhost; when nested, the
         backend's real I/O goes through the L1 VM's own virtio (one
         ordinary L1<->L0 leg) — no nested amplification."""
         sw = self.hv.switcher
-        resume = self._resume_world(ctx, GuestWorld.USER)
+        resume = self._resume_world(ctx, _USER)
         sw.vm_exit(ctx.clock, ctx.cpu_id, "hypercall:virtio-kick")
-        ctx.clock.advance(self.costs.virtio_doorbell_handler)
+        ctx.clock.now += self.costs.virtio_doorbell_handler
         self.events.hypercall("send_ipi")  # vhost worker wakeup
         sw.vm_enter(ctx.clock, ctx.cpu_id, resume)
         if self.nested:
-            self.hw_exit_entry(ctx, SwitchKind.HW_L1_L0)
+            self.hw_exit_entry(ctx, _HW_L1_L0)
             self.events.l0_trap("virtio-backend")
             self.l0_lock.run_locked(ctx.clock, self.costs.virtio_doorbell_handler)
-            self.hw_exit_entry(ctx, SwitchKind.HW_L1_L0)
+            self.hw_exit_entry(ctx, _HW_L1_L0)
 
     # -- interrupts / halt ----------------------------------------------------------------------------
 
@@ -261,21 +272,21 @@ class PvmSwitcherMachine(Machine):
         """§3.3.3: at most one L0 exit (hardware, for the L1 VM itself);
         everything else is switcher + virtual APIC between L1 and L2."""
         if self.nested:
-            self.hw_exit_entry(ctx, SwitchKind.HW_L1_L0)
+            self.hw_exit_entry(ctx, _HW_L1_L0)
             self.events.l0_trap("interrupt")
             self.l0_lock.run_locked(ctx.clock, self.costs.irq_inject)
-            self.hw_exit_entry(ctx, SwitchKind.HW_L1_L0)
+            self.hw_exit_entry(ctx, _HW_L1_L0)
         self.hv.irq.l0_inject(Vector.TIMER)
         sw = self.hv.switcher
-        resume = self._resume_world(ctx, GuestWorld.USER)
+        resume = self._resume_world(ctx, _USER)
         sw.vm_exit(ctx.clock, ctx.cpu_id, "interrupt")
-        ctx.clock.advance(self.costs.irq_inject)
+        ctx.clock.now += self.costs.irq_inject
         delivered = self.hv.irq.deliver()
         if delivered is None:
             sw.vm_enter(ctx.clock, ctx.cpu_id, resume)
             return
-        sw.vm_enter(ctx.clock, ctx.cpu_id, GuestWorld.KERNEL)
-        ctx.clock.advance(self.costs.irq_handler)
+        sw.vm_enter(ctx.clock, ctx.cpu_id, _KERNEL)
+        ctx.clock.now += self.costs.irq_handler
         self._iret_hypercall(ctx)
         sw.vm_enter(ctx.clock, ctx.cpu_id, resume)
         self.events.interrupt("timer")
@@ -287,8 +298,8 @@ class PvmSwitcherMachine(Machine):
         sw.vm_exit(ctx.clock, ctx.cpu_id, "hypercall:halt")
         self.events.hypercall("halt")
         ctx.clock.advance(wake_after_ns)
-        ctx.clock.advance(self.costs.halt_wake_pvm)
-        sw.vm_enter(ctx.clock, ctx.cpu_id, GuestWorld.USER)
+        ctx.clock.now += self.costs.halt_wake_pvm
+        sw.vm_enter(ctx.clock, ctx.cpu_id, _USER)
 
 
 class PvmMachine(PvmSwitcherMachine):
@@ -334,8 +345,8 @@ class PvmMachine(PvmSwitcherMachine):
                 self.costs.fault_triage_check + self.costs.ring_transition
                 + self.costs.direct_switch_extra
             )
-            self.hv.switcher.state_for(ctx.cpu_id).world = GuestWorld.KERNEL
-            self.events.switch(SwitchKind.PVM_DIRECT, ctx.clock.now, ctx.cpu_id)
+            self.hv.switcher.state_for(ctx.cpu_id).world = _KERNEL
+            self.events.switch(_PVM_DIRECT, ctx.clock.now, ctx.cpu_id)
             self.events.inject("#PF")
         else:
             # (1)-(2): the #PF lands in the switcher and exits to PVM —
@@ -348,8 +359,8 @@ class PvmMachine(PvmSwitcherMachine):
                 self._sync_shadow(ctx, proc, vpn, gpt_pte,
                                   work_attr="spt_sync_per_entry")
                 self.hv.switcher.vm_enter(ctx.clock, ctx.cpu_id,
-                                          GuestWorld.USER)
-                self.events.fault(FaultPhase.SHADOW_PT, ctx.clock.now,
+                                          _USER)
+                self.events.fault(_SHADOW_PT, ctx.clock.now,
                                   ctx.cpu_id)
                 return
             self._inject_pf(ctx)
@@ -399,7 +410,7 @@ class PvmMachine(PvmSwitcherMachine):
             )
             self.events.emulate("wpless-batch-sync")
             return
-        resume = self._resume_world(ctx, GuestWorld.KERNEL)
+        resume = self._resume_world(ctx, _KERNEL)
         for _ in range(writes):
             self.hv.switcher.vm_exit(ctx.clock, ctx.cpu_id, "gpt-write")
             self.locks.locked_fix(

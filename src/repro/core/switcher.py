@@ -66,25 +66,35 @@ class SwitcherState:
     #: Registers cleared on the last exit (security invariant; tests
     #: assert this is always True after a world switch to the hypervisor).
     regs_cleared: bool = True
+    #: Guest-state saves into, and host-state restores from, this
+    #: area (one each per VM exit).
     saves: int = 0
     restores: int = 0
 
-    def save_guest(self) -> None:
-        """Count one guest-state save into the switcher state."""
-        self.saves += 1
 
-    def restore_host(self) -> None:
-        """Count one host-state restore from the switcher state."""
-        self.restores += 1
+_HYPERVISOR = GuestWorld.HYPERVISOR
+_KERNEL = GuestWorld.KERNEL
+_USER = GuestWorld.USER
+_PVM_L2_L1 = SwitchKind.PVM_L2_L1
+_PVM_DIRECT = SwitchKind.PVM_DIRECT
 
 
 class Switcher:
-    """The switcher: world-switch engine between L2 and the PVM hypervisor."""
+    """The switcher: world-switch engine between L2 and the PVM hypervisor.
+
+    Each leg reads its cost from attributes fixed at construction and
+    adds it to ``clock.now`` directly: the :class:`CostModel` validated
+    every constant as a non-negative int, so ``Clock.advance``'s check
+    could never fire.
+    """
 
     def __init__(self, costs: CostModel, events: EventLog) -> None:
         self.costs = costs
         self.events = events
         self._states: Dict[int, SwitcherState] = {}
+        self._world_switch_ns = costs.pvm_world_switch
+        self._to_kernel_ns = costs.ring_transition + costs.direct_switch_extra
+        self._to_user_ring_ns = costs.direct_switch_extra
         #: The customized IDT mapped over the guest's IDTR target.
         self.idt = Idt(default_site=HandlerSite.SWITCHER)
         self.idt.point_all_to_switcher()
@@ -97,10 +107,6 @@ class Switcher:
         #: set NOFLUSH and the guest's translations are wiped each time
         #: (the "cold-start penalty" of §3.3.2).
         self.on_guest_cr3_load: Optional[Callable[[Clock, int], None]] = None
-
-    def _guest_cr3_loaded(self, clock: Clock, cpu_id: int) -> None:
-        if self.on_guest_cr3_load is not None:
-            self.on_guest_cr3_load(clock, cpu_id)
 
     def state_for(self, cpu_id: int) -> SwitcherState:
         """The per-CPU switcher state (created on first use)."""
@@ -123,14 +129,15 @@ class Switcher:
         state saved to the per-CPU switcher state, host state restored,
         general-purpose registers cleared.
         """
-        state = self.state_for(cpu_id)
-        state.save_guest()
-        state.restore_host()
+        state = self._states.get(cpu_id) or self.state_for(cpu_id)
+        state.saves += 1
+        state.restores += 1
         state.regs_cleared = True
-        state.world = GuestWorld.HYPERVISOR
-        clock.advance(self.costs.pvm_world_switch)
-        self.events.switch(SwitchKind.PVM_L2_L1, clock.now, cpu_id)
-        self.events.l1_exit(reason, clock.now, cpu_id)
+        state.world = _HYPERVISOR
+        clock.now += self._world_switch_ns
+        events = self.events
+        events.switch(_PVM_L2_L1, clock.now, cpu_id)
+        events.l1_exit(reason, clock.now, cpu_id)
         self.vm_exits += 1
         return state
 
@@ -142,14 +149,15 @@ class Switcher:
         the switcher state, and RFLAGS.IF enabled in the iret frame so
         hardware interrupts reach h_ring3 (§3.3.3).
         """
-        if world is GuestWorld.HYPERVISOR:
+        if world is _HYPERVISOR:
             raise ValueError("vm_enter targets a guest world")
-        state = self.state_for(cpu_id)
+        state = self._states.get(cpu_id) or self.state_for(cpu_id)
         state.world = world
-        clock.advance(self.costs.pvm_world_switch)
-        self.events.switch(SwitchKind.PVM_L2_L1, clock.now, cpu_id)
+        clock.now += self._world_switch_ns
+        self.events.switch(_PVM_L2_L1, clock.now, cpu_id)
         self.vm_entries += 1
-        self._guest_cr3_loaded(clock, cpu_id)
+        if self.on_guest_cr3_load is not None:
+            self.on_guest_cr3_load(clock, cpu_id)
         return state
 
     # -- direct switch ---------------------------------------------------------
@@ -162,14 +170,15 @@ class Switcher:
         user/kernel hardware CR3s, switches cpl/stack/gs_base, and builds
         a syscall frame the L2 kernel can return through.
         """
-        state = self.state_for(cpu_id)
-        if state.world is not GuestWorld.USER:
+        state = self._states.get(cpu_id) or self.state_for(cpu_id)
+        if state.world is not _USER:
             raise RuntimeError("direct switch to kernel requires v_ring3")
-        state.world = GuestWorld.KERNEL
-        clock.advance(self.costs.ring_transition + self.costs.direct_switch_extra)
-        self.events.switch(SwitchKind.PVM_DIRECT, clock.now, cpu_id)
+        state.world = _KERNEL
+        clock.now += self._to_kernel_ns
+        self.events.switch(_PVM_DIRECT, clock.now, cpu_id)
         self.direct_switches += 1
-        self._guest_cr3_loaded(clock, cpu_id)
+        if self.on_guest_cr3_load is not None:
+            self.on_guest_cr3_load(clock, cpu_id)
         return state
 
     def direct_switch_to_user(self, clock: Clock, cpu_id: int,
@@ -181,15 +190,15 @@ class Switcher:
         sysret completes at h_ring3 without re-entering h_ring0 at all,
         saving the ring transition — only the frame/CR3 work remains.
         """
-        state = self.state_for(cpu_id)
-        if state.world is not GuestWorld.KERNEL:
+        state = self._states.get(cpu_id) or self.state_for(cpu_id)
+        if state.world is not _KERNEL:
             raise RuntimeError("direct switch to user requires v_ring0")
-        state.world = GuestWorld.USER
-        cost = self.costs.direct_switch_extra
-        if not at_user_ring:
-            cost += self.costs.ring_transition
-        clock.advance(cost)
-        self.events.switch(SwitchKind.PVM_DIRECT, clock.now, cpu_id)
+        state.world = _USER
+        # Without the h_ring3 sysret the leg costs what the way in does.
+        clock.now += (self._to_user_ring_ns if at_user_ring
+                      else self._to_kernel_ns)
+        self.events.switch(_PVM_DIRECT, clock.now, cpu_id)
         self.direct_switches += 1
-        self._guest_cr3_loaded(clock, cpu_id)
+        if self.on_guest_cr3_load is not None:
+            self.on_guest_cr3_load(clock, cpu_id)
         return state

@@ -32,6 +32,15 @@ class Syscall:
     #: even without user memory growth (e.g. pipe/file table pages).
     pte_writes: int = 0
 
+    def __post_init__(self) -> None:
+        # ``Machine.syscall`` charges ``body_ns`` to the clock directly.
+        for name in ("body_ns", "extra_transitions", "pte_writes"):
+            value = getattr(self, name)
+            if type(value) is not int or value < 0:
+                raise ValueError(
+                    f"syscall {self.name}: {name} must be a non-negative "
+                    f"int, got {value!r}")
+
 
 def _s(name: str, body_ns: int, **kw: int) -> Syscall:
     return Syscall(name=name, body_ns=body_ns, **kw)

@@ -20,7 +20,7 @@ hypercall_handler`` from the nested exit state machine in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Dict
 
 
@@ -209,6 +209,16 @@ class CostModel:
     exec_body: int = 250_000
     #: Context switch between guest processes (scheduler + CR3 write).
     context_switch: int = 1200
+
+    def __post_init__(self) -> None:
+        # The switch legs add these constants to a clock directly,
+        # without ``Clock.advance``'s per-call check: this is that check,
+        # made once for every constant.
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if type(value) is not int or value < 0:
+                raise ValueError(
+                    f"cost {f.name} must be a non-negative int, got {value!r}")
 
     def derived(self) -> Dict[str, int]:
         """Round-trip costs implied by the model (for reports/tests)."""

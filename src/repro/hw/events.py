@@ -44,9 +44,14 @@ class FaultPhase(enum.Enum):
 _GUEST_INTERNAL = SwitchKind.GUEST_INTERNAL
 
 
-@dataclass
+@dataclass(slots=True)
 class Counter:
-    """A named monotonic counter with optional per-key breakdown."""
+    """A named monotonic counter with optional per-key breakdown.
+
+    The :class:`EventLog` recorders on the world-switch path count
+    inline (``total`` and ``by_key`` directly) instead of calling
+    :meth:`add`; the two must stay equivalent.
+    """
 
     name: str
     total: int = 0
@@ -138,31 +143,50 @@ class EventLog:
     def l0_trap(self, reason: str) -> None:
         """Record one trap into the L0 hypervisor (the paper's "exit to
         L0" unit — one trap corresponds to two switch legs)."""
-        self.l0_exits.add(1, key=reason)
+        counter = self.l0_exits
+        counter.total += 1
+        by_key = counter.by_key
+        by_key[reason] = by_key.get(reason, 0) + 1
 
     def l1_exit(self, reason: str, time_ns: int = 0, vcpu: int = 0) -> None:
         """Record an exit from L2 to the L1 hypervisor (PVM path)."""
-        self.l1_exits.add(1, key=reason)
+        counter = self.l1_exits
+        counter.total += 1
+        by_key = counter.by_key
+        by_key[reason] = by_key.get(reason, 0) + 1
         if self.detailed:
             self.trace.append(TraceEvent(time_ns, vcpu, "l1_exit", reason))
 
     def fault(self, phase: FaultPhase, time_ns: int = 0, vcpu: int = 0) -> None:
         """Record one page fault by phase."""
-        self.page_faults.add(1, key=phase._value_)
+        key = phase._value_
+        counter = self.page_faults
+        counter.total += 1
+        by_key = counter.by_key
+        by_key[key] = by_key.get(key, 0) + 1
         if self.detailed:
-            self.trace.append(TraceEvent(time_ns, vcpu, "fault", phase._value_))
+            self.trace.append(TraceEvent(time_ns, vcpu, "fault", key))
 
     def hypercall(self, name: str) -> None:
         """Count one hypercall by name."""
-        self.hypercalls.add(1, key=name)
+        counter = self.hypercalls
+        counter.total += 1
+        by_key = counter.by_key
+        by_key[name] = by_key.get(name, 0) + 1
 
     def inject(self, what: str) -> None:
         """Record one event injection."""
-        self.injections.add(1, key=what)
+        counter = self.injections
+        counter.total += 1
+        by_key = counter.by_key
+        by_key[what] = by_key.get(what, 0) + 1
 
     def tlb_flush(self, granularity: str) -> None:
         """Record one TLB flush by granularity."""
-        self.tlb_flushes.add(1, key=granularity)
+        counter = self.tlb_flushes
+        counter.total += 1
+        by_key = counter.by_key
+        by_key[granularity] = by_key.get(granularity, 0) + 1
 
     def psc_event(self, kind: str) -> None:
         """Record one paging-structure-cache probe outcome by kind."""
@@ -170,7 +194,10 @@ class EventLog:
 
     def interrupt(self, vector: str) -> None:
         """Record one delivered interrupt."""
-        self.interrupts.add(1, key=vector)
+        counter = self.interrupts
+        counter.total += 1
+        by_key = counter.by_key
+        by_key[vector] = by_key.get(vector, 0) + 1
 
     def lock_wait(self, lock_name: str, waited_ns: int) -> None:
         """Record lock wait time (ignores zero waits)."""
@@ -179,7 +206,10 @@ class EventLog:
 
     def emulate(self, what: str) -> None:
         """Record one emulation by kind."""
-        self.emulations.add(1, key=what)
+        counter = self.emulations
+        counter.total += 1
+        by_key = counter.by_key
+        by_key[what] = by_key.get(what, 0) + 1
 
     def fault_injected(self, site: str) -> None:
         """Record one fault-plan firing by site."""

@@ -39,6 +39,10 @@ from repro.sim.locks import SimLock
 #: Cap on one access's fault-retry loop; a correct machine never hits it.
 MAX_FAULT_RETRIES = 16
 
+_HW_L1_L0 = SwitchKind.HW_L1_L0
+_GUEST_INTERNAL = SwitchKind.GUEST_INTERNAL
+_GUEST_PT = FaultPhase.GUEST_PT
+
 
 @dataclass
 class MachineConfig:
@@ -125,6 +129,19 @@ class Machine(abc.ABC):
         self.config = config or MachineConfig()
         self.costs = costs
         self.events = events or EventLog()
+        # Switch-leg costs, read once: the CostModel validated them as
+        # non-negative ints, so the legs add them to ``clock.now``
+        # directly instead of going through ``Clock.advance``.
+        self._hw_switch_ns = costs.hw_world_switch
+        self._kpti_ns = costs.kpti_syscall_overhead if self.config.kpti else 0
+        #: Handler cost of one VT-x-trapped privileged operation.
+        self.vmx_handler_ns = {
+            "hypercall": costs.hypercall_handler,
+            "exception": costs.exception_handler,
+            "msr": costs.msr_handler,
+            "cpuid": costs.cpuid_handler,
+            "pio": costs.pio_handler,
+        }
         # A shared pool (memory-QoS fleets overcommitting one host)
         # may be passed in; by default each machine owns its host RAM.
         self.host_phys = host_phys or PhysicalMemory(
@@ -306,9 +323,10 @@ class Machine(abc.ABC):
         """Execute one named syscall: transition + kernel body."""
         spec = lookup_syscall(name)
         self._syscall_round_trip(ctx, proc)
-        ctx.clock.advance(spec.body_ns)
-        for _ in range(spec.extra_transitions):
-            self._syscall_round_trip(ctx, proc)
+        ctx.clock.now += spec.body_ns  # validated by Syscall
+        if spec.extra_transitions:
+            for _ in range(spec.extra_transitions):
+                self._syscall_round_trip(ctx, proc)
         if spec.pte_writes:
             self.priced_gpt_writes(ctx, proc, spec.pte_writes, kernel_pages=True)
 
@@ -549,10 +567,10 @@ class Machine(abc.ABC):
         Default (single-level VMX): a hardware round trip to the host's
         vhost worker.  Nested machines override with their switch paths.
         """
-        self.hw_exit_entry(ctx, SwitchKind.HW_L1_L0)
+        self.hw_exit_entry(ctx, _HW_L1_L0)
         self.events.l0_trap("virtio-doorbell")
-        ctx.clock.advance(self.costs.virtio_doorbell_handler)
-        self.hw_exit_entry(ctx, SwitchKind.HW_L1_L0)
+        ctx.clock.now += self.costs.virtio_doorbell_handler
+        self.hw_exit_entry(ctx, _HW_L1_L0)
 
     def deliver_device_irq(self, ctx: CpuCtx) -> None:
         """Completion interrupt: rides the same path as the timer."""
@@ -627,7 +645,7 @@ class Machine(abc.ABC):
             + fix.entry_writes * self.costs.pte_write
         )
         self.guest_internal_transition(ctx)  # iret back to user
-        self.events.fault(FaultPhase.GUEST_PT, ctx.clock.now, ctx.cpu_id)
+        self.events.fault(_GUEST_PT, ctx.clock.now, ctx.cpu_id)
 
     def on_ept_violation(self, ctx: CpuCtx, proc: Process, violation) -> None:
         """Extended-dimension fault dance of machines that price one."""
@@ -647,8 +665,7 @@ class Machine(abc.ABC):
         """User -> kernel -> user transition for one syscall: inside a
         hardware-paged guest it never exits (KPTI adds its CR3 work)."""
         self.guest_internal_transition(ctx)
-        if self.config.kpti:
-            ctx.clock.advance(self.costs.kpti_syscall_overhead)
+        ctx.clock.now += self._kpti_ns
         self.guest_internal_transition(ctx)
 
     @abc.abstractmethod
@@ -702,16 +719,6 @@ class Machine(abc.ABC):
 
     # -- shared plumbing -----------------------------------------------------
 
-    def vmx_handler_ns(self, kind: str) -> int:
-        """Handler cost of one VT-x-trapped privileged operation."""
-        return {
-            "hypercall": self.costs.hypercall_handler,
-            "exception": self.costs.exception_handler,
-            "msr": self.costs.msr_handler,
-            "cpuid": self.costs.cpuid_handler,
-            "pio": self.costs.pio_handler,
-        }[kind]
-
     def sync_shadow(self, ctx: CpuCtx, proc: Process, vpn: int, gpt_pte):
         """Install the shadow entries for one guest PTE (the caller
         charges the lock work) and audit them when sanitizers are on."""
@@ -729,9 +736,10 @@ class Machine(abc.ABC):
 
     def hw_exit_entry(self, ctx: CpuCtx, kind: SwitchKind) -> None:
         """One hardware world switch (one direction)."""
-        ctx.clock.advance(self.costs.hw_world_switch)
-        self.events.switch(kind, ctx.clock.now, ctx.cpu_id)
+        clock = ctx.clock
+        clock.now += self._hw_switch_ns
+        self.events.switch(kind, clock.now, ctx.cpu_id)
 
     def guest_internal_transition(self, ctx: CpuCtx) -> None:
         """User<->kernel switch fully inside a hardware-paged guest."""
-        self.events.switch(SwitchKind.GUEST_INTERNAL, ctx.clock.now, ctx.cpu_id)
+        self.events.switch(_GUEST_INTERNAL, ctx.clock.now, ctx.cpu_id)

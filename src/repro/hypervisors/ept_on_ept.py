@@ -22,6 +22,7 @@ from repro.hypervisors.base import CpuCtx, Machine
 from repro.hypervisors.chain import MemoryChain, install_ept, install_huge_ept
 from repro.hypervisors.nested import NestedVmxMixin
 
+_SHADOW_PT = FaultPhase.SHADOW_PT
 
 class EptOnEptMachine(NestedVmxMixin, Machine):
     """Secure container in an L2 guest under EPT-on-EPT (kvm-ept NST)."""
@@ -74,7 +75,7 @@ class EptOnEptMachine(NestedVmxMixin, Machine):
         self.l2_l0_roundtrip(
             ctx, writes02 * self.costs.ept_fix_per_level, reason="ept02-fix"
         )
-        self.events.fault(FaultPhase.SHADOW_PT, ctx.clock.now, ctx.cpu_id)
+        self.events.fault(_SHADOW_PT, ctx.clock.now, ctx.cpu_id)
 
     def _l1_writes_ept12(self, ctx: CpuCtx, writes: int) -> None:
         """L0 forwards an EPT violation to L1, whose ``writes`` EPT12

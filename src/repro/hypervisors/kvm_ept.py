@@ -15,6 +15,9 @@ from repro.hw.types import EptViolation
 from repro.hw.vmx import VmxCapabilities
 from repro.hypervisors.base import CpuCtx, Machine
 
+_HW_L1_L0 = SwitchKind.HW_L1_L0
+_SHADOW_PT = FaultPhase.SHADOW_PT
+
 
 class KvmMachine(Machine):
     """Single-level VT-x: the CPU side both bare-metal KVM machines share.
@@ -35,30 +38,30 @@ class KvmMachine(Machine):
 
         KVM can often access MSRs directly from non-root mode; the
         paper's kvm MSR row reflects a full exit + emulate anyway."""
-        self.hw_exit_entry(ctx, SwitchKind.HW_L1_L0)
+        self.hw_exit_entry(ctx, _HW_L1_L0)
         self.events.l0_trap(kind)
-        ctx.clock.advance(self.vmx_handler_ns(kind))
-        self.hw_exit_entry(ctx, SwitchKind.HW_L1_L0)
+        ctx.clock.now += self.vmx_handler_ns[kind]
+        self.hw_exit_entry(ctx, _HW_L1_L0)
         self.events.emulate(kind)
 
     # -- interrupts / halt --------------------------------------------------------
 
     def deliver_timer(self, ctx: CpuCtx) -> None:
         """External interrupt: exit to L0, inject, resume, guest handler."""
-        self.hw_exit_entry(ctx, SwitchKind.HW_L1_L0)
+        self.hw_exit_entry(ctx, _HW_L1_L0)
         self.events.l0_trap("interrupt")
         self.l0_lock.run_locked(ctx.clock, self.costs.irq_inject)
-        self.hw_exit_entry(ctx, SwitchKind.HW_L1_L0)
-        ctx.clock.advance(self.costs.irq_handler)
+        self.hw_exit_entry(ctx, _HW_L1_L0)
+        ctx.clock.now += self.costs.irq_handler
         self.events.interrupt("timer")
 
     def halt(self, ctx: CpuCtx, wake_after_ns: int) -> None:
         """HLT exits to L0; wakeup via hardware event injection."""
-        self.hw_exit_entry(ctx, SwitchKind.HW_L1_L0)
+        self.hw_exit_entry(ctx, _HW_L1_L0)
         self.events.l0_trap("hlt")
         ctx.clock.advance(wake_after_ns)
-        ctx.clock.advance(self.costs.halt_wake_hw)
-        self.hw_exit_entry(ctx, SwitchKind.HW_L1_L0)
+        ctx.clock.now += self.costs.halt_wake_hw
+        self.hw_exit_entry(ctx, _HW_L1_L0)
         self.events.emulate("hlt")
 
 
@@ -78,13 +81,13 @@ class KvmEptMachine(KvmMachine):
                          violation: EptViolation) -> None:
         """EPT violation: one hardware round trip to L0's TDP MMU (a
         2 MiB guest run is backed by one huge entry)."""
-        self.hw_exit_entry(ctx, SwitchKind.HW_L1_L0)  # VM exit
+        self.hw_exit_entry(ctx, _HW_L1_L0)  # VM exit
         self.events.l0_trap("ept-violation")
         gfn = violation.gpa >> 12
         levels = self.memory.fill_ept(self.ept01, gfn, self.huge_block_base(gfn))
         ctx.clock.advance(levels * self.costs.ept_fix_per_level)
-        self.hw_exit_entry(ctx, SwitchKind.HW_L1_L0)  # VM entry
-        self.events.fault(FaultPhase.SHADOW_PT, ctx.clock.now, ctx.cpu_id)
+        self.hw_exit_entry(ctx, _HW_L1_L0)  # VM entry
+        self.events.fault(_SHADOW_PT, ctx.clock.now, ctx.cpu_id)
 
     def priced_gpt_writes(self, ctx: CpuCtx, proc: Process, writes: int,
                           kernel_pages: bool = False,

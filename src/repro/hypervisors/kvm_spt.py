@@ -24,6 +24,9 @@ from repro.hypervisors.base import CpuCtx
 from repro.hypervisors.kvm_ept import KvmMachine
 from repro.sim.locks import SimLock
 
+_HW_L1_L0 = SwitchKind.HW_L1_L0
+_SHADOW_PT = FaultPhase.SHADOW_PT
+_GUEST_PT = FaultPhase.GUEST_PT
 
 class KvmShadowMixin:
     """KVM's classic shadow MMU over the shared shadow core.
@@ -106,25 +109,25 @@ class KvmSptMachine(KvmShadowMixin, KvmMachine):
         one under write protection).
         """
         vpn = fault.vaddr >> 12
-        self.hw_exit_entry(ctx, SwitchKind.HW_L1_L0)  # #PF VM exit
+        self.hw_exit_entry(ctx, _HW_L1_L0)  # #PF VM exit
         self.events.l0_trap("spt-fault")
         gpt_pte = proc.gpt.lookup(vpn)
         if gpt_pte is not None and gpt_pte.permits(fault.access, user=True):
             self._sync_spte(ctx, proc, vpn, gpt_pte)
-            self.hw_exit_entry(ctx, SwitchKind.HW_L1_L0)  # VM entry
-            self.events.fault(FaultPhase.SHADOW_PT, ctx.clock.now, ctx.cpu_id)
+            self.hw_exit_entry(ctx, _HW_L1_L0)  # VM entry
+            self.events.fault(_SHADOW_PT, ctx.clock.now, ctx.cpu_id)
             return
         # True guest fault: inject #PF and resume into the guest handler.
         ctx.clock.advance(self.costs.irq_inject)
         self.events.inject("#PF")
-        self.hw_exit_entry(ctx, SwitchKind.HW_L1_L0)  # VM entry (to handler)
+        self.hw_exit_entry(ctx, _HW_L1_L0)  # VM entry (to handler)
         ctx.clock.advance(self.costs.pf_delivery)
         fix = self.kernel.fix_fault(proc, vpn, fault.access)
         ctx.clock.advance(self.fault_body_ns(proc, fix))
         # Each guest PTE write trapped under write protection.
         self.priced_gpt_writes(ctx, proc, fix.entry_writes)
         self.guest_internal_transition(ctx)  # guest iret (no exit)
-        self.events.fault(FaultPhase.GUEST_PT, ctx.clock.now, ctx.cpu_id)
+        self.events.fault(_GUEST_PT, ctx.clock.now, ctx.cpu_id)
         # The retry will fault again on the shadow table and take the
         # sync path above — the "second phase" of §2.2.
 
@@ -135,10 +138,10 @@ class KvmSptMachine(KvmShadowMixin, KvmMachine):
                           structural: bool = False) -> None:
         """Every guest PTE write traps: exit, emulate under mmu_lock, enter."""
         for _ in range(writes):
-            self.hw_exit_entry(ctx, SwitchKind.HW_L1_L0)
+            self.hw_exit_entry(ctx, _HW_L1_L0)
             self.events.l0_trap("gpt-write")
             self._emulate_gpt_write(ctx)
-            self.hw_exit_entry(ctx, SwitchKind.HW_L1_L0)
+            self.hw_exit_entry(ctx, _HW_L1_L0)
 
     # -- transitions -------------------------------------------------------------------
 
@@ -147,10 +150,10 @@ class KvmSptMachine(KvmShadowMixin, KvmMachine):
         hypervisor can switch shadow roots (the 2.09 us of Table 2).
         Without KPTI there is no CR3 switch and no exit."""
         if self.config.kpti:
-            self.hw_exit_entry(ctx, SwitchKind.HW_L1_L0)
+            self.hw_exit_entry(ctx, _HW_L1_L0)
             self.events.l0_trap("cr3-switch")
-            ctx.clock.advance(self.costs.spt_cr3_switch_handler)
-            self.hw_exit_entry(ctx, SwitchKind.HW_L1_L0)
+            ctx.clock.now += self.costs.spt_cr3_switch_handler
+            self.hw_exit_entry(ctx, _HW_L1_L0)
             self.events.emulate("cr3-switch")
         else:
             self.guest_internal_transition(ctx)

@@ -16,12 +16,29 @@ from repro.hw.events import SwitchKind
 from repro.hw.vmx import ExitReason, PendingEvent, Vmcs, VmcsShadow, VmxCapabilities
 from repro.hypervisors.base import CpuCtx, Machine
 
+_HW_L1_L0 = SwitchKind.HW_L1_L0
+_HW_L2_L0 = SwitchKind.HW_L2_L0
+_EXCEPTION = ExitReason.EXCEPTION
+
+
+class _TrapKeys(dict):
+    """``reason -> prefix + reason``, each key built on first use."""
+
+    def __init__(self, prefix: str) -> None:
+        super().__init__()
+        self.prefix = prefix
+
+    def __missing__(self, reason: str) -> str:
+        key = self[reason] = self.prefix + reason
+        return key
+
 
 class NestedVmxMixin:
     """Mixin providing the L2<->L1-via-L0 switch protocol.
 
     Host classes must be :class:`~repro.hypervisors.base.Machine`
-    subclasses; the mixin only uses `costs`, `events`, and `l0_lock`.
+    subclasses; the mixin only uses `costs`, `events`, `l0_lock` and
+    the leg costs and handler table `Machine` reads at construction.
     """
 
     def init_nested_vmx(self: Machine) -> None:
@@ -33,6 +50,10 @@ class NestedVmxMixin:
         self.caps.require_vmx(self.name)
         #: VMX state-machine sanitizer (repro.sanitize); None when off.
         self.vmx_sanitizer = None
+        #: ``l0_exits`` keys of the forwarded, service and direct legs.
+        self._l2_exit_keys = _TrapKeys("l2-exit:")
+        self._l1_service_keys = _TrapKeys("l1-service:")
+        self._l2_direct_keys = _TrapKeys("l2-direct:")
 
     def vmcs02(self: Machine) -> VmcsShadow:
         return self.vmcs_shadow
@@ -52,17 +73,18 @@ class NestedVmxMixin:
         san = self.vmx_sanitizer
         if san is not None:
             san.vm_exit(reason)
-        ctx.clock.advance(self.costs.hw_world_switch)
-        self.events.switch(SwitchKind.HW_L2_L0, ctx.clock.now, ctx.cpu_id)
-        self.events.l0_trap("l2-exit:" + reason)
+        clock, events, cpu = ctx.clock, self.events, ctx.cpu_id
+        clock.now += self._hw_switch_ns
+        events.switch(_HW_L2_L0, clock.now, cpu)
+        events.l0_trap(self._l2_exit_keys[reason])
         self.l0_lock.run_locked(
-            ctx.clock, self.costs.l0_forward_overhead + serialized_ns
+            clock, self.costs.l0_forward_overhead + serialized_ns
         )
         self.vmcs01.queue_injection(
-            PendingEvent(kind=ExitReason.EXCEPTION, payload=reason)
+            PendingEvent(kind=_EXCEPTION, payload=reason)
         )
-        ctx.clock.advance(self.costs.hw_world_switch)
-        self.events.switch(SwitchKind.HW_L1_L0, ctx.clock.now, ctx.cpu_id)
+        clock.now += self._hw_switch_ns
+        events.switch(_HW_L1_L0, clock.now, cpu)
 
     def l1_resume_l2(self: Machine, ctx: CpuCtx, serialized_ns: int = 0) -> None:
         """L1 VMRESUMEs L2: L1 -> L0 (VMRESUME trap) -> L2 (real entry).
@@ -70,30 +92,32 @@ class NestedVmxMixin:
         Two world switches, one L0 exit, dominated by the VMCS02
         merge/reload in root mode (serialized on the L0 service lock).
         """
-        ctx.clock.advance(self.costs.hw_world_switch)
-        self.events.switch(SwitchKind.HW_L1_L0, ctx.clock.now, ctx.cpu_id)
-        self.events.l0_trap("vmresume")
+        clock, events, cpu = ctx.clock, self.events, ctx.cpu_id
+        clock.now += self._hw_switch_ns
+        events.switch(_HW_L1_L0, clock.now, cpu)
+        events.l0_trap("vmresume")
         self.l0_lock.run_locked(
-            ctx.clock, self.costs.vmcs_merge_reload + serialized_ns
+            clock, self.costs.vmcs_merge_reload + serialized_ns
         )
         self.vmcs_shadow.merge()
         san = self.vmx_sanitizer
         if san is not None:
             san.vm_entry("vmresume")
-        ctx.clock.advance(self.costs.hw_world_switch)
-        self.events.switch(SwitchKind.HW_L2_L0, ctx.clock.now, ctx.cpu_id)
+        clock.now += self._hw_switch_ns
+        events.switch(_HW_L2_L0, clock.now, cpu)
 
     def l1_l0_service(self: Machine, ctx: CpuCtx, work_ns: int,
                       reason: str = "service") -> None:
         """An L1 privileged operation emulated by L0 (e.g. a trapped
         write to a read-only nested table): L1 -> L0 -> L1."""
-        ctx.clock.advance(self.costs.hw_world_switch)
-        self.events.switch(SwitchKind.HW_L1_L0, ctx.clock.now, ctx.cpu_id)
-        self.events.l0_trap("l1-service:" + reason)
-        self.l0_lock.run_locked(ctx.clock, work_ns)
-        self.events.emulate(reason)
-        ctx.clock.advance(self.costs.hw_world_switch)
-        self.events.switch(SwitchKind.HW_L1_L0, ctx.clock.now, ctx.cpu_id)
+        clock, events, cpu = ctx.clock, self.events, ctx.cpu_id
+        clock.now += self._hw_switch_ns
+        events.switch(_HW_L1_L0, clock.now, cpu)
+        events.l0_trap(self._l1_service_keys[reason])
+        self.l0_lock.run_locked(clock, work_ns)
+        events.emulate(reason)
+        clock.now += self._hw_switch_ns
+        events.switch(_HW_L1_L0, clock.now, cpu)
 
     def l2_l0_roundtrip(self: Machine, ctx: CpuCtx, work_ns: int,
                         reason: str = "l0-direct") -> None:
@@ -102,17 +126,19 @@ class NestedVmxMixin:
         san = self.vmx_sanitizer
         if san is not None:
             san.vm_exit(reason)
-        ctx.clock.advance(self.costs.hw_world_switch)
-        self.events.switch(SwitchKind.HW_L2_L0, ctx.clock.now, ctx.cpu_id)
-        self.events.l0_trap("l2-direct:" + reason)
-        self.l0_lock.run_locked(ctx.clock, work_ns)
-        self.events.emulate(reason)
+        clock, events, cpu = ctx.clock, self.events, ctx.cpu_id
+        key = self._l2_direct_keys[reason]
+        clock.now += self._hw_switch_ns
+        events.switch(_HW_L2_L0, clock.now, cpu)
+        events.l0_trap(key)
+        self.l0_lock.run_locked(clock, work_ns)
+        events.emulate(reason)
         if san is not None:
             # Direct L0 handling re-enters on the unchanged VMCS02 — no
             # merge needed (nothing bumped VMCS01/VMCS12 generations).
-            san.vm_entry("l2-direct:" + reason)
-        ctx.clock.advance(self.costs.hw_world_switch)
-        self.events.switch(SwitchKind.HW_L2_L0, ctx.clock.now, ctx.cpu_id)
+            san.vm_entry(key)
+        clock.now += self._hw_switch_ns
+        events.switch(_HW_L2_L0, clock.now, cpu)
 
     # -- composite round trips ------------------------------------------------
 
@@ -130,7 +156,7 @@ class NestedVmxMixin:
 
     def _privileged(self: Machine, ctx: CpuCtx, kind: str) -> None:
         """One privileged L2 operation, forwarded to L1 and resumed."""
-        self.nested_privileged_roundtrip(ctx, self.vmx_handler_ns(kind), kind)
+        self.nested_privileged_roundtrip(ctx, self.vmx_handler_ns[kind], kind)
 
     def virtio_doorbell(self: Machine, ctx: CpuCtx) -> None:
         """L2's kick is forwarded to L1's vhost, whose backend I/O rides
@@ -139,12 +165,10 @@ class NestedVmxMixin:
         self.nested_privileged_roundtrip(
             ctx, self.costs.virtio_doorbell_handler, "virtio-doorbell"
         )
-        ctx.clock.advance(self.costs.hw_world_switch)
-        self.events.switch(SwitchKind.HW_L1_L0, ctx.clock.now, ctx.cpu_id)
+        self.hw_exit_entry(ctx, _HW_L1_L0)
         self.events.l0_trap("virtio-backend")
         self.l0_lock.run_locked(ctx.clock, self.costs.virtio_doorbell_handler)
-        ctx.clock.advance(self.costs.hw_world_switch)
-        self.events.switch(SwitchKind.HW_L1_L0, ctx.clock.now, ctx.cpu_id)
+        self.hw_exit_entry(ctx, _HW_L1_L0)
 
     def deliver_timer(self: Machine, ctx: CpuCtx) -> None:
         """External interrupt: L2 exits to L0, L0 injects into L1, L1
@@ -152,13 +176,11 @@ class NestedVmxMixin:
         san = self.vmx_sanitizer
         if san is not None:
             san.vm_exit("interrupt")
-        ctx.clock.advance(self.costs.hw_world_switch)
-        self.events.switch(SwitchKind.HW_L2_L0, ctx.clock.now, ctx.cpu_id)
+        self.hw_exit_entry(ctx, _HW_L2_L0)
         self.events.l0_trap("interrupt")
         self.l0_lock.run_locked(ctx.clock, self.costs.irq_inject)
-        ctx.clock.advance(self.costs.hw_world_switch)
-        self.events.switch(SwitchKind.HW_L1_L0, ctx.clock.now, ctx.cpu_id)
-        ctx.clock.advance(self.costs.irq_handler)
+        self.hw_exit_entry(ctx, _HW_L1_L0)
+        ctx.clock.now += self.costs.irq_handler
         self.l1_resume_l2(ctx)
         self.events.interrupt("timer")
 
@@ -166,6 +188,6 @@ class NestedVmxMixin:
         """HLT traps through the full nested path in both directions."""
         self.l2_exit_to_l1(ctx, "hlt")
         ctx.clock.advance(wake_after_ns)
-        ctx.clock.advance(self.costs.halt_wake_hw)
+        ctx.clock.now += self.costs.halt_wake_hw
         self.l1_resume_l2(ctx)
         self.events.emulate("hlt")

@@ -23,6 +23,8 @@ from repro.hypervisors.kvm_spt import KvmShadowMixin
 from repro.hypervisors.nested import NestedVmxMixin
 from repro.sim.locks import SimLock
 
+_SHADOW_PT = FaultPhase.SHADOW_PT
+_GUEST_PT = FaultPhase.GUEST_PT
 
 class SptOnEptMachine(KvmShadowMixin, NestedVmxMixin, Machine):
     """Secure container in an L2 guest under SPT-on-EPT."""
@@ -57,7 +59,7 @@ class SptOnEptMachine(KvmShadowMixin, NestedVmxMixin, Machine):
             # Second phase: L1 syncs SPT12 and resumes L2 user directly.
             self._sync_spte(ctx, proc, vpn, gpt_pte)
             self.l1_resume_l2(ctx)
-            self.events.fault(FaultPhase.SHADOW_PT, ctx.clock.now, ctx.cpu_id)
+            self.events.fault(_SHADOW_PT, ctx.clock.now, ctx.cpu_id)
             return
         # First phase: L1 injects the #PF into L2's VMCS12 and resumes
         # into the L2 kernel's fault handler (via L0 again).
@@ -72,7 +74,7 @@ class SptOnEptMachine(KvmShadowMixin, NestedVmxMixin, Machine):
         # L2 -> L0 -> L1 -> L0 -> L2 round (4 switches, 2 L0 exits).
         self.priced_gpt_writes(ctx, proc, fix.entry_writes)
         self.guest_internal_transition(ctx)  # L2 kernel iret
-        self.events.fault(FaultPhase.GUEST_PT, ctx.clock.now, ctx.cpu_id)
+        self.events.fault(_GUEST_PT, ctx.clock.now, ctx.cpu_id)
 
     def priced_gpt_writes(self, ctx: CpuCtx, proc: Process, writes: int,
                           kernel_pages: bool = False,
@@ -90,7 +92,7 @@ class SptOnEptMachine(KvmShadowMixin, NestedVmxMixin, Machine):
         through L0.  This is what makes SPT-on-EPT unusable."""
         if self.config.kpti:
             self.l2_exit_to_l1(ctx, "cr3-switch")
-            ctx.clock.advance(self.costs.spt_cr3_switch_handler)
+            ctx.clock.now += self.costs.spt_cr3_switch_handler
             self.l1_resume_l2(ctx)
         else:
             self.guest_internal_transition(ctx)

@@ -270,10 +270,7 @@ class ReclaimDaemon:
             # mark would just orphan it.  Unsupervised QoS fleets get
             # reclaim and admission control but not eviction.
             return
-        victim = min(
-            running,
-            key=lambda c: (c.priority, -int(c.container_id.rsplit("-", 1)[1])),
-        )
+        victim = min(running, key=lambda c: (c.priority, -c.launch_seq))
         self.runtime.evict(victim)
         self.wse.forget(victim.container_id)
         self.stats.evictions += 1

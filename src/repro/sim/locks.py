@@ -64,14 +64,22 @@ class SimLock:
         if self.stall_hook is not None:
             extra = self.stall_hook(clock.now)
             if extra:
+                if extra < 0:
+                    raise ValueError("stall hook returned a negative hold")
                 hold_ns += extra
                 self.stalls_injected_ns += extra
+        # Every duration is non-negative, so ``end`` is never before the
+        # caller's clock and can be assigned to it.
         request = clock.now
-        grant = max(request, self.free_at)
-        wait = grant - request
-        end = grant + overhead_ns + hold_ns
+        free_at = self.free_at
+        if free_at > request:
+            wait = free_at - request
+            end = free_at + overhead_ns + hold_ns
+        else:
+            wait = 0
+            end = request + overhead_ns + hold_ns
         self.free_at = end
-        clock.advance_to(end)
+        clock.now = end
         self.acquisitions += 1
         self.total_wait_ns += wait
         self.total_hold_ns += hold_ns

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.guest.syscalls import Syscall
 from repro.hw.costs import CostModel, DEFAULT_COSTS
 from repro.hw.events import (
     Counter,
@@ -10,6 +11,7 @@ from repro.hw.events import (
     SwitchKind,
     diff_snapshots,
 )
+from repro.sim.clock import Clock
 
 
 class TestCostModel:
@@ -43,6 +45,36 @@ class TestCostModel:
     def test_unknown_override_rejected(self):
         with pytest.raises(TypeError):
             DEFAULT_COSTS.with_overrides(not_a_cost=1)
+
+    @pytest.mark.parametrize("bad", [-1, 1.5, True, "179"])
+    def test_constants_must_be_non_negative_ints(self, bad):
+        # Validated once here, so the switch legs add costs to clocks
+        # without a per-call check.
+        with pytest.raises(ValueError, match="pvm_world_switch"):
+            DEFAULT_COSTS.with_overrides(pvm_world_switch=bad)
+        with pytest.raises(ValueError):
+            CostModel(hw_world_switch=bad)
+
+    def test_zero_cost_allowed(self):
+        assert DEFAULT_COSTS.with_overrides(vmcs_merge_reload=0).vmcs_merge_reload == 0
+
+    def test_clock_advance_still_rejects_negative(self):
+        # Workload-supplied durations (e.g. HLT wake delays) still go
+        # through Clock.advance and its check.
+        clock = Clock()
+        with pytest.raises(ValueError):
+            clock.advance(-1)
+        assert clock.now == 0
+
+
+class TestSyscallTable:
+    @pytest.mark.parametrize("field", ["body_ns", "extra_transitions",
+                                       "pte_writes"])
+    @pytest.mark.parametrize("bad", [-1, 0.5])
+    def test_fields_must_be_non_negative_ints(self, field, bad):
+        kwargs = {"name": "x", "body_ns": 1, field: bad}
+        with pytest.raises(ValueError, match=field):
+            Syscall(**kwargs)
 
 
 class TestCounter:

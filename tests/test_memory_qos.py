@@ -10,7 +10,8 @@ from repro.containers.runtime import AdmissionError, RunDRuntime
 from repro.faults import SITE_MEMORY_PRESSURE, FaultPlan
 from repro.hw.types import MIB
 from repro.hypervisors.base import MachineConfig
-from repro.memory.qos import MemoryQosConfig
+from repro.memory.qos import MemoryQosConfig, ReclaimDaemon
+from repro.sim.stats import PressureStats
 from repro.memory.wse import WorkingSetEstimator
 from repro.workloads.memalloc import memalloc
 
@@ -233,6 +234,24 @@ class TestReclaimAndEviction:
         rt.run_fleet(4, memalloc, total_bytes=8 * MIB)
         assert rt.pressure.evictions == 0
         assert rt.evicting == frozenset()
+
+    def test_eviction_ties_break_on_launch_order_not_id(self):
+        # Ids are labels only: equal-priority victims are ordered by
+        # launch sequence, whatever the ids look like.
+        rt = _qos_runtime(ratio=2.0, plan=FaultPlan(seed=1))
+        first, second = rt.launch(), rt.launch()
+        first.container_id, second.container_id = "web", "db-primary"
+        daemon = ReclaimDaemon(rt, rt.memory_qos, PressureStats(), watched=[])
+        daemon._evict([first, second])
+        assert rt.evicting == frozenset({"db-primary"})
+        # Priority still comes first: a lower-priority earlier launch
+        # is chosen over the latest one.
+        rt2 = _qos_runtime(ratio=2.0, plan=FaultPlan(seed=1))
+        low, high = rt2.launch(priority=-1), rt2.launch()
+        low.container_id = "batch"
+        ReclaimDaemon(rt2, rt2.memory_qos, PressureStats(),
+                      watched=[])._evict([high, low])
+        assert rt2.evicting == frozenset({"batch"})
 
     def test_deflate_on_relief_returns_frames(self):
         rt = self._harsh()

@@ -69,6 +69,24 @@ class TestSimLock:
         with pytest.raises(ValueError):
             SimLock("l").run_locked(Clock(), hold_ns=-1)
 
+    def test_negative_stall_rejected(self):
+        # The caller's clock is set to the section's end, never moved
+        # back: a stall hook cannot shorten a hold.
+        lock = SimLock("l")
+        lock.stall_hook = lambda now: -5
+        with pytest.raises(ValueError):
+            lock.run_locked(Clock(), hold_ns=10)
+
+    def test_clock_set_to_section_end(self):
+        lock = SimLock("l")
+        late = Clock(500)
+        lock.run_locked(Clock(), hold_ns=100, overhead_ns=10)
+        assert lock.run_locked(late, hold_ns=5) == 0
+        assert late.now == 505
+        early = Clock(200)
+        assert lock.run_locked(early, hold_ns=5, overhead_ns=1) == 305
+        assert early.now == 511
+
     def test_stats(self):
         lock = SimLock("l")
         lock.run_locked(Clock(), hold_ns=10)
