@@ -21,12 +21,15 @@ from __future__ import annotations
 from repro.core.pvm_machine import PvmSwitcherMachine
 from repro.core.switcher import GuestWorld
 from repro.guest.process import Process
+from repro.hw.events import FaultPhase
 from repro.hw.memory import PhysicalMemory
 from repro.hw.types import PageFault
 from repro.hypervisors.base import CpuCtx
 from repro.hypervisors.chain import MemoryChain
 
 _KERNEL = GuestWorld.KERNEL
+_USER = GuestWorld.USER
+_GUEST_PT = FaultPhase.GUEST_PT
 
 class DirectPagingMachine(PvmSwitcherMachine):
     """``pvm-dp (NST)``: PVM's switcher with direct paging instead of
@@ -59,25 +62,32 @@ class DirectPagingMachine(PvmSwitcherMachine):
     # -- fault dance: constant-cost, shadow-free --------------------------------
 
     def on_guest_fault(self, ctx: CpuCtx, proc: Process, fault: PageFault) -> None:
-        """Architecture-specific guest page-fault dance."""
+        """The constant-cost dance, #PF to iret, in one handler."""
         vpn = fault.vaddr >> 12
+        clock, cpu, events = ctx.clock, ctx.cpu_id, self.events
         sw = self.hv.switcher
         # Deliver the #PF into the L2 kernel (2 switches).
-        sw.vm_exit(ctx.clock, ctx.cpu_id, "#PF")
-        self._inject_pf(ctx)
+        sw.vm_exit(clock, cpu, "#PF")
+        clock.now += self._inject_pf_ns
+        events.inject("#PF")
+        sw.vm_enter(clock, cpu, _KERNEL)
         # The kernel computes the fix and submits it as ONE batched
         # set_pte hypercall; PVM validates every entry.
-        fix = self._guest_fixes_fault(ctx, proc, vpn, fault.access)
-        sw.vm_exit(ctx.clock, ctx.cpu_id, "hypercall:set_pte")
+        clock.now += self._pf_delivery_ns
+        fix = self.kernel.fix_fault(proc, vpn, fault.access)
+        clock.now += self.fault_body_ns(proc, fix)
+        sw.vm_exit(clock, cpu, "hypercall:set_pte")
         self._validate(ctx, fix.entry_writes)
         self.locks.locked_fix(
-            ctx.clock, pt_key=(proc.pid, vpn >> 9), gfn=fix.pte.frame,
+            clock, pt_key=(proc.pid, vpn >> 9), gfn=fix.pte.frame,
             work_ns=0, structural=bool(fix.levels_allocated > 1),
         )
-        sw.vm_enter(ctx.clock, ctx.cpu_id, _KERNEL)
+        sw.vm_enter(clock, cpu, _KERNEL)
         # iret hypercall back to user (2 switches; nothing to prefault —
         # the hardware walks the guest's own table).
-        self._iret_to_user(ctx, proc, vpn)
+        self._iret_hypercall(ctx)
+        sw.vm_enter(clock, cpu, _USER)
+        events.fault(_GUEST_PT, clock.now, cpu)
 
     def priced_gpt_writes(self, ctx: CpuCtx, proc: Process, writes: int,
                           kernel_pages: bool = False,

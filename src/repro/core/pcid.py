@@ -21,6 +21,7 @@ from repro.hw.types import (
     PVM_GUEST_PCIDS_PER_CLASS,
     PVM_GUEST_USER_PCID_BASE,
     Asid,
+    AsidTable,
 )
 
 
@@ -35,6 +36,7 @@ class PcidMapper:
     def __init__(self, vpid: int, enabled: bool = True) -> None:
         self.vpid = vpid
         self.enabled = enabled
+        self._asids = AsidTable(vpid)
         self._map: Dict[Tuple[int, bool], int] = {}
         self._lru: list[Tuple[int, bool]] = []
         self.recycled = 0
@@ -47,8 +49,8 @@ class PcidMapper:
         flush must hit the whole VPID.
         """
         if not self.enabled:
-            return Asid(vpid=self.vpid, pcid=0)
-        return Asid(vpid=self.vpid, pcid=self._hw_pcid(guest_pcid, kernel_half))
+            return self._asids[0]
+        return self._asids[self._hw_pcid(guest_pcid, kernel_half)]
 
     def peek(self, guest_pcid: int, kernel_half: bool = False) -> Optional[int]:
         """The hardware PCID one L2 space is tagged with right now (0 when

@@ -30,12 +30,11 @@ from repro.core.shadow import ShadowManager
 from repro.core.sptlocks import SptLockManager
 from repro.core.switcher import GuestWorld
 from repro.guest.interrupts import Vector
-from repro.guest.kernel import GptFix
 from repro.guest.process import Process
 from repro.hw.events import FaultPhase, SwitchKind
 from repro.hw.memory import PhysicalMemory
 from repro.hw.pagetable import Pte
-from repro.hw.types import AccessType, Asid, PageFault
+from repro.hw.types import Asid, PageFault, asid_key
 from repro.hypervisors.base import CpuCtx, Machine
 from repro.hypervisors.chain import MemoryChain
 
@@ -52,10 +51,9 @@ class PvmSwitcherMachine(Machine):
     """PVM's CPU side: every world switch goes through the switcher.
 
     It owns the PCID policy and the TLB flushes, the syscall,
-    privileged, timer, HLT and doorbell paths, and the two ends every
-    guest-fault dance shares: injecting the #PF into the L2 kernel and
-    the iret back to the L2 user.  The paging design in between is the
-    subclass's.
+    privileged, timer, HLT and doorbell paths, the iret hypercall and the
+    costs every guest-fault dance reads.  The dance itself belongs to the
+    paging design: each subclass runs it from #PF to iret in one handler.
     """
 
     def __init__(self, *args, **kwargs) -> None:
@@ -70,6 +68,11 @@ class PvmSwitcherMachine(Machine):
         # Running deprivileged inside a VM instance adds event-delivery
         # bookkeeping to the exception and MSR paths.
         nst_extra = costs.pvm_nst_event_extra if self.nested else 0
+        # Guest-fault dance costs, read once (validated non-negative
+        # ints, so the dances add them to ``clock.now`` directly).
+        self._inject_pf_ns = costs.irq_inject // 3
+        self._pf_delivery_ns = costs.pf_delivery
+        self._hypercall_ns = costs.pvm_hypercall_handler
         #: Handler cost of one privileged operation, served by PVM.
         self.pvm_handler_ns = {
             "hypercall": costs.pvm_hypercall_handler,
@@ -97,7 +100,7 @@ class PvmSwitcherMachine(Machine):
     def tlb_tag(self, proc: Process) -> Optional[int]:
         """The user-half tag from the PCID window, without touching it."""
         hw = self.pcids.peek(proc.pcid)
-        return None if hw is None else Asid(vpid=self.vpid, pcid=hw).key
+        return None if hw is None else asid_key(self.vpid, hw)
 
     def tlb_owners(self) -> Dict[int, Process]:
         """Attribution needs an active, never-recycled PCID window: with
@@ -120,39 +123,11 @@ class PvmSwitcherMachine(Machine):
         world = self.hv.switcher.state_for(ctx.cpu_id).world
         return fallback if world is _HYPERVISOR else world
 
-    # -- the two ends of every guest-fault dance --------------------------------------
-
-    def _inject_pf(self, ctx: CpuCtx) -> None:
-        """Figure 9 (3)-(5): PVM injects the #PF and enters the L2
-        kernel's handler."""
-        ctx.clock.advance(self.costs.irq_inject // 3)
-        self.events.inject("#PF")
-        self.hv.switcher.vm_enter(ctx.clock, ctx.cpu_id, _KERNEL)
-
-    def _guest_fixes_fault(self, ctx: CpuCtx, proc: Process, vpn: int,
-                           access: AccessType) -> GptFix:
-        """(6): the L2 kernel's handler fixes its own page table."""
-        ctx.clock.advance(self.costs.pf_delivery)
-        fix = self.kernel.fix_fault(proc, vpn, access)
-        ctx.clock.advance(self.fault_body_ns(proc, fix))
-        return fix
-
     def _iret_hypercall(self, ctx: CpuCtx) -> None:
         """The L2 kernel's iret: one hypercall (switch) into PVM."""
         self.hv.switcher.vm_exit(ctx.clock, ctx.cpu_id, "hypercall:iret")
-        ctx.clock.now += self.costs.pvm_hypercall_handler
+        ctx.clock.now += self._hypercall_ns
         self.events.hypercall("iret")
-
-    def _iret_to_user(self, ctx: CpuCtx, proc: Process, vpn: int) -> None:
-        """(7)-(10): iret into PVM, the paging design's iret-path work,
-        then back to the L2 user."""
-        self._iret_hypercall(ctx)
-        self._on_fault_iret(ctx, proc, vpn)
-        self.hv.switcher.vm_enter(ctx.clock, ctx.cpu_id, _USER)
-        self.events.fault(_GUEST_PT, ctx.clock.now, ctx.cpu_id)
-
-    def _on_fault_iret(self, ctx: CpuCtx, proc: Process, vpn: int) -> None:
-        """Paging-side work on a fault's iret path (none by default)."""
 
     def on_segfault(self, ctx: CpuCtx, proc: Process) -> None:
         """SIGSEGV delivery: get back to v_ring3 from wherever the fault
@@ -327,69 +302,85 @@ class PvmMachine(PvmSwitcherMachine):
             dual=self.config.kpti,
             translate_block=self.memory.target_block,
         )
+        costs = self.costs
+        self._triage = triage = self.config.switcher_fault_triage
+        #: The triage check, paid on every exit-to-PVM fault (0 when off),
+        #: and the switcher-internal injection it buys for guest-PT faults.
+        self._triage_check_ns = costs.fault_triage_check if triage else 0
+        self._triage_inject_ns = (costs.fault_triage_check
+                                  + costs.ring_transition
+                                  + costs.direct_switch_extra)
+        self._stale_sync_ns = costs.spt_sync_per_entry
+        self._prefault_ns = costs.prefault_fill
 
     # -- the Figure 9 fault dance -----------------------------------------------------
 
     def on_guest_fault(self, ctx: CpuCtx, proc: Process, fault: PageFault) -> None:
-        """Architecture-specific guest page-fault dance."""
+        """The Figure 9 dance, #PF to iret, in one handler."""
         vpn = fault.vaddr >> 12
+        access = fault.access
+        clock, cpu, events = ctx.clock, ctx.cpu_id, self.events
+        sw = self.hv.switcher
         gpt_pte = proc.gpt.lookup(vpn)
-        shadow_stale = (
-            gpt_pte is not None and gpt_pte.permits(fault.access, user=True)
-        )
-        if self.config.switcher_fault_triage and not shadow_stale:
+        shadow_stale = gpt_pte is not None and gpt_pte.permits(access, True)
+        if self._triage and not shadow_stale:
             # §5 extension: the switcher recognizes a guest-PT fault and
             # injects it straight into the L2 kernel — a light
             # switcher-internal transition instead of a full exit to PVM.
-            ctx.clock.advance(
-                self.costs.fault_triage_check + self.costs.ring_transition
-                + self.costs.direct_switch_extra
-            )
-            self.hv.switcher.state_for(ctx.cpu_id).world = _KERNEL
-            self.events.switch(_PVM_DIRECT, ctx.clock.now, ctx.cpu_id)
-            self.events.inject("#PF")
+            clock.now += self._triage_inject_ns
+            sw.state_for(cpu).world = _KERNEL
+            events.switch(_PVM_DIRECT, clock.now, cpu)
+            events.inject("#PF")
         else:
             # (1)-(2): the #PF lands in the switcher and exits to PVM —
             # one world switch, entirely inside L1.
-            self.hv.switcher.vm_exit(ctx.clock, ctx.cpu_id, "#PF")
-            if self.config.switcher_fault_triage:
-                ctx.clock.advance(self.costs.fault_triage_check)
+            sw.vm_exit(clock, cpu, "#PF")
+            clock.now += self._triage_check_ns
             if shadow_stale:
                 # Shadow-stale fault: sync SPT12 directly, return to user.
                 self._sync_shadow(ctx, proc, vpn, gpt_pte,
-                                  work_attr="spt_sync_per_entry")
-                self.hv.switcher.vm_enter(ctx.clock, ctx.cpu_id,
-                                          _USER)
-                self.events.fault(_SHADOW_PT, ctx.clock.now,
-                                  ctx.cpu_id)
+                                  self._stale_sync_ns)
+                sw.vm_enter(clock, cpu, _USER)
+                events.fault(_SHADOW_PT, clock.now, cpu)
                 return
-            self._inject_pf(ctx)
-        fix = self._guest_fixes_fault(ctx, proc, vpn, fault.access)
+            # (3)-(5): PVM injects the #PF and enters the L2 kernel's
+            # handler.
+            clock.now += self._inject_pf_ns
+            events.inject("#PF")
+            sw.vm_enter(clock, cpu, _KERNEL)
+        # (6): the L2 kernel's handler fixes its own page table.
+        clock.now += self._pf_delivery_ns
+        fix = self.kernel.fix_fault(proc, vpn, access)
+        clock.now += self.fault_body_ns(proc, fix)
         self.shadow.note_gpt_growth(proc)
         # Each GPT2 write of the fix needs PVM's assistance (2n switches).
         self.priced_gpt_writes(ctx, proc, fix.entry_writes)
         self.prefaulter.arm(proc.pid, vpn)
-        self._iret_to_user(ctx, proc, vpn)
-
-    def _on_fault_iret(self, ctx: CpuCtx, proc: Process, vpn: int) -> None:
-        """(8): the prefault optimization fills SPT12 on the iret path,
-        avoiding the otherwise-inevitable shadow-stale fault."""
+        # (7): the iret hypercall into PVM.
+        sw.vm_exit(clock, cpu, "hypercall:iret")
+        clock.now += self._hypercall_ns
+        events.hypercall("iret")
+        # (8): the prefault optimization fills SPT12 on the iret path,
+        # avoiding the otherwise-inevitable shadow-stale fault.  The fix's
+        # PTE is the guest entry now covering ``vpn``.
         if self.prefaulter.take(proc.pid, vpn):
-            fresh = proc.gpt.lookup(vpn)
-            if fresh is not None:
-                self._sync_shadow(ctx, proc, vpn, fresh, work_attr="prefault_fill")
+            self._sync_shadow(ctx, proc, vpn, fix.pte, self._prefault_ns)
+        # (9)-(10): back to the L2 user.
+        sw.vm_enter(clock, cpu, _USER)
+        events.fault(_GUEST_PT, clock.now, cpu)
 
     def _sync_shadow(self, ctx: CpuCtx, proc: Process, vpn: int,
-                     gpt_pte: Pte, work_attr: str) -> None:
+                     gpt_pte: Pte, per_entry_ns: int) -> None:
+        """Install the shadow entries for one guest PTE and charge the
+        work under the SPT locks."""
         if gpt_pte.huge:
             vpn -= vpn % 512  # shadow the whole 2 MiB run at its base
         result = self.sync_shadow(ctx, proc, vpn, gpt_pte)
-        work = getattr(self.costs, work_attr) * max(1, result.entry_writes // 2)
         self.locks.locked_fix(
             ctx.clock,
             pt_key=(proc.pid, vpn >> 9),
             gfn=gpt_pte.frame,
-            work_ns=work,
+            work_ns=per_entry_ns * max(1, result.entry_writes // 2),
             structural=result.structural,
         )
 
@@ -429,9 +420,9 @@ class PvmMachine(PvmSwitcherMachine):
     def invalidate_pages(self, ctx: CpuCtx, proc: Process, vpns) -> None:
         """Zap stale shadow/TLB state after unmap/mprotect."""
         vpns = tuple(vpns)
+        removed = self.shadow.unmap_pages(proc, vpns)
         for vpn in vpns:
-            removed = self.shadow.unmap(proc, vpn)
-            if removed:
+            if vpn in removed:
                 self.locks.locked_fix(
                     ctx.clock, pt_key=(proc.pid, vpn >> 9), gfn=(proc.pid, vpn),
                     work_ns=self.costs.spt_sync_per_entry // 2,

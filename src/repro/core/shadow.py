@@ -16,8 +16,7 @@ the fine-grained locks protect.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Set, Tuple
 
 from repro.guest.process import Process
 from repro.hw.costs import CostModel
@@ -25,8 +24,7 @@ from repro.hw.memory import PhysicalMemory
 from repro.hw.pagetable import PageTable, Pte
 
 
-@dataclass(frozen=True)
-class SyncResult:
+class SyncResult(NamedTuple):
     """Outcome of synchronizing one guest PTE into the shadow side."""
 
     vpn: int
@@ -66,6 +64,9 @@ class ShadowManager:
         self._rmap: Dict[int, Set[Tuple[int, str, int]]] = {}
         #: Frames of guest page-table pages currently write-protected.
         self.write_protected_frames: Set[int] = set()
+        #: pid -> the GPT's (uid, node_allocations, epoch) at its last
+        #: scan into ``write_protected_frames``; cleared with that set.
+        self._wp_stamps: Dict[int, Tuple[int, int, int]] = {}
         #: target frame -> guest frame (inverse of translate_gfn, filled
         #: on sync so rmap maintenance on unmap is O(1)).
         self._inverse: Dict[int, int] = {}
@@ -112,14 +113,25 @@ class ShadowManager:
         process comes under shadow management; new table nodes are added
         by :meth:`note_gpt_growth` as the guest table grows.
         """
-        frames = set(proc.gpt.node_frames())
+        gpt = proc.gpt
+        self._wp_stamps[proc.pid] = (gpt.uid, gpt.node_allocations, gpt.epoch)
+        frames = set(gpt.node_frames())
         new = frames - self.write_protected_frames
         self.write_protected_frames |= new
         return len(new)
 
     def note_gpt_growth(self, proc: Process) -> None:
-        """Write-protect any newly-allocated guest table frames."""
-        self.write_protect_gpt(proc)
+        """Write-protect any newly-allocated guest table frames.
+
+        The rescan is skipped while the GPT's ``(uid, node_allocations,
+        epoch)`` stamp is the one of this process's last scan: the set of
+        table frames only changes when nodes are allocated or freed, and
+        either moves the stamp, so the skip is exact.
+        """
+        gpt = proc.gpt
+        if self._wp_stamps.get(proc.pid) != (gpt.uid, gpt.node_allocations,
+                                             gpt.epoch):
+            self.write_protect_gpt(proc)
 
     # -- synchronization --------------------------------------------------------------
 
@@ -143,59 +155,49 @@ class ShadowManager:
         writes = 0
         structural = False
         for half in self.halves(proc):
-            table = self.spt(proc, half)
-            existing = table.lookup(vpn)
-            if existing is None:
-                shadow_pte = Pte(
-                    frame=target,
-                    writable=gpt_pte.writable,
-                    user=(half == "user"),
-                    executable=gpt_pte.executable,
-                    huge=gpt_pte.huge,
-                )
-                if gpt_pte.huge:
-                    result = table.map_huge(vpn, shadow_pte)
-                else:
-                    result = table.map(vpn, shadow_pte)
-                writes += len(result.written_frames)
-                if result.allocated_levels:
-                    structural = True
-            else:
-                existing.frame = target
-                table.protect(vpn, writable=gpt_pte.writable)
-                writes += 1
+            # New entries are mapped; an existing one is retargeted and
+            # its write permission refreshed — one descent either way.
+            result = self.spt(proc, half).ensure(
+                vpn,
+                Pte(frame=target, writable=gpt_pte.writable,
+                    user=(half == "user"), executable=gpt_pte.executable,
+                    huge=gpt_pte.huge),
+                frame=target, writable=gpt_pte.writable,
+            )
+            writes += len(result.written_frames)
+            if result.allocated_levels:
+                structural = True
             self._rmap.setdefault(gpt_pte.frame, set()).add((proc.pid, half, vpn))
         self.syncs += 1
-        return SyncResult(
-            vpn=vpn, entry_writes=writes, structural=structural,
-            target_frame=target,
-        )
+        return SyncResult(vpn, writes, structural, target)
 
     def unmap(self, proc: Process, vpn: int) -> int:
-        """Drop the shadow entries covering ``vpn``.
+        """Drop the shadow entries covering ``vpn``; returns how many
+        halves lost one (see :meth:`unmap_pages`)."""
+        return self.unmap_pages(proc, (vpn,)).get(vpn, 0)
 
-        For a huge shadow entry only the (aligned) base unmaps it; other
-        vpns inside the run are no-ops once the base has been dropped.
+    def unmap_pages(self, proc: Process, vpns: Iterable[int]) -> Dict[int, int]:
+        """Drop the shadow entries covering each of ``vpns`` (ascending).
+
+        Returns vpn -> halves that lost an entry, for the vpns that lost
+        any.  For a huge shadow entry only the (aligned) base unmaps it;
+        other vpns inside the run are no-ops.  Each half visits each
+        leaf table once (:meth:`PageTable.unmap_each`).
         """
-        removed = 0
+        vpns = tuple(vpns)
+        removed: Dict[int, int] = {}
         for half in ("user", "kernel"):
             table = self._spts.get((proc.pid, half))
             if table is None:
                 continue
-            pte = table.lookup(vpn)
-            if pte is None:
-                continue
-            if pte.huge:
-                if vpn % 512 == 0:
-                    table.unmap_huge(vpn)
-                else:
-                    continue
-            else:
-                table.unmap(vpn)
-            entries = self._rmap.get(self._rmap_gfn_of(pte))
-            if entries is not None:
-                entries.discard((proc.pid, half, vpn))
-            removed += 1
+
+            def drop_rmap(vpn: int, pte: Pte, half: str = half) -> None:
+                entries = self._rmap.get(self._rmap_gfn_of(pte))
+                if entries is not None:
+                    entries.discard((proc.pid, half, vpn))
+                removed[vpn] = removed.get(vpn, 0) + 1
+
+            table.unmap_each(vpns, drop_rmap)
         return removed
 
     def lookup(self, proc: Process, vpn: int, half: str = "user") -> Optional[Pte]:
@@ -261,6 +263,7 @@ class ShadowManager:
         self._rmap.clear()
         self._inverse.clear()
         self.write_protected_frames.clear()
+        self._wp_stamps.clear()
         return dropped
 
     def drop(self, proc: Process) -> int:

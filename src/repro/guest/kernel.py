@@ -11,7 +11,7 @@ what lets five different deployment scenarios share one kernel.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from repro.guest.addrspace import AddressSpace, SegfaultError, Vma
 from repro.guest.process import PidAllocator, Process
@@ -21,8 +21,7 @@ from repro.hw.pagetable import PageTable, Pte
 from repro.hw.types import AccessType, HardwareError
 
 
-@dataclass(frozen=True)
-class GptFix:
+class GptFix(NamedTuple):
     """What the page-fault handler did to the guest page table."""
 
     vpn: int
@@ -37,6 +36,9 @@ class GptFix:
     cow_break: bool = False
     #: True when the fix installed a 2 MiB (THP) mapping.
     huge: bool = False
+    #: True when the faulting page lies in a file-backed VMA (the fault
+    #: body is priced from this, so the VMA is looked up once).
+    file_backed: bool = False
 
 
 @dataclass(frozen=True)
@@ -164,6 +166,7 @@ class GuestKernel:
             pte=pte,
             levels_allocated=max(1, len(result.allocated_levels)),
             entry_writes=len(result.written_frames),
+            file_backed=vma.kind == "file",
         )
 
     def _fix_present_fault(
@@ -181,14 +184,15 @@ class GuestKernel:
             new_pte = proc.gpt.protect(vpn, writable=True)
             return GptFix(
                 vpn=vpn, pte=new_pte, levels_allocated=1, entry_writes=1,
-                cow_break=True,
+                cow_break=True, file_backed=vma.kind == "file",
             )
         if not vma.writable:
             raise SegfaultError(vpn << 12)
         # VMA is writable but the PTE was read-only (e.g. after a manual
         # mprotect cycle): upgrade in place.
         new_pte = proc.gpt.protect(vpn, writable=True)
-        return GptFix(vpn=vpn, pte=new_pte, levels_allocated=1, entry_writes=1)
+        return GptFix(vpn=vpn, pte=new_pte, levels_allocated=1, entry_writes=1,
+                      file_backed=vma.kind == "file")
 
     def _try_huge_fault(self, proc: Process, vma: Vma, vpn: int):
         """Serve the fault with one 2 MiB mapping when possible."""
@@ -235,26 +239,19 @@ class GuestKernel:
 
         proc.addr_space.munmap(vma.start_vpn)
         removed: List[int] = []
-        writes = 0
-        vpn = vma.start_vpn
-        while vpn < vma.end_vpn:
-            pte = proc.gpt.lookup(vpn)
-            if pte is None:
-                vpn += 1
-                continue
-            if pte.huge and vpn % HUGE_PAGE_PAGES == 0:
-                proc.gpt.unmap_huge(vpn)
+
+        def release(vpn: int, pte: Pte) -> None:
+            # Each frame goes back right after its entry, as page-by-page
+            # unmapping would.
+            if pte.huge:
                 self.phys.free(FrameRange(pte.frame, HUGE_PAGE_PAGES))
-                removed.append(vpn)
-                writes += 1
-                vpn += HUGE_PAGE_PAGES
-                continue
-            proc.gpt.unmap(vpn)
-            self._put_frame(proc, vpn, pte)
+            else:
+                self._put_frame(proc, vpn, pte)
             removed.append(vpn)
-            writes += 1
-            vpn += 1
-        return UnmapWork(vpns=tuple(removed), entry_writes=writes)
+
+        # One descent per leaf table of the run.
+        proc.gpt.unmap_each(range(vma.start_vpn, vma.end_vpn), release)
+        return UnmapWork(vpns=tuple(removed), entry_writes=len(removed))
 
     def sys_mprotect(self, proc: Process, vma: Vma, writable: bool) -> int:
         """Change protections; returns the number of PTEs rewritten."""

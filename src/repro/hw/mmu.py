@@ -16,21 +16,36 @@ translations from a small per-vCPU GPA cache, collapsing the 2-D walk's
 charges exactly the seed model's full-depth cost — virtual-time numbers
 are bit-identical to the pre-PSC simulator.
 
-All misses are surfaced as exceptions carrying structured fault
-descriptors; the MMU never "fixes" anything itself — that is hypervisor
-or kernel policy.
+A miss is returned, not raised: both accessors return ``-1`` and leave
+the fault descriptor (:class:`~repro.hw.types.PageFault` for the guest
+dimension, :class:`~repro.hw.types.EptViolation` for the extended one)
+in :attr:`Mmu.fault`.  The MMU never "fixes" anything itself — that is
+hypervisor or kernel policy.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple, Union
 
 from repro.hw.costs import CostModel
 from repro.hw.events import EventLog
-from repro.hw.pagetable import PageFaultException, PageTable, WalkResult
+from repro.hw.pagetable import (
+    HUGE_PAGE_PAGES,
+    PageTable,
+    PageTableNode,
+    WalkResult,
+    page_fault,
+)
 from repro.hw.psc import PagingStructureCache
 from repro.hw.tlb import HUGE_SPAN, HUGE_TAG, KEY_SHIFT, Tlb
-from repro.hw.types import AccessType, Asid, EptViolation
+from repro.hw.types import (
+    ENTRIES_PER_TABLE,
+    LEVEL_BITS,
+    AccessType,
+    Asid,
+    EptViolation,
+    PageFault,
+)
 from repro.sim.clock import Clock
 
 #: Entries in the per-vCPU guest-physical translation cache (the
@@ -40,21 +55,9 @@ GPA_CACHE_CAPACITY = 512
 
 
 _READ = AccessType.READ
-
-
-class EptViolationException(Exception):
-    """Raised when the extended dimension lacks a required translation.
-
-    Like :class:`~repro.hw.pagetable.PageFaultException`, ``args`` holds
-    the descriptor and the message is formatted on demand.
-    """
-
-    def __init__(self, violation: EptViolation) -> None:
-        super().__init__(violation)
-        self.violation = violation
-
-    def __str__(self) -> str:
-        return f"EPT violation @ gpa {self.violation.gpa:#x}"
+_WRITE = AccessType.WRITE
+_EXECUTE = AccessType.EXECUTE
+_INDEX_MASK = ENTRIES_PER_TABLE - 1
 
 
 class Mmu:
@@ -66,8 +69,8 @@ class Mmu:
 
     __slots__ = (
         "tlb", "events", "costs", "psc", "_gpa_cache",
-        "_tlb_entries", "_tlb_get", "_tlb_stats", "_hit_ns",
-        "sanitizer",
+        "_tlb_get", "_tlb_stats", "_hit_ns",
+        "_step_1d_ns", "_step_2d_ns", "fault", "sanitizer",
     )
 
     def __init__(
@@ -88,10 +91,15 @@ class Mmu:
         # Hot-path aliases: the TLB's entry dict is never rebound (see
         # Tlb.__init__) and CostModel is frozen, so the probe can skip
         # two method calls and three attribute chases per translation.
-        self._tlb_entries = tlb._entries
         self._tlb_get = tlb._entries.get  # bound once; dict never rebound
         self._tlb_stats = tlb.stats
         self._hit_ns = costs.tlb_hit
+        # Walk-step costs, validated non-negative by the CostModel, so
+        # the walks add them to ``clock.now`` directly.
+        self._step_1d_ns = costs.walk_step_1d
+        self._step_2d_ns = costs.walk_step_2d
+        #: Descriptor of the last miss: set whenever an access returns -1.
+        self.fault: Union[PageFault, EptViolation, None] = None
         #: Optional ShadowCoherenceSanitizer; consulted only on the cold
         #: flush paths (never on the translation hot path).
         self.sanitizer = None
@@ -110,9 +118,9 @@ class Mmu:
     ) -> int:
         """Translate ``vpn`` through a single page table.
 
-        Returns the target frame.  Raises
-        :class:`~repro.hw.pagetable.PageFaultException` on a miss or
-        permission violation, after charging the partial walk.
+        Returns the target frame.  On a miss or permission violation it
+        charges the partial walk, leaves the :class:`PageFault` in
+        :attr:`fault` and returns -1.
         """
         akey = asid.key
         entry = self._tlb_get((akey << KEY_SHIFT) | vpn)
@@ -131,23 +139,23 @@ class Mmu:
             return entry.frame + (vpn % HUGE_SPAN)
         self._tlb_stats.misses += 1
         psc = self.psc
-        start = None
-        if psc is not None:
+        if psc is None:
+            result = pt.walk(vpn, access, user)
+            # Seed model: full depth wherever the walk ended (the
+            # difference is below our cost resolution).
+            clock.now += pt.levels * self._step_1d_ns
+            if type(result) is PageFault:
+                self.fault = result
+                return -1
+        else:
             start = psc.lookup(pt, akey, vpn)
             self.events.psc_event("hit" if start is not None else "miss")
-        try:
             result = pt.walk(vpn, access, user, start=start)
-        except PageFaultException as exc:
-            # Charge the walk that discovered the fault: full depth
-            # without PSCs (seed model), the levels actually read — down
-            # to the faulting level — with them.
-            clock.advance(
-                self._walk_cost(pt, start, exc, None, self.costs.walk_step_1d)
-            )
-            raise
-        clock.advance(self._walk_cost(pt, start, None, result,
-                                      self.costs.walk_step_1d))
-        if psc is not None:
+            clock.now += self._psc_walk_ns(pt, start, result,
+                                           self._step_1d_ns)
+            if type(result) is PageFault:
+                self.fault = result
+                return -1
             psc.fill(pt, akey, vpn, result.nodes)
         self.tlb.insert_packed(
             akey, vpn, result.frame,
@@ -170,11 +178,17 @@ class Mmu:
     ) -> int:
         """Translate ``vpn`` through GPT nested over EPT.
 
-        Raises :class:`~repro.hw.pagetable.PageFaultException` when the
-        guest dimension misses (a *guest* page fault, delivered to the
-        guest kernel) and :class:`EptViolationException` when the
-        extended dimension misses (delivered to the hypervisor).
-        Returns the final host frame.
+        Returns the final host frame.  On a miss it returns -1 with a
+        :class:`PageFault` in :attr:`fault` when the guest dimension
+        misses (a *guest* page fault, delivered to the guest kernel) or
+        an :class:`EptViolation` when the extended dimension misses
+        (delivered to the hypervisor).
+
+        Without PSCs the miss is one inline walk per dimension: the
+        guest table is walked once from the root, keeping only the
+        frames of the nodes it reads, then each of those frames and the
+        guest leaf frame takes one EPT leg — with the checks, A/D
+        updates, fault levels and charges of :meth:`PageTable.walk`.
         """
         akey = asid.key
         entry = self._tlb_get((akey << KEY_SHIFT) | vpn)
@@ -188,58 +202,138 @@ class Mmu:
             clock.now += self._hit_ns
             return entry.frame + (vpn % HUGE_SPAN)
         self._tlb_stats.misses += 1
-        psc = self.psc
-        start = None
-        if psc is not None:
-            start = psc.lookup(gpt, akey, vpn)
-            self.events.psc_event("hit" if start is not None else "miss")
-        try:
-            result: WalkResult = gpt.walk(vpn, access, user, start=start)
-        except PageFaultException as exc:
-            clock.advance(
-                self._walk_cost(gpt, start, exc, None, self.costs.walk_step_2d)
-            )
-            raise
-        clock.advance(self._walk_cost(gpt, start, None, result,
-                                      self.costs.walk_step_2d))
+        if self.psc is not None:
+            return self._access_2d_psc(clock, akey, gpt, ept, vpn, access,
+                                       user)
+        # Guest dimension, charged at full depth wherever it stops.
+        clock.now += gpt.levels * self._step_2d_ns
+        node = gpt.root
         # The guest's table pages live in guest-physical memory; hardware
         # translates each of them through the EPT during the nested walk.
+        frames = [node.frame]
+        level = node.level
+        guest_huge = False
+        while level > 1:
+            pte = node.entries.get((vpn >> (level - 1) * LEVEL_BITS)
+                                   & _INDEX_MASK)
+            if type(pte) is not PageTableNode:
+                if pte is None or not pte.huge or level != 2:
+                    self.fault = page_fault(vpn, access, user, False, level)
+                    return -1
+                guest_huge = True
+                break
+            node = pte
+            frames.append(node.frame)
+            level -= 1
+        else:
+            pte = node.entries.get(vpn & _INDEX_MASK)
+            if pte is None:
+                self.fault = page_fault(vpn, access, user, False, 1)
+                return -1
+        if ((user and not pte.user)
+                or (access is _WRITE and not pte.writable)
+                or (access is _EXECUTE and not pte.executable)):
+            self.fault = page_fault(vpn, access, user, True, level)
+            return -1
+        pte.accessed = True
+        if access is _WRITE:
+            pte.dirty = True
+        frames.append(pte.frame + vpn % HUGE_PAGE_PAGES if guest_huge
+                      else pte.frame)
+        # Extended dimension: one leg per guest node frame (a read), then
+        # the guest leaf frame with the real access.  Every leg is charged
+        # at full depth, the faulting one included.
+        leg_ns = ept.levels * self._step_1d_ns
+        last = len(frames) - 1
+        for i, gfn in enumerate(frames):
+            clock.now += leg_ns
+            leg_access = access if i == last else _READ
+            node = ept.root
+            level = node.level
+            while level > 1:
+                leaf = node.entries.get((gfn >> (level - 1) * LEVEL_BITS)
+                                        & _INDEX_MASK)
+                if type(leaf) is not PageTableNode:
+                    if leaf is None or not leaf.huge or level != 2:
+                        self.fault = EptViolation(gfn << 12, leg_access, level)
+                        return -1
+                    break
+                node = leaf
+                level -= 1
+            else:
+                leaf = node.entries.get(gfn & _INDEX_MASK)
+                if leaf is None:
+                    self.fault = EptViolation(gfn << 12, leg_access, 1)
+                    return -1
+            if ((leg_access is _WRITE and not leaf.writable)
+                    or (leg_access is _EXECUTE and not leaf.executable)):
+                self.fault = EptViolation(gfn << 12, leg_access, level)
+                return -1
+            leaf.accessed = True
+            if leg_access is _WRITE:
+                leaf.dirty = True
+        # ``level`` is where the leaf leg ended: 2 for a huge EPT entry.
+        # A guest-huge translation can only fill a huge TLB entry when the
+        # extended dimension preserves contiguity, i.e. that leaf is huge.
+        if level == 2:
+            frame = leaf.frame + gfn % HUGE_PAGE_PAGES
+            self.tlb.insert_packed(akey, vpn, frame, huge=guest_huge)
+        else:
+            frame = leaf.frame
+            self.tlb.insert_packed(akey, vpn, frame)
+        return frame
+
+    def _access_2d_psc(
+        self,
+        clock: Clock,
+        akey: int,
+        gpt: PageTable,
+        ept: PageTable,
+        vpn: int,
+        access: AccessType,
+        user: bool,
+    ) -> int:
+        """The TLB-miss half of :meth:`access_2d` with PSCs attached."""
+        psc = self.psc
+        start = psc.lookup(gpt, akey, vpn)
+        self.events.psc_event("hit" if start is not None else "miss")
+        result = gpt.walk(vpn, access, user, start=start)
+        clock.now += self._psc_walk_ns(gpt, start, result, self._step_2d_ns)
+        if type(result) is PageFault:
+            self.fault = result
+            return -1
         # A PSC-resumed walk read fewer guest nodes, so it also performs
         # fewer nested resolutions — the 2-D collapse.
         for node in result.nodes:
-            self._ept_resolve(clock, ept, node.frame, _READ)
+            if self._ept_resolve(clock, ept, node.frame, _READ) is None:
+                return -1
         # Finally translate the leaf guest frame with the real access type.
-        frame, huge = self._ept_resolve(clock, ept, result.frame, access)
+        leaf = self._ept_resolve(clock, ept, result.frame, access)
+        if leaf is None:
+            return -1
         # Fill only after every nested leg resolved: caching earlier would
         # let a retry resume past upper nodes whose EPT violations never
         # surfaced, making PSC-on runs *behave* differently (fewer
         # hypervisor mappings) instead of merely costing less.
-        if psc is not None:
-            psc.fill(gpt, akey, vpn, result.nodes)
-        # A guest-huge translation can only fill a huge TLB entry when the
-        # extended dimension preserves contiguity, i.e. the EPT leaf that
-        # resolved the guest frame is huge too.
-        self.tlb.insert_packed(akey, vpn, frame, huge=result.huge and huge)
-        return frame
+        psc.fill(gpt, akey, vpn, result.nodes)
+        self.tlb.insert_packed(akey, vpn, leaf.frame,
+                               huge=result.huge and leaf.huge)
+        return leaf.frame
 
-    def _walk_cost(
+    def _psc_walk_ns(
         self,
         pt: PageTable,
-        start,
-        fault: Optional[PageFaultException],
-        result: Optional[WalkResult],
+        start: Optional[PageTableNode],
+        result: Union[WalkResult, PageFault],
         step: int,
     ) -> int:
-        """Nanoseconds to charge for one (possibly partial) walk."""
-        if self.psc is None:
-            # Seed model: full depth regardless of where the walk ended
-            # (the difference is below our cost resolution).
-            return pt.levels * step
-        if result is not None:
-            levels = result.levels_walked
-        else:
+        """Nanoseconds for one PSC-resumed walk: the levels actually
+        read — down to the faulting level on a fault — plus the probe."""
+        if type(result) is PageFault:
             start_level = pt.levels if start is None else start.level
-            levels = start_level - fault.fault.level + 1
+            levels = start_level - result.level + 1
+        else:
+            levels = result.levels_walked
         cost = levels * step
         if start is not None:
             cost += self.costs.walk_step_cached
@@ -247,52 +341,38 @@ class Mmu:
 
     def _ept_resolve(
         self, clock: Clock, ept: PageTable, guest_frame: int, access: AccessType
-    ) -> Tuple[int, bool]:
-        """Inner EPT walk of one guest frame number; ``(frame, huge)``.
+    ) -> Optional[WalkResult]:
+        """One nested EPT leg with PSCs attached: the EPT walk of one
+        guest frame, or None with the :class:`EptViolation` in
+        :attr:`fault`.
 
-        Without PSCs this is :meth:`PageTable.walk_leaf`: the leg needs
-        only the leaf, so no visited-node tuple is built.  With PSCs
-        enabled, repeat translations of the same guest frame hit the GPA
-        cache at ``walk_step_cached`` instead of re-walking all
-        ``ept.levels`` levels.
+        Repeat translations of the same guest frame hit the GPA cache at
+        ``walk_step_cached`` instead of re-walking all ``ept.levels``
+        levels.
         """
-        psc = self.psc
-        if psc is not None:
-            key = (ept.uid << 52) | guest_frame
-            hit = self._gpa_cache.get(key)
-            if hit is not None:
-                walk, stamp = hit
-                if stamp == ept.entry_writes and walk.pte.permits(access, False):
-                    clock.advance(self.costs.walk_step_cached)
-                    self.events.psc_event("gpa-hit")
-                    walk.pte.accessed = True
-                    if access is AccessType.WRITE:
-                        walk.pte.dirty = True
-                    return walk.frame, walk.huge
-                del self._gpa_cache[key]
-            self.events.psc_event("gpa-miss")
-        try:
-            if psc is None:
-                leaf = ept.walk_leaf(guest_frame, access, False)
-            else:
-                walk = ept.walk(guest_frame, access, user=False)
-        except PageFaultException as exc:
-            clock.now += ept.levels * self.costs.walk_step_1d
-            raise EptViolationException(
-                EptViolation(
-                    gpa=guest_frame << 12, access=access, level=exc.fault.level
-                )
-            ) from exc
-        # Inlined clock.advance: the leg's cost is non-negative by
-        # construction, so the guard is redundant.
-        clock.now += ept.levels * self.costs.walk_step_1d
-        if psc is None:
-            return leaf
         cache = self._gpa_cache
+        key = (ept.uid << 52) | guest_frame
+        hit = cache.get(key)
+        if hit is not None:
+            walk, stamp = hit
+            if stamp == ept.entry_writes and walk.pte.permits(access, False):
+                clock.now += self.costs.walk_step_cached
+                self.events.psc_event("gpa-hit")
+                walk.pte.accessed = True
+                if access is _WRITE:
+                    walk.pte.dirty = True
+                return walk
+            del cache[key]
+        self.events.psc_event("gpa-miss")
+        walk = ept.walk(guest_frame, access, user=False)
+        clock.now += ept.levels * self._step_1d_ns
+        if type(walk) is PageFault:
+            self.fault = EptViolation(guest_frame << 12, access, walk.level)
+            return None
         if len(cache) >= GPA_CACHE_CAPACITY:
             del cache[next(iter(cache))]
-        cache[(ept.uid << 52) | guest_frame] = (walk, ept.entry_writes)
-        return walk.frame, walk.huge
+        cache[key] = (walk, ept.entry_writes)
+        return walk
 
     # -- flush helpers --------------------------------------------------------
 

@@ -16,7 +16,17 @@ the paper's world-switch formulas.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Tuple,
+    Union,
+)
 
 from repro.hw.memory import PhysicalMemory
 from repro.hw.types import (
@@ -135,15 +145,9 @@ class WalkResult:
         self.huge = huge
         self.levels_walked = len(nodes)
 
-    @property
-    def node_frames(self) -> Tuple[int, ...]:
-        """Frames of the table nodes visited (for write-protect checks)."""
-        return tuple(node.frame for node in self.nodes)
 
-
-@dataclass(frozen=True, slots=True)
-class MapResult:
-    """Outcome of a map operation.
+class MapResult(NamedTuple):
+    """Outcome of a map operation (an immutable record).
 
     ``allocated_levels`` lists the levels (root-down) at which new table
     nodes had to be allocated; its length is the "number of page table
@@ -239,16 +243,12 @@ class PageTable:
         """
         node, allocated, written = self._descend(vpn, 1)
         idx = vpn & _INDEX_MASK
-        if idx in node.entries:
+        if node.level != 1 or idx in node.entries:
             raise HardwareError(f"{self.name}: vpn {vpn:#x} already mapped")
         self._write_entry(node, idx, pte)
         written.append(node.frame)
         self.mapped_pages += 1
-        return MapResult(
-            pte=pte,
-            allocated_levels=tuple(allocated),
-            written_frames=tuple(written),
-        )
+        return MapResult(pte, tuple(allocated), tuple(written))
 
     def map_huge(self, vpn_base: int, pte: Pte) -> MapResult:
         """Install one 2 MiB mapping at a 512-page-aligned base.
@@ -268,11 +268,7 @@ class PageTable:
         self._write_entry(node, idx, pte)
         written.append(node.frame)
         self.mapped_pages += HUGE_PAGE_PAGES
-        return MapResult(
-            pte=pte,
-            allocated_levels=tuple(allocated),
-            written_frames=tuple(written),
-        )
+        return MapResult(pte, tuple(allocated), tuple(written))
 
     def unmap_huge(self, vpn_base: int) -> Pte:
         """Remove a 2 MiB mapping; returns its PTE."""
@@ -312,8 +308,42 @@ class PageTable:
             self._write_entry(node, i, small)
             written.append(node.frame)
         self.mapped_pages += HUGE_PAGE_PAGES
-        return MapResult(pte=pte, allocated_levels=tuple(allocated),
-                         written_frames=tuple(written))
+        return MapResult(pte, tuple(allocated), tuple(written))
+
+    def ensure(self, vpn: int, pte: Pte, **flags) -> MapResult:
+        """:meth:`lookup`, then :meth:`protect` or :meth:`map`, in one descent.
+
+        When an entry already covers ``vpn`` (a 2 MiB one included),
+        ``flags`` — ``frame`` or :meth:`protect`'s flags — are applied to
+        it in place with one entry write (none without flags), and the
+        result names that entry with no allocations.  Otherwise ``pte``
+        is installed as :meth:`map` would, or as :meth:`map_huge` would
+        at ``vpn`` when ``pte.huge``.
+        """
+        bottom = 1
+        if pte.huge:
+            if vpn % HUGE_PAGE_PAGES:
+                raise ValueError(f"huge mapping base {vpn:#x} not aligned")
+            bottom = 2
+        node, allocated, written = self._descend(vpn, bottom)
+        if node.level != bottom:  # a 2 MiB entry covers vpn
+            idx = (vpn >> LEVEL_BITS) & _INDEX_MASK
+            return self._update(node, idx, node.entries[idx], flags)
+        idx = (vpn >> (bottom - 1) * LEVEL_BITS) & _INDEX_MASK
+        entry = node.entries.get(idx)
+        if entry is None:
+            self._write_entry(node, idx, pte)
+            written.append(node.frame)
+            self.mapped_pages += HUGE_PAGE_PAGES if pte.huge else 1
+            return MapResult(pte, tuple(allocated), tuple(written))
+        if type(entry) is PageTableNode:
+            # A 2 MiB install over a leaf table: the base entry decides.
+            node, idx = entry, vpn & _INDEX_MASK
+            entry = node.entries.get(idx)
+            if entry is None:
+                raise HardwareError(
+                    f"{self.name}: level-2 slot for {vpn:#x} already used")
+        return self._update(node, idx, entry, flags)
 
     def unmap(self, vpn: int) -> Pte:
         """Remove the mapping for ``vpn`` and return its old PTE.
@@ -338,6 +368,62 @@ class PageTable:
         self.mapped_pages -= 1
         self._prune(node, path)
         return pte
+
+    def unmap_each(self, vpns: Iterable[int],
+                   on_unmap: Callable[[int, Pte], None]) -> None:
+        """Unmap the mapping at each of ``vpns`` that has one, calling
+        ``on_unmap(vpn, old pte)`` right after its removal.
+
+        A 2 MiB entry is removed only at its base vpn; the other vpns of
+        its run are passed over.  Consecutive vpns of one leaf table
+        share one descent.  Entry writes, prunes and frees happen as
+        :meth:`unmap`/:meth:`unmap_huge` would do them page by page, so
+        ``on_unmap`` may free the old frame in between; it must not
+        change this table.
+        """
+        leaf: Optional[PageTableNode] = None
+        leaf_key = -1
+        path: List[Tuple[PageTableNode, int]] = []
+        for vpn in vpns:
+            key = vpn >> LEVEL_BITS
+            if key != leaf_key:
+                leaf_key = key
+                leaf = None
+                path = []
+                node = self.root
+                level = self.levels
+                while level > 1:
+                    idx = (vpn >> (level - 1) * LEVEL_BITS) & _INDEX_MASK
+                    child = node.entries.get(idx)
+                    if type(child) is not PageTableNode:
+                        break
+                    path.append((node, idx))
+                    node = child
+                    level -= 1
+                else:
+                    leaf = node
+                if leaf is None:
+                    if child is not None and child.huge and level == 2:
+                        if vpn & _INDEX_MASK:
+                            leaf_key = -1  # only the base unmaps the run
+                            continue
+                        self._write_entry(node, idx, None)
+                        self.mapped_pages -= HUGE_PAGE_PAGES
+                        self._prune(node, path)
+                        on_unmap(vpn, child)
+                    continue
+            elif leaf is None:
+                continue
+            idx = vpn & _INDEX_MASK
+            pte = leaf.entries.get(idx)
+            if pte is None:
+                continue
+            self._write_entry(leaf, idx, None)
+            self.mapped_pages -= 1
+            if not leaf.entries:
+                self._prune(leaf, path)
+                leaf = None
+            on_unmap(vpn, pte)
 
     def protect(self, vpn: int, **flags: bool) -> Pte:
         """Update permission flags of an existing mapping in place.
@@ -382,11 +468,13 @@ class PageTable:
         access: AccessType,
         user: bool,
         start: Optional[PageTableNode] = None,
-    ) -> WalkResult:
-        """Translate ``vpn`` or raise :class:`PageFaultException`.
+    ) -> Union[WalkResult, PageFault]:
+        """Translate ``vpn``: a :class:`WalkResult` on success, else the
+        :class:`PageFault` descriptor (callers test ``type(r) is
+        PageFault``; nothing is raised).
 
-        The raised fault records the level at which the walk stopped,
-        which the fault handlers use to size their fix-up work.
+        The fault records the level at which the walk stopped, which the
+        fault handlers use to size their fix-up work.
 
         ``start`` resumes the walk below the root from a cached
         intermediate node (a paging-structure-cache hit); the result's
@@ -403,8 +491,8 @@ class PageTable:
                     if ((user and not child.user)
                             or (access is _WRITE and not child.writable)
                             or (access is _EXECUTE and not child.executable)):
-                        raise PageFaultException(_page_fault(
-                            vpn, access, user, present=True, level=2))
+                        return page_fault(vpn, access, user, present=True,
+                                           level=2)
                     child.accessed = True
                     if access is _WRITE:
                         child.dirty = True
@@ -412,67 +500,22 @@ class PageTable:
                         frame=child.frame + vpn % HUGE_PAGE_PAGES, pte=child,
                         nodes=tuple(nodes), huge=True,
                     )
-                raise PageFaultException(
-                    _page_fault(vpn, access, user, present=False, level=level))
+                return page_fault(vpn, access, user, present=False,
+                                   level=level)
             node = child
             nodes.append(node)
             level -= 1
         pte = node.entries.get(vpn & _INDEX_MASK)
         if pte is None:
-            raise PageFaultException(
-                _page_fault(vpn, access, user, present=False, level=1))
+            return page_fault(vpn, access, user, present=False, level=1)
         if ((user and not pte.user)
                 or (access is _WRITE and not pte.writable)
                 or (access is _EXECUTE and not pte.executable)):
-            raise PageFaultException(
-                _page_fault(vpn, access, user, present=True, level=1))
+            return page_fault(vpn, access, user, present=True, level=1)
         pte.accessed = True
         if access is _WRITE:
             pte.dirty = True
         return WalkResult(frame=pte.frame, pte=pte, nodes=tuple(nodes))
-
-    def walk_leaf(
-        self, vpn: int, access: AccessType, user: bool
-    ) -> Tuple[int, bool]:
-        """Translate ``vpn`` from the root; return ``(frame, huge)``.
-
-        The same walk as :meth:`walk` — same permission checks, same A/D
-        updates, same fault and fault level — for callers that need only
-        the leaf.  It records no visited nodes and builds no
-        :class:`WalkResult`; the nested EPT legs of a 2-D walk use it.
-        """
-        node = self.root
-        level = node.level
-        while level > 1:
-            child = node.entries.get((vpn >> (level - 1) * LEVEL_BITS) & _INDEX_MASK)
-            if type(child) is not PageTableNode:
-                if child is not None and child.huge and level == 2:
-                    if ((user and not child.user)
-                            or (access is _WRITE and not child.writable)
-                            or (access is _EXECUTE and not child.executable)):
-                        raise PageFaultException(_page_fault(
-                            vpn, access, user, present=True, level=2))
-                    child.accessed = True
-                    if access is _WRITE:
-                        child.dirty = True
-                    return child.frame + vpn % HUGE_PAGE_PAGES, True
-                raise PageFaultException(
-                    _page_fault(vpn, access, user, present=False, level=level))
-            node = child
-            level -= 1
-        pte = node.entries.get(vpn & _INDEX_MASK)
-        if pte is None:
-            raise PageFaultException(
-                _page_fault(vpn, access, user, present=False, level=1))
-        if ((user and not pte.user)
-                or (access is _WRITE and not pte.writable)
-                or (access is _EXECUTE and not pte.executable)):
-            raise PageFaultException(
-                _page_fault(vpn, access, user, present=True, level=1))
-        pte.accessed = True
-        if access is _WRITE:
-            pte.dirty = True
-        return pte.frame, False
 
     # -- accessed-bit harvesting ----------------------------------------
 
@@ -529,6 +572,7 @@ class PageTable:
             self.phys.free_frame(frame)
         self.epoch += 1
         self.root = PageTableNode(self.levels, self.phys.alloc_frame(tag=self._tag))
+        self.node_allocations += 1
         self.mapped_pages = 0
 
     def release(self) -> None:
@@ -549,7 +593,9 @@ class PageTable:
         """The level-``bottom`` node on ``vpn``'s path, grown on demand.
 
         Returns the node, the levels of the nodes allocated on the way
-        (root-down) and the frames written to link them in.
+        (root-down) and the frames written to link them in.  When a
+        2 MiB entry covers ``vpn`` above ``bottom``, the level-2 node
+        holding it is returned instead.
         """
         node = self.root
         allocated: List[int] = []
@@ -565,6 +611,8 @@ class PageTable:
                 allocated.append(level - 1)
                 self.node_allocations += 1
             elif type(child) is not PageTableNode:
+                if child.huge and level == 2:
+                    break
                 raise HardwareError(f"{self.name}: corrupt non-leaf at L{level}")
             node = child
         return node, allocated, written
@@ -591,6 +639,20 @@ class PageTable:
             node.entries[idx] = value
         self.entry_writes += 1
 
+    def _update(self, node: PageTableNode, idx: int, pte: Pte,
+                flags: Dict[str, object]) -> MapResult:
+        """Apply ``flags`` to an existing entry in place (one entry
+        write, none without flags); the :meth:`ensure` result."""
+        if not flags:
+            return MapResult(pte, (), ())
+        unknown = flags.keys() - _PROTECTION_FLAGS - {"frame"}
+        if unknown:
+            raise ValueError(f"not a PTE update flag: {sorted(unknown)}")
+        for key, value in flags.items():
+            setattr(pte, key, value)
+        self._write_entry(node, idx, pte)
+        return MapResult(pte, (), (node.frame,))
+
     def _leaf_of(self, vpn: int) -> Tuple[PageTableNode, int, Pte]:
         node = self.root
         for level in range(self.levels, 1, -1):
@@ -608,7 +670,7 @@ class PageTable:
         return node, idx, pte
 
 
-def _page_fault(
+def page_fault(
     vpn: int, access: AccessType, user: bool, present: bool, level: int
 ) -> PageFault:
     """The fault descriptor of a walk of ``vpn`` that stopped at ``level``."""
@@ -619,22 +681,5 @@ def _page_fault(
         code |= _FETCH_BIT
     if user:
         code |= _USER_BIT
-    return PageFault(vaddr=vpn << 12, access=access, error=_ERROR_CODES[code],
-                     level=level)
+    return PageFault(vpn << 12, access, _ERROR_CODES[code], level)
 
-
-class PageFaultException(Exception):
-    """Control-flow carrier for MMU faults (caught by fault handlers).
-
-    ``args`` holds the :class:`PageFault` itself, so the exception
-    pickles (``--jobs`` workers) and its message is only formatted when
-    someone reads it.
-    """
-
-    def __init__(self, fault: PageFault) -> None:
-        super().__init__(fault)
-        self.fault = fault
-
-    def __str__(self) -> str:
-        fault = self.fault
-        return f"page fault @ {fault.vaddr:#x} ({fault.error})"

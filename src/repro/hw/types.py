@@ -9,7 +9,7 @@ operation, page-access types, and page-fault error codes.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 # ---------------------------------------------------------------------------
 # Paging geometry (x86-64, 4 KiB pages, 4-level radix tree)
@@ -182,6 +182,23 @@ class Asid:
         return hash((self.vpid, self.pcid))
 
 
+class AsidTable(dict):
+    """``pcid -> Asid`` of one VPID, each tag built once on first use.
+
+    Translation paths ask for a tag on every access; handing back one
+    shared object per tag instead of a fresh one is free, since nothing
+    mutates an :class:`Asid`.
+    """
+
+    def __init__(self, vpid: int) -> None:
+        super().__init__()
+        self.vpid = vpid
+
+    def __missing__(self, pcid: int) -> Asid:
+        asid = self[pcid] = Asid(self.vpid, pcid)
+        return asid
+
+
 #: VPID 0 is conventionally the host's own address space.
 HOST_VPID = 0
 
@@ -191,14 +208,16 @@ HOST_VPID = 0
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PageFault:
-    """A page fault raised by the MMU during a walk.
+class PageFault(NamedTuple):
+    """A page fault the MMU found during a walk.
 
     ``level`` records the page-table level at which the walk stopped
     (``PT_LEVELS`` for a missing top-level entry, 1 for a missing leaf),
     which the hypervisors use to decide how many table levels they must
     populate — the ``n`` in the paper's switch-count formulas.
+
+    A plain immutable record: the MMU builds one per fault and hands it
+    back through :attr:`repro.hw.mmu.Mmu.fault`, nothing raises it.
     """
 
     vaddr: int
@@ -216,18 +235,23 @@ class PageFault:
         """True when the faulting access was a write."""
         return bool(self.error & PageFaultError.WRITE)
 
+    def __str__(self) -> str:
+        return f"page fault @ {self.vaddr:#x} ({self.error})"
 
-@dataclass(frozen=True)
-class EptViolation:
-    """A fault raised during the extended (second-dimension) walk.
+
+class EptViolation(NamedTuple):
+    """A fault found during the extended (second-dimension) walk.
 
     ``gpa`` is the guest-physical address whose translation was missing or
-    insufficient in the EPT.
+    insufficient in the EPT.  Immutable, like :class:`PageFault`.
     """
 
     gpa: int
     access: AccessType
     level: int
+
+    def __str__(self) -> str:
+        return f"EPT violation @ gpa {self.gpa:#x}"
 
 
 class HardwareError(Exception):

@@ -27,11 +27,18 @@ from repro.guest.syscalls import syscall as lookup_syscall
 from repro.hw.costs import CostModel, DEFAULT_COSTS
 from repro.hw.events import EventLog, FaultPhase, SwitchKind
 from repro.hw.memory import PhysicalMemory
-from repro.hw.mmu import EptViolationException, Mmu
-from repro.hw.pagetable import PageFaultException, PageTable
+from repro.hw.mmu import Mmu
+from repro.hw.pagetable import PageTable
 from repro.hw.psc import PagingStructureCache
 from repro.hw.tlb import Tlb
-from repro.hw.types import MIB, AccessType, Asid, PageFault
+from repro.hw.types import (
+    MIB,
+    AccessType,
+    Asid,
+    AsidTable,
+    PageFault,
+    asid_key,
+)
 from repro.hypervisors.chain import MemoryChain
 from repro.sim.clock import Clock
 from repro.sim.locks import SimLock
@@ -39,6 +46,8 @@ from repro.sim.locks import SimLock
 #: Cap on one access's fault-retry loop; a correct machine never hits it.
 MAX_FAULT_RETRIES = 16
 
+_READ = AccessType.READ
+_WRITE = AccessType.WRITE
 _HW_L1_L0 = SwitchKind.HW_L1_L0
 _GUEST_INTERNAL = SwitchKind.GUEST_INTERNAL
 _GUEST_PT = FaultPhase.GUEST_PT
@@ -154,6 +163,7 @@ class Machine(abc.ABC):
         )
         #: The guest's VPID in the host TLB hierarchy.
         self.vpid = 1
+        self._asids = AsidTable(self.vpid)
         self.contexts: List[CpuCtx] = []
         #: Root-mode service lock: L0's handling of exits is serialized
         #: per host resource (VMCS merge, EPT02 updates share this).
@@ -247,8 +257,7 @@ class Machine(abc.ABC):
             return self.costs.minor_fault_body + self.costs.thp_fault_extra
         if fix.cow_break:
             return self.costs.minor_fault_body + self.costs.cow_copy
-        vma = proc.addr_space.vma_at(fix.vpn)
-        if vma.kind == "file":
+        if fix.file_backed:
             return self.costs.file_fault_body
         return self.costs.minor_fault_body
 
@@ -259,7 +268,7 @@ class Machine(abc.ABC):
 
     def asid_for(self, proc: Process, kernel_half: bool = False) -> Asid:
         """TLB tag for a process (PVM overrides to apply PCID mapping)."""
-        return Asid(vpid=self.vpid, pcid=proc.pcid)
+        return self._asids[proc.pcid]
 
     # -- read-only oracle (sanitizers) -------------------------------------
 
@@ -281,7 +290,7 @@ class Machine(abc.ABC):
     def tlb_tag(self, proc: Process) -> Optional[int]:
         """Packed user-half TLB tag of ``proc``, read without side
         effects, or None when it has none yet."""
-        return Asid(vpid=self.vpid, pcid=proc.pcid).key
+        return asid_key(self.vpid, proc.pcid)
 
     def tlb_owners(self) -> Dict[int, Process]:
         """Packed TLB tag -> the one live process it names.  Tags shared
@@ -333,28 +342,31 @@ class Machine(abc.ABC):
     def touch(self, ctx: CpuCtx, proc: Process, vpn: int, write: bool = False) -> int:
         """Access one user page, handling any faults per-architecture.
 
-        Returns the host frame finally backing the page.
+        Returns the host frame finally backing the page.  Each failed
+        translation is dispatched on its descriptor's type: a guest
+        :class:`PageFault` or a priced :class:`EptViolation`.
         """
-        access = AccessType.WRITE if write else AccessType.READ
+        access = _WRITE if write else _READ
+        mmu = ctx.mmu
         for attempt in range(MAX_FAULT_RETRIES):
-            try:
-                frame = self.translate(ctx, proc, vpn, access)
-            except PageFaultException as exc:
-                try:
-                    self.on_guest_fault(ctx, proc, exc.fault)
-                except SegfaultError:
-                    # Unservable fault: the guest kernel delivers SIGSEGV
-                    # to the process (lmbench's prot-fault path).
-                    self.on_segfault(ctx, proc)
-                    raise
-            except EptViolationException as exc:
-                self.on_ept_violation(ctx, proc, exc.violation)
-            else:
+            frame = self.translate(ctx, proc, vpn, access)
+            if frame >= 0:
                 if attempt and self.sanitizers is not None:
                     # Faults were serviced: audit the translation state
                     # they changed, whatever tables this machine keeps.
                     self.sanitizers.shadow.after_fault()
                 return frame
+            fault = mmu.fault
+            if type(fault) is PageFault:
+                try:
+                    self.on_guest_fault(ctx, proc, fault)
+                except SegfaultError:
+                    # Unservable fault: the guest kernel delivers SIGSEGV
+                    # to the process (lmbench's prot-fault path).
+                    self.on_segfault(ctx, proc)
+                    raise
+            else:
+                self.on_ept_violation(ctx, proc, fault)
         raise RuntimeError(
             f"{self.name}: fault loop did not converge for vpn {vpn:#x}"
         )
@@ -605,34 +617,35 @@ class Machine(abc.ABC):
 
     def translate(self, ctx: CpuCtx, proc: Process, vpn: int,
                   access: AccessType) -> int:
-        """One hardware translation attempt; raises on fault.
+        """One hardware translation attempt: the frame, or -1 with the
+        fault descriptor in ``ctx.mmu.fault``.
 
         The hardware walks the shadow table (or, without one, the
         guest's own table) nested over whichever extended table it
-        walks.  Violations on a priced table raise to
-        :meth:`on_ept_violation`; those on the chain's warm EPT01 are
-        filled here.
+        walks.  Violations on a priced table go back to :meth:`touch`
+        for :meth:`on_ept_violation`; those on the chain's warm EPT01
+        are filled here.
         """
+        mmu = ctx.mmu
         ept = self.walked_ept
         if ept is not None:
             # A priced EPT means no shadow: the guest's table is walked.
-            return ctx.mmu.access_2d(ctx.clock, self.asid_for(proc), proc.gpt,
-                                     ept, vpn, access, user=True)
+            return mmu.access_2d(ctx.clock, self.asid_for(proc), proc.gpt,
+                                 ept, vpn, access, True)
         table = (self.shadow.spt(proc, "user") if self.shadow is not None
                  else proc.gpt)
         asid = self.asid_for(proc)
         ept01 = self.memory.ept01
         if ept01 is None:
-            return ctx.mmu.access_1d(ctx.clock, asid, table, vpn, access,
-                                     user=True)
+            return mmu.access_1d(ctx.clock, asid, table, vpn, access, True)
         while True:
-            try:
-                return ctx.mmu.access_2d(ctx.clock, asid, table, ept01, vpn,
-                                         access, user=True)
-            except EptViolationException as exc:
-                # Warm-EPT01 assumption (§2.2, §4.1): the L1 VM has been
-                # up for hours; L0 fills violations below our notice.
-                self.memory.warm_fill(exc.violation.gpa >> 12)
+            frame = mmu.access_2d(ctx.clock, asid, table, ept01, vpn,
+                                  access, True)
+            if frame >= 0 or type(mmu.fault) is PageFault:
+                return frame
+            # Warm-EPT01 assumption (§2.2, §4.1): the L1 VM has been
+            # up for hours; L0 fills violations below our notice.
+            self.memory.warm_fill(mmu.fault.gpa >> 12)
 
     def on_guest_fault(self, ctx: CpuCtx, proc: Process, fault: PageFault) -> None:
         """Guest #PF on a hardware-walked guest table: handled entirely

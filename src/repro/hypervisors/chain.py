@@ -30,21 +30,18 @@ from repro.hw.pagetable import HUGE_PAGE_PAGES, PageTable, Pte
 
 
 def install_ept(ept: PageTable, gfn: int, target: int) -> int:
-    """Map gfn -> target in an extended table; returns levels written."""
-    if ept.lookup(gfn) is not None:
-        # Permission upgrade or spurious: rewrite leaf in place.
-        ept.protect(gfn, writable=True)
-        return 1
-    result = ept.map(gfn, Pte(frame=target, writable=True, user=False))
+    """Map gfn -> target in an extended table, or upgrade an existing
+    entry (permission upgrade or spurious) to writable in place; one
+    descent either way.  Returns the levels written."""
+    result = ept.ensure(gfn, Pte(frame=target, writable=True, user=False),
+                        writable=True)
     return len(result.written_frames)
 
 
 def install_huge_ept(ept: PageTable, base: int, target: int) -> None:
     """Map the 2 MiB run at ``base`` -> ``target`` in an extended table
     with one huge entry, unless the run is already mapped."""
-    if ept.lookup(base) is None:
-        ept.map_huge(base, Pte(frame=target, writable=True, user=False,
-                               huge=True))
+    ept.ensure(base, Pte(frame=target, writable=True, user=False, huge=True))
 
 
 class MemoryChain:

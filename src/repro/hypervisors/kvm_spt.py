@@ -67,8 +67,9 @@ class KvmShadowMixin:
         """munmap/mprotect: zap stale shadow entries + TLB."""
         vpns = tuple(vpns)
         asid = self.asid_for(proc)
+        removed = self.shadow.unmap_pages(proc, vpns)
         for vpn in vpns:
-            if self.shadow.unmap(proc, vpn):
+            if vpn in removed:
                 self._shadow_locked(ctx, self.costs.mmu_lock_hold // 2)
             ctx.mmu.flush_page(ctx.clock, asid, vpn)
         self.audit_zap(ctx, proc, vpns)

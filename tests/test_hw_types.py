@@ -5,8 +5,6 @@ import pickle
 import pytest
 
 from repro.guest.addrspace import SegfaultError
-from repro.hw.mmu import EptViolationException
-from repro.hw.pagetable import PageFaultException
 from repro.hw.types import (
     ENTRIES_PER_TABLE,
     NUM_PCIDS,
@@ -14,6 +12,7 @@ from repro.hw.types import (
     PT_LEVELS,
     AccessType,
     Asid,
+    AsidTable,
     EptViolation,
     PageFault,
     PageFaultError,
@@ -100,6 +99,13 @@ class TestAsid:
         assert Asid(1, 2) == Asid(1, 2)
         assert len({Asid(1, 2), Asid(1, 2), Asid(1, 3)}) == 2
 
+    def test_table_shares_one_tag_per_pcid(self):
+        table = AsidTable(vpid=1)
+        asid = table[2]
+        assert asid is table[2] and asid == Asid(1, 2)
+        with pytest.raises(ValueError):
+            table[NUM_PCIDS]
+
 
 class TestFaultDescriptors:
     def test_protection_flag(self):
@@ -117,36 +123,49 @@ class TestFaultDescriptors:
         assert f.level == 3
 
 
+def _pickled_state(obj):
+    """What a pickle must carry: a descriptor's fields, or an
+    exception's args and attributes."""
+    if isinstance(obj, Exception):
+        return obj.args, vars(obj)
+    return obj._asdict()
+
+
 class TestFaultCarriers:
-    """The exceptions that carry faults survive pickling (``--jobs``
-    workers send them across processes) with the same message."""
+    """The fault descriptors, and the error the guest kernel raises,
+    survive pickling (``--jobs`` workers send them across processes)
+    with the same message."""
 
     @pytest.mark.parametrize("make", [
-        lambda: PageFaultException(PageFault(
+        lambda: PageFault(
             vaddr=0x5000, access=AccessType.WRITE,
-            error=PageFaultError.PRESENT | PageFaultError.WRITE, level=1)),
-        lambda: EptViolationException(
-            EptViolation(gpa=0x7000, access=AccessType.READ, level=3)),
+            error=PageFaultError.PRESENT | PageFaultError.WRITE, level=1),
+        lambda: EptViolation(gpa=0x7000, access=AccessType.READ, level=3),
         lambda: SegfaultError(0xDEAD000),
     ], ids=["page-fault", "ept-violation", "segfault"])
     def test_pickle_round_trip(self, make):
-        exc = make()
-        back = pickle.loads(pickle.dumps(exc))
-        assert type(back) is type(exc)
-        assert str(back) == str(exc)
-        assert back.args == exc.args
-        assert vars(back) == vars(exc)
+        obj = make()
+        back = pickle.loads(pickle.dumps(obj))
+        assert type(back) is type(obj)
+        assert str(back) == str(obj)
+        assert _pickled_state(back) == _pickled_state(obj)
 
     def test_messages(self):
         fault = PageFault(vaddr=0x5000, access=AccessType.WRITE,
                           error=PageFaultError.PRESENT | PageFaultError.WRITE,
                           level=1)
-        assert str(PageFaultException(fault)) == (
+        assert str(fault) == (
             "page fault @ 0x5000 (PageFaultError.PRESENT|WRITE)")
-        assert str(EptViolationException(
-            EptViolation(gpa=0x7000, access=AccessType.READ, level=3))
+        assert str(
+            EptViolation(gpa=0x7000, access=AccessType.READ, level=3)
         ) == "EPT violation @ gpa 0x7000"
         assert str(SegfaultError(0xDEAD000)) == "segmentation fault at 0xdead000"
+
+    def test_descriptors_are_immutable(self):
+        fault = PageFault(vaddr=0x5000, access=AccessType.READ,
+                          error=PageFaultError.USER, level=2)
+        with pytest.raises(AttributeError):
+            fault.level = 1
 
 
 class TestRings:

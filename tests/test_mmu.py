@@ -5,10 +5,10 @@ import pytest
 from repro.hw.costs import DEFAULT_COSTS
 from repro.hw.events import EventLog
 from repro.hw.memory import PhysicalMemory
-from repro.hw.mmu import EptViolationException, Mmu
-from repro.hw.pagetable import PageFaultException, PageTable, Pte
+from repro.hw.mmu import Mmu
+from repro.hw.pagetable import PageTable, Pte
 from repro.hw.tlb import Tlb
-from repro.hw.types import MIB, AccessType, Asid
+from repro.hw.types import MIB, AccessType, Asid, EptViolation, PageFault
 from repro.sim.clock import Clock
 
 
@@ -41,8 +41,8 @@ class Test1D:
         host, guest, tlb, mmu = env
         pt = PageTable(host, "pt")
         clock = Clock()
-        with pytest.raises(PageFaultException):
-            mmu.access_1d(clock, ASID, pt, 0x10, AccessType.READ, True)
+        assert mmu.access_1d(clock, ASID, pt, 0x10, AccessType.READ, True) == -1
+        assert type(mmu.fault) is PageFault
         assert clock.now == pt.levels * DEFAULT_COSTS.walk_step_1d
         # No TLB pollution on fault.
         assert len(tlb) == 0
@@ -75,17 +75,19 @@ class Test2D:
     def test_guest_fault_raised_first(self, env):
         host, guest, tlb, mmu = env
         gpt, ept = self._guest_tables(env)
-        with pytest.raises(PageFaultException):
-            mmu.access_2d(Clock(), ASID, gpt, ept, 0x10, AccessType.READ, True)
+        assert mmu.access_2d(Clock(), ASID, gpt, ept, 0x10,
+                             AccessType.READ, True) == -1
+        assert type(mmu.fault) is PageFault
 
     def test_ept_violation_on_table_frames(self, env):
         host, guest, tlb, mmu = env
         gpt, ept = self._guest_tables(env)
         gpt.map(0x10, Pte(frame=5))
-        with pytest.raises(EptViolationException) as exc:
-            mmu.access_2d(Clock(), ASID, gpt, ept, 0x10, AccessType.READ, True)
+        assert mmu.access_2d(Clock(), ASID, gpt, ept, 0x10,
+                             AccessType.READ, True) == -1
+        assert type(mmu.fault) is EptViolation
         # The first missing translation is the GPT root node's frame.
-        assert exc.value.violation.gpa >> 12 == gpt.root_frame
+        assert mmu.fault.gpa >> 12 == gpt.root_frame
 
     def test_full_translation_after_warm(self, env):
         host, guest, tlb, mmu = env
@@ -111,8 +113,9 @@ class Test2D:
         gpt.map(0x10, Pte(frame=5))
         self._warm_ept(ept, gpt, host, leaf_gfn=5)
         ept.protect(5, writable=False)
-        with pytest.raises(EptViolationException):
-            mmu.access_2d(Clock(), ASID, gpt, ept, 0x10, AccessType.WRITE, True)
+        assert mmu.access_2d(Clock(), ASID, gpt, ept, 0x10,
+                             AccessType.WRITE, True) == -1
+        assert type(mmu.fault) is EptViolation
 
 
 class TestFlushHelpers:

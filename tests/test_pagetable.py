@@ -2,9 +2,22 @@
 
 import pytest
 
+from repro.hw.costs import DEFAULT_COSTS
+from repro.hw.events import EventLog
 from repro.hw.memory import PhysicalMemory
-from repro.hw.pagetable import PageFaultException, PageTable, Pte
-from repro.hw.types import MIB, AccessType, HardwareError, PT_LEVELS
+from repro.hw.mmu import Mmu
+from repro.hw.pagetable import PageTable, Pte
+from repro.hw.tlb import Tlb
+from repro.hw.types import (
+    MIB,
+    AccessType,
+    Asid,
+    EptViolation,
+    HardwareError,
+    PageFault,
+    PT_LEVELS,
+)
+from repro.sim.clock import Clock
 
 
 @pytest.fixture
@@ -73,6 +86,97 @@ class TestUnmap:
         assert pt.lookup(0x1001).frame == 2
 
 
+class TestEnsure:
+    """``ensure`` is ``lookup`` then ``protect``/``map`` in one descent."""
+
+    def test_installs_like_map(self, pt):
+        result = pt.ensure(0x1000, Pte(frame=5))
+        assert result.allocated_levels == (3, 2, 1)
+        assert len(result.written_frames) == PT_LEVELS
+        assert pt.lookup(0x1000).frame == 5 and pt.mapped_pages == 1
+
+    def test_updates_existing_entry_in_place(self, pt):
+        pt.map(0x10, Pte(frame=1, writable=False))
+        writes = pt.entry_writes
+        result = pt.ensure(0x10, Pte(frame=9), frame=2, writable=True)
+        pte = pt.lookup(0x10)
+        assert result.pte is pte and (pte.frame, pte.writable) == (2, True)
+        assert result.allocated_levels == ()
+        assert len(result.written_frames) == 1
+        assert pt.entry_writes == writes + 1 and pt.mapped_pages == 1
+
+    def test_without_flags_leaves_existing_entry_alone(self, pt):
+        pt.map(0x10, Pte(frame=1))
+        writes = pt.entry_writes
+        result = pt.ensure(0x10, Pte(frame=9))
+        assert result.written_frames == () and pt.entry_writes == writes
+        assert pt.lookup(0x10).frame == 1
+
+    def test_huge_entries(self, pt):
+        pt.ensure(0x200, Pte(frame=0x400, huge=True))
+        assert pt.lookup(0x3FF).frame == 0x400 and pt.mapped_pages == 512
+        # A 4K ensure inside the run updates the covering huge entry.
+        result = pt.ensure(0x205, Pte(frame=7), writable=False)
+        assert result.pte is pt.lookup(0x200) and not result.pte.writable
+        with pytest.raises(ValueError):
+            pt.ensure(0x201, Pte(frame=0x400, huge=True))
+        pt.map(0x601, Pte(frame=3))  # a leaf table under the next run
+        with pytest.raises(HardwareError):
+            pt.ensure(0x600, Pte(frame=0x800, huge=True))
+
+    def test_rejects_unknown_flags(self, pt):
+        pt.map(0x10, Pte(frame=1))
+        with pytest.raises(ValueError):
+            pt.ensure(0x10, Pte(frame=1), huge=True)
+
+
+def _twin_tables():
+    """Two tables with the same mappings over two identical memories:
+    vpns 0..599 and 1024..1029 small, one 2 MiB run at 2048."""
+    tables = []
+    for _ in range(2):
+        table = PageTable(PhysicalMemory("t", 16 * MIB), name="twin")
+        for vpn in [*range(600), *range(1024, 1030)]:
+            table.map(vpn, Pte(frame=0x1000 + vpn))
+        table.map_huge(2048, Pte(frame=0x2000))
+        tables.append(table)
+    return tables
+
+
+class TestUnmapEach:
+    def test_matches_page_by_page_unmap(self):
+        batched, stepped = _twin_tables()
+        vpns = range(300, 2600)
+        seen = []
+        batched.unmap_each(vpns, lambda vpn, pte: seen.append(
+            (vpn, pte.frame, batched.phys.free_frames, batched.epoch)))
+        expected = []
+        for vpn in vpns:
+            pte = stepped.lookup(vpn)
+            if pte is None or (pte.huge and vpn % 512):
+                continue
+            if pte.huge:
+                stepped.unmap_huge(vpn)
+            else:
+                stepped.unmap(vpn)
+            expected.append((vpn, pte.frame, stepped.phys.free_frames,
+                             stepped.epoch))
+        assert seen == expected
+        assert len(seen) == 300 + 6 + 1
+        for attr in ("mapped_pages", "entry_writes", "epoch",
+                     "node_allocations"):
+            assert getattr(batched, attr) == getattr(stepped, attr)
+        assert batched.phys.free_frames == stepped.phys.free_frames
+
+    def test_huge_entry_unmaps_only_at_its_base(self):
+        table, _ = _twin_tables()
+        table.unmap_each(range(2049, 2100), lambda vpn, pte: None)
+        assert table.lookup(2049) is not None
+        removed = []
+        table.unmap_each([2048], lambda vpn, pte: removed.append(vpn))
+        assert removed == [2048] and table.lookup(2049) is None
+
+
 class TestProtect:
     def test_protect_flags(self, pt):
         pt.map(0x7, Pte(frame=1, writable=True))
@@ -123,7 +227,7 @@ class TestWalk:
         pt.map(0x1234, Pte(frame=77))
         result = pt.walk(0x1234, AccessType.READ, user=True)
         assert result.frame == 77
-        assert len(result.node_frames) == PT_LEVELS
+        assert len(result.nodes) == PT_LEVELS
 
     def test_walk_sets_accessed_dirty(self, pt):
         pt.map(0x1, Pte(frame=1))
@@ -137,49 +241,93 @@ class TestWalk:
         assert not pt.lookup(0x1).dirty
 
     def test_miss_reports_level(self, pt):
-        with pytest.raises(PageFaultException) as exc:
-            pt.walk(0x1234, AccessType.READ, user=True)
-        assert exc.value.fault.level == PT_LEVELS  # empty root
+        fault = pt.walk(0x1234, AccessType.READ, user=True)
+        assert type(fault) is PageFault
+        assert fault.level == PT_LEVELS  # empty root
 
     def test_leaf_miss_level_one(self, pt):
         pt.map(0x1000, Pte(frame=5))
-        with pytest.raises(PageFaultException) as exc:
-            pt.walk(0x1001, AccessType.READ, user=True)
-        assert exc.value.fault.level == 1
+        fault = pt.walk(0x1001, AccessType.READ, user=True)
+        assert type(fault) is PageFault
+        assert fault.level == 1
 
     def test_write_to_readonly_faults(self, pt):
         pt.map(0x9, Pte(frame=1, writable=False))
-        with pytest.raises(PageFaultException) as exc:
-            pt.walk(0x9, AccessType.WRITE, user=True)
-        assert exc.value.fault.is_protection
+        fault = pt.walk(0x9, AccessType.WRITE, user=True)
+        assert type(fault) is PageFault
+        assert fault.is_protection
 
     def test_user_access_to_supervisor_faults(self, pt):
         pt.map(0x9, Pte(frame=1, user=False))
-        with pytest.raises(PageFaultException):
-            pt.walk(0x9, AccessType.READ, user=True)
+        assert type(pt.walk(0x9, AccessType.READ, user=True)) is PageFault
         # Supervisor access succeeds.
         assert pt.walk(0x9, AccessType.READ, user=False).frame == 1
 
     def test_nx_fetch_faults(self, pt):
         pt.map(0x9, Pte(frame=1, executable=False))
-        with pytest.raises(PageFaultException):
-            pt.walk(0x9, AccessType.EXECUTE, user=True)
+        assert type(pt.walk(0x9, AccessType.EXECUTE, user=True)) is PageFault
+
+
+ASID = Asid(vpid=1, pcid=1)
+
+
+def guest_leg_2d(pt, vpn, access, user):
+    """``pt`` as the guest dimension of a 2-D miss, nested over an EPT
+    that maps every frame the walk needs to itself (a 2 MiB guest run
+    through one huge entry).  Returns the frame (-1 on a fault), the
+    MMU, and whether the TLB was filled with a huge entry."""
+    ept = PageTable(PhysicalMemory("ept", 16 * MIB), name="ept")
+    pte = pt.lookup(vpn)
+    if pte is not None and pte.huge:
+        ept.map_huge(pte.frame, Pte(frame=pte.frame, user=False))
+    frames = pt.node_frames() + ([pte.frame] if pte is not None else [])
+    for frame in frames:
+        if ept.lookup(frame) is None:
+            ept.map(frame, Pte(frame=frame, user=False))
+    mmu = Mmu(Tlb(), EventLog(), DEFAULT_COSTS)
+    frame = mmu.access_2d(Clock(), ASID, pt, ept, vpn, access, user)
+    return frame, mmu, mmu.tlb.lookup(ASID, vpn ^ 1) is not None
+
+
+def _ept_leg(pt, gfn, access):
+    """``pt`` as the extended dimension: a one-level guest table maps
+    guest page 0 to ``gfn``, and its root frame is mapped in ``pt``, so
+    the leaf leg is the only one that can fault.  Returns the host frame
+    (-1 on a violation) and the MMU."""
+    gpt = PageTable(PhysicalMemory("guest", 16 * MIB), name="gpt", levels=1)
+    gpt.map(0, Pte(frame=gfn))
+    if pt.lookup(gpt.root_frame) is None:
+        pt.map(gpt.root_frame, Pte(frame=0x3000, user=False))
+    mmu = Mmu(Tlb(), EventLog(), DEFAULT_COSTS)
+    return mmu.access_2d(Clock(), ASID, gpt, pt, 0, access, False), mmu
 
 
 class TestWalkLeaf:
+    """The inline walks of a 2-D TLB miss, which replaced
+    ``PageTable.walk_leaf``: the guest-dimension walk and the EPT leg
+    give the frames, A/D updates and fault descriptors of :meth:`walk`."""
+
     def test_small_and_huge_leaves(self, pt):
         pt.map(0x1234, Pte(frame=77))
         pt.map_huge(0x400, Pte(frame=0x800))
-        assert pt.walk_leaf(0x1234, AccessType.READ, user=True) == (77, False)
-        assert pt.walk_leaf(0x405, AccessType.READ, user=True) == (0x805, True)
+        assert guest_leg_2d(pt, 0x1234, AccessType.READ, True)[::2] == (77, False)
+        assert guest_leg_2d(pt, 0x405, AccessType.READ, True)[::2] == (0x805, True)
+        assert _ept_leg(pt, 0x1234, AccessType.READ)[0] == 77
+        assert _ept_leg(pt, 0x405, AccessType.READ)[0] == 0x805
 
     def test_sets_accessed_dirty_like_walk(self, pt):
         pt.map(0x1, Pte(frame=1))
         pt.map(0x2, Pte(frame=2))
-        pt.walk_leaf(0x1, AccessType.WRITE, user=True)
-        pt.walk_leaf(0x2, AccessType.READ, user=True)
-        assert pt.lookup(0x1).accessed and pt.lookup(0x1).dirty
-        assert pt.lookup(0x2).accessed and not pt.lookup(0x2).dirty
+        pt.map(0x3, Pte(frame=3))
+        pt.map(0x4, Pte(frame=4))
+        guest_leg_2d(pt, 0x1, AccessType.WRITE, True)
+        guest_leg_2d(pt, 0x2, AccessType.READ, True)
+        _ept_leg(pt, 0x3, AccessType.WRITE)
+        _ept_leg(pt, 0x4, AccessType.READ)
+        for vpn in (0x1, 0x3):
+            assert pt.lookup(vpn).accessed and pt.lookup(vpn).dirty
+        for vpn in (0x2, 0x4):
+            assert pt.lookup(vpn).accessed and not pt.lookup(vpn).dirty
 
     @pytest.mark.parametrize("pte,vpn,access,user", [
         (None, 0x1234, AccessType.READ, True),
@@ -191,11 +339,19 @@ class TestWalkLeaf:
     def test_faults_like_walk(self, pt, pte, vpn, access, user):
         if pte is not None:
             pt.map(0x1000, pte)
-        with pytest.raises(PageFaultException) as full:
-            pt.walk(vpn, access, user)
-        with pytest.raises(PageFaultException) as leaf:
-            pt.walk_leaf(vpn, access, user)
-        assert leaf.value.fault == full.value.fault
+        full = pt.walk(vpn, access, user)
+        assert type(full) is PageFault
+        frame, mmu, _ = guest_leg_2d(pt, vpn, access, user)
+        assert frame == -1 and mmu.fault == full
+        # The EPT leg walks as the hypervisor (user=False); where that
+        # still faults, the violation carries the walk's access and level.
+        frame, mmu = _ept_leg(pt, vpn, access)
+        full = pt.walk(vpn, access, False)
+        if type(full) is PageFault:
+            assert frame == -1
+            assert mmu.fault == EptViolation(vpn << 12, access, full.level)
+        else:
+            assert frame == full.frame
 
 
 class TestIteration:
@@ -220,6 +376,14 @@ class TestLifecycle:
         # Table remains usable.
         pt.map(0x1, Pte(frame=2))
         assert pt.lookup(0x1).frame == 2
+
+    def test_destroy_counts_the_fresh_root(self, pt):
+        pt.map(0x1, Pte(frame=1))
+        allocations = pt.node_allocations
+        pt.destroy()
+        # The new root is an allocation like any other node: the
+        # write-protect stamp of shadow paging relies on the counter.
+        assert pt.node_allocations == allocations + 1
 
     def test_release_frees_everything(self, pt, phys):
         before = phys.free_frames + 1  # +1 for the root allocated at init

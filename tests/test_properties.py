@@ -18,7 +18,7 @@ from repro.faults import (
 )
 from repro.hypervisors.base import MachineConfig
 from repro.hw.memory import FrameAllocator
-from repro.hw.pagetable import PageFaultException, PageTable, Pte
+from repro.hw.pagetable import PageTable, Pte
 from repro.hw.memory import PhysicalMemory
 from repro.hw.tlb import Tlb
 from repro.hw.types import (
@@ -28,6 +28,7 @@ from repro.hw.types import (
     AccessType,
     Asid,
     HardwareError,
+    PageFault,
     PageFaultError,
     table_index,
 )
@@ -37,6 +38,7 @@ from repro.sim.clock import Clock
 from repro.sim.locks import SimLock
 from repro.sim.stats import LatencyStats
 from repro.workloads.memalloc import memalloc
+from tests.test_pagetable import guest_leg_2d
 
 
 vpns = st.integers(min_value=0, max_value=(1 << 35) - 1)
@@ -194,18 +196,20 @@ def _expected_walk(model, vpn, access, user):
 
 
 def _run_walk(pt, method, vpn, access, user):
-    try:
-        if method == "walk":
-            result = pt.walk(vpn, access, user)
-            frame, huge = result.frame, result.huge
-        else:
-            frame, huge = pt.walk_leaf(vpn, access, user)
-    except PageFaultException as exc:
-        fault = exc.fault
+    """``pt.walk``, or the guest-dimension walk of a 2-D TLB miss."""
+    if method == "walk":
+        result = pt.walk(vpn, access, user)
+        fault = result if type(result) is PageFault else None
+    else:
+        frame, mmu, huge = guest_leg_2d(pt, vpn, access, user)
+        fault = mmu.fault if frame < 0 else None
+    if fault is not None:
+        assert type(fault) is PageFault
         assert fault.vaddr == vpn << 12 and fault.access is access
         return "fault", fault.level, fault.error
     if method == "walk":
         _check_root_down_path(pt, vpn, result)
+        return "ok", result.frame, result.huge
     return "ok", frame, huge
 
 
@@ -269,7 +273,7 @@ def _apply(pt, model, op, n) -> None:
     elif kind == "touch":
         _, vpn, access, user = op
         expected = _expected_walk(model, vpn, access, user)
-        method = "walk" if n % 2 else "walk_leaf"
+        method = "walk" if n % 2 else "access_2d"
         assert _run_walk(pt, method, vpn, access, user) == expected
         return
     else:
@@ -296,7 +300,7 @@ class TestWalkModelProperties:
         for vpn in _PROBE_VPNS:
             for access in AccessType:
                 for user in (True, False):
-                    for method in ("walk", "walk_leaf"):
+                    for method in ("walk", "access_2d"):
                         pt.harvest_accessed(clear=True)
                         model.clear_ad()
                         expected = _expected_walk(model, vpn, access, user)

@@ -7,11 +7,11 @@ from repro import make_machine
 from repro.hw.costs import DEFAULT_COSTS
 from repro.hw.events import EventLog
 from repro.hw.memory import PhysicalMemory
-from repro.hw.mmu import EptViolationException, Mmu
-from repro.hw.pagetable import PageFaultException, PageTable, Pte
+from repro.hw.mmu import Mmu
+from repro.hw.pagetable import PageTable, Pte
 from repro.hw.psc import PagingStructureCache
 from repro.hw.tlb import Tlb
-from repro.hw.types import MIB, AccessType, Asid, asid_key
+from repro.hw.types import MIB, AccessType, Asid, EptViolation, PageFault, asid_key
 from repro.hypervisors.base import MachineConfig
 from repro.sim.clock import Clock
 from repro.sim.stats import reset_phase_stats, translation_stats
@@ -203,8 +203,8 @@ class TestMmuPartialWalks:
         charged = clock.now
         # 0x11 shares the leaf table: the walk resumes at level 1 and
         # faults there after a single read (+ probe).
-        with pytest.raises(PageFaultException):
-            mmu.access_1d(clock, ASID, pt, 0x11, AccessType.READ, True)
+        assert mmu.access_1d(clock, ASID, pt, 0x11, AccessType.READ, True) == -1
+        assert type(mmu.fault) is PageFault
         assert clock.now - charged == (
             DEFAULT_COSTS.walk_step_1d + DEFAULT_COSTS.walk_step_cached
         )
@@ -301,8 +301,9 @@ class TestMmu2dCollapse:
         # must); the GPA cache needs no flush — its entry_writes stamp
         # is already stale, which is exactly what this test pins down.
         mmu.tlb.flush_page(ASID, 0)
-        with pytest.raises(EptViolationException):
-            mmu.access_2d(Clock(), ASID, gpt, ept, 0, AccessType.WRITE, True)
+        assert mmu.access_2d(Clock(), ASID, gpt, ept, 0,
+                             AccessType.WRITE, True) == -1
+        assert type(mmu.fault) is EptViolation
 
     def test_disabled_2d_charges_seed_costs(self, phys):
         gpt, ept = self._warm_pair(phys)

@@ -119,6 +119,32 @@ class TestWriteProtection:
         assert len(shadow.write_protected_frames) > before
 
 
+    def test_note_growth_rescans_only_when_the_stamp_moves(self, env,
+                                                          monkeypatch):
+        kernel, shadow, proc = env
+        vma = kernel.sys_mmap(proc, 8 * MIB)
+        kernel.fix_fault(proc, vma.start_vpn, AccessType.WRITE)
+        shadow.note_gpt_growth(proc)
+        scans = []
+        real = type(proc.gpt).node_frames
+        monkeypatch.setattr(proc.gpt, "node_frames",
+                            lambda: scans.append(1) or real(proc.gpt))
+        # Same leaf table: no node allocated or freed, no rescan.
+        kernel.fix_fault(proc, vma.start_vpn + 1, AccessType.WRITE)
+        shadow.note_gpt_growth(proc)
+        assert scans == []
+        # A new leaf table moves node_allocations.
+        kernel.fix_fault(proc, vma.start_vpn + 1024, AccessType.WRITE)
+        shadow.note_gpt_growth(proc)
+        assert scans == [1]
+        assert set(real(proc.gpt)) <= shadow.write_protected_frames
+        # Dropping every shadow table clears the stamps with the frames.
+        shadow.drop_all()
+        shadow.note_gpt_growth(proc)
+        assert scans == [1, 1]
+        assert set(real(proc.gpt)) <= shadow.write_protected_frames
+
+
 class TestLifecycle:
     def test_drop_releases_tables(self, env):
         kernel, shadow, proc = env

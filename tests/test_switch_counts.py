@@ -9,13 +9,22 @@ entries (the leaf only) the paper derives (§2.2, §3.3.2):
 
 and for a privileged L2 operation: kvm NST pays 2 L0 exits, PVM pays 1
 L1 exit and 0 L0 exits (§2.1, §3).
+
+:class:`TestFaultCountsOverN` takes the fault at n = 1, 2 and 3 — the
+same leaf table, a fresh 2 MiB region, a fresh 1 GiB region — with
+prefault on and off.  SPT-on-EPT and PVM follow their formulas at every
+n; EPT-on-EPT measures the documented 8n / 4n (EXPERIMENTS.md
+§"Invariants", DESIGN.md §4), one full EPT02-violation round per new
+guest table page.
 """
 
 import pytest
 
 from repro import make_machine
+from repro.guest.addrspace import Vma
 from repro.hw.events import diff_snapshots
 from repro.hw.types import MIB
+from repro.hypervisors.base import MachineConfig
 
 
 def _warm_machine(name, **kwargs):
@@ -184,3 +193,39 @@ class TestInterruptCounts:
         m.halt(ctx, wake_after_ns=1000)
         delta = diff_snapshots(before, m.events.snapshot())
         assert delta["l0_exits"]["total"] == 2
+
+
+#: A 1 GiB-aligned vpn: the warm page of the over-n cases.
+_REGION = 1 << 18
+#: The touched page's offset from the warm page, by n: the same leaf
+#: table, a fresh 2 MiB region, a fresh 1 GiB region.
+_FRESH_OFFSET = {1: 1, 2: 512, 3: 1 << 18}
+
+#: (world switches, L0 exits) of one fault writing n guest entries.
+_COUNTS = {
+    "kvm-spt (NST)": lambda n, prefault: (4 * n + 8, 2 * n + 4),
+    "pvm (NST)": lambda n, prefault: (2 * n + (4 if prefault else 6), 0),
+    "pvm (BM)": lambda n, prefault: (2 * n + (4 if prefault else 6), 0),
+    # Documented, not the paper's 2n + 6 / n + 3 (ROADMAP item 4).
+    "kvm-ept (NST)": lambda n, prefault: (8 * n, 4 * n),
+}
+
+
+class TestFaultCountsOverN:
+    @pytest.mark.parametrize("prefault", [True, False],
+                             ids=["prefault", "no-prefault"])
+    @pytest.mark.parametrize("n", sorted(_FRESH_OFFSET))
+    @pytest.mark.parametrize("name", sorted(_COUNTS))
+    def test_counts_follow_formula(self, name, n, prefault):
+        m = make_machine(name, config=MachineConfig(prefault=prefault))
+        ctx = m.new_context()
+        proc = m.spawn_process([Vma(_REGION, _FRESH_OFFSET[3] + 1)])
+        m.touch(ctx, proc, _REGION, write=True)  # cold: builds levels
+        before = m.events.snapshot()
+        m.touch(ctx, proc, _REGION + _FRESH_OFFSET[n], write=True)
+        delta = diff_snapshots(before, m.events.snapshot())
+        switches = delta.get("world_switches", {}).get("total", 0)
+        l0 = delta.get("l0_exits", {}).get("total", 0)
+        assert (switches, l0) == _COUNTS[name](n, prefault)
+        # n really is the number of guest entries the fault wrote.
+        assert len(proc.gpt.node_frames()) == 4 + (n > 1) + (n > 2)
