@@ -255,20 +255,9 @@ class GuestKernel:
 
     def sys_mprotect(self, proc: Process, vma: Vma, writable: bool) -> int:
         """Change protections; returns the number of PTEs rewritten."""
-        from repro.hw.pagetable import HUGE_PAGE_PAGES
-
         vma.writable = writable
-        writes = 0
-        vpn = vma.start_vpn
-        while vpn < vma.end_vpn:
-            pte = proc.gpt.lookup(vpn)
-            if pte is None:
-                vpn += 1
-                continue
-            proc.gpt.protect(vpn, writable=writable)
-            writes += 1
-            vpn += HUGE_PAGE_PAGES if pte.huge else 1
-        return writes
+        return proc.gpt.protect_range(vma.start_vpn, vma.end_vpn,
+                                      writable=writable)
 
     # -- fork / exec ----------------------------------------------------------------
 

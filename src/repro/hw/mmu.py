@@ -140,10 +140,29 @@ class Mmu:
         self._tlb_stats.misses += 1
         psc = self.psc
         if psc is None:
-            result = pt.walk(vpn, access, user)
             # Seed model: full depth wherever the walk ended (the
             # difference is below our cost resolution).
             clock.now += pt.levels * self._step_1d_ns
+            hit = pt.leaves.get((vpn >> LEVEL_BITS) & pt.leaf_key_mask)
+            if hit is not None:
+                # :meth:`PageTable.walk`'s leaf step, with no WalkResult.
+                pte = hit[0].entries.get(vpn & _INDEX_MASK)
+                if pte is None:
+                    self.fault = page_fault(vpn, access, user, False, 1)
+                    return -1
+                if ((user and not pte.user)
+                        or (access is _WRITE and not pte.writable)
+                        or (access is _EXECUTE and not pte.executable)):
+                    self.fault = page_fault(vpn, access, user, True, 1)
+                    return -1
+                pte.accessed = True
+                if access is _WRITE:
+                    pte.dirty = True
+                self.tlb.insert_packed(akey, vpn, pte.frame,
+                                       global_=cache_global and pte.global_)
+                return pte.frame
+            # Starting at the root skips the index probe just missed.
+            result = pt.walk(vpn, access, user, pt.root)
             if type(result) is PageFault:
                 self.fault = result
                 return -1
@@ -185,10 +204,13 @@ class Mmu:
         (delivered to the hypervisor).
 
         Without PSCs the miss is one inline walk per dimension: the
-        guest table is walked once from the root, keeping only the
-        frames of the nodes it reads, then each of those frames and the
-        guest leaf frame takes one EPT leg — with the checks, A/D
-        updates, fault levels and charges of :meth:`PageTable.walk`.
+        guest table is walked once, keeping only the frames of the nodes
+        it reads, then each of those frames and the guest leaf frame
+        takes one EPT leg — with the checks, A/D updates, fault levels
+        and charges of :meth:`PageTable.walk`.  Each dimension starts
+        at its table's leaf-table index: a hit is one probe plus one
+        entry read; the loop runs only for a missing leaf table or a
+        2 MiB entry.
         """
         akey = asid.key
         entry = self._tlb_get((akey << KEY_SHIFT) | vpn)
@@ -207,29 +229,39 @@ class Mmu:
                                        user)
         # Guest dimension, charged at full depth wherever it stops.
         clock.now += gpt.levels * self._step_2d_ns
-        node = gpt.root
         # The guest's table pages live in guest-physical memory; hardware
         # translates each of them through the EPT during the nested walk.
-        frames = [node.frame]
-        level = node.level
         guest_huge = False
-        while level > 1:
-            pte = node.entries.get((vpn >> (level - 1) * LEVEL_BITS)
-                                   & _INDEX_MASK)
-            if type(pte) is not PageTableNode:
-                if pte is None or not pte.huge or level != 2:
-                    self.fault = page_fault(vpn, access, user, False, level)
-                    return -1
-                guest_huge = True
-                break
-            node = pte
-            frames.append(node.frame)
-            level -= 1
-        else:
-            pte = node.entries.get(vpn & _INDEX_MASK)
+        hit = gpt.leaves.get((vpn >> LEVEL_BITS) & gpt.leaf_key_mask)
+        if hit is not None:
+            frames = [*hit[2]]
+            level = 1
+            pte = hit[0].entries.get(vpn & _INDEX_MASK)
             if pte is None:
                 self.fault = page_fault(vpn, access, user, False, 1)
                 return -1
+        else:
+            node = gpt.root
+            frames = [node.frame]
+            level = node.level
+            while level > 1:
+                pte = node.entries.get((vpn >> (level - 1) * LEVEL_BITS)
+                                       & _INDEX_MASK)
+                if type(pte) is not PageTableNode:
+                    if pte is None or not pte.huge or level != 2:
+                        self.fault = page_fault(vpn, access, user, False,
+                                                level)
+                        return -1
+                    guest_huge = True
+                    break
+                node = pte
+                frames.append(node.frame)
+                level -= 1
+            else:
+                pte = node.entries.get(vpn & _INDEX_MASK)
+                if pte is None:
+                    self.fault = page_fault(vpn, access, user, False, 1)
+                    return -1
         if ((user and not pte.user)
                 or (access is _WRITE and not pte.writable)
                 or (access is _EXECUTE and not pte.executable)):
@@ -244,27 +276,38 @@ class Mmu:
         # the guest leaf frame with the real access.  Every leg is charged
         # at full depth, the faulting one included.
         leg_ns = ept.levels * self._step_1d_ns
+        ept_leaves = ept.leaves
+        ept_mask = ept.leaf_key_mask
         last = len(frames) - 1
         for i, gfn in enumerate(frames):
             clock.now += leg_ns
             leg_access = access if i == last else _READ
-            node = ept.root
-            level = node.level
-            while level > 1:
-                leaf = node.entries.get((gfn >> (level - 1) * LEVEL_BITS)
-                                        & _INDEX_MASK)
-                if type(leaf) is not PageTableNode:
-                    if leaf is None or not leaf.huge or level != 2:
-                        self.fault = EptViolation(gfn << 12, leg_access, level)
-                        return -1
-                    break
-                node = leaf
-                level -= 1
-            else:
-                leaf = node.entries.get(gfn & _INDEX_MASK)
+            hit = ept_leaves.get((gfn >> LEVEL_BITS) & ept_mask)
+            if hit is not None:
+                level = 1
+                leaf = hit[0].entries.get(gfn & _INDEX_MASK)
                 if leaf is None:
                     self.fault = EptViolation(gfn << 12, leg_access, 1)
                     return -1
+            else:
+                node = ept.root
+                level = node.level
+                while level > 1:
+                    leaf = node.entries.get((gfn >> (level - 1) * LEVEL_BITS)
+                                            & _INDEX_MASK)
+                    if type(leaf) is not PageTableNode:
+                        if leaf is None or not leaf.huge or level != 2:
+                            self.fault = EptViolation(gfn << 12, leg_access,
+                                                      level)
+                            return -1
+                        break
+                    node = leaf
+                    level -= 1
+                else:
+                    leaf = node.entries.get(gfn & _INDEX_MASK)
+                    if leaf is None:
+                        self.fault = EptViolation(gfn << 12, leg_access, 1)
+                        return -1
             if ((leg_access is _WRITE and not leaf.writable)
                     or (leg_access is _EXECUTE and not leaf.executable)):
                 self.fault = EptViolation(gfn << 12, leg_access, level)

@@ -24,6 +24,7 @@ from typing import (
     List,
     NamedTuple,
     Optional,
+    Sequence,
     Tuple,
     Union,
 )
@@ -203,6 +204,18 @@ class PageTable:
         #: references against it so a stale node can never be resumed.
         self.epoch = 0
         self.root = PageTableNode(levels, phys.alloc_frame(tag=self._tag))
+        #: Leaf-table index: for every attached level-1 node, its key
+        #: ``(vpn >> 9) & leaf_key_mask`` maps to ``(node, nodes, frames)``
+        #: — the node, the nodes from the root down to it and their
+        #: frames.  Exact, not a cache: :meth:`_descend` inserts when it
+        #: allocates a level-1 node, :meth:`_prune` deletes when it frees
+        #: one, and :meth:`destroy`/:meth:`release` clear it.  The mask
+        #: keeps the table's upper-level index bits, so vpns that alias
+        #: in the tree share a key.  A 1-level table has no entries.
+        self.leaves: Dict[int, Tuple[PageTableNode,
+                                     Tuple[PageTableNode, ...],
+                                     Tuple[int, ...]]] = {}
+        self.leaf_key_mask = (1 << (levels - 1) * LEVEL_BITS) - 1
         #: Total leaf mappings currently installed.
         self.mapped_pages = 0
         #: Monotonic counters for tests/accounting.
@@ -213,11 +226,6 @@ class PageTable:
         self.write_hook: Optional[Callable[[int], None]] = None
 
     # -- structure -----------------------------------------------------
-
-    @property
-    def root_frame(self) -> int:
-        """The CR3 / EPTP value for this table."""
-        return self.root.frame
 
     def node_frames(self) -> List[int]:
         """Frames of all table nodes (for write-protecting a whole GPT)."""
@@ -256,8 +264,7 @@ class PageTable:
         A single entry write covers 512 pages — the page-table-churn
         reduction THP provides.
         """
-        if vpn_base % HUGE_PAGE_PAGES:
-            raise ValueError(f"huge mapping base {vpn_base:#x} not aligned")
+        self._check_huge_base(vpn_base)
         pte.huge = True
         node, allocated, written = self._descend(vpn_base, 2)
         idx = (vpn_base >> LEVEL_BITS) & _INDEX_MASK
@@ -275,21 +282,21 @@ class PageTable:
         if vpn_base % HUGE_PAGE_PAGES:
             raise ValueError(f"huge base {vpn_base:#x} not aligned")
         node = self.root
-        path: List[Tuple[PageTableNode, int]] = []
+        nodes = [node]
         for level in range(self.levels, 2, -1):
-            idx = (vpn_base >> (level - 1) * LEVEL_BITS) & _INDEX_MASK
-            child = node.entries.get(idx)
+            child = node.entries.get(
+                (vpn_base >> (level - 1) * LEVEL_BITS) & _INDEX_MASK)
             if type(child) is not PageTableNode:
                 raise HardwareError(f"{self.name}: {vpn_base:#x} not huge-mapped")
-            path.append((node, idx))
             node = child
+            nodes.append(node)
         idx = (vpn_base >> LEVEL_BITS) & _INDEX_MASK
         pte = node.entries.get(idx)
         if type(pte) is not Pte or not pte.huge:
             raise HardwareError(f"{self.name}: {vpn_base:#x} not huge-mapped")
         self._write_entry(node, idx, None)
         self.mapped_pages -= HUGE_PAGE_PAGES
-        self._prune(node, path)
+        self._prune(vpn_base, nodes)
         return pte
 
     def split_huge(self, vpn_base: int) -> MapResult:
@@ -322,8 +329,7 @@ class PageTable:
         """
         bottom = 1
         if pte.huge:
-            if vpn % HUGE_PAGE_PAGES:
-                raise ValueError(f"huge mapping base {vpn:#x} not aligned")
+            self._check_huge_base(vpn)
             bottom = 2
         node, allocated, written = self._descend(vpn, bottom)
         if node.level != bottom:  # a 2 MiB entry covers vpn
@@ -351,22 +357,22 @@ class PageTable:
         Empty intermediate nodes are freed eagerly so that long-running
         simulations do not leak table frames.
         """
-        path: List[Tuple[PageTableNode, int]] = []
-        node = self.root
-        for level in range(self.levels, 1, -1):
-            idx = (vpn >> (level - 1) * LEVEL_BITS) & _INDEX_MASK
-            child = node.entries.get(idx)
-            if type(child) is not PageTableNode:
+        hit = self.leaves.get((vpn >> LEVEL_BITS) & self.leaf_key_mask)
+        if hit is not None:
+            node, nodes, _ = hit
+        else:  # no leaf table: only a 1-level table's root maps vpn
+            node = self.root
+            nodes = (node,)
+            if node.level != 1:
                 raise HardwareError(f"{self.name}: vpn {vpn:#x} not mapped")
-            path.append((node, idx))
-            node = child
         idx = vpn & _INDEX_MASK
         pte = node.entries.get(idx)
         if pte is None:
             raise HardwareError(f"{self.name}: vpn {vpn:#x} not mapped")
         self._write_entry(node, idx, None)
         self.mapped_pages -= 1
-        self._prune(node, path)
+        if not node.entries:
+            self._prune(vpn, nodes)
         return pte
 
     def unmap_each(self, vpns: Iterable[int],
@@ -381,36 +387,43 @@ class PageTable:
         ``on_unmap`` may free the old frame in between; it must not
         change this table.
         """
+        leaves = self.leaves
+        key_mask = self.leaf_key_mask
         leaf: Optional[PageTableNode] = None
         leaf_key = -1
-        path: List[Tuple[PageTableNode, int]] = []
+        nodes: Tuple[PageTableNode, ...] = ()
         for vpn in vpns:
             key = vpn >> LEVEL_BITS
             if key != leaf_key:
                 leaf_key = key
-                leaf = None
-                path = []
-                node = self.root
-                level = self.levels
-                while level > 1:
-                    idx = (vpn >> (level - 1) * LEVEL_BITS) & _INDEX_MASK
-                    child = node.entries.get(idx)
-                    if type(child) is not PageTableNode:
-                        break
-                    path.append((node, idx))
-                    node = child
-                    level -= 1
+                hit = leaves.get(key & key_mask)
+                if hit is not None:
+                    leaf, nodes, _ = hit
+                elif self.root.level == 1:
+                    leaf = self.root
+                    nodes = (leaf,)
                 else:
-                    leaf = node
-                if leaf is None:
-                    if child is not None and child.huge and level == 2:
-                        if vpn & _INDEX_MASK:
-                            leaf_key = -1  # only the base unmaps the run
-                            continue
-                        self._write_entry(node, idx, None)
-                        self.mapped_pages -= HUGE_PAGE_PAGES
-                        self._prune(node, path)
-                        on_unmap(vpn, child)
+                    leaf = None
+                    node = self.root
+                    path = [node]
+                    for level in range(self.levels, 2, -1):
+                        node = node.entries.get(
+                            (vpn >> (level - 1) * LEVEL_BITS) & _INDEX_MASK)
+                        if type(node) is not PageTableNode:
+                            break
+                        path.append(node)
+                    else:
+                        # No leaf table: at most a 2 MiB entry covers vpn.
+                        idx = key & _INDEX_MASK
+                        pte = node.entries.get(idx)
+                        if pte is not None:
+                            if vpn & _INDEX_MASK:
+                                leaf_key = -1  # only the base unmaps the run
+                                continue
+                            self._write_entry(node, idx, None)
+                            self.mapped_pages -= HUGE_PAGE_PAGES
+                            self._prune(vpn, path)
+                            on_unmap(vpn, pte)
                     continue
             elif leaf is None:
                 continue
@@ -421,7 +434,7 @@ class PageTable:
             self._write_entry(leaf, idx, None)
             self.mapped_pages -= 1
             if not leaf.entries:
-                self._prune(leaf, path)
+                self._prune(vpn, nodes)
                 leaf = None
             on_unmap(vpn, pte)
 
@@ -436,7 +449,10 @@ class PageTable:
         unknown = flags.keys() - _PROTECTION_FLAGS
         if unknown:
             raise ValueError(f"not a PTE protection flag: {sorted(unknown)}")
-        node, idx, pte = self._leaf_of(vpn)
+        found = self._leaf_of(vpn)
+        if found is None:
+            raise HardwareError(f"{self.name}: vpn {vpn:#x} not mapped")
+        node, idx, pte = found
         for key, value in flags.items():
             setattr(pte, key, value)
         # A protection change is an entry write (the guest kernel writes
@@ -444,12 +460,40 @@ class PageTable:
         self._write_entry(node, idx, pte)
         return pte
 
+    def protect_range(self, start: int, end: int, **flags: bool) -> int:
+        """:meth:`protect` every mapping met scanning ``[start, end)``,
+        one descent per mapped page; returns the entries written.
+
+        A 2 MiB entry is written once, at the vpn where the scan meets
+        it, and the scan resumes 512 pages further on.
+        """
+        unknown = flags.keys() - _PROTECTION_FLAGS
+        if unknown:
+            raise ValueError(f"not a PTE protection flag: {sorted(unknown)}")
+        writes = 0
+        vpn = start
+        while vpn < end:
+            found = self._leaf_of(vpn)
+            if found is None:
+                vpn += 1
+                continue
+            node, idx, pte = found
+            for key, value in flags.items():
+                setattr(pte, key, value)
+            self._write_entry(node, idx, pte)
+            writes += 1
+            vpn += HUGE_PAGE_PAGES if pte.huge else 1
+        return writes
+
     def lookup(self, vpn: int) -> Optional[Pte]:
         """Return the PTE covering ``vpn`` without faulting, or None.
 
         For a huge mapping, the (shared) huge PTE is returned for any
         vpn inside its 2 MiB run.
         """
+        hit = self.leaves.get((vpn >> LEVEL_BITS) & self.leaf_key_mask)
+        if hit is not None:
+            return hit[0].entries.get(vpn & _INDEX_MASK)
         node = self.root
         for level in range(self.levels, 1, -1):
             child = node.entries.get((vpn >> (level - 1) * LEVEL_BITS) & _INDEX_MASK)
@@ -479,32 +523,41 @@ class PageTable:
         ``start`` resumes the walk below the root from a cached
         intermediate node (a paging-structure-cache hit); the result's
         ``levels_walked`` then counts only the levels actually read, so
-        charged cost and data-structure work agree.
+        charged cost and data-structure work agree.  Only a walk from
+        the root starts at the leaf-table index.
         """
-        node = self.root if start is None else start
-        nodes: List[PageTableNode] = [node]
-        level = node.level
-        while level > 1:
-            child = node.entries.get((vpn >> (level - 1) * LEVEL_BITS) & _INDEX_MASK)
-            if type(child) is not PageTableNode:
-                if child is not None and child.huge and level == 2:
-                    if ((user and not child.user)
-                            or (access is _WRITE and not child.writable)
-                            or (access is _EXECUTE and not child.executable)):
-                        return page_fault(vpn, access, user, present=True,
-                                           level=2)
-                    child.accessed = True
-                    if access is _WRITE:
-                        child.dirty = True
-                    return WalkResult(
-                        frame=child.frame + vpn % HUGE_PAGE_PAGES, pte=child,
-                        nodes=tuple(nodes), huge=True,
-                    )
-                return page_fault(vpn, access, user, present=False,
-                                   level=level)
-            node = child
-            nodes.append(node)
-            level -= 1
+        hit = (self.leaves.get((vpn >> LEVEL_BITS) & self.leaf_key_mask)
+               if start is None else None)
+        if hit is not None:
+            node, nodes, _ = hit
+        else:
+            node = self.root if start is None else start
+            path: List[PageTableNode] = [node]
+            level = node.level
+            while level > 1:
+                child = node.entries.get(
+                    (vpn >> (level - 1) * LEVEL_BITS) & _INDEX_MASK)
+                if type(child) is not PageTableNode:
+                    if child is not None and child.huge and level == 2:
+                        if ((user and not child.user)
+                                or (access is _WRITE and not child.writable)
+                                or (access is _EXECUTE
+                                    and not child.executable)):
+                            return page_fault(vpn, access, user,
+                                              present=True, level=2)
+                        child.accessed = True
+                        if access is _WRITE:
+                            child.dirty = True
+                        return WalkResult(
+                            frame=child.frame + vpn % HUGE_PAGE_PAGES,
+                            pte=child, nodes=tuple(path), huge=True,
+                        )
+                    return page_fault(vpn, access, user, present=False,
+                                      level=level)
+                node = child
+                path.append(node)
+                level -= 1
+            nodes = tuple(path)
         pte = node.entries.get(vpn & _INDEX_MASK)
         if pte is None:
             return page_fault(vpn, access, user, present=False, level=1)
@@ -515,7 +568,7 @@ class PageTable:
         pte.accessed = True
         if access is _WRITE:
             pte.dirty = True
-        return WalkResult(frame=pte.frame, pte=pte, nodes=tuple(nodes))
+        return WalkResult(frame=pte.frame, pte=pte, nodes=nodes)
 
     # -- accessed-bit harvesting ----------------------------------------
 
@@ -571,6 +624,7 @@ class PageTable:
         for frame in self.node_frames():
             self.phys.free_frame(frame)
         self.epoch += 1
+        self.leaves.clear()
         self.root = PageTableNode(self.levels, self.phys.alloc_frame(tag=self._tag))
         self.node_allocations += 1
         self.mapped_pages = 0
@@ -582,6 +636,7 @@ class PageTable:
         for frame in self.node_frames():
             self.phys.free_frame(frame)
         self.epoch += 1
+        self.leaves.clear()
         self.root = PageTableNode(self.levels, frame=-1)
         self.mapped_pages = 0
 
@@ -595,9 +650,15 @@ class PageTable:
         Returns the node, the levels of the nodes allocated on the way
         (root-down) and the frames written to link them in.  When a
         2 MiB entry covers ``vpn`` above ``bottom``, the level-2 node
-        holding it is returned instead.
+        holding it is returned instead.  A level-1 node it allocates
+        enters the leaf-table index.
         """
+        if bottom == 1:
+            hit = self.leaves.get((vpn >> LEVEL_BITS) & self.leaf_key_mask)
+            if hit is not None:
+                return hit[0], [], []
         node = self.root
+        nodes = [node]
         allocated: List[int] = []
         written: List[int] = []
         for level in range(self.levels, bottom, -1):
@@ -615,20 +676,39 @@ class PageTable:
                     break
                 raise HardwareError(f"{self.name}: corrupt non-leaf at L{level}")
             node = child
+            nodes.append(node)
+        if allocated and allocated[-1] == 1:
+            self.leaves[(vpn >> LEVEL_BITS) & self.leaf_key_mask] = (
+                node, tuple(nodes), tuple(n.frame for n in nodes))
         return node, allocated, written
 
-    def _prune(
-        self, node: PageTableNode, path: List[Tuple[PageTableNode, int]]
-    ) -> None:
-        """Free ``node`` and its ancestors on ``path`` while they are empty."""
-        child = node
-        for parent, pidx in reversed(path):
+    def _prune(self, vpn: int, nodes: Sequence[PageTableNode]) -> None:
+        """Free the last of ``nodes`` — ``vpn``'s path from the root —
+        and its ancestors while they are empty.
+
+        A freed level-1 node leaves the leaf-table index; its key is
+        ``vpn``'s, which is the path's upper-level indices concatenated.
+        """
+        for i in range(len(nodes) - 1, 0, -1):
+            child = nodes[i]
             if child.entries:
                 break
+            if child.level == 1:
+                del self.leaves[(vpn >> LEVEL_BITS) & self.leaf_key_mask]
             self.phys.free_frame(child.frame)
             self.epoch += 1
-            self._write_entry(parent, pidx, None)
-            child = parent
+            parent = nodes[i - 1]
+            self._write_entry(
+                parent, (vpn >> (parent.level - 1) * LEVEL_BITS) & _INDEX_MASK,
+                None)
+
+    def _check_huge_base(self, vpn: int) -> None:
+        """Reject a 2 MiB base that is unaligned, or that has no level-2
+        table to live in."""
+        if vpn % HUGE_PAGE_PAGES:
+            raise ValueError(f"huge mapping base {vpn:#x} not aligned")
+        if self.levels < 2:
+            raise ValueError(f"{self.name}: a 1-level table holds no 2 MiB entries")
 
     def _write_entry(self, node: PageTableNode, idx: int, value: object) -> None:
         if self.write_hook is not None:
@@ -653,20 +733,26 @@ class PageTable:
         self._write_entry(node, idx, pte)
         return MapResult(pte, (), (node.frame,))
 
-    def _leaf_of(self, vpn: int) -> Tuple[PageTableNode, int, Pte]:
-        node = self.root
-        for level in range(self.levels, 1, -1):
-            idx = (vpn >> (level - 1) * LEVEL_BITS) & _INDEX_MASK
-            child = node.entries.get(idx)
-            if type(child) is not PageTableNode:
-                if child is not None and child.huge and level == 2:
-                    return node, idx, child
-                raise HardwareError(f"{self.name}: vpn {vpn:#x} not mapped")
-            node = child
+    def _leaf_of(self, vpn: int) -> Optional[Tuple[PageTableNode, int, Pte]]:
+        """``(node, index, entry)`` of the entry covering ``vpn`` (a
+        2 MiB one included), or None when nothing maps it."""
+        hit = self.leaves.get((vpn >> LEVEL_BITS) & self.leaf_key_mask)
+        if hit is not None:
+            node = hit[0]
+        else:
+            node = self.root
+            for level in range(self.levels, 1, -1):
+                idx = (vpn >> (level - 1) * LEVEL_BITS) & _INDEX_MASK
+                child = node.entries.get(idx)
+                if type(child) is not PageTableNode:
+                    if child is not None and child.huge and level == 2:
+                        return node, idx, child
+                    return None
+                node = child
         idx = vpn & _INDEX_MASK
         pte = node.entries.get(idx)
         if pte is None:
-            raise HardwareError(f"{self.name}: vpn {vpn:#x} not mapped")
+            return None
         return node, idx, pte
 
 

@@ -247,14 +247,3 @@ class Tlb:
         if entry is not None:
             return entry.frame + (vpn % HUGE_SPAN)
         return None
-
-    def entries_for_vpid(self, vpid: int) -> int:
-        """Count cached entries tagged with one VPID."""
-        return sum(
-            1 for k in self._entries if _key_akey(k) >> PCID_BITS == vpid
-        )
-
-    def entries_for_asid(self, asid: Asid) -> int:
-        """Count cached entries for one (VPID, PCID)."""
-        akey = asid.key
-        return sum(1 for k in self._entries if _key_akey(k) == akey)

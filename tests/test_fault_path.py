@@ -14,7 +14,11 @@ op's virtual-ns delta and EventLog counter deltas (by key) with
   (a plain TLB-miss walk on machines without shadow tables);
 * ``segfault`` — a touch outside every VMA;
 * ``mprotect`` and ``munmap`` of a fully touched 64-page VMA;
-* ``cow_write`` — a write to a copy-on-write page after ``fork``.
+* ``cow_write`` — a write to a copy-on-write page after ``fork``;
+* ``remap_touch`` — writes to the first two pages of a VMA re-created
+  over the range ``munmap`` freed, so the leaf tables that ``munmap``
+  pruned are allocated again (the one case a stale leaf-table index
+  entry would get wrong).
 
 Every machine runs at its defaults and with the paging-structure caches
 on; machines that can back 2 MiB guest mappings also run with THP, and
@@ -46,7 +50,7 @@ from repro.hypervisors.base import MachineConfig
 PIN_PATH = Path(__file__).resolve().with_name("fault_path.json")
 
 OPS = ("cold_touch", "steady_touch", "file_touch", "shadow_stale",
-       "segfault", "mprotect", "munmap", "cow_write")
+       "segfault", "mprotect", "munmap", "cow_write", "remap_touch")
 
 #: Warm-up VMA (its first touch builds the upper guest levels).
 WARM_VPN = 0x1000
@@ -103,6 +107,9 @@ def _run_op(m, ctx, proc, op, vmas):
         m.munmap(ctx, proc, vmas["small"])
     elif op == "cow_write":
         m.touch(ctx, proc, COLD_VPN, write=True)
+    elif op == "remap_touch":
+        m.touch(ctx, proc, SMALL_VPN, write=True)
+        m.touch(ctx, proc, SMALL_VPN + 1, write=True)
 
 
 def _prepare_op(m, ctx, proc, op):
@@ -113,6 +120,8 @@ def _prepare_op(m, ctx, proc, op):
         m.invalidate_asid(ctx, proc)
     elif op == "cow_write":
         m.fork(ctx, proc)
+    elif op == "remap_touch":
+        proc.addr_space.insert(Vma(SMALL_VPN, SMALL_PAGES))
 
 
 def measure(scenario, overrides):

@@ -87,7 +87,7 @@ class Test2D:
                              AccessType.READ, True) == -1
         assert type(mmu.fault) is EptViolation
         # The first missing translation is the GPT root node's frame.
-        assert mmu.fault.gpa >> 12 == gpt.root_frame
+        assert mmu.fault.gpa >> 12 == gpt.root.frame
 
     def test_full_translation_after_warm(self, env):
         host, guest, tlb, mmu = env

@@ -129,6 +129,14 @@ class TestEnsure:
         with pytest.raises(ValueError):
             pt.ensure(0x10, Pte(frame=1), huge=True)
 
+    def test_one_level_table_rejects_huge_entries(self, phys):
+        flat = PageTable(phys, name="flat", levels=1)
+        with pytest.raises(ValueError):
+            flat.ensure(0, Pte(frame=0x400, huge=True))
+        with pytest.raises(ValueError):
+            flat.map_huge(0, Pte(frame=0x400))
+        assert flat.mapped_pages == 0 and not flat.root.entries
+
 
 def _twin_tables():
     """Two tables with the same mappings over two identical memories:
@@ -221,6 +229,21 @@ class TestProtect:
         assert pte == Pte(frame=1, writable=False, user=False,
                           executable=False, global_=True)
 
+    def test_protect_range_writes_each_mapping_once(self, pt):
+        pt.map_huge(512, Pte(frame=2048))
+        for vpn in (3, 5, 1030):
+            pt.map(vpn, Pte(frame=vpn))
+        hooked = []
+        pt.write_hook = hooked.append
+        # A 2 MiB entry takes one write; holes take none.
+        assert pt.protect_range(0, 1100, writable=False) == 4
+        assert len(hooked) == 4
+        for vpn in (3, 5, 600, 1030):
+            assert not pt.lookup(vpn).writable
+        assert pt.protect_range(0, 1100) == 4
+        with pytest.raises(ValueError):
+            pt.protect_range(0, 1100, frame=9)
+
 
 class TestWalk:
     def test_successful_walk(self, pt):
@@ -296,8 +319,8 @@ def _ept_leg(pt, gfn, access):
     (-1 on a violation) and the MMU."""
     gpt = PageTable(PhysicalMemory("guest", 16 * MIB), name="gpt", levels=1)
     gpt.map(0, Pte(frame=gfn))
-    if pt.lookup(gpt.root_frame) is None:
-        pt.map(gpt.root_frame, Pte(frame=0x3000, user=False))
+    if pt.lookup(gpt.root.frame) is None:
+        pt.map(gpt.root.frame, Pte(frame=0x3000, user=False))
     mmu = Mmu(Tlb(), EventLog(), DEFAULT_COSTS)
     return mmu.access_2d(Clock(), ASID, gpt, pt, 0, access, False), mmu
 

@@ -18,7 +18,7 @@ from repro.faults import (
 )
 from repro.hypervisors.base import MachineConfig
 from repro.hw.memory import FrameAllocator
-from repro.hw.pagetable import PageTable, Pte
+from repro.hw.pagetable import PageTable, PageTableNode, Pte
 from repro.hw.memory import PhysicalMemory
 from repro.hw.tlb import Tlb
 from repro.hw.types import (
@@ -103,6 +103,15 @@ _PROBE_VPNS = _MODEL_VPNS + tuple(r * _HUGE + 7 for r in _REGIONS)
 _PERMS = ("writable", "user", "executable")
 
 _perm_flags = st.fixed_dictionaries({k: st.booleans() for k in _PERMS})
+_flag_updates = st.dictionaries(st.sampled_from(_PERMS + ("global_",)),
+                                st.booleans())
+#: ``unmap_each`` runs: a few probe vpns in any order (repeats too), or
+#: one whole region, whose entries all go and whose tables get pruned.
+_unmap_runs = st.one_of(
+    st.lists(st.sampled_from(_PROBE_VPNS), max_size=6),
+    st.sampled_from([tuple(range(r * _HUGE, (r + 1) * _HUGE))
+                     for r in _REGIONS]),
+)
 _pt_ops = st.one_of(
     st.tuples(st.just("map"), st.sampled_from(_MODEL_VPNS), _perm_flags),
     st.tuples(st.just("map_huge"), st.sampled_from(_REGIONS), _perm_flags),
@@ -116,7 +125,11 @@ _pt_ops = st.one_of(
     ),
     st.tuples(st.just("touch"), st.sampled_from(_MODEL_VPNS),
               st.sampled_from(list(AccessType)), st.booleans()),
+    st.tuples(st.just("unmap_each"), _unmap_runs),
+    st.tuples(st.just("ensure"), st.sampled_from(_MODEL_VPNS), _perm_flags,
+              _flag_updates, st.booleans()),
     st.tuples(st.just("destroy")),
+    st.tuples(st.just("release")),
 )
 
 
@@ -230,7 +243,10 @@ def _check_mappings(pt, model) -> None:
 
 
 def _apply(pt, model, op, n) -> None:
-    """Apply one op to both; invalid ops must raise and change nothing."""
+    """Apply one op to both; invalid ops must raise and change nothing.
+
+    ``release`` leaves the table unusable, so callers stop after it.
+    """
     kind = op[0]
     if kind == "map":
         _, vpn, perms = op
@@ -276,10 +292,53 @@ def _apply(pt, model, op, n) -> None:
         method = "walk" if n % 2 else "access_2d"
         assert _run_walk(pt, method, vpn, access, user) == expected
         return
-    else:
+    elif kind == "unmap_each":
+        _, run = op
+        expected = []
+        for vpn in run:
+            if vpn in model.small:
+                del model.small[vpn]
+                expected.append(vpn)
+            elif vpn % _HUGE == 0 and vpn // _HUGE in model.huge:
+                del model.huge[vpn // _HUGE]
+                expected.append(vpn)
+        got = []
+        pt.unmap_each(run, lambda vpn, pte: got.append(vpn))
+        assert got == expected
+        return
+    elif kind == "ensure":
+        _, vpn, perms, flags, huge = op
+        frame = (n + 1) * _HUGE if huge else 1000 + n
+        fresh = {"frame": frame, "global_": False, "accessed": False,
+                 "dirty": False, **perms}
+        if huge and vpn % _HUGE:
+            with pytest.raises(ValueError):
+                pt.ensure(vpn, Pte(frame=frame, huge=True, **perms), **flags)
+            return
+        e = model.entry(vpn)[0]
+        if huge and e is None and any(v // _HUGE == vpn // _HUGE
+                                      for v in model.small):
+            # The slot holds a leaf table without vpn: nothing to update.
+            with pytest.raises(HardwareError):
+                pt.ensure(vpn, Pte(frame=frame, huge=True, **perms), **flags)
+            return
+        if e is not None:
+            e.update(flags)
+        elif huge:
+            model.huge[vpn // _HUGE] = fresh
+        else:
+            model.small[vpn] = fresh
+        pt.ensure(vpn, Pte(frame=frame, huge=huge, **perms), **flags)
+        return
+    elif kind == "destroy":
         model.small.clear()
         model.huge.clear()
         pt.destroy()
+        return
+    else:
+        model.small.clear()
+        model.huge.clear()
+        pt.release()
         return
     if ok:
         call()
@@ -297,6 +356,8 @@ class TestWalkModelProperties:
         for n, op in enumerate(ops):
             _apply(pt, model, op, n)
             _check_mappings(pt, model)
+            if op[0] == "release":
+                break
         for vpn in _PROBE_VPNS:
             for access in AccessType:
                 for user in (True, False):
@@ -314,6 +375,108 @@ class TestWalkModelProperties:
                 assert (pte.frame, pte.huge) == (e["frame"], huge)
         # lookup sets no A/D bits.
         _check_mappings(pt, model)
+
+
+def _leaf_tables(pt):
+    """``{key: (node, nodes root-down)}`` for every level-1 node hanging
+    below the root, rebuilt from the tree: the leaf-table index's spec."""
+    out = {}
+    stack = [(pt.root, 0, (pt.root,))]
+    while stack:
+        node, key, path = stack.pop()
+        if node.level == 1 and node is not pt.root:
+            out[key] = (node, path)
+        for idx, child in node.entries.items():
+            if type(child) is PageTableNode:
+                stack.append((child, (key << 9) | idx, path + (child,)))
+    return out
+
+
+def _check_leaf_index(pt) -> None:
+    tree = _leaf_tables(pt)
+    assert pt.leaves.keys() == tree.keys()
+    for key, (node, path) in tree.items():
+        leaf, nodes, frames = pt.leaves[key]
+        assert leaf is node
+        assert len(nodes) == len(path)
+        assert all(a is b for a, b in zip(nodes, path))
+        assert frames == tuple(n.frame for n in path)
+
+
+def _walk_outcome(pt, vpn, access, user, start):
+    """A walk's result, fault level and the A/D bits it left on the
+    entry covering ``vpn``, which is restored afterwards."""
+    pte = pt.lookup(vpn)
+    saved = None if pte is None else (pte.accessed, pte.dirty)
+    r = pt.walk(vpn, access, user, start)
+    ad = None if pte is None else (pte.accessed, pte.dirty)
+    if pte is not None:
+        pte.accessed, pte.dirty = saved
+    if type(r) is PageFault:
+        return "fault", r.vaddr, r.error, r.level, ad
+    return ("ok", r.frame, r.huge, id(r.pte), [id(n) for n in r.nodes],
+            r.levels_walked, ad)
+
+
+def _check_index_walks(pt, n) -> None:
+    """``walk`` and ``lookup`` (which start at the index) agree with a
+    walk started at the root on every probe vpn."""
+    accesses = list(AccessType)
+    for i, vpn in enumerate(_PROBE_VPNS):
+        access = accesses[(n + i) % len(accesses)]
+        user = bool((n + i) & 4)
+        assert (_walk_outcome(pt, vpn, access, user, None)
+                == _walk_outcome(pt, vpn, access, user, pt.root))
+        ref = _walk_outcome(pt, vpn, AccessType.READ, False, pt.root)
+        pte = pt.lookup(vpn)
+        if ref[0] == "fault":
+            assert pte is None
+        else:
+            assert id(pte) == ref[3]
+
+
+def _apply_unchecked(pt, op, n) -> None:
+    """Apply one op with no reference model (aliasing vpns of shallow
+    tables break the model's layout); a rejected op is fine."""
+    kind = op[0]
+    try:
+        if kind == "map":
+            pt.map(op[1], Pte(frame=1000 + n, **op[2]))
+        elif kind == "map_huge":
+            pt.map_huge(op[1] * _HUGE, Pte(frame=(n + 1) * _HUGE, **op[2]))
+        elif kind == "unmap":
+            pt.unmap(op[1])
+        elif kind in ("unmap_huge", "split_huge"):
+            getattr(pt, kind)(op[1] * _HUGE)
+        elif kind == "protect":
+            pt.protect(op[1], **op[2])
+        elif kind == "touch":
+            pt.walk(op[1], op[2], op[3])
+        elif kind == "unmap_each":
+            pt.unmap_each(op[1], lambda vpn, pte: None)
+        elif kind == "ensure":
+            _, vpn, perms, flags, huge = op
+            pt.ensure(vpn, Pte(frame=1000 + n, huge=huge, **perms), **flags)
+        else:
+            getattr(pt, kind)()
+    except (HardwareError, ValueError):
+        pass
+
+
+class TestLeafIndexProperties:
+    """The leaf-table index stays exact under every table op, at every
+    depth, and index-started walks match root-started ones."""
+
+    @given(st.integers(1, 4), st.lists(_pt_ops, max_size=25))
+    @settings(max_examples=80, deadline=None)
+    def test_index_matches_tree(self, levels, ops):
+        pt = PageTable(PhysicalMemory("t", 64 * MIB), "p", levels=levels)
+        for n, op in enumerate(ops):
+            _apply_unchecked(pt, op, n)
+            _check_leaf_index(pt)
+            _check_index_walks(pt, n)
+            if op[0] == "release":
+                break
 
 
 class TestAllocatorProperties:

@@ -150,11 +150,3 @@ class TestStats:
         tlb.stats.reset()
         assert tlb.stats.hits == 0
         assert tlb.stats.lookups == 0
-
-    def test_entries_for_helpers(self):
-        tlb = self_filled = Tlb()
-        tlb.insert(A1, 1, 1)
-        tlb.insert(A2, 2, 2)
-        tlb.insert(B1, 3, 3)
-        assert tlb.entries_for_vpid(1) == 2
-        assert tlb.entries_for_asid(A2) == 1
