@@ -42,7 +42,6 @@ _USER = GuestWorld.USER
 _KERNEL = GuestWorld.KERNEL
 _HYPERVISOR = GuestWorld.HYPERVISOR
 _PVM_DIRECT = SwitchKind.PVM_DIRECT
-_HW_L1_L0 = SwitchKind.HW_L1_L0
 _GUEST_PT = FaultPhase.GUEST_PT
 _SHADOW_PT = FaultPhase.SHADOW_PT
 
@@ -73,6 +72,7 @@ class PvmSwitcherMachine(Machine):
         self._inject_pf_ns = costs.irq_inject // 3
         self._pf_delivery_ns = costs.pf_delivery
         self._hypercall_ns = costs.pvm_hypercall_handler
+        self._hypercall_counts = self.events.hypercalls.by_key
         #: Handler cost of one privileged operation, served by PVM.
         self.pvm_handler_ns = {
             "hypercall": costs.pvm_hypercall_handler,
@@ -127,7 +127,8 @@ class PvmSwitcherMachine(Machine):
         """The L2 kernel's iret: one hypercall (switch) into PVM."""
         self.hv.switcher.vm_exit(ctx.clock, ctx.cpu_id, "hypercall:iret")
         ctx.clock.now += self._hypercall_ns
-        self.events.hypercall("iret")
+        counts = self._hypercall_counts
+        counts["iret"] = counts.get("iret", 0) + 1
 
     def on_segfault(self, ctx: CpuCtx, proc: Process) -> None:
         """SIGSEGV delivery: get back to v_ring3 from wherever the fault
@@ -195,11 +196,10 @@ class PvmSwitcherMachine(Machine):
     def _syscall_round_trip(self, ctx: CpuCtx, proc: Process) -> None:
         sw, clock, cpu = self.hv.switcher, ctx.clock, ctx.cpu_id
         if self.config.direct_switch:
-            # Figure 8: switcher-only user->kernel->user, no hypervisor.
-            sw.direct_switch_to_kernel(clock, cpu)
-            sw.direct_switch_to_user(
-                clock, cpu, at_user_ring=self.config.advanced_direct_switch,
-            )  # sysret hypercall (or h_ring3 sysret under the §5 extension)
+            # Figure 8: switcher-only user->kernel->user, no hypervisor;
+            # the sysret is a hypercall (or, under the §5 extension, an
+            # h_ring3 sysret).
+            sw.direct_syscall(clock, cpu, self.config.advanced_direct_switch)
             return
         # Slow path: both transitions bounce through the PVM hypervisor.
         dispatch = self.costs.pvm_syscall_dispatch
@@ -214,16 +214,14 @@ class PvmSwitcherMachine(Machine):
         sw, clock, cpu = self.hv.switcher, ctx.clock, ctx.cpu_id
         sw.vm_exit(clock, cpu, kind)
         clock.now += self.pvm_handler_ns[kind]
-        self.events.emulate(kind)
+        counts = self._emulation_counts
+        counts[kind] = counts.get(kind, 0) + 1
         sw.vm_enter(clock, cpu, _USER)
         if kind == "pio" and self.nested:
             # The L1 VMM's device backend does real I/O through the host
             # (ordinary single-level VM exits of the L1 VM).
             for _ in range(2):
-                self.hw_exit_entry(ctx, _HW_L1_L0)
-                self.events.l0_trap("pio-backend")
-                clock.now += self.costs.pio_handler
-                self.hw_exit_entry(ctx, _HW_L1_L0)
+                self._hw_round_trip(ctx, "pio-backend", self.costs.pio_handler)
 
     def virtio_doorbell(self, ctx: CpuCtx) -> None:
         """L2's kick is a hypercall into PVM's vhost; when nested, the
@@ -233,13 +231,13 @@ class PvmSwitcherMachine(Machine):
         resume = self._resume_world(ctx, _USER)
         sw.vm_exit(ctx.clock, ctx.cpu_id, "hypercall:virtio-kick")
         ctx.clock.now += self.costs.virtio_doorbell_handler
-        self.events.hypercall("send_ipi")  # vhost worker wakeup
+        counts = self._hypercall_counts
+        counts["send_ipi"] = counts.get("send_ipi", 0) + 1  # vhost wakeup
         sw.vm_enter(ctx.clock, ctx.cpu_id, resume)
         if self.nested:
-            self.hw_exit_entry(ctx, _HW_L1_L0)
-            self.events.l0_trap("virtio-backend")
-            self.l0_lock.run_locked(ctx.clock, self.costs.virtio_doorbell_handler)
-            self.hw_exit_entry(ctx, _HW_L1_L0)
+            self._hw_round_trip(ctx, "virtio-backend",
+                                self.costs.virtio_doorbell_handler,
+                                self.l0_lock)
 
     # -- interrupts / halt ----------------------------------------------------------------------------
 
@@ -247,10 +245,8 @@ class PvmSwitcherMachine(Machine):
         """§3.3.3: at most one L0 exit (hardware, for the L1 VM itself);
         everything else is switcher + virtual APIC between L1 and L2."""
         if self.nested:
-            self.hw_exit_entry(ctx, _HW_L1_L0)
-            self.events.l0_trap("interrupt")
-            self.l0_lock.run_locked(ctx.clock, self.costs.irq_inject)
-            self.hw_exit_entry(ctx, _HW_L1_L0)
+            self._hw_round_trip(ctx, "interrupt", self.costs.irq_inject,
+                                self.l0_lock)
         self.hv.irq.l0_inject(Vector.TIMER)
         sw = self.hv.switcher
         resume = self._resume_world(ctx, _USER)
@@ -264,14 +260,16 @@ class PvmSwitcherMachine(Machine):
         ctx.clock.now += self.costs.irq_handler
         self._iret_hypercall(ctx)
         sw.vm_enter(ctx.clock, ctx.cpu_id, resume)
-        self.events.interrupt("timer")
+        counts = self._interrupt_counts
+        counts["timer"] = counts.get("timer", 0) + 1
 
     def halt(self, ctx: CpuCtx, wake_after_ns: int) -> None:
         """HLT via hypercall: sleep and wake without root-mode switches
         even when nested — the fluidanimate win of §4.3."""
         sw = self.hv.switcher
         sw.vm_exit(ctx.clock, ctx.cpu_id, "hypercall:halt")
-        self.events.hypercall("halt")
+        counts = self._hypercall_counts
+        counts["halt"] = counts.get("halt", 0) + 1
         ctx.clock.advance(wake_after_ns)
         ctx.clock.now += self.costs.halt_wake_pvm
         sw.vm_enter(ctx.clock, ctx.cpu_id, _USER)

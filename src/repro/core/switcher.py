@@ -28,7 +28,7 @@ from typing import Callable, Dict, Optional
 from repro.guest.interrupts import HandlerSite, Idt
 from repro.hw.costs import CostModel
 from repro.hw.cpu import SharedIfWord
-from repro.hw.events import EventLog, SwitchKind
+from repro.hw.events import EventLog, SwitchKind, TraceEvent
 from repro.sim.clock import Clock
 
 
@@ -75,8 +75,9 @@ class SwitcherState:
 _HYPERVISOR = GuestWorld.HYPERVISOR
 _KERNEL = GuestWorld.KERNEL
 _USER = GuestWorld.USER
-_PVM_L2_L1 = SwitchKind.PVM_L2_L1
-_PVM_DIRECT = SwitchKind.PVM_DIRECT
+#: Counter keys of the switcher's two switch kinds (the kinds' values).
+_KEY_L2_L1 = SwitchKind.PVM_L2_L1.value
+_KEY_DIRECT = SwitchKind.PVM_DIRECT.value
 
 
 class Switcher:
@@ -85,12 +86,17 @@ class Switcher:
     Each leg reads its cost from attributes fixed at construction and
     adds it to ``clock.now`` directly: the :class:`CostModel` validated
     every constant as a non-negative int, so ``Clock.advance``'s check
-    could never fire.
+    could never fire.  Each leg counts its switch (and L1 exit) in
+    place, in by-key dicts bound here, and appends the same events to
+    a detailed trace.
     """
 
     def __init__(self, costs: CostModel, events: EventLog) -> None:
         self.costs = costs
         self.events = events
+        self._switch_counts = events.world_switches.by_key
+        self._exit_counts = events.l1_exits.by_key
+        self._trace = events.trace if events.detailed else None
         self._states: Dict[int, SwitcherState] = {}
         self._world_switch_ns = costs.pvm_world_switch
         self._to_kernel_ns = costs.ring_transition + costs.direct_switch_extra
@@ -135,9 +141,14 @@ class Switcher:
         state.regs_cleared = True
         state.world = _HYPERVISOR
         clock.now += self._world_switch_ns
-        events = self.events
-        events.switch(_PVM_L2_L1, clock.now, cpu_id)
-        events.l1_exit(reason, clock.now, cpu_id)
+        counts = self._switch_counts
+        counts[_KEY_L2_L1] = counts.get(_KEY_L2_L1, 0) + 1
+        counts = self._exit_counts
+        counts[reason] = counts.get(reason, 0) + 1
+        trace = self._trace
+        if trace is not None:
+            trace.append(TraceEvent(clock.now, cpu_id, "switch", _KEY_L2_L1))
+            trace.append(TraceEvent(clock.now, cpu_id, "l1_exit", reason))
         self.vm_exits += 1
         return state
 
@@ -154,7 +165,10 @@ class Switcher:
         state = self._states.get(cpu_id) or self.state_for(cpu_id)
         state.world = world
         clock.now += self._world_switch_ns
-        self.events.switch(_PVM_L2_L1, clock.now, cpu_id)
+        counts = self._switch_counts
+        counts[_KEY_L2_L1] = counts.get(_KEY_L2_L1, 0) + 1
+        if self._trace is not None:
+            self._trace.append(TraceEvent(clock.now, cpu_id, "switch", _KEY_L2_L1))
         self.vm_entries += 1
         if self.on_guest_cr3_load is not None:
             self.on_guest_cr3_load(clock, cpu_id)
@@ -175,10 +189,7 @@ class Switcher:
             raise RuntimeError("direct switch to kernel requires v_ring3")
         state.world = _KERNEL
         clock.now += self._to_kernel_ns
-        self.events.switch(_PVM_DIRECT, clock.now, cpu_id)
-        self.direct_switches += 1
-        if self.on_guest_cr3_load is not None:
-            self.on_guest_cr3_load(clock, cpu_id)
+        self._direct_leg(clock, cpu_id)
         return state
 
     def direct_switch_to_user(self, clock: Clock, cpu_id: int,
@@ -197,8 +208,42 @@ class Switcher:
         # Without the h_ring3 sysret the leg costs what the way in does.
         clock.now += (self._to_user_ring_ns if at_user_ring
                       else self._to_kernel_ns)
-        self.events.switch(_PVM_DIRECT, clock.now, cpu_id)
+        self._direct_leg(clock, cpu_id)
+        return state
+
+    def direct_syscall(self, clock: Clock, cpu_id: int,
+                       at_user_ring: bool = False) -> SwitcherState:
+        """One syscall round trip on the direct path, in one call: the
+        legs of :meth:`direct_switch_to_kernel` and
+        :meth:`direct_switch_to_user`, each followed by the CR3-load
+        hook.  The vCPU starts and ends in v_ring3."""
+        state = self._states.get(cpu_id) or self.state_for(cpu_id)
+        if state.world is not _USER:
+            raise RuntimeError("direct switch to kernel requires v_ring3")
+        hook, trace = self.on_guest_cr3_load, self._trace
+        clock.now += self._to_kernel_ns
+        if trace is not None:
+            trace.append(TraceEvent(clock.now, cpu_id, "switch", _KEY_DIRECT))
+        if hook is not None:
+            hook(clock, cpu_id)
+        clock.now += (self._to_user_ring_ns if at_user_ring
+                      else self._to_kernel_ns)
+        if trace is not None:
+            trace.append(TraceEvent(clock.now, cpu_id, "switch", _KEY_DIRECT))
+        if hook is not None:
+            hook(clock, cpu_id)
+        counts = self._switch_counts
+        counts[_KEY_DIRECT] = counts.get(_KEY_DIRECT, 0) + 2
+        self.direct_switches += 2
+        return state
+
+    def _direct_leg(self, clock: Clock, cpu_id: int) -> None:
+        """Count one direct switch just charged, then run the CR3-load
+        hook: the leg loaded the other guest CR3."""
+        counts = self._switch_counts
+        counts[_KEY_DIRECT] = counts.get(_KEY_DIRECT, 0) + 1
+        if self._trace is not None:
+            self._trace.append(TraceEvent(clock.now, cpu_id, "switch", _KEY_DIRECT))
         self.direct_switches += 1
         if self.on_guest_cr3_load is not None:
             self.on_guest_cr3_load(clock, cpu_id)
-        return state

@@ -48,19 +48,30 @@ _GUEST_INTERNAL = SwitchKind.GUEST_INTERNAL
 class Counter:
     """A named monotonic counter with optional per-key breakdown.
 
-    The :class:`EventLog` recorders on the world-switch path count
-    inline (``total`` and ``by_key`` directly) instead of calling
-    :meth:`add`; the two must stay equivalent.
+    ``total`` is derived: the sum of ``by_key`` plus what was added
+    without a key.  So one event is one update of ``by_key``, and the
+    world-switch legs count in place, with the dict bound at
+    construction: ``counts[key] = counts.get(key, 0) + 1``.  They never
+    call :meth:`add` or an :class:`EventLog` recorder; the two ways must
+    stay equivalent.  ``by_key`` is never rebound (:meth:`reset` clears
+    it), so a bound dict stays live.
     """
 
     name: str
-    total: int = 0
     by_key: Dict[str, int] = field(default_factory=dict)
+    #: Samples added without a key.
+    unkeyed: int = 0
+
+    @property
+    def total(self) -> int:
+        """Every sample recorded, with or without a key."""
+        return self.unkeyed + sum(self.by_key.values())
 
     def add(self, n: int = 1, key: Optional[str] = None) -> None:
         """Record one sample/entry."""
-        self.total += n
-        if key is not None:
+        if key is None:
+            self.unkeyed += n
+        else:
             self.by_key[key] = self.by_key.get(key, 0) + n
 
     def get(self, key: str, default: int = 0) -> int:
@@ -69,7 +80,7 @@ class Counter:
 
     def reset(self) -> None:
         """Reset all counters/state."""
-        self.total = 0
+        self.unkeyed = 0
         self.by_key.clear()
 
 
@@ -125,68 +136,55 @@ class EventLog:
         self.sanitizer_violations = Counter("sanitizer_violations")
 
     # -- recording -------------------------------------------------------
+    #
+    # The recorders are the API for cold callers.  The world-switch legs
+    # count in place instead (see :class:`Counter`), and append the same
+    # ``TraceEvent`` a recorder would when the log is detailed.
 
     def switch(self, kind: SwitchKind, time_ns: int = 0, vcpu: int = 0) -> None:
         """Record one world switch (one direction)."""
-        # The hottest counter: ``_value_`` is the member's plain
-        # attribute (``.value`` is a Python-level descriptor), and the
-        # count is inlined instead of going through ``Counter.add``.
         key = kind._value_
-        counter = (self.guest_transitions if kind is _GUEST_INTERNAL
-                   else self.world_switches)
-        counter.total += 1
-        by_key = counter.by_key
-        by_key[key] = by_key.get(key, 0) + 1
+        counts = (self.guest_transitions if kind is _GUEST_INTERNAL
+                  else self.world_switches).by_key
+        counts[key] = counts.get(key, 0) + 1
         if self.detailed:
             self.trace.append(TraceEvent(time_ns, vcpu, "switch", key))
 
     def l0_trap(self, reason: str) -> None:
         """Record one trap into the L0 hypervisor (the paper's "exit to
         L0" unit — one trap corresponds to two switch legs)."""
-        counter = self.l0_exits
-        counter.total += 1
-        by_key = counter.by_key
-        by_key[reason] = by_key.get(reason, 0) + 1
+        counts = self.l0_exits.by_key
+        counts[reason] = counts.get(reason, 0) + 1
 
     def l1_exit(self, reason: str, time_ns: int = 0, vcpu: int = 0) -> None:
         """Record an exit from L2 to the L1 hypervisor (PVM path)."""
-        counter = self.l1_exits
-        counter.total += 1
-        by_key = counter.by_key
-        by_key[reason] = by_key.get(reason, 0) + 1
+        counts = self.l1_exits.by_key
+        counts[reason] = counts.get(reason, 0) + 1
         if self.detailed:
             self.trace.append(TraceEvent(time_ns, vcpu, "l1_exit", reason))
 
     def fault(self, phase: FaultPhase, time_ns: int = 0, vcpu: int = 0) -> None:
         """Record one page fault by phase."""
         key = phase._value_
-        counter = self.page_faults
-        counter.total += 1
-        by_key = counter.by_key
-        by_key[key] = by_key.get(key, 0) + 1
+        counts = self.page_faults.by_key
+        counts[key] = counts.get(key, 0) + 1
         if self.detailed:
             self.trace.append(TraceEvent(time_ns, vcpu, "fault", key))
 
     def hypercall(self, name: str) -> None:
         """Count one hypercall by name."""
-        counter = self.hypercalls
-        counter.total += 1
-        by_key = counter.by_key
-        by_key[name] = by_key.get(name, 0) + 1
+        counts = self.hypercalls.by_key
+        counts[name] = counts.get(name, 0) + 1
 
     def inject(self, what: str) -> None:
         """Record one event injection."""
-        counter = self.injections
-        counter.total += 1
-        by_key = counter.by_key
-        by_key[what] = by_key.get(what, 0) + 1
+        counts = self.injections.by_key
+        counts[what] = counts.get(what, 0) + 1
 
     def tlb_flush(self, granularity: str) -> None:
         """Record one TLB flush by granularity."""
-        counter = self.tlb_flushes
-        counter.total += 1
-        by_key = counter.by_key
-        by_key[granularity] = by_key.get(granularity, 0) + 1
+        counts = self.tlb_flushes.by_key
+        counts[granularity] = counts.get(granularity, 0) + 1
 
     def psc_event(self, kind: str) -> None:
         """Record one paging-structure-cache probe outcome by kind."""
@@ -194,10 +192,8 @@ class EventLog:
 
     def interrupt(self, vector: str) -> None:
         """Record one delivered interrupt."""
-        counter = self.interrupts
-        counter.total += 1
-        by_key = counter.by_key
-        by_key[vector] = by_key.get(vector, 0) + 1
+        counts = self.interrupts.by_key
+        counts[vector] = counts.get(vector, 0) + 1
 
     def lock_wait(self, lock_name: str, waited_ns: int) -> None:
         """Record lock wait time (ignores zero waits)."""
@@ -206,10 +202,8 @@ class EventLog:
 
     def emulate(self, what: str) -> None:
         """Record one emulation by kind."""
-        counter = self.emulations
-        counter.total += 1
-        by_key = counter.by_key
-        by_key[what] = by_key.get(what, 0) + 1
+        counts = self.emulations.by_key
+        counts[what] = counts.get(what, 0) + 1
 
     def fault_injected(self, site: str) -> None:
         """Record one fault-plan firing by site."""

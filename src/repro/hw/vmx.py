@@ -128,7 +128,8 @@ class VmcsShadow:
         # Callers overwrite eptp_frame after merge as appropriate.
         self.vmcs02.eptp_frame = self.vmcs01.eptp_frame
         self.vmcs02.vpid = self.vmcs12.vpid
-        self.vmcs02.pending.extend(self.vmcs12.take_injections())
+        if self.vmcs12.pending:
+            self.vmcs02.pending.extend(self.vmcs12.take_injections())
         self._merged_gen01 = self.vmcs01.generation
         self._merged_gen12 = self.vmcs12.generation
         self.merges += 1

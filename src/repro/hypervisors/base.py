@@ -23,9 +23,9 @@ from typing import Dict, List, Optional, Tuple
 from repro.guest.addrspace import SegfaultError, Vma  # noqa: F401 (re-exported)
 from repro.guest.kernel import ForkWork, GptFix, GuestKernel
 from repro.guest.process import Process
-from repro.guest.syscalls import syscall as lookup_syscall
+from repro.guest.syscalls import SYSCALLS, syscall as lookup_syscall
 from repro.hw.costs import CostModel, DEFAULT_COSTS
-from repro.hw.events import EventLog, FaultPhase, SwitchKind
+from repro.hw.events import EventLog, FaultPhase, SwitchKind, TraceEvent
 from repro.hw.memory import PhysicalMemory
 from repro.hw.mmu import Mmu
 from repro.hw.pagetable import PageTable
@@ -48,9 +48,10 @@ MAX_FAULT_RETRIES = 16
 
 _READ = AccessType.READ
 _WRITE = AccessType.WRITE
-_HW_L1_L0 = SwitchKind.HW_L1_L0
-_GUEST_INTERNAL = SwitchKind.GUEST_INTERNAL
 _GUEST_PT = FaultPhase.GUEST_PT
+#: Counter keys of the switch legs (the kinds' values).
+_KEY_L1_L0 = SwitchKind.HW_L1_L0.value
+_KEY_GUEST = SwitchKind.GUEST_INTERNAL.value
 
 
 @dataclass
@@ -137,7 +138,16 @@ class Machine(abc.ABC):
     ) -> None:
         self.config = config or MachineConfig()
         self.costs = costs
-        self.events = events or EventLog()
+        self.events = events = events or EventLog()
+        # The switch legs count in place: each event is one update of a
+        # by-key dict bound here (see ``Counter``), plus one append to
+        # the trace when the log is detailed.
+        self._switch_counts = events.world_switches.by_key
+        self._guest_counts = events.guest_transitions.by_key
+        self._l0_counts = events.l0_exits.by_key
+        self._emulation_counts = events.emulations.by_key
+        self._interrupt_counts = events.interrupts.by_key
+        self._trace = events.trace if events.detailed else None
         # Switch-leg costs, read once: the CostModel validated them as
         # non-negative ints, so the legs add them to ``clock.now``
         # directly instead of going through ``Clock.advance``.
@@ -330,7 +340,10 @@ class Machine(abc.ABC):
 
     def syscall(self, ctx: CpuCtx, proc: Process, name: str) -> None:
         """Execute one named syscall: transition + kernel body."""
-        spec = lookup_syscall(name)
+        try:
+            spec = SYSCALLS[name]
+        except KeyError:
+            spec = lookup_syscall(name)  # raises, naming the known ones
         self._syscall_round_trip(ctx, proc)
         ctx.clock.now += spec.body_ns  # validated by Syscall
         if spec.extra_transitions:
@@ -579,10 +592,8 @@ class Machine(abc.ABC):
         Default (single-level VMX): a hardware round trip to the host's
         vhost worker.  Nested machines override with their switch paths.
         """
-        self.hw_exit_entry(ctx, _HW_L1_L0)
-        self.events.l0_trap("virtio-doorbell")
-        ctx.clock.now += self.costs.virtio_doorbell_handler
-        self.hw_exit_entry(ctx, _HW_L1_L0)
+        self._hw_round_trip(ctx, "virtio-doorbell",
+                            self.costs.virtio_doorbell_handler)
 
     def deliver_device_irq(self, ctx: CpuCtx) -> None:
         """Completion interrupt: rides the same path as the timer."""
@@ -677,9 +688,15 @@ class Machine(abc.ABC):
     def _syscall_round_trip(self, ctx: CpuCtx, proc: Process) -> None:
         """User -> kernel -> user transition for one syscall: inside a
         hardware-paged guest it never exits (KPTI adds its CR3 work)."""
-        self.guest_internal_transition(ctx)
-        ctx.clock.now += self._kpti_ns
-        self.guest_internal_transition(ctx)
+        clock = ctx.clock
+        trace = self._trace
+        if trace is not None:
+            trace.append(TraceEvent(clock.now, ctx.cpu_id, "switch", _KEY_GUEST))
+        clock.now += self._kpti_ns
+        if trace is not None:
+            trace.append(TraceEvent(clock.now, ctx.cpu_id, "switch", _KEY_GUEST))
+        counts = self._guest_counts
+        counts[_KEY_GUEST] = counts.get(_KEY_GUEST, 0) + 2
 
     @abc.abstractmethod
     def _privileged(self, ctx: CpuCtx, kind: str) -> None:
@@ -748,11 +765,44 @@ class Machine(abc.ABC):
             san.shadow.after_zap(ctx, proc, vpns)
 
     def hw_exit_entry(self, ctx: CpuCtx, kind: SwitchKind) -> None:
-        """One hardware world switch (one direction)."""
+        """One hardware world switch (one direction) of a hardware
+        ``kind``."""
         clock = ctx.clock
         clock.now += self._hw_switch_ns
-        self.events.switch(kind, clock.now, ctx.cpu_id)
+        key = kind._value_
+        counts = self._switch_counts
+        counts[key] = counts.get(key, 0) + 1
+        if self._trace is not None:
+            self._trace.append(TraceEvent(clock.now, ctx.cpu_id, "switch", key))
+
+    def _hw_round_trip(self, ctx: CpuCtx, reason: str, work_ns: int,
+                       lock: Optional[SimLock] = None) -> None:
+        """An exit to L0 for ``reason``, ``work_ns`` of root-mode work
+        (under ``lock`` when given) and the entry back: two
+        ``HW_L1_L0`` switches and one L0 trap.  ``work_ns`` is a
+        validated cost."""
+        clock = ctx.clock
+        clock.now += self._hw_switch_ns
+        counts = self._switch_counts
+        counts[_KEY_L1_L0] = counts.get(_KEY_L1_L0, 0) + 1
+        traps = self._l0_counts
+        traps[reason] = traps.get(reason, 0) + 1
+        trace = self._trace
+        if trace is not None:
+            trace.append(TraceEvent(clock.now, ctx.cpu_id, "switch", _KEY_L1_L0))
+        if lock is None:
+            clock.now += work_ns
+        else:
+            lock.run_locked(clock, work_ns)
+        clock.now += self._hw_switch_ns
+        counts[_KEY_L1_L0] += 1
+        if trace is not None:
+            trace.append(TraceEvent(clock.now, ctx.cpu_id, "switch", _KEY_L1_L0))
 
     def guest_internal_transition(self, ctx: CpuCtx) -> None:
         """User<->kernel switch fully inside a hardware-paged guest."""
-        self.events.switch(_GUEST_INTERNAL, ctx.clock.now, ctx.cpu_id)
+        counts = self._guest_counts
+        counts[_KEY_GUEST] = counts.get(_KEY_GUEST, 0) + 1
+        if self._trace is not None:
+            self._trace.append(
+                TraceEvent(ctx.clock.now, ctx.cpu_id, "switch", _KEY_GUEST))

@@ -38,31 +38,30 @@ class KvmMachine(Machine):
 
         KVM can often access MSRs directly from non-root mode; the
         paper's kvm MSR row reflects a full exit + emulate anyway."""
-        self.hw_exit_entry(ctx, _HW_L1_L0)
-        self.events.l0_trap(kind)
-        ctx.clock.now += self.vmx_handler_ns[kind]
-        self.hw_exit_entry(ctx, _HW_L1_L0)
-        self.events.emulate(kind)
+        self._hw_round_trip(ctx, kind, self.vmx_handler_ns[kind])
+        counts = self._emulation_counts
+        counts[kind] = counts.get(kind, 0) + 1
 
     # -- interrupts / halt --------------------------------------------------------
 
     def deliver_timer(self, ctx: CpuCtx) -> None:
         """External interrupt: exit to L0, inject, resume, guest handler."""
-        self.hw_exit_entry(ctx, _HW_L1_L0)
-        self.events.l0_trap("interrupt")
-        self.l0_lock.run_locked(ctx.clock, self.costs.irq_inject)
-        self.hw_exit_entry(ctx, _HW_L1_L0)
+        self._hw_round_trip(ctx, "interrupt", self.costs.irq_inject,
+                            self.l0_lock)
         ctx.clock.now += self.costs.irq_handler
-        self.events.interrupt("timer")
+        counts = self._interrupt_counts
+        counts["timer"] = counts.get("timer", 0) + 1
 
     def halt(self, ctx: CpuCtx, wake_after_ns: int) -> None:
         """HLT exits to L0; wakeup via hardware event injection."""
         self.hw_exit_entry(ctx, _HW_L1_L0)
-        self.events.l0_trap("hlt")
+        counts = self._l0_counts
+        counts["hlt"] = counts.get("hlt", 0) + 1
         ctx.clock.advance(wake_after_ns)
         ctx.clock.now += self.costs.halt_wake_hw
         self.hw_exit_entry(ctx, _HW_L1_L0)
-        self.events.emulate("hlt")
+        counts = self._emulation_counts
+        counts["hlt"] = counts.get("hlt", 0) + 1
 
 
 class KvmEptMachine(KvmMachine):

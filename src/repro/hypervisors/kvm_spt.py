@@ -151,11 +151,9 @@ class KvmSptMachine(KvmShadowMixin, KvmMachine):
         hypervisor can switch shadow roots (the 2.09 us of Table 2).
         Without KPTI there is no CR3 switch and no exit."""
         if self.config.kpti:
-            self.hw_exit_entry(ctx, _HW_L1_L0)
-            self.events.l0_trap("cr3-switch")
-            ctx.clock.now += self.costs.spt_cr3_switch_handler
-            self.hw_exit_entry(ctx, _HW_L1_L0)
-            self.events.emulate("cr3-switch")
+            self._hw_round_trip(ctx, "cr3-switch",
+                                self.costs.spt_cr3_switch_handler)
+            counts = self._emulation_counts
+            counts["cr3-switch"] = counts.get("cr3-switch", 0) + 1
         else:
-            self.guest_internal_transition(ctx)
-            self.guest_internal_transition(ctx)
+            super()._syscall_round_trip(ctx, proc)

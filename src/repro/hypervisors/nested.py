@@ -12,12 +12,13 @@ bottleneck" effect behind Figures 10-12.
 
 from __future__ import annotations
 
-from repro.hw.events import SwitchKind
+from repro.hw.events import SwitchKind, TraceEvent
 from repro.hw.vmx import ExitReason, PendingEvent, Vmcs, VmcsShadow, VmxCapabilities
 from repro.hypervisors.base import CpuCtx, Machine
 
-_HW_L1_L0 = SwitchKind.HW_L1_L0
-_HW_L2_L0 = SwitchKind.HW_L2_L0
+#: Counter keys of the two hardware switch kinds (the kinds' values).
+_KEY_L1_L0 = SwitchKind.HW_L1_L0.value
+_KEY_L2_L0 = SwitchKind.HW_L2_L0.value
 _EXCEPTION = ExitReason.EXCEPTION
 
 
@@ -37,8 +38,11 @@ class NestedVmxMixin:
     """Mixin providing the L2<->L1-via-L0 switch protocol.
 
     Host classes must be :class:`~repro.hypervisors.base.Machine`
-    subclasses; the mixin only uses `costs`, `events`, `l0_lock` and
-    the leg costs and handler table `Machine` reads at construction.
+    subclasses; the mixin only uses `costs`, `l0_lock`, and the leg
+    costs, handler table and in-place counters `Machine` binds at
+    construction.  Every leg counts its switches, L0 traps and
+    emulations in place and appends its switches to a detailed trace,
+    in the order the protocol takes them.
     """
 
     def init_nested_vmx(self: Machine) -> None:
@@ -54,6 +58,8 @@ class NestedVmxMixin:
         self._l2_exit_keys = _TrapKeys("l2-exit:")
         self._l1_service_keys = _TrapKeys("l1-service:")
         self._l2_direct_keys = _TrapKeys("l2-direct:")
+        self._forward_ns = self.costs.l0_forward_overhead
+        self._merge_ns = self.costs.vmcs_merge_reload
 
     def vmcs02(self: Machine) -> VmcsShadow:
         return self.vmcs_shadow
@@ -68,56 +74,80 @@ class NestedVmxMixin:
         root-mode work beyond forwarding that must hold the L0 service
         lock (e.g. shadow-MMU work); the forward overhead itself is
         charged under the lock too, since it manipulates shared VMCS and
-        injection state for this VM.
+        injection state for this VM.  The forwarded event waits in
+        VMCS01 until L1 resumes L2.
         """
         san = self.vmx_sanitizer
         if san is not None:
             san.vm_exit(reason)
-        clock, events, cpu = ctx.clock, self.events, ctx.cpu_id
+        clock = ctx.clock
         clock.now += self._hw_switch_ns
-        events.switch(_HW_L2_L0, clock.now, cpu)
-        events.l0_trap(self._l2_exit_keys[reason])
-        self.l0_lock.run_locked(
-            clock, self.costs.l0_forward_overhead + serialized_ns
-        )
+        counts = self._switch_counts
+        counts[_KEY_L2_L0] = counts.get(_KEY_L2_L0, 0) + 1
+        key = self._l2_exit_keys[reason]
+        traps = self._l0_counts
+        traps[key] = traps.get(key, 0) + 1
+        trace = self._trace
+        if trace is not None:
+            trace.append(TraceEvent(clock.now, ctx.cpu_id, "switch", _KEY_L2_L0))
+        self.l0_lock.run_locked(clock, self._forward_ns + serialized_ns)
         self.vmcs01.queue_injection(
             PendingEvent(kind=_EXCEPTION, payload=reason)
         )
         clock.now += self._hw_switch_ns
-        events.switch(_HW_L1_L0, clock.now, cpu)
+        counts[_KEY_L1_L0] = counts.get(_KEY_L1_L0, 0) + 1
+        if trace is not None:
+            trace.append(TraceEvent(clock.now, ctx.cpu_id, "switch", _KEY_L1_L0))
 
     def l1_resume_l2(self: Machine, ctx: CpuCtx, serialized_ns: int = 0) -> None:
         """L1 VMRESUMEs L2: L1 -> L0 (VMRESUME trap) -> L2 (real entry).
 
         Two world switches, one L0 exit, dominated by the VMCS02
         merge/reload in root mode (serialized on the L0 service lock).
+        L1 has consumed the events forwarded to it, so VMCS01's
+        injection queue is drained.
         """
-        clock, events, cpu = ctx.clock, self.events, ctx.cpu_id
+        clock = ctx.clock
         clock.now += self._hw_switch_ns
-        events.switch(_HW_L1_L0, clock.now, cpu)
-        events.l0_trap("vmresume")
-        self.l0_lock.run_locked(
-            clock, self.costs.vmcs_merge_reload + serialized_ns
-        )
+        counts = self._switch_counts
+        counts[_KEY_L1_L0] = counts.get(_KEY_L1_L0, 0) + 1
+        traps = self._l0_counts
+        traps["vmresume"] = traps.get("vmresume", 0) + 1
+        trace = self._trace
+        if trace is not None:
+            trace.append(TraceEvent(clock.now, ctx.cpu_id, "switch", _KEY_L1_L0))
+        self.l0_lock.run_locked(clock, self._merge_ns + serialized_ns)
+        self.vmcs01.pending.clear()
         self.vmcs_shadow.merge()
         san = self.vmx_sanitizer
         if san is not None:
             san.vm_entry("vmresume")
         clock.now += self._hw_switch_ns
-        events.switch(_HW_L2_L0, clock.now, cpu)
+        counts[_KEY_L2_L0] = counts.get(_KEY_L2_L0, 0) + 1
+        if trace is not None:
+            trace.append(TraceEvent(clock.now, ctx.cpu_id, "switch", _KEY_L2_L0))
 
     def l1_l0_service(self: Machine, ctx: CpuCtx, work_ns: int,
                       reason: str = "service") -> None:
         """An L1 privileged operation emulated by L0 (e.g. a trapped
         write to a read-only nested table): L1 -> L0 -> L1."""
-        clock, events, cpu = ctx.clock, self.events, ctx.cpu_id
+        clock = ctx.clock
         clock.now += self._hw_switch_ns
-        events.switch(_HW_L1_L0, clock.now, cpu)
-        events.l0_trap(self._l1_service_keys[reason])
+        counts = self._switch_counts
+        counts[_KEY_L1_L0] = counts.get(_KEY_L1_L0, 0) + 1
+        key = self._l1_service_keys[reason]
+        traps = self._l0_counts
+        traps[key] = traps.get(key, 0) + 1
+        trace = self._trace
+        if trace is not None:
+            trace.append(TraceEvent(clock.now, ctx.cpu_id, "switch", _KEY_L1_L0))
         self.l0_lock.run_locked(clock, work_ns)
-        events.emulate(reason)
+        emulated = self._emulation_counts
+        emulated[reason] = emulated.get(reason, 0) + 1
         clock.now += self._hw_switch_ns
-        events.switch(_HW_L1_L0, clock.now, cpu)
+        counts[_KEY_L1_L0] += 1
+        if trace is not None:
+            trace.append(TraceEvent(clock.now, ctx.cpu_id, "switch", _KEY_L1_L0))
 
     def l2_l0_roundtrip(self: Machine, ctx: CpuCtx, work_ns: int,
                         reason: str = "l0-direct") -> None:
@@ -126,30 +156,40 @@ class NestedVmxMixin:
         san = self.vmx_sanitizer
         if san is not None:
             san.vm_exit(reason)
-        clock, events, cpu = ctx.clock, self.events, ctx.cpu_id
-        key = self._l2_direct_keys[reason]
+        clock = ctx.clock
         clock.now += self._hw_switch_ns
-        events.switch(_HW_L2_L0, clock.now, cpu)
-        events.l0_trap(key)
+        counts = self._switch_counts
+        counts[_KEY_L2_L0] = counts.get(_KEY_L2_L0, 0) + 1
+        key = self._l2_direct_keys[reason]
+        traps = self._l0_counts
+        traps[key] = traps.get(key, 0) + 1
+        trace = self._trace
+        if trace is not None:
+            trace.append(TraceEvent(clock.now, ctx.cpu_id, "switch", _KEY_L2_L0))
         self.l0_lock.run_locked(clock, work_ns)
-        events.emulate(reason)
+        emulated = self._emulation_counts
+        emulated[reason] = emulated.get(reason, 0) + 1
         if san is not None:
             # Direct L0 handling re-enters on the unchanged VMCS02 — no
             # merge needed (nothing bumped VMCS01/VMCS12 generations).
             san.vm_entry(key)
         clock.now += self._hw_switch_ns
-        events.switch(_HW_L2_L0, clock.now, cpu)
+        counts[_KEY_L2_L0] += 1
+        if trace is not None:
+            trace.append(TraceEvent(clock.now, ctx.cpu_id, "switch", _KEY_L2_L0))
 
     # -- composite round trips ------------------------------------------------
 
     def nested_privileged_roundtrip(self: Machine, ctx: CpuCtx, handler_ns: int,
                                     reason: str) -> None:
         """A privileged L2 operation handled by L1 (Table 1's kvm NST):
-        L2 exit forwarded to L1, L1 handles, L1 resumes L2.  Four world
-        switches, two L0 exits (§2.1)."""
+        L2 exit forwarded to L1, L1 handles (``handler_ns``, a validated
+        cost), L1 resumes L2.  Four world switches, two L0 exits
+        (§2.1)."""
         self.l2_exit_to_l1(ctx, reason)
-        ctx.clock.advance(handler_ns)
-        self.events.emulate(reason)
+        ctx.clock.now += handler_ns
+        emulated = self._emulation_counts
+        emulated[reason] = emulated.get(reason, 0) + 1
         self.l1_resume_l2(ctx)
 
     # -- the CPU side of both nested-VT-x machines ----------------------------
@@ -162,13 +202,9 @@ class NestedVmxMixin:
         """L2's kick is forwarded to L1's vhost, whose backend I/O rides
         L1's own virtio to the host — a nested round trip plus one
         ordinary L1<->L0 leg."""
-        self.nested_privileged_roundtrip(
-            ctx, self.costs.virtio_doorbell_handler, "virtio-doorbell"
-        )
-        self.hw_exit_entry(ctx, _HW_L1_L0)
-        self.events.l0_trap("virtio-backend")
-        self.l0_lock.run_locked(ctx.clock, self.costs.virtio_doorbell_handler)
-        self.hw_exit_entry(ctx, _HW_L1_L0)
+        handler_ns = self.costs.virtio_doorbell_handler
+        self.nested_privileged_roundtrip(ctx, handler_ns, "virtio-doorbell")
+        self._hw_round_trip(ctx, "virtio-backend", handler_ns, self.l0_lock)
 
     def deliver_timer(self: Machine, ctx: CpuCtx) -> None:
         """External interrupt: L2 exits to L0, L0 injects into L1, L1
@@ -176,13 +212,24 @@ class NestedVmxMixin:
         san = self.vmx_sanitizer
         if san is not None:
             san.vm_exit("interrupt")
-        self.hw_exit_entry(ctx, _HW_L2_L0)
-        self.events.l0_trap("interrupt")
-        self.l0_lock.run_locked(ctx.clock, self.costs.irq_inject)
-        self.hw_exit_entry(ctx, _HW_L1_L0)
-        ctx.clock.now += self.costs.irq_handler
+        clock = ctx.clock
+        clock.now += self._hw_switch_ns
+        counts = self._switch_counts
+        counts[_KEY_L2_L0] = counts.get(_KEY_L2_L0, 0) + 1
+        traps = self._l0_counts
+        traps["interrupt"] = traps.get("interrupt", 0) + 1
+        trace = self._trace
+        if trace is not None:
+            trace.append(TraceEvent(clock.now, ctx.cpu_id, "switch", _KEY_L2_L0))
+        self.l0_lock.run_locked(clock, self.costs.irq_inject)
+        clock.now += self._hw_switch_ns
+        counts[_KEY_L1_L0] = counts.get(_KEY_L1_L0, 0) + 1
+        if trace is not None:
+            trace.append(TraceEvent(clock.now, ctx.cpu_id, "switch", _KEY_L1_L0))
+        clock.now += self.costs.irq_handler
         self.l1_resume_l2(ctx)
-        self.events.interrupt("timer")
+        counts = self._interrupt_counts
+        counts["timer"] = counts.get("timer", 0) + 1
 
     def halt(self: Machine, ctx: CpuCtx, wake_after_ns: int) -> None:
         """HLT traps through the full nested path in both directions."""
@@ -190,4 +237,5 @@ class NestedVmxMixin:
         ctx.clock.advance(wake_after_ns)
         ctx.clock.now += self.costs.halt_wake_hw
         self.l1_resume_l2(ctx)
-        self.events.emulate("hlt")
+        emulated = self._emulation_counts
+        emulated["hlt"] = emulated.get("hlt", 0) + 1

@@ -95,5 +95,4 @@ class SptOnEptMachine(KvmShadowMixin, NestedVmxMixin, Machine):
             ctx.clock.now += self.costs.spt_cr3_switch_handler
             self.l1_resume_l2(ctx)
         else:
-            self.guest_internal_transition(ctx)
-            self.guest_internal_transition(ctx)
+            super()._syscall_round_trip(ctx, proc)

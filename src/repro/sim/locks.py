@@ -75,16 +75,17 @@ class SimLock:
         if free_at > request:
             wait = free_at - request
             end = free_at + overhead_ns + hold_ns
+            self.total_wait_ns += wait
+            # The recorder drops zero waits: only a real wait calls it.
+            if self.events is not None:
+                self.events.lock_wait(self.name, wait)
         else:
             wait = 0
             end = request + overhead_ns + hold_ns
         self.free_at = end
         clock.now = end
         self.acquisitions += 1
-        self.total_wait_ns += wait
         self.total_hold_ns += hold_ns
-        if self.events is not None:
-            self.events.lock_wait(self.name, wait)
         return wait
 
     @property

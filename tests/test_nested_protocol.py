@@ -71,6 +71,24 @@ class TestProtocolLegs:
         assert ctx.clock.now == expected
 
 
+@pytest.mark.parametrize("scenario", ["kvm-ept (NST)", "kvm-spt (NST)"])
+def test_resume_drains_forwarded_injections(scenario):
+    """Each forwarded L2 exit queues its event in VMCS01 until L1
+    resumes L2; the resume drains it, so the queue does not grow with
+    the number of round trips, and VMCS02 is left as it was."""
+    m = make_machine(scenario)
+    ctx = m.new_context()
+    fields = ("guest_cr3_frame", "guest_pcid", "eptp_frame", "vpid",
+              "pending", "generation")
+    vmcs02 = m.vmcs_shadow.vmcs02
+    before = {f: getattr(vmcs02, f) for f in fields}
+    before["pending"] = list(before["pending"])
+    for _ in range(1000):
+        m.nested_privileged_roundtrip(ctx, handler_ns=0, reason="x")
+    assert m.vmcs01.pending == []
+    assert {f: getattr(vmcs02, f) for f in fields} == before
+
+
 class TestCapabilityGating:
     def test_nested_machines_require_vmx(self):
         """init_nested_vmx checks the host exposes (emulated) VMX."""

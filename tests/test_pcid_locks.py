@@ -1,7 +1,10 @@
 """Unit tests for PCID mapping (§3.3.2) and the fine-grained SPT locks."""
 
+from collections import defaultdict
+
 import pytest
 
+from repro import make_machine
 from repro.core.pcid import PcidMapper
 from repro.core.sptlocks import SptLockManager
 from repro.hw.costs import DEFAULT_COSTS
@@ -10,7 +13,9 @@ from repro.hw.types import (
     PVM_GUEST_PCIDS_PER_CLASS,
     PVM_GUEST_USER_PCID_BASE,
 )
+from repro.hypervisors.base import MachineConfig
 from repro.sim.clock import Clock
+from repro.sim.locks import SimLock
 
 
 class TestPcidMapper:
@@ -118,3 +123,58 @@ class TestSptLockManager:
         locks.reset()
         assert locks.acquisitions == 0
         assert locks.total_wait_ns == 0
+
+
+@pytest.fixture
+def returned_waits(monkeypatch):
+    """Every wait ``SimLock.run_locked`` returns, listed by lock name."""
+    waits = defaultdict(list)
+    run_locked = SimLock.run_locked
+
+    def recording(lock, *args, **kwargs):
+        wait = run_locked(lock, *args, **kwargs)
+        waits[lock.name].append(wait)
+        return wait
+
+    monkeypatch.setattr(SimLock, "run_locked", recording)
+    return waits
+
+
+def _assert_waits_recorded(events, waits):
+    """``lock_wait_ns`` holds each lock's summed waits; locks that never
+    waited record nothing."""
+    assert any(sum(w) for w in waits.values())
+    assert any(0 in w for w in waits.values())
+    expected = {name: sum(w) for name, w in waits.items() if sum(w)}
+    assert events.lock_wait_ns.by_key == expected
+    assert events.lock_wait_ns.total == sum(expected.values())
+
+
+@pytest.mark.parametrize("scenario", ["kvm-ept (NST)", "kvm-spt (NST)"])
+def test_l0_lock_waits_match_run_locked(returned_waits, scenario):
+    """Two vCPUs' nested legs contend on the L0 service lock."""
+    m = make_machine(scenario)
+    c1, c2 = m.new_context(), m.new_context()
+    for _ in range(5):
+        m.hypercall(c1)
+        m.deliver_timer(c2)
+        m.virtio_doorbell(c1)
+        m.halt(c2, 1000)
+    assert "l0-service" in m.events.lock_wait_ns.by_key
+    _assert_waits_recorded(m.events, returned_waits)
+
+
+@pytest.mark.parametrize("fine_grained", [True, False])
+def test_spt_lock_waits_match_run_locked(returned_waits, fine_grained):
+    """Two vCPUs' trapped guest PTE writes contend on PVM's SPT locks
+    (meta/pt/rmap, or the global lock without the fine-grained split)."""
+    m = make_machine("pvm (BM)", config=MachineConfig(
+        fine_grained_locks=fine_grained))
+    c1, c2 = m.new_context(), m.new_context()
+    proc = m.spawn_process()
+    for _ in range(3):
+        m.priced_gpt_writes(c1, proc, 4, structural=True)
+        m.priced_gpt_writes(c2, proc, 4, structural=True)
+    keys = set(m.events.lock_wait_ns.by_key)
+    assert keys and all(k.startswith("pvm-") for k in keys)
+    _assert_waits_recorded(m.events, returned_waits)

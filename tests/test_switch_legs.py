@@ -13,6 +13,11 @@ and the advanced direct switch on, so the switcher's slow syscall path,
 its CR3-load flush hook and its h_ring3 sysret are pinned too; kvm-spt
 runs without KPTI for its guest-internal syscall path.
 
+The legs count their events in place, so every variant is also run
+with a detailed EventLog and under ``PVM_SANITIZE=full``: the trace and
+the VMX/lockdep hooks must change no pin, and the trace must hold each
+counted switch, L1 exit and fault under its key.
+
 Regenerate (only for a change meant to move virtual time)::
 
     PYTHONPATH=src python tests/test_switch_legs.py --update
@@ -22,6 +27,7 @@ from __future__ import annotations
 
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -67,13 +73,20 @@ def _run_op(m, ctx, proc, op):
     return 0
 
 
-def measure(scenario, overrides):
-    """``{op: {"ns": delta, "events": counter deltas}}`` on a warm guest."""
-    m = make_machine(scenario, config=MachineConfig(**overrides))
+def warm_machine(scenario, overrides, events=None):
+    """A machine, vCPU and process with every op run once: first-use
+    effects stay out of the pins."""
+    m = make_machine(scenario, config=MachineConfig(**overrides),
+                     events=events)
     ctx = m.new_context()
     proc = m.spawn_process()
-    for op in OPS:  # warm-up: first-use effects stay out of the pins
+    for op in OPS:
         _run_op(m, ctx, proc, op)
+    return m, ctx, proc
+
+
+def pins_of(m, ctx, proc):
+    """``{op: {"ns": delta, "events": counter deltas}}`` of each op."""
     out = {}
     for op in OPS:
         before, start = m.events.snapshot(), ctx.clock.now
@@ -81,7 +94,17 @@ def measure(scenario, overrides):
         delta = diff_snapshots(before, m.events.snapshot())
         out[op] = {"ns": ctx.clock.now - start - user_ns,
                    "events": {k: v for k, v in delta.items() if v}}
-    return out
+    return json.loads(json.dumps(out))
+
+
+def measure(scenario, overrides):
+    """The pins of every op on a warm guest."""
+    return pins_of(*warm_machine(scenario, overrides))
+
+
+def assert_pins(got, pins, label):
+    for op in OPS:
+        assert got[op] == pins[label][op], f"{label}: {op}"
 
 
 def compute_pins():
@@ -102,25 +125,59 @@ def test_pins_cover_every_variant(pins):
 @pytest.mark.parametrize("label,scenario,overrides", VARIANTS,
                          ids=[label for label, _, _ in VARIANTS])
 def test_switch_legs_match_pins(pins, label, scenario, overrides):
-    got = json.loads(json.dumps(measure(scenario, overrides)))
-    for op in OPS:
-        assert got[op] == pins[label][op], f"{label}: {op}"
+    assert_pins(measure(scenario, overrides), pins, label)
 
 
-@pytest.mark.parametrize("scenario", ["pvm (NST)", "kvm-ept (NST)"])
-def test_detailed_trace_records_every_counted_event(scenario):
-    """The inlined recorders keep their ``detailed`` branch: with a
-    detailed log, every counted switch, L1 exit and fault is traced,
-    stamped with the clock after its leg was charged."""
-    m = make_machine(scenario, events=EventLog(detailed=True))
+@pytest.mark.parametrize("label,scenario,overrides", VARIANTS,
+                         ids=[label for label, _, _ in VARIANTS])
+def test_detailed_log_keeps_pins(pins, label, scenario, overrides):
+    m, ctx, proc = warm_machine(scenario, overrides,
+                                events=EventLog(detailed=True))
+    assert_pins(pins_of(m, ctx, proc), pins, label)
+    assert m.events.trace
+
+
+@pytest.mark.parametrize("label,scenario,overrides", VARIANTS,
+                         ids=[label for label, _, _ in VARIANTS])
+def test_full_sanitizers_keep_pins(pins, monkeypatch, label, scenario,
+                                   overrides):
+    monkeypatch.setenv("PVM_SANITIZE", "full")
+    m, ctx, proc = warm_machine(scenario, overrides)
+    assert_pins(pins_of(m, ctx, proc), pins, label)
+    # The hooks ran on the legs: every L0-lock acquisition was reported
+    # to lockdep, and the nested legs drove the VMX state machine.
+    checks = m.sanitizers.report.checks
+    assert m.l0_lock.lockdep is not None
+    assert checks.get("lockdep", 0) >= m.l0_lock.acquisitions
+    if m.vmcs02() is not None:
+        assert checks.get("vmx", 0) > 0, checks
+    assert not m.sanitizers.violations
+
+
+def _op_mix(m):
+    """Every op, then a first touch (guest and extended faults) and one
+    hypercall; returns the vCPU and the clock the hypercall started at."""
     ctx = m.new_context()
     proc = m.spawn_process()
     vma = m.mmap(ctx, proc, 1 * MIB)
     for op in OPS:
         _run_op(m, ctx, proc, op)
-    m.touch(ctx, proc, vma.start_vpn, write=True)  # guest + EPT faults
+    m.touch(ctx, proc, vma.start_vpn, write=True)
     start = ctx.clock.now
     m.hypercall(ctx)
+    return ctx, start
+
+
+@pytest.mark.parametrize("label,scenario,overrides", VARIANTS,
+                         ids=[label for label, _, _ in VARIANTS])
+def test_detailed_trace_records_every_counted_event(label, scenario,
+                                                    overrides):
+    """With a detailed log, every switch, L1 exit and fault a leg
+    counts is traced under the same key, stamped with the clock after
+    its leg was charged, in order."""
+    config = MachineConfig(**overrides)
+    m = make_machine(scenario, config=config, events=EventLog(detailed=True))
+    ctx, start = _op_mix(m)
     first_leg = next(ev for ev in m.events.trace if ev.time_ns > start)
     assert first_leg.kind == "switch"
     assert first_leg.time_ns == start + (
@@ -128,14 +185,23 @@ def test_detailed_trace_records_every_counted_event(scenario):
         else m.costs.hw_world_switch)
 
     ev = m.events
-    kinds = [e.kind for e in ev.trace]
     assert ev.page_faults.total > 0 and ev.l1_exits.total + ev.l0_exits.total
-    assert kinds.count("switch") == (ev.world_switches.total
-                                     + ev.guest_transitions.total)
-    assert kinds.count("l1_exit") == ev.l1_exits.total
-    assert kinds.count("fault") == ev.page_faults.total
+    traced = Counter((e.kind, e.detail) for e in ev.trace)
+    counted = Counter()
+    for kind, counter in (("switch", ev.world_switches),
+                          ("switch", ev.guest_transitions),
+                          ("l1_exit", ev.l1_exits),
+                          ("fault", ev.page_faults)):
+        counted.update({(kind, key): n for key, n in counter.by_key.items()})
+    assert traced == counted
     times = [e.time_ns for e in ev.trace]
-    assert times == sorted(times) and times[-1] <= ctx.clock.now
+    assert all(a <= b for a, b in zip(times, times[1:]))
+    assert times[-1] <= ctx.clock.now
+
+    plain = make_machine(scenario, config=config)
+    _op_mix(plain)
+    assert plain.events.trace == []
+    assert plain.events.snapshot() == ev.snapshot()
 
 
 if __name__ == "__main__":
