@@ -66,7 +66,7 @@ def show_pcid_ring() -> None:
     for pcid in (True, False):
         m = make_machine("pvm (NST)", config=MachineConfig(pcid_mapping=pcid))
         hop = measure_hop_ns(m, nprocs=4, hops=48)
-        flushes = m.events.tlb_flushes.get("vpid")
+        flushes = m.events.tlb_flushes["vpid"]
         label = "with PCID mapping" if pcid else "without (VPID flushes)"
         print(f"{label:24s} per-hop {hop / 1000:6.2f} us, "
               f"{flushes} whole-VPID flushes")

@@ -17,7 +17,7 @@ Deployment scenarios (the paper's five configurations)::
     vma = m.mmap(ctx, proc, 1 << 20)       # 1 MiB anonymous mapping
     m.touch(ctx, proc, vma.start_vpn, write=True)   # demand fault
     print(ctx.clock.now, "virtual ns")
-    print(m.events.world_switches.by_key)  # who switched worlds, and how
+    print(m.events.world_switches)         # who switched worlds, and how
 
 Workloads and benchmarks live in :mod:`repro.workloads` and
 :mod:`repro.bench`; the container runtime in :mod:`repro.containers`.

@@ -301,7 +301,7 @@ class FleetMember:
             self.failures += 1
         if self.failures > policy.max_restarts:
             rt.recovery.gave_up += 1
-            self.container.machine.events.recovery("gave-up")
+            self.container.machine.events.recoveries["gave-up"] += 1
             return self._retire("gave-up", reason)
         self._enter("backoff", reason)
         backoff = min(
@@ -328,7 +328,7 @@ class FleetMember:
         container.relaunch(rt._boot(container.machine, clock))
         self._gen = container.run(self.workload_factory, **self.params)
         rt.recovery.record_restart(clock.now - self._since)
-        container.machine.events.recovery("restart")
+        container.machine.events.recoveries["restart"] += 1
         self._enter("running", "restart")
         return True
 

@@ -21,15 +21,14 @@ from __future__ import annotations
 from repro.core.pvm_machine import PvmSwitcherMachine
 from repro.core.switcher import GuestWorld
 from repro.guest.process import Process
-from repro.hw.events import FaultPhase
+from repro.hw.events import FaultPhase, TraceEvent
 from repro.hw.memory import PhysicalMemory
 from repro.hw.types import PageFault
 from repro.hypervisors.base import CpuCtx
-from repro.hypervisors.chain import MemoryChain
 
 _KERNEL = GuestWorld.KERNEL
 _USER = GuestWorld.USER
-_GUEST_PT = FaultPhase.GUEST_PT
+_KEY_GUEST_PT = FaultPhase.GUEST_PT.value
 
 class DirectPagingMachine(PvmSwitcherMachine):
     """``pvm-dp (NST)``: PVM's switcher with direct paging instead of
@@ -44,14 +43,13 @@ class DirectPagingMachine(PvmSwitcherMachine):
 
     name = "pvm-dp (NST)"
     nested = True
+    # EPT01 below us is maintained by the unmodified L0: warm.
+    warm_ept01 = True
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         #: The L1 VM's physical space is the guest's (see _guest_ram).
         self.l1_phys = self.guest_phys
-        # EPT01 below us is maintained by the unmodified L0: warm.
-        self.memory = MemoryChain(self.host_phys, self.events,
-                                  warm_ept01=True)
         self.validated_updates = 0
 
     def _guest_ram(self) -> PhysicalMemory:
@@ -64,12 +62,12 @@ class DirectPagingMachine(PvmSwitcherMachine):
     def on_guest_fault(self, ctx: CpuCtx, proc: Process, fault: PageFault) -> None:
         """The constant-cost dance, #PF to iret, in one handler."""
         vpn = fault.vaddr >> 12
-        clock, cpu, events = ctx.clock, ctx.cpu_id, self.events
+        clock, cpu = ctx.clock, ctx.cpu_id
         sw = self.hv.switcher
         # Deliver the #PF into the L2 kernel (2 switches).
         sw.vm_exit(clock, cpu, "#PF")
         clock.now += self._inject_pf_ns
-        events.inject("#PF")
+        self._injection_counts["#PF"] += 1
         sw.vm_enter(clock, cpu, _KERNEL)
         # The kernel computes the fix and submits it as ONE batched
         # set_pte hypercall; PVM validates every entry.
@@ -87,7 +85,10 @@ class DirectPagingMachine(PvmSwitcherMachine):
         # the hardware walks the guest's own table).
         self._iret_hypercall(ctx)
         sw.vm_enter(clock, cpu, _USER)
-        events.fault(_GUEST_PT, clock.now, cpu)
+        self._fault_counts[_KEY_GUEST_PT] += 1
+        if self._trace is not None:
+            self._trace.append(TraceEvent(clock.now, cpu, "fault",
+                                          _KEY_GUEST_PT))
 
     def priced_gpt_writes(self, ctx: CpuCtx, proc: Process, writes: int,
                           kernel_pages: bool = False,
@@ -106,5 +107,5 @@ class DirectPagingMachine(PvmSwitcherMachine):
             self.costs.pvm_hypercall_handler
             + writes * self.costs.direct_paging_validate
         )
-        self.events.hypercall("set_pte")
+        self._hypercall_counts["set_pte"] += 1
         self.validated_updates += writes

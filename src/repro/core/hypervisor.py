@@ -95,8 +95,6 @@ class PvmHypervisor:
         from repro.core.emulator import InstructionEmulator
 
         self.emulator = InstructionEmulator()
-        self.instructions_emulated = 0
-        self.hypercalls_served = 0
 
     # -- hypercall fast path ------------------------------------------------
 
@@ -112,8 +110,7 @@ class PvmHypervisor:
             raise ValueError(f"hypercall {name!r} is served inside the switcher")
         self.switcher.vm_exit(clock, cpu_id, f"hypercall:{name}")
         clock.advance(entry.handler_cost(self.costs))
-        self.events.hypercall(name)
-        self.hypercalls_served += 1
+        self.events.hypercalls[name] += 1
         self.switcher.vm_enter(clock, cpu_id, reenter)
         return entry
 
@@ -135,10 +132,9 @@ class PvmHypervisor:
         result = None
         if vcpu is not None:
             result = self.emulator.emulate(vcpu, mnemonic)
-            self.events.emulate(result.effect or mnemonic)
+            self.events.emulations[result.effect or mnemonic] += 1
         else:
-            self.events.emulate(mnemonic)
-        self.instructions_emulated += 1
+            self.events.emulations[mnemonic] += 1
         self.switcher.vm_enter(clock, cpu_id, reenter)
         return result
 

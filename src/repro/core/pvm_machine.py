@@ -31,19 +31,17 @@ from repro.core.sptlocks import SptLockManager
 from repro.core.switcher import GuestWorld
 from repro.guest.interrupts import Vector
 from repro.guest.process import Process
-from repro.hw.events import FaultPhase, SwitchKind
-from repro.hw.memory import PhysicalMemory
+from repro.hw.events import FaultPhase, SwitchKind, TraceEvent
 from repro.hw.pagetable import Pte
 from repro.hw.types import Asid, PageFault, asid_key
 from repro.hypervisors.base import CpuCtx, Machine
-from repro.hypervisors.chain import MemoryChain
 
 _USER = GuestWorld.USER
 _KERNEL = GuestWorld.KERNEL
 _HYPERVISOR = GuestWorld.HYPERVISOR
-_PVM_DIRECT = SwitchKind.PVM_DIRECT
-_GUEST_PT = FaultPhase.GUEST_PT
-_SHADOW_PT = FaultPhase.SHADOW_PT
+_KEY_DIRECT = SwitchKind.PVM_DIRECT.value
+_KEY_GUEST_PT = FaultPhase.GUEST_PT.value
+_KEY_SHADOW_PT = FaultPhase.SHADOW_PT.value
 
 
 class PvmSwitcherMachine(Machine):
@@ -72,7 +70,8 @@ class PvmSwitcherMachine(Machine):
         self._inject_pf_ns = costs.irq_inject // 3
         self._pf_delivery_ns = costs.pf_delivery
         self._hypercall_ns = costs.pvm_hypercall_handler
-        self._hypercall_counts = self.events.hypercalls.by_key
+        self._hypercall_counts = self.events.hypercalls
+        self._injection_counts = self.events.injections
         #: Handler cost of one privileged operation, served by PVM.
         self.pvm_handler_ns = {
             "hypercall": costs.pvm_hypercall_handler,
@@ -91,7 +90,7 @@ class PvmSwitcherMachine(Machine):
         if cpu_id < len(self.contexts):
             self.contexts[cpu_id].mmu.drop_vpid(self.vpid)
         clock.advance(self.costs.tlb_flush_op + self.costs.tlb_vpid_flush_extra)
-        self.events.tlb_flush("cr3-load")
+        self.events.tlb_flushes["cr3-load"] += 1
 
     def asid_for(self, proc: Process, kernel_half: bool = False) -> Asid:
         """TLB tag for a process under this stack's PCID policy."""
@@ -127,8 +126,7 @@ class PvmSwitcherMachine(Machine):
         """The L2 kernel's iret: one hypercall (switch) into PVM."""
         self.hv.switcher.vm_exit(ctx.clock, ctx.cpu_id, "hypercall:iret")
         ctx.clock.now += self._hypercall_ns
-        counts = self._hypercall_counts
-        counts["iret"] = counts.get("iret", 0) + 1
+        self._hypercall_counts["iret"] += 1
 
     def on_segfault(self, ctx: CpuCtx, proc: Process) -> None:
         """SIGSEGV delivery: get back to v_ring3 from wherever the fault
@@ -182,7 +180,7 @@ class PvmSwitcherMachine(Machine):
                 continue
             other.mmu.drop_vpid(self.vpid)
             ctx.clock.advance(self.costs.tlb_shootdown_ipi)
-        self.events.tlb_flush("vpid-broadcast")
+        self.events.tlb_flushes["vpid-broadcast"] += 1
 
     def on_cr3_switch(self, ctx: CpuCtx, from_proc: Process, to_proc: Process) -> None:
         """Scheduler switched processes (CR3 load)."""
@@ -214,8 +212,7 @@ class PvmSwitcherMachine(Machine):
         sw, clock, cpu = self.hv.switcher, ctx.clock, ctx.cpu_id
         sw.vm_exit(clock, cpu, kind)
         clock.now += self.pvm_handler_ns[kind]
-        counts = self._emulation_counts
-        counts[kind] = counts.get(kind, 0) + 1
+        self._emulation_counts[kind] += 1
         sw.vm_enter(clock, cpu, _USER)
         if kind == "pio" and self.nested:
             # The L1 VMM's device backend does real I/O through the host
@@ -231,8 +228,7 @@ class PvmSwitcherMachine(Machine):
         resume = self._resume_world(ctx, _USER)
         sw.vm_exit(ctx.clock, ctx.cpu_id, "hypercall:virtio-kick")
         ctx.clock.now += self.costs.virtio_doorbell_handler
-        counts = self._hypercall_counts
-        counts["send_ipi"] = counts.get("send_ipi", 0) + 1  # vhost wakeup
+        self._hypercall_counts["send_ipi"] += 1  # vhost wakeup
         sw.vm_enter(ctx.clock, ctx.cpu_id, resume)
         if self.nested:
             self._hw_round_trip(ctx, "virtio-backend",
@@ -260,16 +256,14 @@ class PvmSwitcherMachine(Machine):
         ctx.clock.now += self.costs.irq_handler
         self._iret_hypercall(ctx)
         sw.vm_enter(ctx.clock, ctx.cpu_id, resume)
-        counts = self._interrupt_counts
-        counts["timer"] = counts.get("timer", 0) + 1
+        self._interrupt_counts["timer"] += 1
 
     def halt(self, ctx: CpuCtx, wake_after_ns: int) -> None:
         """HLT via hypercall: sleep and wake without root-mode switches
         even when nested — the fluidanimate win of §4.3."""
         sw = self.hv.switcher
         sw.vm_exit(ctx.clock, ctx.cpu_id, "hypercall:halt")
-        counts = self._hypercall_counts
-        counts["halt"] = counts.get("halt", 0) + 1
+        self._hypercall_counts["halt"] += 1
         ctx.clock.advance(wake_after_ns)
         ctx.clock.now += self.costs.halt_wake_pvm
         sw.vm_enter(ctx.clock, ctx.cpu_id, _USER)
@@ -280,23 +274,17 @@ class PvmMachine(PvmSwitcherMachine):
     CPU side plus shadow paging (SPT12 over the memory chain)."""
 
     def __init__(self, *args, nested: bool = False, **kwargs) -> None:
-        # Named before the base builds the guest kernel, which names its
-        # page tables after the machine.
+        # Named and shaped before the base builds the guest kernel, which
+        # names its page tables after the machine, and the memory chain.
         self.nested = nested
         self.name = "pvm (NST)" if nested else "pvm (BM)"
+        # Nested, shadow targets are L1 frames, and the unmodified L0
+        # below maintains a warm EPT01.
+        self.l1_level = self.warm_ept01 = nested
         super().__init__(*args, **kwargs)
         self.prefaulter = Prefaulter(enabled=self.config.prefault)
-        table_phys = self.host_phys
-        if nested:
-            #: The L1 VM's guest-physical space: shadow targets live here.
-            self.l1_phys = table_phys = PhysicalMemory(
-                "l1-vm", self.config.host_mem_bytes)
-            # EPT01 below us is maintained by the unmodified L0: warm.
-            self.memory = MemoryChain(
-                self.host_phys, self.events, warm_ept01=True,
-                l1_phys=self.l1_phys)
         self.shadow = ShadowManager(
-            table_phys, self.costs, self.memory.target,
+            self.l1_phys or self.host_phys, self.costs, self.memory.target,
             dual=self.config.kpti,
             translate_block=self.memory.target_block,
         )
@@ -317,7 +305,7 @@ class PvmMachine(PvmSwitcherMachine):
         """The Figure 9 dance, #PF to iret, in one handler."""
         vpn = fault.vaddr >> 12
         access = fault.access
-        clock, cpu, events = ctx.clock, ctx.cpu_id, self.events
+        clock, cpu, trace = ctx.clock, ctx.cpu_id, self._trace
         sw = self.hv.switcher
         gpt_pte = proc.gpt.lookup(vpn)
         shadow_stale = gpt_pte is not None and gpt_pte.permits(access, True)
@@ -327,8 +315,10 @@ class PvmMachine(PvmSwitcherMachine):
             # switcher-internal transition instead of a full exit to PVM.
             clock.now += self._triage_inject_ns
             sw.state_for(cpu).world = _KERNEL
-            events.switch(_PVM_DIRECT, clock.now, cpu)
-            events.inject("#PF")
+            self._switch_counts[_KEY_DIRECT] += 1
+            if trace is not None:
+                trace.append(TraceEvent(clock.now, cpu, "switch", _KEY_DIRECT))
+            self._injection_counts["#PF"] += 1
         else:
             # (1)-(2): the #PF lands in the switcher and exits to PVM —
             # one world switch, entirely inside L1.
@@ -339,12 +329,15 @@ class PvmMachine(PvmSwitcherMachine):
                 self._sync_shadow(ctx, proc, vpn, gpt_pte,
                                   self._stale_sync_ns)
                 sw.vm_enter(clock, cpu, _USER)
-                events.fault(_SHADOW_PT, clock.now, cpu)
+                self._fault_counts[_KEY_SHADOW_PT] += 1
+                if trace is not None:
+                    trace.append(TraceEvent(clock.now, cpu, "fault",
+                                            _KEY_SHADOW_PT))
                 return
             # (3)-(5): PVM injects the #PF and enters the L2 kernel's
             # handler.
             clock.now += self._inject_pf_ns
-            events.inject("#PF")
+            self._injection_counts["#PF"] += 1
             sw.vm_enter(clock, cpu, _KERNEL)
         # (6): the L2 kernel's handler fixes its own page table.
         clock.now += self._pf_delivery_ns
@@ -357,7 +350,7 @@ class PvmMachine(PvmSwitcherMachine):
         # (7): the iret hypercall into PVM.
         sw.vm_exit(clock, cpu, "hypercall:iret")
         clock.now += self._hypercall_ns
-        events.hypercall("iret")
+        self._hypercall_counts["iret"] += 1
         # (8): the prefault optimization fills SPT12 on the iret path,
         # avoiding the otherwise-inevitable shadow-stale fault.  The fix's
         # PTE is the guest entry now covering ``vpn``.
@@ -365,7 +358,9 @@ class PvmMachine(PvmSwitcherMachine):
             self._sync_shadow(ctx, proc, vpn, fix.pte, self._prefault_ns)
         # (9)-(10): back to the L2 user.
         sw.vm_enter(clock, cpu, _USER)
-        events.fault(_GUEST_PT, clock.now, cpu)
+        self._fault_counts[_KEY_GUEST_PT] += 1
+        if trace is not None:
+            trace.append(TraceEvent(clock.now, cpu, "fault", _KEY_GUEST_PT))
 
     def _sync_shadow(self, ctx: CpuCtx, proc: Process, vpn: int,
                      gpt_pte: Pte, per_entry_ns: int) -> None:
@@ -397,7 +392,7 @@ class PvmMachine(PvmSwitcherMachine):
             ctx.clock.advance(
                 writes * (self.costs.pte_write + self.costs.wpless_sync_per_entry)
             )
-            self.events.emulate("wpless-batch-sync")
+            self._emulation_counts["wpless-batch-sync"] += 1
             return
         resume = self._resume_world(ctx, _KERNEL)
         for _ in range(writes):
@@ -410,7 +405,7 @@ class PvmMachine(PvmSwitcherMachine):
                 # meta lock, which is where PVM forks contend.
                 structural=structural,
             )
-            self.events.emulate("gpt-write")
+            self._emulation_counts["gpt-write"] += 1
             self.hv.switcher.vm_enter(ctx.clock, ctx.cpu_id, resume)
 
     # -- invalidation ----------------------------------------------------------------------

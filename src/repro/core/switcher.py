@@ -87,15 +87,15 @@ class Switcher:
     adds it to ``clock.now`` directly: the :class:`CostModel` validated
     every constant as a non-negative int, so ``Clock.advance``'s check
     could never fire.  Each leg counts its switch (and L1 exit) in
-    place, in by-key dicts bound here, and appends the same events to
-    a detailed trace.
+    place, in counters bound here, and appends the same events to a
+    detailed trace.
     """
 
     def __init__(self, costs: CostModel, events: EventLog) -> None:
         self.costs = costs
         self.events = events
-        self._switch_counts = events.world_switches.by_key
-        self._exit_counts = events.l1_exits.by_key
+        self._switch_counts = events.world_switches
+        self._exit_counts = events.l1_exits
         self._trace = events.trace if events.detailed else None
         self._states: Dict[int, SwitcherState] = {}
         self._world_switch_ns = costs.pvm_world_switch
@@ -104,9 +104,6 @@ class Switcher:
         #: The customized IDT mapped over the guest's IDTR target.
         self.idt = Idt(default_site=HandlerSite.SWITCHER)
         self.idt.point_all_to_switcher()
-        self.direct_switches = 0
-        self.vm_exits = 0
-        self.vm_entries = 0
         #: Invoked after every switch that loads a guest CR3.  The PVM
         #: machine installs a TLB-flush callback here when PCID mapping
         #: is disabled: without per-process PCIDs, the CR3 load cannot
@@ -141,15 +138,12 @@ class Switcher:
         state.regs_cleared = True
         state.world = _HYPERVISOR
         clock.now += self._world_switch_ns
-        counts = self._switch_counts
-        counts[_KEY_L2_L1] = counts.get(_KEY_L2_L1, 0) + 1
-        counts = self._exit_counts
-        counts[reason] = counts.get(reason, 0) + 1
+        self._switch_counts[_KEY_L2_L1] += 1
+        self._exit_counts[reason] += 1
         trace = self._trace
         if trace is not None:
             trace.append(TraceEvent(clock.now, cpu_id, "switch", _KEY_L2_L1))
             trace.append(TraceEvent(clock.now, cpu_id, "l1_exit", reason))
-        self.vm_exits += 1
         return state
 
     def vm_enter(self, clock: Clock, cpu_id: int,
@@ -165,37 +159,20 @@ class Switcher:
         state = self._states.get(cpu_id) or self.state_for(cpu_id)
         state.world = world
         clock.now += self._world_switch_ns
-        counts = self._switch_counts
-        counts[_KEY_L2_L1] = counts.get(_KEY_L2_L1, 0) + 1
+        self._switch_counts[_KEY_L2_L1] += 1
         if self._trace is not None:
             self._trace.append(TraceEvent(clock.now, cpu_id, "switch", _KEY_L2_L1))
-        self.vm_entries += 1
         if self.on_guest_cr3_load is not None:
             self.on_guest_cr3_load(clock, cpu_id)
         return state
 
     # -- direct switch ---------------------------------------------------------
 
-    def direct_switch_to_kernel(self, clock: Clock, cpu_id: int) -> SwitcherState:
-        """Syscall fast path (Figure 8): L2 user -> L2 kernel without
-        hypervisor intervention.
-
-        The switcher emulates the syscall instruction: swaps the guest's
-        user/kernel hardware CR3s, switches cpl/stack/gs_base, and builds
-        a syscall frame the L2 kernel can return through.
-        """
-        state = self._states.get(cpu_id) or self.state_for(cpu_id)
-        if state.world is not _USER:
-            raise RuntimeError("direct switch to kernel requires v_ring3")
-        state.world = _KERNEL
-        clock.now += self._to_kernel_ns
-        self._direct_leg(clock, cpu_id)
-        return state
-
     def direct_switch_to_user(self, clock: Clock, cpu_id: int,
                               at_user_ring: bool = False) -> SwitcherState:
         """sysret hypercall fast path: L2 kernel -> L2 user, handled
-        entirely inside the switcher (no hypervisor).
+        entirely inside the switcher (no hypervisor), then the CR3-load
+        hook: the leg loaded the user's guest CR3.
 
         With ``at_user_ring`` (the §5 *advanced* direct switch), the
         sysret completes at h_ring3 without re-entering h_ring0 at all,
@@ -208,15 +185,24 @@ class Switcher:
         # Without the h_ring3 sysret the leg costs what the way in does.
         clock.now += (self._to_user_ring_ns if at_user_ring
                       else self._to_kernel_ns)
-        self._direct_leg(clock, cpu_id)
+        self._switch_counts[_KEY_DIRECT] += 1
+        if self._trace is not None:
+            self._trace.append(TraceEvent(clock.now, cpu_id, "switch", _KEY_DIRECT))
+        if self.on_guest_cr3_load is not None:
+            self.on_guest_cr3_load(clock, cpu_id)
         return state
 
     def direct_syscall(self, clock: Clock, cpu_id: int,
                        at_user_ring: bool = False) -> SwitcherState:
-        """One syscall round trip on the direct path, in one call: the
-        legs of :meth:`direct_switch_to_kernel` and
-        :meth:`direct_switch_to_user`, each followed by the CR3-load
-        hook.  The vCPU starts and ends in v_ring3."""
+        """Syscall fast path (Figure 8): one round trip L2 user -> L2
+        kernel -> L2 user without hypervisor intervention, in one call.
+
+        The way in emulates the syscall instruction: swaps the guest's
+        user/kernel hardware CR3s, switches cpl/stack/gs_base, and
+        builds a syscall frame the L2 kernel returns through; the way
+        out is :meth:`direct_switch_to_user`'s leg.  Each leg is followed
+        by the CR3-load hook.  The vCPU starts and ends in v_ring3.
+        """
         state = self._states.get(cpu_id) or self.state_for(cpu_id)
         if state.world is not _USER:
             raise RuntimeError("direct switch to kernel requires v_ring3")
@@ -232,18 +218,5 @@ class Switcher:
             trace.append(TraceEvent(clock.now, cpu_id, "switch", _KEY_DIRECT))
         if hook is not None:
             hook(clock, cpu_id)
-        counts = self._switch_counts
-        counts[_KEY_DIRECT] = counts.get(_KEY_DIRECT, 0) + 2
-        self.direct_switches += 2
+        self._switch_counts[_KEY_DIRECT] += 2
         return state
-
-    def _direct_leg(self, clock: Clock, cpu_id: int) -> None:
-        """Count one direct switch just charged, then run the CR3-load
-        hook: the leg loaded the other guest CR3."""
-        counts = self._switch_counts
-        counts[_KEY_DIRECT] = counts.get(_KEY_DIRECT, 0) + 1
-        if self._trace is not None:
-            self._trace.append(TraceEvent(clock.now, cpu_id, "switch", _KEY_DIRECT))
-        self.direct_switches += 1
-        if self.on_guest_cr3_load is not None:
-            self.on_guest_cr3_load(clock, cpu_id)

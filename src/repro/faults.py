@@ -191,7 +191,7 @@ class FaultPlan:
                 inj.fires += 1
                 self.counts[site] = self.counts.get(site, 0) + 1
                 if events is not None:
-                    events.fault_injected(site)
+                    events.faults_injected[site] += 1
                 return True
         return False
 
@@ -207,7 +207,7 @@ class FaultPlan:
                 inj.fires += 1
                 self.counts[site] = self.counts.get(site, 0) + 1
                 if events is not None:
-                    events.fault_injected(site)
+                    events.faults_injected[site] += 1
                 return inj.stall_ns
         return 0
 

@@ -1,17 +1,20 @@
 """Event tracing and accounting.
 
 Every architectural event the paper counts — world switches by kind,
-exits to L0, page faults by phase, TLB flushes, lock waits — flows
-through an :class:`EventLog`.  Counters are always on (they are the
-measurements); the detailed per-event trace is opt-in because the
-memory benchmarks generate millions of events.
+exits to L0, page faults by phase, TLB flushes, lock waits — is counted
+in one of an :class:`EventLog`'s counters, in place, by the code where
+it happens.  Counters are always on (they are the measurements); the
+detailed per-event trace is opt-in because the memory benchmarks
+generate millions of events.  Where the log is detailed, the code that
+counts a switch, an L1 exit or a fault also appends its
+:class:`TraceEvent` to ``trace``.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Tuple
 
 
 class SwitchKind(enum.Enum):
@@ -41,47 +44,29 @@ class FaultPhase(enum.Enum):
     SHADOW_PT = "phase2:shadow-pt"  # SPT12 / EPT12+EPT02 update
 
 
-_GUEST_INTERNAL = SwitchKind.GUEST_INTERNAL
+class Counter(dict):
+    """A named event counter: key -> count.
 
-
-@dataclass(slots=True)
-class Counter:
-    """A named monotonic counter with optional per-key breakdown.
-
-    ``total`` is derived: the sum of ``by_key`` plus what was added
-    without a key.  So one event is one update of ``by_key``, and the
-    world-switch legs count in place, with the dict bound at
-    construction: ``counts[key] = counts.get(key, 0) + 1``.  They never
-    call :meth:`add` or an :class:`EventLog` recorder; the two ways must
-    stay equivalent.  ``by_key`` is never rebound (:meth:`reset` clears
-    it), so a bound dict stays live.
+    Every count is one in-place update, ``counter[key] += n``.  A
+    missing key reads as 0 and the read inserts nothing, so an event
+    never counted never shows up in a snapshot.  ``total`` is derived.
+    Hot paths bind a counter at construction; :meth:`EventLog.reset`
+    clears it in place, so a bound counter stays live.
     """
 
-    name: str
-    by_key: Dict[str, int] = field(default_factory=dict)
-    #: Samples added without a key.
-    unkeyed: int = 0
+    __slots__ = ("name",)
+
+    def __init__(self, name: str) -> None:
+        super().__init__()
+        self.name = name
+
+    def __missing__(self, key: str) -> int:
+        return 0
 
     @property
     def total(self) -> int:
-        """Every sample recorded, with or without a key."""
-        return self.unkeyed + sum(self.by_key.values())
-
-    def add(self, n: int = 1, key: Optional[str] = None) -> None:
-        """Record one sample/entry."""
-        if key is None:
-            self.unkeyed += n
-        else:
-            self.by_key[key] = self.by_key.get(key, 0) + n
-
-    def get(self, key: str, default: int = 0) -> int:
-        """Count recorded under ``key`` (``default`` when never seen)."""
-        return self.by_key.get(key, default)
-
-    def reset(self) -> None:
-        """Reset all counters/state."""
-        self.unkeyed = 0
-        self.by_key.clear()
+        """Every sample recorded."""
+        return sum(self.values())
 
 
 @dataclass
@@ -135,109 +120,20 @@ class EventLog:
         #: collected, e.g. by the selftest drills).
         self.sanitizer_violations = Counter("sanitizer_violations")
 
-    # -- recording -------------------------------------------------------
-    #
-    # The recorders are the API for cold callers.  The world-switch legs
-    # count in place instead (see :class:`Counter`), and append the same
-    # ``TraceEvent`` a recorder would when the log is detailed.
-
-    def switch(self, kind: SwitchKind, time_ns: int = 0, vcpu: int = 0) -> None:
-        """Record one world switch (one direction)."""
-        key = kind._value_
-        counts = (self.guest_transitions if kind is _GUEST_INTERNAL
-                  else self.world_switches).by_key
-        counts[key] = counts.get(key, 0) + 1
-        if self.detailed:
-            self.trace.append(TraceEvent(time_ns, vcpu, "switch", key))
-
-    def l0_trap(self, reason: str) -> None:
-        """Record one trap into the L0 hypervisor (the paper's "exit to
-        L0" unit — one trap corresponds to two switch legs)."""
-        counts = self.l0_exits.by_key
-        counts[reason] = counts.get(reason, 0) + 1
-
-    def l1_exit(self, reason: str, time_ns: int = 0, vcpu: int = 0) -> None:
-        """Record an exit from L2 to the L1 hypervisor (PVM path)."""
-        counts = self.l1_exits.by_key
-        counts[reason] = counts.get(reason, 0) + 1
-        if self.detailed:
-            self.trace.append(TraceEvent(time_ns, vcpu, "l1_exit", reason))
-
-    def fault(self, phase: FaultPhase, time_ns: int = 0, vcpu: int = 0) -> None:
-        """Record one page fault by phase."""
-        key = phase._value_
-        counts = self.page_faults.by_key
-        counts[key] = counts.get(key, 0) + 1
-        if self.detailed:
-            self.trace.append(TraceEvent(time_ns, vcpu, "fault", key))
-
-    def hypercall(self, name: str) -> None:
-        """Count one hypercall by name."""
-        counts = self.hypercalls.by_key
-        counts[name] = counts.get(name, 0) + 1
-
-    def inject(self, what: str) -> None:
-        """Record one event injection."""
-        counts = self.injections.by_key
-        counts[what] = counts.get(what, 0) + 1
-
-    def tlb_flush(self, granularity: str) -> None:
-        """Record one TLB flush by granularity."""
-        counts = self.tlb_flushes.by_key
-        counts[granularity] = counts.get(granularity, 0) + 1
-
-    def psc_event(self, kind: str) -> None:
-        """Record one paging-structure-cache probe outcome by kind."""
-        self.psc_probes.add(1, key=kind)
-
-    def interrupt(self, vector: str) -> None:
-        """Record one delivered interrupt."""
-        counts = self.interrupts.by_key
-        counts[vector] = counts.get(vector, 0) + 1
-
-    def lock_wait(self, lock_name: str, waited_ns: int) -> None:
-        """Record lock wait time (ignores zero waits)."""
-        if waited_ns > 0:
-            self.lock_wait_ns.add(waited_ns, key=lock_name)
-
-    def emulate(self, what: str) -> None:
-        """Record one emulation by kind."""
-        counts = self.emulations.by_key
-        counts[what] = counts.get(what, 0) + 1
-
-    def fault_injected(self, site: str) -> None:
-        """Record one fault-plan firing by site."""
-        self.faults_injected.add(1, key=site)
-
-    def recovery(self, kind: str) -> None:
-        """Record one supervisor recovery action by kind."""
-        self.recoveries.add(1, key=kind)
-
-    def refault(self, reason: str) -> None:
-        """Record one re-backing of a previously discarded guest frame."""
-        self.refaults.add(1, key=reason)
-
-    def pressure_event(self, kind: str, n: int = 1) -> None:
-        """Record one (or ``n``) memory-QoS events by kind."""
-        self.memory_pressure.add(n, key=kind)
-
-    def sanitizer_violation(self, kind: str) -> None:
-        """Record one runtime-sanitizer violation by kind."""
-        self.sanitizer_violations.add(1, key=kind)
-
     # -- inspection --------------------------------------------------------
 
     def snapshot(self) -> Dict[str, Dict[str, int]]:
         """A dict snapshot of all counters (deep-copied)."""
         out: Dict[str, Dict[str, int]] = {}
         for counter in self._counters():
-            out[counter.name] = {"total": counter.total, **counter.by_key}
+            out[counter.name] = {"total": counter.total, **counter}
         return out
 
     def reset(self) -> None:
-        """Reset all counters/state."""
+        """Clear every counter in place (bound counters stay live) and
+        the trace."""
         for counter in self._counters():
-            counter.reset()
+            counter.clear()
         self.trace.clear()
 
     def _counters(self) -> Tuple[Counter, ...]:

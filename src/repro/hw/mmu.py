@@ -168,7 +168,7 @@ class Mmu:
                 return -1
         else:
             start = psc.lookup(pt, akey, vpn)
-            self.events.psc_event("hit" if start is not None else "miss")
+            self.events.psc_probes["hit" if start is not None else "miss"] += 1
             result = pt.walk(vpn, access, user, start=start)
             clock.now += self._psc_walk_ns(pt, start, result,
                                            self._step_1d_ns)
@@ -339,7 +339,7 @@ class Mmu:
         """The TLB-miss half of :meth:`access_2d` with PSCs attached."""
         psc = self.psc
         start = psc.lookup(gpt, akey, vpn)
-        self.events.psc_event("hit" if start is not None else "miss")
+        self.events.psc_probes["hit" if start is not None else "miss"] += 1
         result = gpt.walk(vpn, access, user, start=start)
         clock.now += self._psc_walk_ns(gpt, start, result, self._step_2d_ns)
         if type(result) is PageFault:
@@ -400,13 +400,13 @@ class Mmu:
             walk, stamp = hit
             if stamp == ept.entry_writes and walk.pte.permits(access, False):
                 clock.now += self.costs.walk_step_cached
-                self.events.psc_event("gpa-hit")
+                self.events.psc_probes["gpa-hit"] += 1
                 walk.pte.accessed = True
                 if access is _WRITE:
                     walk.pte.dirty = True
                 return walk
             del cache[key]
-        self.events.psc_event("gpa-miss")
+        self.events.psc_probes["gpa-miss"] += 1
         walk = ept.walk(guest_frame, access, user=False)
         clock.now += ept.levels * self._step_1d_ns
         if type(walk) is PageFault:
@@ -426,7 +426,7 @@ class Mmu:
             # INVLPG also flushes paging-structure-cache entries for the
             # address (SDM vol. 3 §4.10.4.1).
             self.psc.invalidate_page(asid.key, vpn)
-        self.events.tlb_flush("page")
+        self.events.tlb_flushes["page"] += 1
         clock.advance(self.costs.tlb_flush_op)
         san = self.sanitizer
         if san is not None:
@@ -439,7 +439,7 @@ class Mmu:
         n = self.tlb.flush_pcid(asid)
         if self.psc is not None:
             self.psc.invalidate_asid(asid.key)
-        self.events.tlb_flush("pcid")
+        self.events.tlb_flushes["pcid"] += 1
         clock.advance(self.costs.tlb_flush_op)
         san = self.sanitizer
         if san is not None:
@@ -453,7 +453,7 @@ class Mmu:
         if self.psc is not None:
             self.psc.invalidate_vpid(vpid)
             self._gpa_cache.clear()
-        self.events.tlb_flush("vpid")
+        self.events.tlb_flushes["vpid"] += 1
         clock.advance(self.costs.tlb_flush_op + self.costs.tlb_vpid_flush_extra)
         san = self.sanitizer
         if san is not None:
@@ -466,7 +466,7 @@ class Mmu:
         if self.psc is not None:
             self.psc.clear()
             self._gpa_cache.clear()
-        self.events.tlb_flush("full")
+        self.events.tlb_flushes["full"] += 1
         clock.advance(self.costs.tlb_flush_op + self.costs.tlb_vpid_flush_extra)
         san = self.sanitizer
         if san is not None:

@@ -48,10 +48,10 @@ MAX_FAULT_RETRIES = 16
 
 _READ = AccessType.READ
 _WRITE = AccessType.WRITE
-_GUEST_PT = FaultPhase.GUEST_PT
-#: Counter keys of the switch legs (the kinds' values).
+#: Counter keys of the switch legs and faults (the kinds' values).
 _KEY_L1_L0 = SwitchKind.HW_L1_L0.value
 _KEY_GUEST = SwitchKind.GUEST_INTERNAL.value
+_KEY_GUEST_PT = FaultPhase.GUEST_PT.value
 
 
 @dataclass
@@ -128,6 +128,11 @@ class Machine(abc.ABC):
     #: The priced extended table the hardware walks.  None elsewhere:
     #: the hardware then walks the chain's warm EPT01, if there is one.
     walked_ept: Optional[PageTable] = None
+    #: The memory chain's shape: whether an L1 VM level (``l1_phys``)
+    #: sits between guest and host frames, and whether the chain owns
+    #: the warm EPT01 of an L0 below an L1 guest hypervisor.
+    l1_level: bool = False
+    warm_ept01: bool = False
 
     def __init__(
         self,
@@ -139,14 +144,14 @@ class Machine(abc.ABC):
         self.config = config or MachineConfig()
         self.costs = costs
         self.events = events = events or EventLog()
-        # The switch legs count in place: each event is one update of a
-        # by-key dict bound here (see ``Counter``), plus one append to
-        # the trace when the log is detailed.
-        self._switch_counts = events.world_switches.by_key
-        self._guest_counts = events.guest_transitions.by_key
-        self._l0_counts = events.l0_exits.by_key
-        self._emulation_counts = events.emulations.by_key
-        self._interrupt_counts = events.interrupts.by_key
+        # Hot paths count in place, in counters bound here (see
+        # ``Counter``), and append to the trace when the log is detailed.
+        self._switch_counts = events.world_switches
+        self._guest_counts = events.guest_transitions
+        self._l0_counts = events.l0_exits
+        self._fault_counts = events.page_faults
+        self._emulation_counts = events.emulations
+        self._interrupt_counts = events.interrupts
         self._trace = events.trace if events.detailed else None
         # Switch-leg costs, read once: the CostModel validated them as
         # non-negative ints, so the legs add them to ``clock.now``
@@ -186,9 +191,13 @@ class Machine(abc.ABC):
         #: Fault-injection plan consulted by the I/O stack and the
         #: container supervisor (None = no faults, zero-cost paths).
         self.fault_plan = None
-        #: How guest frames reach host frames (the "memslot" mappings);
-        #: nested machines rebuild it with an L1 level and/or warm EPT01.
-        self.memory = MemoryChain(self.host_phys, self.events)
+        #: The L1 VM's guest-physical space, on chains with an L1 level.
+        self.l1_phys = (PhysicalMemory("l1-vm", self.config.host_mem_bytes)
+                        if self.l1_level else None)
+        #: How guest frames reach host frames (the "memslot" mappings).
+        self.memory = MemoryChain(self.host_phys, self.events,
+                                  l1_phys=self.l1_phys,
+                                  warm_ept01=self.warm_ept01)
         #: Shadow page tables (:class:`repro.core.shadow.ShadowManager`)
         #: on shadow-paging machines; None where hardware walks the GPT.
         self.shadow = None
@@ -565,7 +574,7 @@ class Machine(abc.ABC):
                 self.invalidate_asid(ctx, proc)
         if scanned:
             ctx.clock.advance(scanned * self.costs.wse_scan_per_entry)
-        self.events.pressure_event("wse-scan")
+        self.events.memory_pressure["wse-scan"] += 1
         return accessed, scanned
 
     def resident_guest_pages(self) -> int:
@@ -598,7 +607,7 @@ class Machine(abc.ABC):
     def deliver_device_irq(self, ctx: CpuCtx) -> None:
         """Completion interrupt: rides the same path as the timer."""
         self.deliver_timer(ctx)
-        self.events.interrupt("virtio")
+        self._interrupt_counts["virtio"] += 1
 
     # -- Table 1 privileged micro-operations -----------------------------
 
@@ -669,7 +678,10 @@ class Machine(abc.ABC):
             + fix.entry_writes * self.costs.pte_write
         )
         self.guest_internal_transition(ctx)  # iret back to user
-        self.events.fault(_GUEST_PT, ctx.clock.now, ctx.cpu_id)
+        self._fault_counts[_KEY_GUEST_PT] += 1
+        if self._trace is not None:
+            self._trace.append(TraceEvent(ctx.clock.now, ctx.cpu_id, "fault",
+                                          _KEY_GUEST_PT))
 
     def on_ept_violation(self, ctx: CpuCtx, proc: Process, violation) -> None:
         """Extended-dimension fault dance of machines that price one."""
@@ -695,8 +707,7 @@ class Machine(abc.ABC):
         clock.now += self._kpti_ns
         if trace is not None:
             trace.append(TraceEvent(clock.now, ctx.cpu_id, "switch", _KEY_GUEST))
-        counts = self._guest_counts
-        counts[_KEY_GUEST] = counts.get(_KEY_GUEST, 0) + 2
+        self._guest_counts[_KEY_GUEST] += 2
 
     @abc.abstractmethod
     def _privileged(self, ctx: CpuCtx, kind: str) -> None:
@@ -770,8 +781,7 @@ class Machine(abc.ABC):
         clock = ctx.clock
         clock.now += self._hw_switch_ns
         key = kind._value_
-        counts = self._switch_counts
-        counts[key] = counts.get(key, 0) + 1
+        self._switch_counts[key] += 1
         if self._trace is not None:
             self._trace.append(TraceEvent(clock.now, ctx.cpu_id, "switch", key))
 
@@ -784,9 +794,8 @@ class Machine(abc.ABC):
         clock = ctx.clock
         clock.now += self._hw_switch_ns
         counts = self._switch_counts
-        counts[_KEY_L1_L0] = counts.get(_KEY_L1_L0, 0) + 1
-        traps = self._l0_counts
-        traps[reason] = traps.get(reason, 0) + 1
+        counts[_KEY_L1_L0] += 1
+        self._l0_counts[reason] += 1
         trace = self._trace
         if trace is not None:
             trace.append(TraceEvent(clock.now, ctx.cpu_id, "switch", _KEY_L1_L0))
@@ -801,8 +810,7 @@ class Machine(abc.ABC):
 
     def guest_internal_transition(self, ctx: CpuCtx) -> None:
         """User<->kernel switch fully inside a hardware-paged guest."""
-        counts = self._guest_counts
-        counts[_KEY_GUEST] = counts.get(_KEY_GUEST, 0) + 1
+        self._guest_counts[_KEY_GUEST] += 1
         if self._trace is not None:
             self._trace.append(
                 TraceEvent(ctx.clock.now, ctx.cpu_id, "switch", _KEY_GUEST))

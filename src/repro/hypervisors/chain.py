@@ -212,4 +212,4 @@ class MemoryChain:
     def _note_rebacked(self, gfn: int) -> None:
         if gfn in self.discarded:
             self.discarded.discard(gfn)
-            self.events.refault("balloon")
+            self.events.refaults["balloon"] += 1

@@ -14,36 +14,32 @@ two).  Nearly all the root-mode work serializes on L0.
 from __future__ import annotations
 
 from repro.guest.process import Process
-from repro.hw.events import FaultPhase
-from repro.hw.memory import PhysicalMemory
+from repro.hw.events import FaultPhase, TraceEvent
 from repro.hw.pagetable import PageTable
 from repro.hw.types import EptViolation
 from repro.hypervisors.base import CpuCtx, Machine
-from repro.hypervisors.chain import MemoryChain, install_ept, install_huge_ept
+from repro.hypervisors.chain import install_ept, install_huge_ept
 from repro.hypervisors.nested import NestedVmxMixin
 
-_SHADOW_PT = FaultPhase.SHADOW_PT
+_KEY_SHADOW_PT = FaultPhase.SHADOW_PT.value
 
 class EptOnEptMachine(NestedVmxMixin, Machine):
     """Secure container in an L2 guest under EPT-on-EPT (kvm-ept NST)."""
 
     name = "kvm-ept (NST)"
     nested = True
+    #: gfn2 -> gfn1 (L1's memslots for the L2 guest) -> hfn.
+    l1_level = True
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self.init_nested_vmx()
-        #: The L1 VM's guest-physical space (GPA_L1).
-        self.l1_phys = PhysicalMemory("l1-vm", self.config.host_mem_bytes)
         #: EPT12: gfn2 -> gfn1, maintained by L1, read-only to L1.
         self.ept12 = PageTable(self.l1_phys, name="EPT12")
         #: EPT02: gfn2 -> hfn, the compressed table L0 gives the MMU.
         self.ept02 = PageTable(self.host_phys, name="EPT02")
         self.priced_epts = (self.ept12, self.ept02)
         self.walked_ept = self.ept02
-        #: gfn2 -> gfn1 (L1's memslots for the L2 guest) -> hfn.
-        self.memory = MemoryChain(self.host_phys, self.events,
-                                  l1_phys=self.l1_phys)
 
     # -- fault handling ------------------------------------------------------------
 
@@ -75,7 +71,10 @@ class EptOnEptMachine(NestedVmxMixin, Machine):
         self.l2_l0_roundtrip(
             ctx, writes02 * self.costs.ept_fix_per_level, reason="ept02-fix"
         )
-        self.events.fault(_SHADOW_PT, ctx.clock.now, ctx.cpu_id)
+        self._fault_counts[_KEY_SHADOW_PT] += 1
+        if self._trace is not None:
+            self._trace.append(TraceEvent(ctx.clock.now, ctx.cpu_id, "fault",
+                                          _KEY_SHADOW_PT))
 
     def _l1_writes_ept12(self, ctx: CpuCtx, writes: int) -> None:
         """L0 forwards an EPT violation to L1, whose ``writes`` EPT12

@@ -9,14 +9,14 @@ them with fine-grained synchronization (no global-lock collapse).
 from __future__ import annotations
 
 from repro.guest.process import Process
-from repro.hw.events import FaultPhase, SwitchKind
+from repro.hw.events import FaultPhase, SwitchKind, TraceEvent
 from repro.hw.pagetable import PageTable
 from repro.hw.types import EptViolation
 from repro.hw.vmx import VmxCapabilities
 from repro.hypervisors.base import CpuCtx, Machine
 
 _HW_L1_L0 = SwitchKind.HW_L1_L0
-_SHADOW_PT = FaultPhase.SHADOW_PT
+_KEY_SHADOW_PT = FaultPhase.SHADOW_PT.value
 
 
 class KvmMachine(Machine):
@@ -39,8 +39,7 @@ class KvmMachine(Machine):
         KVM can often access MSRs directly from non-root mode; the
         paper's kvm MSR row reflects a full exit + emulate anyway."""
         self._hw_round_trip(ctx, kind, self.vmx_handler_ns[kind])
-        counts = self._emulation_counts
-        counts[kind] = counts.get(kind, 0) + 1
+        self._emulation_counts[kind] += 1
 
     # -- interrupts / halt --------------------------------------------------------
 
@@ -49,19 +48,16 @@ class KvmMachine(Machine):
         self._hw_round_trip(ctx, "interrupt", self.costs.irq_inject,
                             self.l0_lock)
         ctx.clock.now += self.costs.irq_handler
-        counts = self._interrupt_counts
-        counts["timer"] = counts.get("timer", 0) + 1
+        self._interrupt_counts["timer"] += 1
 
     def halt(self, ctx: CpuCtx, wake_after_ns: int) -> None:
         """HLT exits to L0; wakeup via hardware event injection."""
         self.hw_exit_entry(ctx, _HW_L1_L0)
-        counts = self._l0_counts
-        counts["hlt"] = counts.get("hlt", 0) + 1
+        self._l0_counts["hlt"] += 1
         ctx.clock.advance(wake_after_ns)
         ctx.clock.now += self.costs.halt_wake_hw
         self.hw_exit_entry(ctx, _HW_L1_L0)
-        counts = self._emulation_counts
-        counts["hlt"] = counts.get("hlt", 0) + 1
+        self._emulation_counts["hlt"] += 1
 
 
 class KvmEptMachine(KvmMachine):
@@ -81,12 +77,15 @@ class KvmEptMachine(KvmMachine):
         """EPT violation: one hardware round trip to L0's TDP MMU (a
         2 MiB guest run is backed by one huge entry)."""
         self.hw_exit_entry(ctx, _HW_L1_L0)  # VM exit
-        self.events.l0_trap("ept-violation")
+        self._l0_counts["ept-violation"] += 1
         gfn = violation.gpa >> 12
         levels = self.memory.fill_ept(self.ept01, gfn, self.huge_block_base(gfn))
         ctx.clock.advance(levels * self.costs.ept_fix_per_level)
         self.hw_exit_entry(ctx, _HW_L1_L0)  # VM entry
-        self.events.fault(_SHADOW_PT, ctx.clock.now, ctx.cpu_id)
+        self._fault_counts[_KEY_SHADOW_PT] += 1
+        if self._trace is not None:
+            self._trace.append(TraceEvent(ctx.clock.now, ctx.cpu_id, "fault",
+                                          _KEY_SHADOW_PT))
 
     def priced_gpt_writes(self, ctx: CpuCtx, proc: Process, writes: int,
                           kernel_pages: bool = False,

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from repro.core.shadow import ShadowManager
 from repro.guest.process import Process
-from repro.hw.events import FaultPhase, SwitchKind
+from repro.hw.events import FaultPhase, SwitchKind, TraceEvent
 from repro.hw.memory import PhysicalMemory
 from repro.hw.pagetable import Pte
 from repro.hw.types import PageFault
@@ -25,8 +25,8 @@ from repro.hypervisors.kvm_ept import KvmMachine
 from repro.sim.locks import SimLock
 
 _HW_L1_L0 = SwitchKind.HW_L1_L0
-_SHADOW_PT = FaultPhase.SHADOW_PT
-_GUEST_PT = FaultPhase.GUEST_PT
+_KEY_SHADOW_PT = FaultPhase.SHADOW_PT.value
+_KEY_GUEST_PT = FaultPhase.GUEST_PT.value
 
 class KvmShadowMixin:
     """KVM's classic shadow MMU over the shared shadow core.
@@ -61,7 +61,7 @@ class KvmShadowMixin:
         """Apply one trapped guest PTE write to the shadow side."""
         self._shadow_locked(
             ctx, self.costs.wp_emulate_write + self.costs.mmu_lock_hold)
-        self.events.emulate("gpt-write")
+        self._emulation_counts["gpt-write"] += 1
 
     def invalidate_pages(self, ctx: CpuCtx, proc: Process, vpns) -> None:
         """munmap/mprotect: zap stale shadow entries + TLB."""
@@ -111,16 +111,19 @@ class KvmSptMachine(KvmShadowMixin, KvmMachine):
         """
         vpn = fault.vaddr >> 12
         self.hw_exit_entry(ctx, _HW_L1_L0)  # #PF VM exit
-        self.events.l0_trap("spt-fault")
+        self._l0_counts["spt-fault"] += 1
         gpt_pte = proc.gpt.lookup(vpn)
         if gpt_pte is not None and gpt_pte.permits(fault.access, user=True):
             self._sync_spte(ctx, proc, vpn, gpt_pte)
             self.hw_exit_entry(ctx, _HW_L1_L0)  # VM entry
-            self.events.fault(_SHADOW_PT, ctx.clock.now, ctx.cpu_id)
+            self._fault_counts[_KEY_SHADOW_PT] += 1
+            if self._trace is not None:
+                self._trace.append(TraceEvent(ctx.clock.now, ctx.cpu_id,
+                                              "fault", _KEY_SHADOW_PT))
             return
         # True guest fault: inject #PF and resume into the guest handler.
         ctx.clock.advance(self.costs.irq_inject)
-        self.events.inject("#PF")
+        self.events.injections["#PF"] += 1
         self.hw_exit_entry(ctx, _HW_L1_L0)  # VM entry (to handler)
         ctx.clock.advance(self.costs.pf_delivery)
         fix = self.kernel.fix_fault(proc, vpn, fault.access)
@@ -128,7 +131,10 @@ class KvmSptMachine(KvmShadowMixin, KvmMachine):
         # Each guest PTE write trapped under write protection.
         self.priced_gpt_writes(ctx, proc, fix.entry_writes)
         self.guest_internal_transition(ctx)  # guest iret (no exit)
-        self.events.fault(_GUEST_PT, ctx.clock.now, ctx.cpu_id)
+        self._fault_counts[_KEY_GUEST_PT] += 1
+        if self._trace is not None:
+            self._trace.append(TraceEvent(ctx.clock.now, ctx.cpu_id, "fault",
+                                          _KEY_GUEST_PT))
         # The retry will fault again on the shadow table and take the
         # sync path above — the "second phase" of §2.2.
 
@@ -140,7 +146,7 @@ class KvmSptMachine(KvmShadowMixin, KvmMachine):
         """Every guest PTE write traps: exit, emulate under mmu_lock, enter."""
         for _ in range(writes):
             self.hw_exit_entry(ctx, _HW_L1_L0)
-            self.events.l0_trap("gpt-write")
+            self._l0_counts["gpt-write"] += 1
             self._emulate_gpt_write(ctx)
             self.hw_exit_entry(ctx, _HW_L1_L0)
 
@@ -153,7 +159,6 @@ class KvmSptMachine(KvmShadowMixin, KvmMachine):
         if self.config.kpti:
             self._hw_round_trip(ctx, "cr3-switch",
                                 self.costs.spt_cr3_switch_handler)
-            counts = self._emulation_counts
-            counts["cr3-switch"] = counts.get("cr3-switch", 0) + 1
+            self._emulation_counts["cr3-switch"] += 1
         else:
             super()._syscall_round_trip(ctx, proc)

@@ -83,10 +83,8 @@ class NestedVmxMixin:
         clock = ctx.clock
         clock.now += self._hw_switch_ns
         counts = self._switch_counts
-        counts[_KEY_L2_L0] = counts.get(_KEY_L2_L0, 0) + 1
-        key = self._l2_exit_keys[reason]
-        traps = self._l0_counts
-        traps[key] = traps.get(key, 0) + 1
+        counts[_KEY_L2_L0] += 1
+        self._l0_counts[self._l2_exit_keys[reason]] += 1
         trace = self._trace
         if trace is not None:
             trace.append(TraceEvent(clock.now, ctx.cpu_id, "switch", _KEY_L2_L0))
@@ -95,7 +93,7 @@ class NestedVmxMixin:
             PendingEvent(kind=_EXCEPTION, payload=reason)
         )
         clock.now += self._hw_switch_ns
-        counts[_KEY_L1_L0] = counts.get(_KEY_L1_L0, 0) + 1
+        counts[_KEY_L1_L0] += 1
         if trace is not None:
             trace.append(TraceEvent(clock.now, ctx.cpu_id, "switch", _KEY_L1_L0))
 
@@ -110,9 +108,8 @@ class NestedVmxMixin:
         clock = ctx.clock
         clock.now += self._hw_switch_ns
         counts = self._switch_counts
-        counts[_KEY_L1_L0] = counts.get(_KEY_L1_L0, 0) + 1
-        traps = self._l0_counts
-        traps["vmresume"] = traps.get("vmresume", 0) + 1
+        counts[_KEY_L1_L0] += 1
+        self._l0_counts["vmresume"] += 1
         trace = self._trace
         if trace is not None:
             trace.append(TraceEvent(clock.now, ctx.cpu_id, "switch", _KEY_L1_L0))
@@ -123,7 +120,7 @@ class NestedVmxMixin:
         if san is not None:
             san.vm_entry("vmresume")
         clock.now += self._hw_switch_ns
-        counts[_KEY_L2_L0] = counts.get(_KEY_L2_L0, 0) + 1
+        counts[_KEY_L2_L0] += 1
         if trace is not None:
             trace.append(TraceEvent(clock.now, ctx.cpu_id, "switch", _KEY_L2_L0))
 
@@ -134,16 +131,13 @@ class NestedVmxMixin:
         clock = ctx.clock
         clock.now += self._hw_switch_ns
         counts = self._switch_counts
-        counts[_KEY_L1_L0] = counts.get(_KEY_L1_L0, 0) + 1
-        key = self._l1_service_keys[reason]
-        traps = self._l0_counts
-        traps[key] = traps.get(key, 0) + 1
+        counts[_KEY_L1_L0] += 1
+        self._l0_counts[self._l1_service_keys[reason]] += 1
         trace = self._trace
         if trace is not None:
             trace.append(TraceEvent(clock.now, ctx.cpu_id, "switch", _KEY_L1_L0))
         self.l0_lock.run_locked(clock, work_ns)
-        emulated = self._emulation_counts
-        emulated[reason] = emulated.get(reason, 0) + 1
+        self._emulation_counts[reason] += 1
         clock.now += self._hw_switch_ns
         counts[_KEY_L1_L0] += 1
         if trace is not None:
@@ -159,16 +153,14 @@ class NestedVmxMixin:
         clock = ctx.clock
         clock.now += self._hw_switch_ns
         counts = self._switch_counts
-        counts[_KEY_L2_L0] = counts.get(_KEY_L2_L0, 0) + 1
+        counts[_KEY_L2_L0] += 1
         key = self._l2_direct_keys[reason]
-        traps = self._l0_counts
-        traps[key] = traps.get(key, 0) + 1
+        self._l0_counts[key] += 1
         trace = self._trace
         if trace is not None:
             trace.append(TraceEvent(clock.now, ctx.cpu_id, "switch", _KEY_L2_L0))
         self.l0_lock.run_locked(clock, work_ns)
-        emulated = self._emulation_counts
-        emulated[reason] = emulated.get(reason, 0) + 1
+        self._emulation_counts[reason] += 1
         if san is not None:
             # Direct L0 handling re-enters on the unchanged VMCS02 — no
             # merge needed (nothing bumped VMCS01/VMCS12 generations).
@@ -188,8 +180,7 @@ class NestedVmxMixin:
         (§2.1)."""
         self.l2_exit_to_l1(ctx, reason)
         ctx.clock.now += handler_ns
-        emulated = self._emulation_counts
-        emulated[reason] = emulated.get(reason, 0) + 1
+        self._emulation_counts[reason] += 1
         self.l1_resume_l2(ctx)
 
     # -- the CPU side of both nested-VT-x machines ----------------------------
@@ -215,21 +206,19 @@ class NestedVmxMixin:
         clock = ctx.clock
         clock.now += self._hw_switch_ns
         counts = self._switch_counts
-        counts[_KEY_L2_L0] = counts.get(_KEY_L2_L0, 0) + 1
-        traps = self._l0_counts
-        traps["interrupt"] = traps.get("interrupt", 0) + 1
+        counts[_KEY_L2_L0] += 1
+        self._l0_counts["interrupt"] += 1
         trace = self._trace
         if trace is not None:
             trace.append(TraceEvent(clock.now, ctx.cpu_id, "switch", _KEY_L2_L0))
         self.l0_lock.run_locked(clock, self.costs.irq_inject)
         clock.now += self._hw_switch_ns
-        counts[_KEY_L1_L0] = counts.get(_KEY_L1_L0, 0) + 1
+        counts[_KEY_L1_L0] += 1
         if trace is not None:
             trace.append(TraceEvent(clock.now, ctx.cpu_id, "switch", _KEY_L1_L0))
         clock.now += self.costs.irq_handler
         self.l1_resume_l2(ctx)
-        counts = self._interrupt_counts
-        counts["timer"] = counts.get("timer", 0) + 1
+        self._interrupt_counts["timer"] += 1
 
     def halt(self: Machine, ctx: CpuCtx, wake_after_ns: int) -> None:
         """HLT traps through the full nested path in both directions."""
@@ -237,5 +226,4 @@ class NestedVmxMixin:
         ctx.clock.advance(wake_after_ns)
         ctx.clock.now += self.costs.halt_wake_hw
         self.l1_resume_l2(ctx)
-        emulated = self._emulation_counts
-        emulated["hlt"] = emulated.get("hlt", 0) + 1
+        self._emulation_counts["hlt"] += 1

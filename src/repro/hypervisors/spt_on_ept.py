@@ -14,17 +14,15 @@ violations on it silently without charging nested machinery.
 from __future__ import annotations
 
 from repro.guest.process import Process
-from repro.hw.events import FaultPhase
-from repro.hw.memory import PhysicalMemory
+from repro.hw.events import FaultPhase, TraceEvent
 from repro.hw.types import PageFault
 from repro.hypervisors.base import CpuCtx, Machine
-from repro.hypervisors.chain import MemoryChain
 from repro.hypervisors.kvm_spt import KvmShadowMixin
 from repro.hypervisors.nested import NestedVmxMixin
 from repro.sim.locks import SimLock
 
-_SHADOW_PT = FaultPhase.SHADOW_PT
-_GUEST_PT = FaultPhase.GUEST_PT
+_KEY_SHADOW_PT = FaultPhase.SHADOW_PT.value
+_KEY_GUEST_PT = FaultPhase.GUEST_PT.value
 
 class SptOnEptMachine(KvmShadowMixin, NestedVmxMixin, Machine):
     """Secure container in an L2 guest under SPT-on-EPT."""
@@ -33,14 +31,13 @@ class SptOnEptMachine(KvmShadowMixin, NestedVmxMixin, Machine):
     nested = True
     #: SPT12 shadows at 4K granularity only.
     supports_thp = False
+    #: gfn2 -> gfn1 -> hfn, over a warm EPT01 maintained by L0.
+    l1_level = True
+    warm_ept01 = True
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self.init_nested_vmx()
-        self.l1_phys = PhysicalMemory("l1-vm", self.config.host_mem_bytes)
-        #: gfn2 -> gfn1 -> hfn, over a warm EPT01 maintained by L0.
-        self.memory = MemoryChain(self.host_phys, self.events,
-                                  l1_phys=self.l1_phys, warm_ept01=True)
         #: Per-process SPT12 (GVA_L2 -> gfn1), maintained by L1.
         self.l1_mmu_lock = SimLock("l1-mmu_lock", self.events)
         self.init_kvm_shadow(self.l1_phys, self.l1_mmu_lock)
@@ -59,13 +56,16 @@ class SptOnEptMachine(KvmShadowMixin, NestedVmxMixin, Machine):
             # Second phase: L1 syncs SPT12 and resumes L2 user directly.
             self._sync_spte(ctx, proc, vpn, gpt_pte)
             self.l1_resume_l2(ctx)
-            self.events.fault(_SHADOW_PT, ctx.clock.now, ctx.cpu_id)
+            self._fault_counts[_KEY_SHADOW_PT] += 1
+            if self._trace is not None:
+                self._trace.append(TraceEvent(ctx.clock.now, ctx.cpu_id,
+                                              "fault", _KEY_SHADOW_PT))
             return
         # First phase: L1 injects the #PF into L2's VMCS12 and resumes
         # into the L2 kernel's fault handler (via L0 again).
         ctx.clock.advance(self.costs.irq_inject)
         self.vmcs12.write()
-        self.events.inject("#PF")
+        self.events.injections["#PF"] += 1
         self.l1_resume_l2(ctx)
         ctx.clock.advance(self.costs.pf_delivery)
         fix = self.kernel.fix_fault(proc, vpn, fault.access)
@@ -74,7 +74,10 @@ class SptOnEptMachine(KvmShadowMixin, NestedVmxMixin, Machine):
         # L2 -> L0 -> L1 -> L0 -> L2 round (4 switches, 2 L0 exits).
         self.priced_gpt_writes(ctx, proc, fix.entry_writes)
         self.guest_internal_transition(ctx)  # L2 kernel iret
-        self.events.fault(_GUEST_PT, ctx.clock.now, ctx.cpu_id)
+        self._fault_counts[_KEY_GUEST_PT] += 1
+        if self._trace is not None:
+            self._trace.append(TraceEvent(ctx.clock.now, ctx.cpu_id, "fault",
+                                          _KEY_GUEST_PT))
 
     def priced_gpt_writes(self, ctx: CpuCtx, proc: Process, writes: int,
                           kernel_pages: bool = False,

@@ -238,7 +238,7 @@ class ReclaimDaemon:
             dev.inflate(c.ctx, share << PAGE_SHIFT)
             got = dev.host_frames_released - before
             released += got
-            c.machine.events.pressure_event("reclaim", max(1, got))
+            c.machine.events.memory_pressure["reclaim"] += max(1, got)
         return released
 
     def _deflate(self, running: List) -> int:
@@ -274,4 +274,4 @@ class ReclaimDaemon:
         self.runtime.evict(victim)
         self.wse.forget(victim.container_id)
         self.stats.evictions += 1
-        victim.machine.events.pressure_event("evict")
+        victim.machine.events.memory_pressure["evict"] += 1

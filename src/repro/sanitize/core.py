@@ -101,7 +101,7 @@ def events_tail(events: Optional[EventLog], n: int = EVENTS_TAIL_LEN) -> Tuple[s
                     events.world_switches, events.recoveries):
         if counter.total:
             keys = ", ".join(
-                f"{k}={v}" for k, v in sorted(counter.by_key.items())
+                f"{k}={v}" for k, v in sorted(counter.items())
             )
             summary.append(f"{counter.name}: total={counter.total} ({keys})")
     return tuple(summary[-n:])
@@ -138,7 +138,7 @@ class SanitizeReport:
             )
         self.violations.append(v)
         if self.events is not None:
-            self.events.sanitizer_violation(f"{v.checker}:{v.kind}")
+            self.events.sanitizer_violations[f"{v.checker}:{v.kind}"] += 1
         if self.raise_on_violation:
             raise SanitizerError(v)
 

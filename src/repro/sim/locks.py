@@ -76,9 +76,9 @@ class SimLock:
             wait = free_at - request
             end = free_at + overhead_ns + hold_ns
             self.total_wait_ns += wait
-            # The recorder drops zero waits: only a real wait calls it.
+            # Only a real wait is counted: zero waits never add a key.
             if self.events is not None:
-                self.events.lock_wait(self.name, wait)
+                self.events.lock_wait_ns[self.name] += wait
         else:
             wait = 0
             end = request + overhead_ns + hold_ns

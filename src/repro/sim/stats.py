@@ -327,7 +327,7 @@ def translation_stats(machine) -> Dict[str, float]:
         "tlb_hit_rate": tlb_hits / tlb_lookups if tlb_lookups else 0.0,
         "psc_lookups": float(psc_lookups),
         "psc_hit_rate": psc_hits / psc_lookups if psc_lookups else 0.0,
-        "psc_gpa_hits": float(machine.events.psc_probes.get("gpa-hit")),
+        "psc_gpa_hits": float(machine.events.psc_probes["gpa-hit"]),
     }
 
 

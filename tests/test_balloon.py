@@ -47,9 +47,9 @@ class TestInflateDeflate:
 
     def test_balloon_uses_doorbells(self):
         m, ctx, proc, vma = _warm("pvm (NST)")
-        before = m.events.hypercalls.get("send_ipi")
+        before = m.events.hypercalls["send_ipi"]
         m.balloon.inflate(ctx, 2 * MIB)  # two 256-page batches
-        assert m.events.hypercalls.get("send_ipi") - before == 2
+        assert m.events.hypercalls["send_ipi"] - before == 2
 
 
 class TestHostRelease:
@@ -172,7 +172,7 @@ class TestRefaultCost:
         assert m.events.refaults.total == 0
         vpn = _churn_to_refault(m, ctx, proc, max_pages=240)
         assert vpn is not None, "discarded frames never reused"
-        assert m.events.refaults.get("balloon") > 0
+        assert m.events.refaults["balloon"] > 0
         # The refaulting touch paid fault service; a re-touch is a hit.
         t0 = ctx.clock.now
         m.touch(ctx, proc, vpn, write=True)
@@ -191,7 +191,7 @@ class TestRefaultCost:
         )
         m.balloon.deflate(ctx, 16 << 12)
         assert _churn_to_refault(m, ctx, proc, max_pages=240) is not None
-        assert m.events.refaults.get("balloon") > 0
+        assert m.events.refaults["balloon"] > 0
 
 
 @pytest.mark.sanitize

@@ -1,7 +1,11 @@
 """Unit tests for the cost model and event accounting."""
 
+import copy
+import pickle
+
 import pytest
 
+from repro import make_machine
 from repro.guest.syscalls import Syscall
 from repro.hw.costs import CostModel, DEFAULT_COSTS
 from repro.hw.events import (
@@ -9,9 +13,11 @@ from repro.hw.events import (
     EventLog,
     FaultPhase,
     SwitchKind,
+    TraceEvent,
     diff_snapshots,
 )
 from repro.sim.clock import Clock
+from repro.sim.locks import SimLock
 
 
 class TestCostModel:
@@ -80,86 +86,120 @@ class TestSyscallTable:
 class TestCounter:
     def test_add_and_keys(self):
         c = Counter("x")
-        c.add(2, key="a")
-        c.add(3, key="b")
-        c.add(1)
-        assert c.total == 6
-        assert c.get("a") == 2
-        assert c.get("missing") == 0
+        c["a"] += 2
+        c["b"] += 3
+        assert c.total == 5
+        assert c == {"a": 2, "b": 3}
+        assert c.name == "x"
 
     def test_reset(self):
-        c = Counter("x")
-        c.add(5, key="a")
-        c.reset()
-        assert c.total == 0
-        assert c.by_key == {}
+        """``EventLog.reset`` clears every counter in place, so a counter
+        bound at construction stays live."""
+        log = EventLog()
+        bound = log.hypercalls
+        bound["iret"] += 1
+        log.reset()
+        assert log.hypercalls is bound and bound.total == 0
+        bound["iret"] += 1
+        assert log.snapshot()["hypercalls"] == {"total": 1, "iret": 1}
+
+    def test_missing_key_reads_zero_and_inserts_nothing(self):
+        log = EventLog()
+        log.page_faults[FaultPhase.GUEST_PT.value] += 1
+        before = log.snapshot()
+        assert log.page_faults[FaultPhase.SHADOW_PT.value] == 0
+        assert FaultPhase.SHADOW_PT.value not in log.page_faults
+        assert log.snapshot() == before
+
+    def test_pickle_and_deepcopy_round_trip(self):
+        log = EventLog()
+        log.world_switches[SwitchKind.PVM_L2_L1.value] += 2
+        for copied in (pickle.loads(pickle.dumps(log)), copy.deepcopy(log)):
+            assert copied.snapshot() == log.snapshot()
+            counter = copied.world_switches
+            assert type(counter) is Counter
+            assert counter.name == "world_switches"
+            assert counter["missing"] == 0 and "missing" not in counter
+            counter[SwitchKind.PVM_L2_L1.value] += 1
+            assert log.world_switches.total == 2
+
+
+def _machine(scenario="kvm-ept (BM)", events=None):
+    m = make_machine(scenario, events=events)
+    return m, m.new_context(), m.spawn_process()
 
 
 class TestEventLog:
     def test_switch_accounting(self):
-        log = EventLog()
-        log.switch(SwitchKind.PVM_L2_L1)
-        log.switch(SwitchKind.HW_L2_L0)
-        log.switch(SwitchKind.GUEST_INTERNAL)
-        assert log.world_switches.total == 2
-        assert log.guest_transitions.total == 1
-        assert log.world_switches.get(SwitchKind.PVM_L2_L1.value) == 1
-        # Switches alone do not count as L0 traps.
-        assert log.l0_exits.total == 0
+        """Guest-internal transitions are not world switches, and a
+        switch alone is not an L0 trap."""
+        m, ctx, proc = _machine()
+        m.syscall(ctx, proc, "get_pid")
+        m.hw_exit_entry(ctx, SwitchKind.HW_L1_L0)
+        assert m.events.guest_transitions == {SwitchKind.GUEST_INTERNAL.value: 2}
+        assert m.events.world_switches == {SwitchKind.HW_L1_L0.value: 1}
+        assert m.events.l0_exits.total == 0
 
     def test_l0_trap_explicit(self):
-        log = EventLog()
-        log.l0_trap("vmresume")
-        assert log.l0_exits.total == 1
-        assert log.l0_exits.get("vmresume") == 1
+        m, ctx, _ = _machine()
+        m.halt(ctx, 0)
+        assert m.events.l0_exits == {"hlt": 1}
+        assert m.events.world_switches.total == 2
 
     def test_detailed_trace(self):
-        log = EventLog(detailed=True)
-        log.switch(SwitchKind.PVM_DIRECT, time_ns=5, vcpu=2)
-        assert len(log.trace) == 1
-        assert log.trace[0].vcpu == 2
+        m, _, _ = _machine(events=EventLog(detailed=True))
+        m.new_context()
+        m.hypercall(m.contexts[1])
+        assert [(ev.vcpu, ev.kind) for ev in m.events.trace] == [
+            (1, "switch"), (1, "switch")]
 
     def test_trace_off_by_default(self):
-        log = EventLog()
-        log.switch(SwitchKind.PVM_DIRECT)
-        assert log.trace == []
+        m, ctx, proc = _machine("pvm (NST)")
+        m.touch(ctx, proc, m.mmap(ctx, proc, 1 << 16).start_vpn, write=True)
+        m.hypercall(ctx)
+        assert m.events.trace == []
+        assert m.events.world_switches.total > 0
 
     def test_fault_phases(self):
-        log = EventLog()
-        log.fault(FaultPhase.GUEST_PT)
-        log.fault(FaultPhase.SHADOW_PT)
-        log.fault(FaultPhase.SHADOW_PT)
-        assert log.page_faults.get(FaultPhase.SHADOW_PT.value) == 2
+        m, ctx, proc = _machine("kvm-spt (BM)", events=EventLog(detailed=True))
+        m.touch(ctx, proc, m.mmap(ctx, proc, 1 << 16).start_vpn, write=True)
+        assert m.events.page_faults == {FaultPhase.GUEST_PT.value: 1,
+                                        FaultPhase.SHADOW_PT.value: 1}
+        assert [ev.detail for ev in m.events.trace if ev.kind == "fault"] == [
+            FaultPhase.GUEST_PT.value, FaultPhase.SHADOW_PT.value]
 
     def test_snapshot_and_reset(self):
         log = EventLog()
-        log.hypercall("iret")
+        log.hypercalls["iret"] += 1
         snap = log.snapshot()
         assert snap["hypercalls"]["iret"] == 1
         log.reset()
         assert log.snapshot()["hypercalls"]["total"] == 0
 
     def test_lock_wait_ignores_zero(self):
+        """``SimLock`` counts only real waits: an uncontended acquisition
+        adds no key."""
         log = EventLog()
-        log.lock_wait("l", 0)
-        assert log.lock_wait_ns.total == 0
-        log.lock_wait("l", 7)
-        assert log.lock_wait_ns.get("l") == 7
+        lock = SimLock("l", log)
+        assert lock.run_locked(Clock(), 7) == 0
+        assert "l" not in log.lock_wait_ns
+        assert lock.run_locked(Clock(), 1) == 7
+        assert log.lock_wait_ns == {"l": 7}
 
 
 class TestDiffSnapshots:
     def test_delta(self):
         log = EventLog()
-        log.hypercall("a")
+        log.hypercalls["a"] += 1
         before = log.snapshot()
-        log.hypercall("a")
-        log.hypercall("b")
+        log.hypercalls["a"] += 1
+        log.hypercalls["b"] += 1
         delta = diff_snapshots(before, log.snapshot())
         assert delta["hypercalls"] == {"total": 2, "a": 1, "b": 1}
 
     def test_zero_deltas_dropped(self):
         log = EventLog()
-        log.hypercall("a")
+        log.hypercalls["a"] += 1
         snap = log.snapshot()
         assert diff_snapshots(snap, snap)["hypercalls"] == {}
 
@@ -171,8 +211,8 @@ class TestChromeTraceExport:
         from repro.hw.events import export_chrome_trace
 
         log = EventLog(detailed=True)
-        log.switch(SwitchKind.PVM_L2_L1, time_ns=1500, vcpu=2)
-        log.fault(FaultPhase.GUEST_PT, time_ns=2500, vcpu=2)
+        log.trace.append(TraceEvent(1500, 2, "switch", SwitchKind.PVM_L2_L1.value))
+        log.trace.append(TraceEvent(2500, 2, "fault", FaultPhase.GUEST_PT.value))
         path = tmp_path / "trace.json"
         n = export_chrome_trace(log, str(path))
         assert n == 2

@@ -54,8 +54,8 @@ class TestPcidMappingOnSwitches:
         m_off = make_machine("pvm (NST)", config=MachineConfig(pcid_mapping=False))
         measure_hop_ns(m_on, hops=16)
         measure_hop_ns(m_off, hops=16)
-        assert m_off.events.tlb_flushes.get("vpid") > 0
-        assert m_on.events.tlb_flushes.get("vpid") == 0
+        assert m_off.events.tlb_flushes["vpid"] > 0
+        assert m_on.events.tlb_flushes["vpid"] == 0
 
     def test_hardware_guest_unaffected_by_pcid_flag(self):
         """The flag is a PVM optimization; kvm-ept guests use hardware

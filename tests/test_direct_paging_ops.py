@@ -24,10 +24,10 @@ class TestDirectPagingMemoryOps:
         vma = m.mmap(ctx, proc, 8 << 12)
         for vpn in range(vma.start_vpn, vma.end_vpn):
             m.touch(ctx, proc, vpn, write=True)
-        before = m.events.hypercalls.get("set_pte")
+        before = m.events.hypercalls["set_pte"]
         m.munmap(ctx, proc, vma)
         # All 8 invalidations in one validated hypercall.
-        assert m.events.hypercalls.get("set_pte") == before + 1
+        assert m.events.hypercalls["set_pte"] == before + 1
 
     def test_mprotect_enforced(self, m):
         ctx, proc = _ctx_proc(m)

@@ -137,7 +137,7 @@ class TestDirectPaging:
         vma = m.mmap(ctx, proc, 64 * KIB)
         m.touch(ctx, proc, vma.start_vpn, write=True)
         assert m.validated_updates >= 4  # all four cold levels validated
-        assert m.events.hypercalls.get("set_pte") >= 1
+        assert m.events.hypercalls["set_pte"] >= 1
 
     def test_no_shadow_tables_built(self):
         m, ctx, proc = _setup("pvm-dp (NST)")

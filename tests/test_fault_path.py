@@ -23,8 +23,11 @@ op's virtual-ns delta and EventLog counter deltas (by key) with
 Every machine runs at its defaults and with the paging-structure caches
 on; machines that can back 2 MiB guest mappings also run with THP, and
 the PVM shadow machines run with each of their fault-path toggles.  The
-rows run a second time under ``sanitize_mode="full"`` and must give the
-same pins: the sanitizers charge nothing and count nothing.  The THP
+fault dances count and trace in place, so every row also runs with a
+detailed EventLog: the pins must hold, and the trace must hold each
+counted switch, L1 exit and fault under its key.  The rows run a
+further time under ``sanitize_mode="full"`` and must give the same
+pins: the sanitizers charge nothing and count nothing.  The THP
 rows of the PVM machines (``SANITIZER_KNOWN_FAILURES``) stay out of that
 check because the sanitizers flag them at the commit that recorded the
 pins too.
@@ -44,7 +47,7 @@ import pytest
 
 from repro import SCENARIOS, make_machine
 from repro.guest.addrspace import SegfaultError, Vma
-from repro.hw.events import diff_snapshots
+from repro.hw.events import EventLog, diff_snapshots
 from repro.hypervisors.base import MachineConfig
 
 PIN_PATH = Path(__file__).resolve().with_name("fault_path.json")
@@ -124,9 +127,10 @@ def _prepare_op(m, ctx, proc, op):
         proc.addr_space.insert(Vma(SMALL_VPN, SMALL_PAGES))
 
 
-def measure(scenario, overrides):
+def measure(scenario, overrides, events=None):
     """``{op: {"ns": delta, "events": counter deltas}}`` on a warm process."""
-    m = make_machine(scenario, config=MachineConfig(**overrides))
+    m = make_machine(scenario, config=MachineConfig(**overrides),
+                     events=events)
     ctx = m.new_context()
     vmas = {"warm": Vma(WARM_VPN, 8), "small": Vma(SMALL_VPN, SMALL_PAGES),
             "file": Vma(FILE_VPN, 8, writable=False, kind="file",
@@ -169,6 +173,23 @@ def test_fault_path_matches_pins(pins, label, scenario, overrides):
     got = json.loads(json.dumps(measure(scenario, overrides)))
     for op in OPS:
         assert got[op] == pins[label][op], f"{label}: {op}"
+
+
+@pytest.mark.parametrize("label,scenario,overrides", VARIANTS,
+                         ids=[label for label, _, _ in VARIANTS])
+def test_detailed_log_keeps_pins_and_traces_every_count(pins, label,
+                                                        scenario, overrides):
+    """The fault dances count and trace in place: with a detailed log
+    the pins hold, and the trace holds each counted switch, L1 exit and
+    fault under its key."""
+    from tests.test_switch_legs import assert_trace_matches_counters
+
+    events = EventLog(detailed=True)
+    got = json.loads(json.dumps(measure(scenario, overrides, events)))
+    for op in OPS:
+        assert got[op] == pins[label][op], f"{label} (detailed): {op}"
+    assert events.page_faults.total > 0
+    assert_trace_matches_counters(events)
 
 
 @pytest.mark.sanitize

@@ -73,8 +73,8 @@ class TestPvmHypervisor:
         expected = (2 * DEFAULT_COSTS.pvm_world_switch
                     + DEFAULT_COSTS.pvm_hypercall_handler)
         assert clock.now == expected
-        assert hv.hypercalls_served == 1
-        assert hv.events.hypercalls.get("iret") == 1
+        assert hv.events.hypercalls.total == 1
+        assert hv.events.hypercalls["iret"] == 1
 
     def test_sysret_rejected_from_hypervisor(self, hv):
         with pytest.raises(ValueError):
@@ -86,7 +86,7 @@ class TestPvmHypervisor:
         expected = (2 * DEFAULT_COSTS.pvm_world_switch
                     + DEFAULT_COSTS.instr_emulation)
         assert clock.now == expected
-        assert hv.instructions_emulated == 1
+        assert hv.events.emulations == {"mov_cr4": 1}
 
     def test_hypercall_cheaper_than_emulation(self, hv):
         c1, c2 = Clock(), Clock()

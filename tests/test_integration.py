@@ -25,7 +25,7 @@ class TestCrossScenarioConsistency:
 
     def test_guest_fault_counts_identical(self, results):
         counts = {
-            name: m.events.page_faults.get("phase1:guest-pt")
+            name: m.events.page_faults["phase1:guest-pt"]
             for name, (m, _) in results.items()
         }
         assert len(set(counts.values())) == 1, counts
@@ -34,7 +34,7 @@ class TestCrossScenarioConsistency:
         """Every machine leaves the guest in a consistent state: switch
         legs pair up (even counts) for all hypervisor boundaries."""
         for name, (m, _) in results.items():
-            for key, count in m.events.world_switches.by_key.items():
+            for key, count in m.events.world_switches.items():
                 assert count % 2 == 0, (name, key)
 
     def test_pvm_never_exits_to_l0_for_memory(self, results):

@@ -135,7 +135,7 @@ class TestIoPaths:
         ctx = m.new_context()
         proc = m.spawn_process()
         m.blk_read(ctx, proc, 4096)
-        assert m.events.interrupts.get("virtio") == 1
+        assert m.events.interrupts["virtio"] == 1
 
 
 class TestIoParity:

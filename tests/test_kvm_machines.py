@@ -15,21 +15,21 @@ class TestKvmEptBm:
         proc = m.spawn_process()
         vma = m.mmap(ctx, proc, 16 * KIB, kind="file", file_key="f")
         m.touch(ctx, proc, vma.start_vpn, write=False)
-        first = m.events.l0_exits.get("ept-violation")
+        first = m.events.l0_exits["ept-violation"]
         m.munmap(ctx, proc, vma)
         vma2 = m.mmap(ctx, proc, 16 * KIB, kind="file", file_key="f")
         m.touch(ctx, proc, vma2.start_vpn, write=False)
         # Same page-cache frame: EPT warm for the data page; only the
         # re-allocated guest-table node frames (the pruned-and-rebuilt
         # PDPT/PD/PT chain) still violate, never the data frame again.
-        again = m.events.l0_exits.get("ept-violation")
+        again = m.events.l0_exits["ept-violation"]
         assert again <= first + 3
 
     def test_msr_exits_counted(self):
         m = make_machine("kvm-ept (BM)")
         ctx = m.new_context()
         m.msr_access(ctx)
-        assert m.events.emulations.get("msr") == 1
+        assert m.events.emulations["msr"] == 1
 
     def test_halt_roundtrip_cost(self):
         m = make_machine("kvm-ept (BM)")
@@ -46,10 +46,10 @@ class TestKvmSptBm:
         ctx = m.new_context()
         proc = m.spawn_process()
         vma = m.mmap(ctx, proc, 16 * KIB)
-        before = m.events.l0_exits.get("gpt-write")
+        before = m.events.l0_exits["gpt-write"]
         m.touch(ctx, proc, vma.start_vpn, write=True)
         # Cold fault: 4 table-entry writes, each a trap.
-        assert m.events.l0_exits.get("gpt-write") - before == 4
+        assert m.events.l0_exits["gpt-write"] - before == 4
 
     def test_two_phase_fault(self):
         m = make_machine("kvm-spt (BM)")
@@ -57,8 +57,8 @@ class TestKvmSptBm:
         proc = m.spawn_process()
         vma = m.mmap(ctx, proc, 16 * KIB)
         m.touch(ctx, proc, vma.start_vpn, write=True)
-        assert m.events.page_faults.get("phase1:guest-pt") == 1
-        assert m.events.page_faults.get("phase2:shadow-pt") == 1
+        assert m.events.page_faults["phase1:guest-pt"] == 1
+        assert m.events.page_faults["phase2:shadow-pt"] == 1
 
     def test_mmu_lock_serializes_concurrent_faults(self):
         m = make_machine("kvm-spt (BM)")

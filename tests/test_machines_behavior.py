@@ -98,14 +98,14 @@ class TestComputeAndTimers:
     def test_timer_delivered_across_interval(self, machine):
         ctx = machine.new_context()
         machine.compute(ctx, machine.costs.timer_interval + 1000)
-        assert machine.events.interrupts.get("timer") == 1
+        assert machine.events.interrupts["timer"] == 1
         # And time advanced at least the computed amount.
         assert ctx.clock.now >= machine.costs.timer_interval + 1000
 
     def test_multiple_ticks(self, machine):
         ctx = machine.new_context()
         machine.compute(ctx, 3 * machine.costs.timer_interval + 10)
-        assert machine.events.interrupts.get("timer") == 3
+        assert machine.events.interrupts["timer"] == 3
 
     def test_negative_compute_rejected(self, machine):
         ctx = machine.new_context()

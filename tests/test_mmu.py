@@ -126,7 +126,7 @@ class TestFlushHelpers:
         mmu.flush_page(clock, ASID, 0x10)
         assert tlb.lookup(ASID, 0x10) is None
         assert clock.now == DEFAULT_COSTS.tlb_flush_op
-        assert mmu.events.tlb_flushes.get("page") == 1
+        assert mmu.events.tlb_flushes["page"] == 1
 
     def test_flush_pcid_counts(self, env):
         host, guest, tlb, mmu = env

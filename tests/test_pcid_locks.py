@@ -146,7 +146,7 @@ def _assert_waits_recorded(events, waits):
     assert any(sum(w) for w in waits.values())
     assert any(0 in w for w in waits.values())
     expected = {name: sum(w) for name, w in waits.items() if sum(w)}
-    assert events.lock_wait_ns.by_key == expected
+    assert events.lock_wait_ns == expected
     assert events.lock_wait_ns.total == sum(expected.values())
 
 
@@ -160,7 +160,7 @@ def test_l0_lock_waits_match_run_locked(returned_waits, scenario):
         m.deliver_timer(c2)
         m.virtio_doorbell(c1)
         m.halt(c2, 1000)
-    assert "l0-service" in m.events.lock_wait_ns.by_key
+    assert "l0-service" in m.events.lock_wait_ns
     _assert_waits_recorded(m.events, returned_waits)
 
 
@@ -175,6 +175,6 @@ def test_spt_lock_waits_match_run_locked(returned_waits, fine_grained):
     for _ in range(3):
         m.priced_gpt_writes(c1, proc, 4, structural=True)
         m.priced_gpt_writes(c2, proc, 4, structural=True)
-    keys = set(m.events.lock_wait_ns.by_key)
+    keys = set(m.events.lock_wait_ns)
     assert keys and all(k.startswith("pvm-") for k in keys)
     _assert_waits_recorded(m.events, returned_waits)

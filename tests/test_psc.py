@@ -249,8 +249,8 @@ class TestMmuPartialWalks:
         mmu = make_mmu(tlb_capacity=4)
         mmu.access_1d(Clock(), ASID, pt, 0x10, AccessType.READ, True)
         mmu.access_1d(Clock(), ASID, pt, 0x11, AccessType.READ, True)
-        assert mmu.events.psc_probes.get("miss") == 1
-        assert mmu.events.psc_probes.get("hit") == 1
+        assert mmu.events.psc_probes["miss"] == 1
+        assert mmu.events.psc_probes["hit"] == 1
         assert "psc_probes" in mmu.events.snapshot()
 
 

@@ -31,14 +31,14 @@ class TestPrefault:
         m.touch(ctx, proc, vma.start_vpn, write=True)
         assert m.prefaulter.fills == 0
         # Two fault phases recorded: guest and shadow.
-        assert m.events.page_faults.get("phase1:guest-pt") == 1
-        assert m.events.page_faults.get("phase2:shadow-pt") == 1
+        assert m.events.page_faults["phase1:guest-pt"] == 1
+        assert m.events.page_faults["phase2:shadow-pt"] == 1
 
     def test_prefault_avoids_phase2(self):
         m, ctx, proc = _setup(prefault=True)
         vma = m.mmap(ctx, proc, 32 * KIB)
         m.touch(ctx, proc, vma.start_vpn, write=True)
-        assert m.events.page_faults.get("phase2:shadow-pt") == 0
+        assert m.events.page_faults["phase2:shadow-pt"] == 0
 
 
 class TestPcidMapping:
@@ -55,14 +55,14 @@ class TestPcidMapping:
 
     def test_disabled_flushes_on_cr3_load(self):
         m, ctx, proc = _setup(pcid_mapping=False)
-        before = m.events.tlb_flushes.get("cr3-load")
+        before = m.events.tlb_flushes["cr3-load"]
         m.syscall(ctx, proc, "get_pid")  # two direct switches
-        assert m.events.tlb_flushes.get("cr3-load") - before == 2
+        assert m.events.tlb_flushes["cr3-load"] - before == 2
 
     def test_enabled_no_flush_on_switch(self):
         m, ctx, proc = _setup(pcid_mapping=True)
         m.syscall(ctx, proc, "get_pid")
-        assert m.events.tlb_flushes.get("cr3-load") == 0
+        assert m.events.tlb_flushes["cr3-load"] == 0
 
     def test_munmap_flush_granularity(self):
         m, ctx, proc = _setup(pcid_mapping=True)
@@ -71,8 +71,8 @@ class TestPcidMapping:
             vma = mm.mmap(cc, pp, 32 * KIB)
             mm.touch(cc, pp, vma.start_vpn, write=True)
             mm.munmap(cc, pp, vma)
-        assert m.events.tlb_flushes.get("pcid") >= 1
-        assert m2.events.tlb_flushes.get("vpid") >= 1
+        assert m.events.tlb_flushes["pcid"] >= 1
+        assert m2.events.tlb_flushes["vpid"] >= 1
 
     def test_broadcast_shootdown_costs_initiator(self):
         m, ctx, proc = _setup(pcid_mapping=False)

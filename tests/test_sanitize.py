@@ -153,7 +153,7 @@ class TestEnablement:
         report = SanitizeReport(events=events)
         with pytest.raises(SanitizerError):
             report.violation(Violation(checker="vmx", kind="drill", detail="x"))
-        assert events.sanitizer_violations.get("vmx:drill") == 1
+        assert events.sanitizer_violations["vmx:drill"] == 1
         assert report.snapshot()["sanitize_violations"] == 1.0
 
 

@@ -63,7 +63,7 @@ class TestSimLock:
         lock = SimLock("l", events)
         lock.run_locked(Clock(), hold_ns=100)
         lock.run_locked(Clock(), hold_ns=100)
-        assert events.lock_wait_ns.get("l") == 100
+        assert events.lock_wait_ns["l"] == 100
 
     def test_negative_durations_rejected(self):
         with pytest.raises(ValueError):

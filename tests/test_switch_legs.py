@@ -154,6 +154,21 @@ def test_full_sanitizers_keep_pins(pins, monkeypatch, label, scenario,
     assert not m.sanitizers.violations
 
 
+def assert_trace_matches_counters(ev):
+    """The detailed trace holds each counted switch, L1 exit and fault
+    under its key, with stamps that never decrease."""
+    traced = Counter((e.kind, e.detail) for e in ev.trace)
+    counted = Counter()
+    for kind, counter in (("switch", ev.world_switches),
+                          ("switch", ev.guest_transitions),
+                          ("l1_exit", ev.l1_exits),
+                          ("fault", ev.page_faults)):
+        counted.update({(kind, key): n for key, n in counter.items()})
+    assert traced == counted
+    times = [e.time_ns for e in ev.trace]
+    assert all(a <= b for a, b in zip(times, times[1:]))
+
+
 def _op_mix(m):
     """Every op, then a first touch (guest and extended faults) and one
     hypercall; returns the vCPU and the clock the hypercall started at."""
@@ -186,17 +201,8 @@ def test_detailed_trace_records_every_counted_event(label, scenario,
 
     ev = m.events
     assert ev.page_faults.total > 0 and ev.l1_exits.total + ev.l0_exits.total
-    traced = Counter((e.kind, e.detail) for e in ev.trace)
-    counted = Counter()
-    for kind, counter in (("switch", ev.world_switches),
-                          ("switch", ev.guest_transitions),
-                          ("l1_exit", ev.l1_exits),
-                          ("fault", ev.page_faults)):
-        counted.update({(kind, key): n for key, n in counter.by_key.items()})
-    assert traced == counted
-    times = [e.time_ns for e in ev.trace]
-    assert all(a <= b for a, b in zip(times, times[1:]))
-    assert times[-1] <= ctx.clock.now
+    assert_trace_matches_counters(ev)
+    assert ev.trace[-1].time_ns <= ctx.clock.now
 
     plain = make_machine(scenario, config=config)
     _op_mix(plain)

@@ -43,9 +43,8 @@ class TestVmExitEntry:
         state = switcher.vm_exit(clock, 0, "#PF")
         assert clock.now == DEFAULT_COSTS.pvm_world_switch
         assert state.world is GuestWorld.HYPERVISOR
-        assert switcher.events.l1_exits.get("#PF") == 1
-        assert switcher.events.world_switches.get(
-            SwitchKind.PVM_L2_L1.value) == 1
+        assert switcher.events.l1_exits["#PF"] == 1
+        assert switcher.events.world_switches[SwitchKind.PVM_L2_L1.value] == 1
 
     def test_registers_cleared_on_exit(self, switcher):
         """Security invariant (§3.2): GPRs cleared on every VM exit."""
@@ -69,42 +68,47 @@ class TestVmExitEntry:
 
 
 class TestDirectSwitch:
-    def _user_state(self, switcher, cpu=0):
-        switcher.state_for(cpu).world = GuestWorld.USER
+    def _set_world(self, switcher, world, cpu=0):
+        switcher.state_for(cpu).world = world
 
     def test_syscall_fast_path_cost(self, switcher):
-        self._user_state(switcher)
+        self._set_world(switcher, GuestWorld.USER)
         clock = Clock()
-        switcher.direct_switch_to_kernel(clock, 0)
-        switcher.direct_switch_to_user(clock, 0)
+        state = switcher.direct_syscall(clock, 0)
         expected = 2 * (DEFAULT_COSTS.ring_transition
                         + DEFAULT_COSTS.direct_switch_extra)
         assert clock.now == expected
-        assert switcher.direct_switches == 2
+        assert state.world is GuestWorld.USER
+        assert switcher.events.world_switches[SwitchKind.PVM_DIRECT.value] == 2
 
     def test_direct_switch_requires_correct_world(self, switcher):
-        self._user_state(switcher)
+        self._set_world(switcher, GuestWorld.USER)
         with pytest.raises(RuntimeError):
             switcher.direct_switch_to_user(Clock(), 0)  # not in kernel
-        switcher.direct_switch_to_kernel(Clock(), 0)
+        self._set_world(switcher, GuestWorld.KERNEL)
         with pytest.raises(RuntimeError):
-            switcher.direct_switch_to_kernel(Clock(), 0)  # already kernel
+            switcher.direct_syscall(Clock(), 0)  # not in user
+        state = switcher.direct_switch_to_user(Clock(), 0)
+        assert state.world is GuestWorld.USER
 
     def test_direct_switch_counts_as_pvm_direct(self, switcher):
-        self._user_state(switcher)
-        switcher.direct_switch_to_kernel(Clock(), 0)
-        assert switcher.events.world_switches.get(
-            SwitchKind.PVM_DIRECT.value) == 1
+        self._set_world(switcher, GuestWorld.KERNEL)
+        switcher.direct_switch_to_user(Clock(), 0)
+        assert switcher.events.world_switches[SwitchKind.PVM_DIRECT.value] == 1
+        switcher.direct_syscall(Clock(), 0)
+        assert switcher.events.world_switches[SwitchKind.PVM_DIRECT.value] == 3
 
     def test_cr3_load_hook_fires(self, switcher):
         fired = []
         switcher.on_guest_cr3_load = lambda clock, cpu: fired.append(cpu)
-        self._user_state(switcher, cpu=3)
+        self._set_world(switcher, GuestWorld.USER, cpu=3)
         clock = Clock()
-        switcher.direct_switch_to_kernel(clock, 3)
-        switcher.vm_exit(clock, 3, "x")  # exit loads *host* CR3: no fire
-        switcher.vm_enter(clock, 3, GuestWorld.USER)
+        switcher.direct_syscall(clock, 3)  # both legs load a guest CR3
         assert fired == [3, 3]
+        switcher.vm_exit(clock, 3, "x")  # exit loads *host* CR3: no fire
+        switcher.vm_enter(clock, 3, GuestWorld.KERNEL)
+        switcher.direct_switch_to_user(clock, 3)
+        assert fired == [3, 3, 3, 3]
 
 
 class TestSwitcherState:

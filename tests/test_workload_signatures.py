@@ -28,14 +28,14 @@ class TestFluidanimateSignature:
     def test_pvm_halts_via_hypercall(self):
         m = make_machine("pvm (NST)")
         _run(m, fluidanimate, frames=3, barriers_per_frame=3)
-        assert m.events.hypercalls.get("halt") == 9  # 3 frames x 3 barriers
+        assert m.events.hypercalls["halt"] == 9  # 3 frames x 3 barriers
         # ... and none of them reached L0.
         assert m.events.l0_exits.get("l2-exit:hlt", 0) == 0
 
     def test_kvm_nst_halts_via_l0(self):
         m = make_machine("kvm-ept (NST)")
         _run(m, fluidanimate, frames=3, barriers_per_frame=3)
-        assert m.events.l0_exits.get("l2-exit:hlt") == 9
+        assert m.events.l0_exits["l2-exit:hlt"] == 9
 
 
 class TestBlogbenchSignature:
@@ -44,7 +44,7 @@ class TestBlogbenchSignature:
         _run(m, blogbench, rounds=10)
         # Every round drives at least six syscalls (create, write, three
         # read+stat pairs), each a pair of direct switches.
-        direct = m.events.world_switches.get("pvm:user<->kernel")
+        direct = m.events.world_switches["pvm:user<->kernel"]
         assert direct >= 10 * 12
 
     def test_cache_pages_warm_after_first_round(self):
@@ -60,7 +60,7 @@ class TestSpecjbbSignature:
         m = make_machine("pvm (NST)")
         _run(m, specjbb, batches=5, heap_growth_pages=10, warm_touches=0)
         # Exactly the growth pages fault (plus none from warm touches).
-        assert m.events.page_faults.get("phase1:guest-pt") == 50
+        assert m.events.page_faults["phase1:guest-pt"] == 50
 
     def test_warm_touches_hit_tlb(self):
         m = make_machine("pvm (NST)")
@@ -82,7 +82,7 @@ class TestKbuildSignature:
         _run(m, kbuild, units=2)
         assert m.events.guest_transitions.total == 0  # PVM: no hw-internal
         # open/close + reads + writes happened via direct switches.
-        assert m.events.world_switches.get("pvm:user<->kernel") > 2 * 8
+        assert m.events.world_switches["pvm:user<->kernel"] > 2 * 8
 
 
 class TestMemallocSignature:
@@ -130,6 +130,6 @@ class TestInterruptSignature:
         m = make_machine("pvm (NST)")
         ctx = m.new_context()
         m.compute(ctx, 10 * m.costs.timer_interval)
-        assert m.events.interrupts.get("timer") == 10
+        assert m.events.interrupts["timer"] == 10
         # Each tick: one L0 injection, the rest inside L1.
-        assert m.events.l0_exits.get("interrupt") == 10
+        assert m.events.l0_exits["interrupt"] == 10

@@ -139,7 +139,7 @@ class TestApps:
         for _ in fluidanimate(machine, ctx, proc, frames=2,
                               barriers_per_frame=3):
             pass
-        assert machine.events.hypercalls.get("halt") == 6
+        assert machine.events.hypercalls["halt"] == 6
 
     def test_kbuild_forks_compilers(self, machine):
         ctx = machine.new_context()
