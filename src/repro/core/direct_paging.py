@@ -72,7 +72,8 @@ class DirectPagingMachine(PvmSwitcherMachine):
         # The kernel computes the fix and submits it as ONE batched
         # set_pte hypercall; PVM validates every entry.
         clock.now += self._pf_delivery_ns
-        fix = self.kernel.fix_fault(proc, vpn, fault.access)
+        fix = self.kernel.fix_fault(proc, vpn, fault.access,
+                                    proc.gpt.lookup(vpn))
         clock.now += self.fault_body_ns(proc, fix)
         sw.vm_exit(clock, cpu, "hypercall:set_pte")
         self._validate(ctx, fix.entry_writes)

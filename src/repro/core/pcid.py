@@ -37,8 +37,9 @@ class PcidMapper:
         self.vpid = vpid
         self.enabled = enabled
         self._asids = AsidTable(vpid)
+        #: (L2 pcid, is_kernel) -> hardware PCID, least recently used
+        #: first: a use moves the key to the end.
         self._map: Dict[Tuple[int, bool], int] = {}
-        self._lru: list[Tuple[int, bool]] = []
         self.recycled = 0
 
     def asid_for(self, guest_pcid: int, kernel_half: bool) -> Asid:
@@ -50,7 +51,12 @@ class PcidMapper:
         """
         if not self.enabled:
             return self._asids[0]
-        return self._asids[self._hw_pcid(guest_pcid, kernel_half)]
+        key = (guest_pcid, kernel_half)
+        pcid = self._map.pop(key, None)
+        if pcid is None:
+            pcid = self._assign(kernel_half)
+        self._map[key] = pcid
+        return self._asids[pcid]
 
     def peek(self, guest_pcid: int, kernel_half: bool = False) -> Optional[int]:
         """The hardware PCID one L2 space is tagged with right now (0 when
@@ -60,34 +66,20 @@ class PcidMapper:
             return 0
         return self._map.get((guest_pcid, kernel_half))
 
-    def _hw_pcid(self, guest_pcid: int, kernel_half: bool) -> int:
-        key = (guest_pcid, kernel_half)
-        pcid = self._map.get(key)
-        if pcid is not None:
-            self._touch(key)
-            return pcid
+    def _assign(self, kernel_half: bool) -> int:
+        """A hardware PCID for a new mapping of one class: the lowest
+        free slot, else the least recently used one, stolen."""
         base = (
             PVM_GUEST_KERNEL_PCID_BASE if kernel_half else PVM_GUEST_USER_PCID_BASE
         )
         used = {p for (k, p) in self._map.items() if k[1] == kernel_half}
         for candidate in range(base, base + PVM_GUEST_PCIDS_PER_CLASS):
             if candidate not in used:
-                self._map[key] = candidate
-                self._lru.append(key)
                 return candidate
         # Window full: steal the least-recently-used slot of this class.
-        victim = next(k for k in self._lru if k[1] == kernel_half)
-        self._lru.remove(victim)
-        stolen = self._map.pop(victim)
-        self._map[key] = stolen
-        self._lru.append(key)
+        victim = next(k for k in self._map if k[1] == kernel_half)
         self.recycled += 1
-        return stolen
-
-    def _touch(self, key: Tuple[int, bool]) -> None:
-        if key in self._lru:
-            self._lru.remove(key)
-        self._lru.append(key)
+        return self._map.pop(victim)
 
     @property
     def live_mappings(self) -> int:

@@ -7,46 +7,20 @@ fault when the hardware misses SPT12, PVM *proactively* fills the shadow
 entry on the iret path — trading :attr:`CostModel.prefault_fill` of
 in-hypervisor work for a whole extra VM exit (two PVM world switches).
 
-This module tracks the bookkeeping: which faulting addresses are armed
-for prefault and how often the optimization actually saved a fault.
+The fill happens in the same handler that fixed the fault, so the only
+state is the switch and a count of the fills (each one a saved
+shadow-stale fault).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Set, Tuple
+from dataclasses import dataclass
 
 
 @dataclass
 class Prefaulter:
-    """Arms and fires prefaults; one per PVM machine."""
+    """The prefault switch and its fill count; one per PVM machine."""
 
     enabled: bool = True
-    #: (pid, vpn) armed by the fault path, consumed on the iret path.
-    _armed: Set[Tuple[int, int]] = field(default_factory=set)
+    #: Shadow entries filled on the iret path.
     fills: int = 0
-    saved_exits: int = 0
-    misses: int = 0
-
-    def arm(self, pid: int, vpn: int) -> None:
-        """Remember that this fault's iret should prefault the SPT."""
-        if self.enabled:
-            self._armed.add((pid, vpn))
-
-    def take(self, pid: int, vpn: int) -> bool:
-        """On the iret path: should PVM prefault this address now?"""
-        if not self.enabled:
-            return False
-        try:
-            self._armed.remove((pid, vpn))
-        except KeyError:
-            self.misses += 1
-            return False
-        self.fills += 1
-        self.saved_exits += 1
-        return True
-
-    @property
-    def armed_count(self) -> int:
-        """Prefaults armed but not yet consumed."""
-        return len(self._armed)

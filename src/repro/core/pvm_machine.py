@@ -341,20 +341,19 @@ class PvmMachine(PvmSwitcherMachine):
             sw.vm_enter(clock, cpu, _KERNEL)
         # (6): the L2 kernel's handler fixes its own page table.
         clock.now += self._pf_delivery_ns
-        fix = self.kernel.fix_fault(proc, vpn, access)
+        fix = self.kernel.fix_fault(proc, vpn, access, gpt_pte)
         clock.now += self.fault_body_ns(proc, fix)
         self.shadow.note_gpt_growth(proc)
         # Each GPT2 write of the fix needs PVM's assistance (2n switches).
         self.priced_gpt_writes(ctx, proc, fix.entry_writes)
-        self.prefaulter.arm(proc.pid, vpn)
         # (7): the iret hypercall into PVM.
-        sw.vm_exit(clock, cpu, "hypercall:iret")
-        clock.now += self._hypercall_ns
-        self._hypercall_counts["iret"] += 1
+        self._iret_hypercall(ctx)
         # (8): the prefault optimization fills SPT12 on the iret path,
         # avoiding the otherwise-inevitable shadow-stale fault.  The fix's
         # PTE is the guest entry now covering ``vpn``.
-        if self.prefaulter.take(proc.pid, vpn):
+        prefaulter = self.prefaulter
+        if prefaulter.enabled:
+            prefaulter.fills += 1
             self._sync_shadow(ctx, proc, vpn, fix.pte, self._prefault_ns)
         # (9)-(10): back to the L2 user.
         sw.vm_enter(clock, cpu, _USER)
@@ -368,7 +367,10 @@ class PvmMachine(PvmSwitcherMachine):
         work under the SPT locks."""
         if gpt_pte.huge:
             vpn -= vpn % 512  # shadow the whole 2 MiB run at its base
-        result = self.sync_shadow(ctx, proc, vpn, gpt_pte)
+        result = self.shadow.sync(proc, vpn, gpt_pte)
+        san = self.sanitizers
+        if san is not None:
+            san.shadow.after_sync(ctx, proc, vpn, gpt_pte, result)
         self.locks.locked_fix(
             ctx.clock,
             pt_key=(proc.pid, vpn >> 9),

@@ -164,7 +164,7 @@ class ShadowManager:
                     huge=gpt_pte.huge),
                 frame=target, writable=gpt_pte.writable,
             )
-            writes += len(result.written_frames)
+            writes += result.written_frames
             if result.allocated_levels:
                 structural = True
             self._rmap.setdefault(gpt_pte.frame, set()).add((proc.pid, half, vpn))
@@ -267,18 +267,22 @@ class ShadowManager:
         return dropped
 
     def drop(self, proc: Process) -> int:
-        """Release all shadow state of a process (exec/exit)."""
+        """Release all shadow state of a process (exec/exit); returns the
+        shadow entries dropped.  Each table goes in one pass
+        (:meth:`PageTable.release_each`), freeing its frames in the
+        page-by-page order."""
         dropped = 0
         for half in ("user", "kernel"):
             table = self._spts.pop((proc.pid, half), None)
             if table is None:
                 continue
-            for vpn, pte in list(table.iter_mappings()):
+
+            def forget(vpn: int, pte: Pte, half: str = half) -> None:
                 entries = self._rmap.get(self._rmap_gfn_of(pte))
                 if entries is not None:
                     entries.discard((proc.pid, half, vpn))
-                dropped += 1
-            table.release()
+
+            dropped += table.release_each(forget)
         return dropped
 
     # -- internals -----------------------------------------------------------------------------

@@ -41,6 +41,11 @@ class SptLockManager:
         self.meta_lock = SimLock("pvm-meta_lock", events)
         self.pt_locks = LockSet("pvm-pt_lock", events)
         self.rmap_locks = LockSet("pvm-rmap_lock", events)
+        # The sets' member dicts (never rebound; ``reset`` clears them in
+        # place), read directly so a fix on an existing lock makes no
+        # ``LockSet.get`` call.
+        self._pt_members = self.pt_locks._locks
+        self._rmap_members = self.rmap_locks._locks
         #: Optional LockdepSanitizer; see :meth:`install_lockdep`.
         self.lockdep = None
 
@@ -99,16 +104,21 @@ class SptLockManager:
                     overhead_ns=self.costs.mmu_lock_op,
                 )
                 return
-            # Lock-free portion first (walk + target computation).
-            clock.advance(work_ns)
+            # Lock-free portion first (walk + target computation); the
+            # cost was validated above.
+            clock.now += work_ns
             hold = self.costs.finegrained_lock_hold
             op = self.costs.finegrained_lock_op
             if structural:
                 self.meta_lock.run_locked(clock, hold_ns=hold, overhead_ns=op)
-            self.pt_locks.get(pt_key).run_locked(clock, hold_ns=hold,
-                                                 overhead_ns=op)
-            self.rmap_locks.get(gfn).run_locked(clock, hold_ns=hold,
-                                                overhead_ns=op)
+            lock = self._pt_members.get(pt_key)
+            if lock is None:
+                lock = self.pt_locks.get(pt_key)
+            lock.run_locked(clock, hold_ns=hold, overhead_ns=op)
+            lock = self._rmap_members.get(gfn)
+            if lock is None:
+                lock = self.rmap_locks.get(gfn)
+            lock.run_locked(clock, hold_ns=hold, overhead_ns=op)
         finally:
             if ld is not None:
                 ld.end_op()

@@ -49,8 +49,10 @@ Sites
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
+
+from repro.hw.events import Counter
 
 
 SITE_CONTAINER_BOOT = "container.boot"
@@ -137,7 +139,7 @@ class FaultPlan:
         self._injectors: Dict[str, List[Injector]] = {}
         self._streams: Dict[str, random.Random] = {}
         #: Fire counts by site.
-        self.counts: Dict[str, int] = {}
+        self.counts = Counter("faults")
 
     # -- construction ----------------------------------------------------
 
@@ -189,7 +191,7 @@ class FaultPlan:
                 continue
             if self._stream(site).random() < inj.probability:
                 inj.fires += 1
-                self.counts[site] = self.counts.get(site, 0) + 1
+                self.counts[site] += 1
                 if events is not None:
                     events.faults_injected[site] += 1
                 return True
@@ -205,7 +207,7 @@ class FaultPlan:
                 continue
             if self._stream(site).random() < inj.probability:
                 inj.fires += 1
-                self.counts[site] = self.counts.get(site, 0) + 1
+                self.counts[site] += 1
                 if events is not None:
                     events.faults_injected[site] += 1
                 return inj.stall_ns
@@ -234,7 +236,7 @@ class FaultPlan:
     @property
     def total_fires(self) -> int:
         """Firings across all sites."""
-        return sum(self.counts.values())
+        return self.counts.total
 
     def snapshot(self) -> Dict[str, int]:
         """Fire counts by site (sorted keys; safe for bit-identity checks)."""

@@ -135,8 +135,11 @@ class AddressSpace:
     def vma_at(self, vpn: int) -> Vma:
         """The VMA covering ``vpn``; raises :class:`SegfaultError`."""
         idx = bisect.bisect_right(self._starts, vpn) - 1
-        if idx >= 0 and self._vmas[idx].contains(vpn):
-            return self._vmas[idx]
+        if idx >= 0:
+            vma = self._vmas[idx]
+            # :meth:`Vma.contains`, inlined (it runs once per fault).
+            if vma.start_vpn <= vpn < vma.start_vpn + vma.npages:
+                return vma
         raise SegfaultError(vpn << PAGE_SHIFT)
 
     def covers(self, vpn: int) -> bool:

@@ -107,36 +107,44 @@ class GuestKernel:
         return proc
 
     def exit_process(self, proc: Process) -> int:
-        """Tear down a process; returns the number of frames released."""
+        """Tear down a process; returns the number of frames released.
+
+        Frames go back in the order unmapping page by page would free
+        them (guest RAM streams, so the order is observable), in one
+        pass over the table (:meth:`PageTable.release_each`).
+        """
         if not proc.alive:
             raise HardwareError(f"double exit of pid {proc.pid}")
         from repro.hw.memory import FrameRange
         from repro.hw.pagetable import HUGE_PAGE_PAGES
 
         released = 0
-        for vpn, pte in list(proc.gpt.iter_mappings()):
+
+        def release(vpn: int, pte: Pte) -> None:
+            nonlocal released
             if pte.huge:
-                proc.gpt.unmap_huge(vpn)
                 self.phys.free(FrameRange(pte.frame, HUGE_PAGE_PAGES))
                 released += HUGE_PAGE_PAGES
-                continue
-            proc.gpt.unmap(vpn)
-            released += self._put_frame(proc, vpn, pte)
-        proc.gpt.release()
+            else:
+                released += self._put_frame(proc, vpn, pte)
+
+        proc.gpt.release_each(release)
         proc.alive = False
         del self.processes[proc.pid]
         return released
 
     # -- demand paging --------------------------------------------------------
 
-    def fix_fault(self, proc: Process, vpn: int, access: AccessType) -> GptFix:
+    def fix_fault(self, proc: Process, vpn: int, access: AccessType,
+                  existing: Optional[Pte]) -> GptFix:
         """Service a page fault by updating the guest page table.
 
-        Raises :class:`SegfaultError` if no VMA covers the page or the
-        access violates the VMA's permissions.
+        ``existing`` is the guest entry covering ``vpn`` (None when
+        unmapped), as the fault handler looked it up.  Raises
+        :class:`SegfaultError` if no VMA covers the page or the access
+        violates the VMA's permissions.
         """
         vma = proc.addr_space.vma_at(vpn)
-        existing = proc.gpt.lookup(vpn)
         if existing is not None:
             return self._fix_present_fault(proc, vma, vpn, existing, access)
         if access is AccessType.WRITE and not vma.writable:
@@ -164,8 +172,8 @@ class GuestKernel:
         return GptFix(
             vpn=vpn,
             pte=pte,
-            levels_allocated=max(1, len(result.allocated_levels)),
-            entry_writes=len(result.written_frames),
+            levels_allocated=max(1, result.allocated_levels),
+            entry_writes=result.written_frames,
             file_backed=vma.kind == "file",
         )
 
@@ -218,8 +226,8 @@ class GuestKernel:
         return GptFix(
             vpn=base,
             pte=pte,
-            levels_allocated=max(1, len(result.allocated_levels)),
-            entry_writes=len(result.written_frames),
+            levels_allocated=max(1, result.allocated_levels),
+            entry_writes=result.written_frames,
             huge=True,
         )
 
@@ -280,7 +288,7 @@ class GuestKernel:
         huge_bases = [v for v, p in proc.gpt.iter_mappings() if p.huge]
         for base in huge_bases:
             result = proc.gpt.split_huge(base)
-            parent_writes += len(result.written_frames)
+            parent_writes += result.written_frames
         for vpn, pte in proc.gpt.iter_mappings():
             if pte.writable:
                 proc.gpt.protect(vpn, writable=False)
@@ -295,7 +303,7 @@ class GuestKernel:
                 executable=pte.executable,
             )
             result = child.gpt.map(vpn, child_pte)
-            child_writes += len(result.written_frames)
+            child_writes += result.written_frames
             shared += 1
         return ForkWork(
             child=child,

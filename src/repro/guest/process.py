@@ -10,7 +10,7 @@ we model both tables explicitly because PVM's dual *shadow* tables
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Set
+from typing import Optional, Set
 
 from repro.guest.addrspace import AddressSpace
 from repro.hw.pagetable import PageTable

@@ -266,6 +266,12 @@ class PhysicalMemory:
         if self.size_bytes % PAGE_SIZE:
             raise ValueError("memory size must be page-aligned")
         self.allocator = FrameAllocator(self.size_bytes >> PAGE_SHIFT, policy=self.policy)
+        #: One-frame allocation and release are the allocator's own
+        #: methods (:meth:`FrameAllocator.alloc_frame`/``free_frame``),
+        #: bound here so a page-table node or a backing frame costs one
+        #: call.  The allocator is never rebound.
+        self.alloc_frame = self.allocator.alloc_frame
+        self.free_frame = self.allocator.free_frame
 
     @property
     def total_frames(self) -> int:
@@ -276,14 +282,6 @@ class PhysicalMemory:
     def free_frames(self) -> int:
         """Frames currently available."""
         return self.allocator.free_frames
-
-    def alloc_frame(self, tag: str = "anon", prefer_recycled: bool = False) -> int:
-        """Allocate one frame; returns its frame number."""
-        return self.allocator.alloc_frame(tag, prefer_recycled=prefer_recycled)
-
-    def free_frame(self, frame: int) -> None:
-        """Return one frame to the pool."""
-        self.allocator.free_frame(frame)
 
     def alloc_aligned(self, count: int, tag: str = "anon") -> FrameRange:
         """Allocate naturally-aligned contiguous frames."""

@@ -211,6 +211,14 @@ class Mmu:
         at its table's leaf-table index: a hit is one probe plus one
         entry read; the loop runs only for a missing leaf table or a
         2 MiB entry.
+
+        The node legs of an indexed guest leaf table are memoized on its
+        node (``ept_memo``): the EPT leaf entries they reached, valid
+        while ``ept.stamp`` is unchanged.  Node legs are reads, which
+        only fail on a missing entry, and only a removal (which bumps the
+        stamp) takes an entry away; so a hit charges the legs at
+        full depth in one add, sets their accessed bits and runs only
+        the guest leaf frame's leg.
         """
         akey = asid.key
         entry = self._tlb_get((akey << KEY_SHIFT) | vpn)
@@ -234,7 +242,6 @@ class Mmu:
         guest_huge = False
         hit = gpt.leaves.get((vpn >> LEVEL_BITS) & gpt.leaf_key_mask)
         if hit is not None:
-            frames = [*hit[2]]
             level = 1
             pte = hit[0].entries.get(vpn & _INDEX_MASK)
             if pte is None:
@@ -270,15 +277,30 @@ class Mmu:
         pte.accessed = True
         if access is _WRITE:
             pte.dirty = True
-        frames.append(pte.frame + vpn % HUGE_PAGE_PAGES if guest_huge
-                      else pte.frame)
         # Extended dimension: one leg per guest node frame (a read), then
         # the guest leaf frame with the real access.  Every leg is charged
         # at full depth, the faulting one included.
         leg_ns = ept.levels * self._step_1d_ns
+        memo_node = None
+        if hit is None:
+            frames.append(pte.frame + vpn % HUGE_PAGE_PAGES if guest_huge
+                          else pte.frame)
+        else:
+            memo = hit[0].ept_memo
+            if memo is not None and memo[0] == ept.stamp:
+                # The memoized node legs, charged and marked as the loop
+                # below would; only the guest leaf frame's leg runs.
+                clock.now += len(memo[1]) * leg_ns
+                for leaf in memo[1]:
+                    leaf.accessed = True
+                frames = (pte.frame,)
+            else:
+                memo_node = hit[0]
+                frames = (*hit[2], pte.frame)
         ept_leaves = ept.leaves
         ept_mask = ept.leaf_key_mask
         last = len(frames) - 1
+        reached = []
         for i, gfn in enumerate(frames):
             clock.now += leg_ns
             leg_access = access if i == last else _READ
@@ -315,6 +337,10 @@ class Mmu:
             leaf.accessed = True
             if leg_access is _WRITE:
                 leaf.dirty = True
+            if i < last:
+                reached.append(leaf)
+        if memo_node is not None:
+            memo_node.ept_memo = (ept.stamp, tuple(reached))
         # ``level`` is where the leaf leg ended: 2 for a huge EPT entry.
         # A guest-huge translation can only fill a huge TLB entry when the
         # extended dimension preserves contiguity, i.e. that leaf is huge.

@@ -65,6 +65,10 @@ _FETCH_BIT = PageFaultError.FETCH.value
 #: The :class:`Pte` fields :meth:`PageTable.protect` may change.
 _PROTECTION_FLAGS = frozenset({"writable", "user", "executable", "global_"})
 
+#: :attr:`PageTable.stamp` values of one table stay below the next
+#: table's start (``uid << _STAMP_BITS``).
+_STAMP_BITS = 40
+
 
 @dataclass(slots=True)
 class Pte:
@@ -108,15 +112,23 @@ class Pte:
 
 
 class PageTableNode:
-    """One table page of the radix tree, backed by a physical frame."""
+    """One table page of the radix tree, backed by a physical frame.
 
-    __slots__ = ("level", "frame", "entries")
+    ``ept_memo`` is only used on the level-1 nodes of tables the MMU
+    walks nested over an extended table: ``(stamp, entries)``, the
+    extended table's :attr:`PageTable.stamp` when this node was last
+    walked over it and the extended leaf entries that translate the
+    frames of this node's root-down path (see :meth:`Mmu.access_2d`).
+    """
+
+    __slots__ = ("level", "frame", "entries", "ept_memo")
 
     def __init__(self, level: int, frame: int) -> None:
         self.level = level
         self.frame = frame
         # Sparse storage: index -> child node (level > 1) or Pte (level 1).
         self.entries: Dict[int, object] = {}
+        self.ept_memo: Optional[Tuple[int, Tuple[Pte, ...]]] = None
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<PTNode L{self.level} frame={self.frame:#x} n={len(self.entries)}>"
@@ -150,17 +162,19 @@ class WalkResult:
 class MapResult(NamedTuple):
     """Outcome of a map operation (an immutable record).
 
-    ``allocated_levels`` lists the levels (root-down) at which new table
-    nodes had to be allocated; its length is the "number of page table
-    levels" updated — the ``n`` of the paper's fault-path formulas.
+    ``allocated_levels`` counts the new table nodes the install had to
+    allocate (one per level below the deepest existing node): the
+    "number of page table levels" updated — the ``n`` of the paper's
+    fault-path formulas.
     """
 
     pte: Pte
-    allocated_levels: Tuple[int, ...]
-    #: Frames written while installing the mapping (one per level touched),
-    #: root-down, ending with the leaf table's frame.  Shadow paging uses
-    #: these to detect guest writes to write-protected table frames.
-    written_frames: Tuple[int, ...]
+    allocated_levels: int
+    #: Table entries written while installing the mapping: one per
+    #: allocated node (linking it into its parent) plus the entries
+    #: written in the bottom node.  Each is a write-protect trap under
+    #: shadow paging.
+    written_frames: int
 
 
 class PageTable:
@@ -221,6 +235,14 @@ class PageTable:
         #: Monotonic counters for tests/accounting.
         self.node_allocations = 1
         self.entry_writes = 0
+        #: Presence stamp: bumped by every entry removal and by
+        #: :meth:`destroy`/:meth:`release`, and unique across tables
+        #: (each counts up from ``uid << 40``).  While it is unchanged,
+        #: every entry seen earlier is still in the table — installs
+        #: only add entries, and permission and frame updates change the
+        #: same :class:`Pte` in place — so :meth:`Mmu.access_2d`
+        #: validates its guest-path memos with it.
+        self.stamp = self.uid << _STAMP_BITS
         #: Optional hook invoked before any entry write with the frame
         #: being written; shadow paging installs a write-protect check.
         self.write_hook: Optional[Callable[[int], None]] = None
@@ -249,14 +271,13 @@ class PageTable:
         Raises :class:`HardwareError` if the page is already mapped;
         callers must unmap first (matching how kernels treat PTE reuse).
         """
-        node, allocated, written = self._descend(vpn, 1)
+        node, allocated = self._descend(vpn, 1)
         idx = vpn & _INDEX_MASK
         if node.level != 1 or idx in node.entries:
             raise HardwareError(f"{self.name}: vpn {vpn:#x} already mapped")
         self._write_entry(node, idx, pte)
-        written.append(node.frame)
         self.mapped_pages += 1
-        return MapResult(pte, tuple(allocated), tuple(written))
+        return MapResult(pte, allocated, allocated + 1)
 
     def map_huge(self, vpn_base: int, pte: Pte) -> MapResult:
         """Install one 2 MiB mapping at a 512-page-aligned base.
@@ -266,16 +287,15 @@ class PageTable:
         """
         self._check_huge_base(vpn_base)
         pte.huge = True
-        node, allocated, written = self._descend(vpn_base, 2)
+        node, allocated = self._descend(vpn_base, 2)
         idx = (vpn_base >> LEVEL_BITS) & _INDEX_MASK
         if idx in node.entries:
             raise HardwareError(
                 f"{self.name}: level-2 slot for {vpn_base:#x} already used"
             )
         self._write_entry(node, idx, pte)
-        written.append(node.frame)
         self.mapped_pages += HUGE_PAGE_PAGES
-        return MapResult(pte, tuple(allocated), tuple(written))
+        return MapResult(pte, allocated, allocated + 1)
 
     def unmap_huge(self, vpn_base: int) -> Pte:
         """Remove a 2 MiB mapping; returns its PTE."""
@@ -306,16 +326,15 @@ class PageTable:
         page-table churn COW-on-fork forces onto huge pages.
         """
         pte = self.unmap_huge(vpn_base)
-        node, allocated, written = self._descend(vpn_base, 1)
+        node, allocated = self._descend(vpn_base, 1)
         # The base is 512-aligned, so page i of the run sits at index i.
         for i in range(HUGE_PAGE_PAGES):
             small = pte.copy()
             small.huge = False
             small.frame = pte.frame + i
             self._write_entry(node, i, small)
-            written.append(node.frame)
         self.mapped_pages += HUGE_PAGE_PAGES
-        return MapResult(pte, tuple(allocated), tuple(written))
+        return MapResult(pte, allocated, allocated + HUGE_PAGE_PAGES)
 
     def ensure(self, vpn: int, pte: Pte, **flags) -> MapResult:
         """:meth:`lookup`, then :meth:`protect` or :meth:`map`, in one descent.
@@ -331,7 +350,7 @@ class PageTable:
         if pte.huge:
             self._check_huge_base(vpn)
             bottom = 2
-        node, allocated, written = self._descend(vpn, bottom)
+        node, allocated = self._descend(vpn, bottom)
         if node.level != bottom:  # a 2 MiB entry covers vpn
             idx = (vpn >> LEVEL_BITS) & _INDEX_MASK
             return self._update(node, idx, node.entries[idx], flags)
@@ -339,9 +358,8 @@ class PageTable:
         entry = node.entries.get(idx)
         if entry is None:
             self._write_entry(node, idx, pte)
-            written.append(node.frame)
             self.mapped_pages += HUGE_PAGE_PAGES if pte.huge else 1
-            return MapResult(pte, tuple(allocated), tuple(written))
+            return MapResult(pte, allocated, allocated + 1)
         if type(entry) is PageTableNode:
             # A 2 MiB install over a leaf table: the base entry decides.
             node, idx = entry, vpn & _INDEX_MASK
@@ -624,6 +642,7 @@ class PageTable:
         for frame in self.node_frames():
             self.phys.free_frame(frame)
         self.epoch += 1
+        self.stamp += 1
         self.leaves.clear()
         self.root = PageTableNode(self.levels, self.phys.alloc_frame(tag=self._tag))
         self.node_allocations += 1
@@ -636,19 +655,73 @@ class PageTable:
         for frame in self.node_frames():
             self.phys.free_frame(frame)
         self.epoch += 1
+        self.stamp += 1
         self.leaves.clear()
         self.root = PageTableNode(self.levels, frame=-1)
         self.mapped_pages = 0
 
+    def release_each(self, on_unmap: Callable[[int, Pte], None]) -> int:
+        """:meth:`unmap` (or :meth:`unmap_huge`) of every mapping in
+        ascending vpn order, then :meth:`release`, in one pass.  Returns
+        the mappings removed.
+
+        ``on_unmap(vpn, old pte)`` runs as page-by-page unmapping would
+        have it run: right after the entry's removal, so a table node
+        freed because its last entry went is freed before that entry's
+        callback.  Nodes that never empty are left to :meth:`release`.
+        The pass visits each node once and writes no entries one by one
+        (the table is going away); ``on_unmap`` must not change it.
+        """
+        free = self.phys.free_frame
+        removed = 0
+
+        def prune(chain) -> None:
+            # :meth:`_prune` over ``(node, parent, index in parent)``,
+            # bottom-up: free each node that has just emptied.
+            for node, parent, idx in chain:
+                if node.entries:
+                    return
+                free(node.frame)
+                del parent.entries[idx]
+
+        def drain(node: PageTableNode, prefix: int, chain) -> None:
+            nonlocal removed
+            entries = node.entries
+            keys = sorted(entries)
+            if node.level == 1:
+                if not keys:
+                    return
+                last = keys.pop()
+                for idx in keys:
+                    on_unmap(prefix | idx, entries[idx])
+                pte = entries[last]
+                entries.clear()
+                prune(chain)
+                on_unmap(prefix | last, pte)
+                removed += len(keys) + 1
+                return
+            for idx in keys:
+                child = entries[idx]
+                if type(child) is PageTableNode:
+                    drain(child, (prefix | idx) << LEVEL_BITS,
+                          ((child, node, idx), *chain))
+                else:  # a 2 MiB entry
+                    del entries[idx]
+                    prune(chain)
+                    on_unmap((prefix | idx) << LEVEL_BITS, child)
+                    removed += 1
+
+        drain(self.root, 0, ())
+        self.release()
+        return removed
+
     # -- internals -------------------------------------------------------
 
-    def _descend(
-        self, vpn: int, bottom: int
-    ) -> Tuple[PageTableNode, List[int], List[int]]:
+    def _descend(self, vpn: int, bottom: int) -> Tuple[PageTableNode, int]:
         """The level-``bottom`` node on ``vpn``'s path, grown on demand.
 
-        Returns the node, the levels of the nodes allocated on the way
-        (root-down) and the frames written to link them in.  When a
+        Returns the node and how many nodes were allocated on the way
+        (each one entry write, linking it into its parent).  When a
         2 MiB entry covers ``vpn`` above ``bottom``, the level-2 node
         holding it is returned instead.  A level-1 node it allocates
         enters the leaf-table index.
@@ -656,31 +729,31 @@ class PageTable:
         if bottom == 1:
             hit = self.leaves.get((vpn >> LEVEL_BITS) & self.leaf_key_mask)
             if hit is not None:
-                return hit[0], [], []
+                return hit[0], 0
         node = self.root
         nodes = [node]
-        allocated: List[int] = []
-        written: List[int] = []
+        allocated = 0
         for level in range(self.levels, bottom, -1):
             idx = (vpn >> (level - 1) * LEVEL_BITS) & _INDEX_MASK
             child = node.entries.get(idx)
             if child is None:
-                frame = self.phys.alloc_frame(tag=self._tag)
-                child = PageTableNode(level - 1, frame)
+                child = PageTableNode(level - 1,
+                                      self.phys.alloc_frame(self._tag))
                 self._write_entry(node, idx, child)
-                written.append(node.frame)
-                allocated.append(level - 1)
                 self.node_allocations += 1
+                allocated += 1
             elif type(child) is not PageTableNode:
                 if child.huge and level == 2:
                     break
                 raise HardwareError(f"{self.name}: corrupt non-leaf at L{level}")
             node = child
             nodes.append(node)
-        if allocated and allocated[-1] == 1:
+        if allocated and node.level == 1:
+            # Below a new node everything is new: this level-1 node was
+            # allocated here.
             self.leaves[(vpn >> LEVEL_BITS) & self.leaf_key_mask] = (
                 node, tuple(nodes), tuple(n.frame for n in nodes))
-        return node, allocated, written
+        return node, allocated
 
     def _prune(self, vpn: int, nodes: Sequence[PageTableNode]) -> None:
         """Free the last of ``nodes`` — ``vpn``'s path from the root —
@@ -715,6 +788,7 @@ class PageTable:
             self.write_hook(node.frame)
         if value is None:
             node.entries.pop(idx, None)
+            self.stamp += 1
         else:
             node.entries[idx] = value
         self.entry_writes += 1
@@ -724,14 +798,14 @@ class PageTable:
         """Apply ``flags`` to an existing entry in place (one entry
         write, none without flags); the :meth:`ensure` result."""
         if not flags:
-            return MapResult(pte, (), ())
+            return MapResult(pte, 0, 0)
         unknown = flags.keys() - _PROTECTION_FLAGS - {"frame"}
         if unknown:
             raise ValueError(f"not a PTE update flag: {sorted(unknown)}")
         for key, value in flags.items():
             setattr(pte, key, value)
         self._write_entry(node, idx, pte)
-        return MapResult(pte, (), (node.frame,))
+        return MapResult(pte, 0, 1)
 
     def _leaf_of(self, vpn: int) -> Optional[Tuple[PageTableNode, int, Pte]]:
         """``(node, index, entry)`` of the entry covering ``vpn`` (a

@@ -146,11 +146,12 @@ class Tlb:
                       global_: bool = False, huge: bool = False) -> None:
         """Hot-path fill by pre-packed ASID key."""
         entries = self._entries
+        # :func:`_keyhuge` / :func:`_key4k`, inlined.
         if huge:
-            key = _keyhuge(akey, vpn)
+            key = (akey << KEY_SHIFT) | HUGE_TAG | (vpn >> 9)
             frame -= vpn % HUGE_SPAN
         else:
-            key = _key4k(akey, vpn)
+            key = (akey << KEY_SHIFT) | vpn
         if key in entries:
             # Refresh: move to the back of the FIFO order.
             del entries[key]

@@ -669,19 +669,27 @@ class Machine(abc.ABC):
 
     def on_guest_fault(self, ctx: CpuCtx, proc: Process, fault: PageFault) -> None:
         """Guest #PF on a hardware-walked guest table: handled entirely
-        inside the guest, no exit.  Shadow and direct paging override."""
-        self.guest_internal_transition(ctx)
-        ctx.clock.advance(self.costs.pf_delivery)
-        fix = self.kernel.fix_fault(proc, fault.vaddr >> 12, fault.access)
-        ctx.clock.advance(
-            self.fault_body_ns(proc, fix)
-            + fix.entry_writes * self.costs.pte_write
-        )
-        self.guest_internal_transition(ctx)  # iret back to user
+        inside the guest, no exit — one guest-internal switch in, one
+        (the iret) out.  Shadow and direct paging override."""
+        clock = ctx.clock
+        counts = self._guest_counts
+        trace = self._trace
+        counts[_KEY_GUEST] += 1
+        if trace is not None:
+            trace.append(TraceEvent(clock.now, ctx.cpu_id, "switch", _KEY_GUEST))
+        # The costs are validated non-negative ints (see ``CostModel``).
+        clock.now += self.costs.pf_delivery
+        vpn = fault.vaddr >> 12
+        fix = self.kernel.fix_fault(proc, vpn, fault.access,
+                                    proc.gpt.lookup(vpn))
+        clock.now += (self.fault_body_ns(proc, fix)
+                      + fix.entry_writes * self.costs.pte_write)
+        counts[_KEY_GUEST] += 1
         self._fault_counts[_KEY_GUEST_PT] += 1
-        if self._trace is not None:
-            self._trace.append(TraceEvent(ctx.clock.now, ctx.cpu_id, "fault",
-                                          _KEY_GUEST_PT))
+        if trace is not None:
+            trace.append(TraceEvent(clock.now, ctx.cpu_id, "switch", _KEY_GUEST))
+            trace.append(TraceEvent(clock.now, ctx.cpu_id, "fault",
+                                    _KEY_GUEST_PT))
 
     def on_ept_violation(self, ctx: CpuCtx, proc: Process, violation) -> None:
         """Extended-dimension fault dance of machines that price one."""
@@ -759,15 +767,6 @@ class Machine(abc.ABC):
             self.shadow.drop(proc)
 
     # -- shared plumbing -----------------------------------------------------
-
-    def sync_shadow(self, ctx: CpuCtx, proc: Process, vpn: int, gpt_pte):
-        """Install the shadow entries for one guest PTE (the caller
-        charges the lock work) and audit them when sanitizers are on."""
-        result = self.shadow.sync(proc, vpn, gpt_pte)
-        san = self.sanitizers
-        if san is not None:
-            san.shadow.after_sync(ctx, proc, vpn, gpt_pte, result)
-        return result
 
     def audit_zap(self, ctx: CpuCtx, proc: Process, vpns) -> None:
         """Sanitizer hook after ``invalidate_pages`` zapped shadow state."""

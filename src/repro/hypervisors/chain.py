@@ -35,7 +35,7 @@ def install_ept(ept: PageTable, gfn: int, target: int) -> int:
     descent either way.  Returns the levels written."""
     result = ept.ensure(gfn, Pte(frame=target, writable=True, user=False),
                         writable=True)
-    return len(result.written_frames)
+    return result.written_frames
 
 
 def install_huge_ept(ept: PageTable, base: int, target: int) -> None:
@@ -132,13 +132,16 @@ class MemoryChain:
 
     def fill_ept(self, ept: PageTable, frame: int,
                  huge_base: Optional[int]) -> int:
-        """Fill (or upgrade) the EPT entry for one bottom-level frame,
-        backing it lazily; returns the levels written.
+        """Fill the EPT entry for one bottom-level frame after a
+        violation on it, backing it lazily; returns the levels written.
 
-        When ``huge_base`` names the 2 MiB run holding an unmapped frame,
-        the whole run is backed by one huge entry (one level).
+        When ``huge_base`` names the 2 MiB run holding the frame, the
+        whole run is backed by one huge entry (one level), in one
+        descent.  No entry covers a violating frame: extended entries
+        are installed writable and executable and never downgraded, so
+        only a missing entry faults.
         """
-        if huge_base is not None and ept.lookup(frame) is None:
+        if huge_base is not None:
             install_huge_ept(ept, huge_base, self.backing_block(huge_base))
             return 1
         return install_ept(ept, frame, self.backing_frame(frame))

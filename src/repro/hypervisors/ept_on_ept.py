@@ -50,7 +50,8 @@ class EptOnEptMachine(NestedVmxMixin, Machine):
         A guest 2 MiB run gets huge EPT12 and EPT02 entries: the same
         dance, but one entry covers 512 pages."""
         gfn2 = violation.gpa >> 12
-        base2 = self.huge_block_base(gfn2)
+        base2 = (self.huge_block_base(gfn2) if self._huge_gfn_bases
+                 else None)
         if base2 is None:
             gfn1 = self.memory.gfn1_for(gfn2)
             writes = install_ept(self.ept12, gfn2, gfn1)

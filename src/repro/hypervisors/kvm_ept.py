@@ -79,8 +79,10 @@ class KvmEptMachine(KvmMachine):
         self.hw_exit_entry(ctx, _HW_L1_L0)  # VM exit
         self._l0_counts["ept-violation"] += 1
         gfn = violation.gpa >> 12
-        levels = self.memory.fill_ept(self.ept01, gfn, self.huge_block_base(gfn))
-        ctx.clock.advance(levels * self.costs.ept_fix_per_level)
+        levels = self.memory.fill_ept(
+            self.ept01, gfn,
+            self.huge_block_base(gfn) if self._huge_gfn_bases else None)
+        ctx.clock.now += levels * self.costs.ept_fix_per_level
         self.hw_exit_entry(ctx, _HW_L1_L0)  # VM entry
         self._fault_counts[_KEY_SHADOW_PT] += 1
         if self._trace is not None:

@@ -52,7 +52,10 @@ class KvmShadowMixin:
     def _sync_spte(self, ctx: CpuCtx, proc: Process, vpn: int,
                    gpt_pte: Pte) -> None:
         """Install one shadow PTE from the guest PTE, under the lock."""
-        result = self.sync_shadow(ctx, proc, vpn, gpt_pte)
+        result = self.shadow.sync(proc, vpn, gpt_pte)
+        san = self.sanitizers
+        if san is not None:
+            san.shadow.after_sync(ctx, proc, vpn, gpt_pte, result)
         self._shadow_locked(
             ctx, self.costs.mmu_lock_hold
             + result.entry_writes * self.costs.spt_sync_per_entry)
@@ -126,7 +129,7 @@ class KvmSptMachine(KvmShadowMixin, KvmMachine):
         self.events.injections["#PF"] += 1
         self.hw_exit_entry(ctx, _HW_L1_L0)  # VM entry (to handler)
         ctx.clock.advance(self.costs.pf_delivery)
-        fix = self.kernel.fix_fault(proc, vpn, fault.access)
+        fix = self.kernel.fix_fault(proc, vpn, fault.access, gpt_pte)
         ctx.clock.advance(self.fault_body_ns(proc, fix))
         # Each guest PTE write trapped under write protection.
         self.priced_gpt_writes(ctx, proc, fix.entry_writes)

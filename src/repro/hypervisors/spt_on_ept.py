@@ -68,7 +68,7 @@ class SptOnEptMachine(KvmShadowMixin, NestedVmxMixin, Machine):
         self.events.injections["#PF"] += 1
         self.l1_resume_l2(ctx)
         ctx.clock.advance(self.costs.pf_delivery)
-        fix = self.kernel.fix_fault(proc, vpn, fault.access)
+        fix = self.kernel.fix_fault(proc, vpn, fault.access, gpt_pte)
         ctx.clock.advance(self.fault_body_ns(proc, fix))
         # Every GPT2 write needs L1's assistance — each one a full
         # L2 -> L0 -> L1 -> L0 -> L2 round (4 switches, 2 L0 exits).

@@ -14,7 +14,6 @@ network I/O with a constant nested penalty for kvm (NST).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
 
 from repro.faults import SITE_VIRTIO_COMPLETION, IoCompletionError
 from repro.hw.types import KIB

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.faults import SITE_MEMORY_PRESSURE, FaultPlan
 from repro.hw.types import PAGE_SHIFT

@@ -29,7 +29,7 @@ never create edges — matching the timeline-lock semantics.
 from __future__ import annotations
 
 import traceback
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.sanitize.core import SanitizeReport, Violation
 

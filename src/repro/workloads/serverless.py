@@ -15,7 +15,7 @@ from typing import Generator, List
 
 from repro.containers.runtime import RunDRuntime, RuntimeError_
 from repro.guest.process import Process
-from repro.hw.types import KIB, MIB
+from repro.hw.types import KIB
 from repro.hypervisors.base import CpuCtx, Machine
 from repro.sim.engine import Engine, SimTask
 from repro.workloads.ops import gen_stepper

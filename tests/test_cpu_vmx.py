@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core.prefault import Prefaulter
 from repro.hw.cpu import (
     MSR_CORE_PERF_GLOBAL_CTRL,
     MSR_LSTAR,
@@ -10,7 +9,7 @@ from repro.hw.cpu import (
     SharedIfWord,
     VCpu,
 )
-from repro.hw.types import Asid, CpuMode, HardwareError, Ring
+from repro.hw.types import CpuMode, HardwareError, Ring
 from repro.hw.vmx import (
     ExitReason,
     PendingEvent,
@@ -128,22 +127,38 @@ class TestVmxCapabilities:
 
 
 class TestPrefaulter:
-    def test_arm_take_cycle(self):
-        p = Prefaulter(enabled=True)
-        p.arm(1, 0x100)
-        assert p.armed_count == 1
-        assert p.take(1, 0x100)
-        assert p.fills == 1
-        assert p.armed_count == 0
+    """The prefault fill, seen from the machine: it is taken in the same
+    dance that fixed the guest fault, so each fill saves exactly one
+    shadow-stale fault."""
 
-    def test_take_unarmed_misses(self):
-        p = Prefaulter(enabled=True)
-        assert not p.take(1, 0x100)
-        assert p.misses == 1
+    @staticmethod
+    def _faults(name, prefault, pages=4):
+        from repro import make_machine
+        from repro.hw.types import KIB
+        from repro.hypervisors.base import MachineConfig
 
-    def test_disabled_is_inert(self):
-        p = Prefaulter(enabled=False)
-        p.arm(1, 0x100)
-        assert p.armed_count == 0
-        assert not p.take(1, 0x100)
-        assert p.misses == 0  # disabled take is not a miss
+        m = make_machine(name, config=MachineConfig(prefault=prefault))
+        ctx = m.new_context()
+        proc = m.spawn_process()
+        vma = m.mmap(ctx, proc, pages * 4 * KIB)
+        for vpn in range(vma.start_vpn, vma.end_vpn):
+            m.touch(ctx, proc, vpn, write=True)
+        faults = m.events.page_faults
+        return (m.prefaulter.fills, faults["phase1:guest-pt"],
+                faults["phase2:shadow-pt"])
+
+    @pytest.mark.parametrize("name", ["pvm (BM)", "pvm (NST)"])
+    def test_enabled_fills_once_per_guest_fault(self, name):
+        fills, guest, _ = self._faults(name, prefault=True)
+        assert fills == guest == 4
+
+    @pytest.mark.parametrize("name", ["pvm (BM)", "pvm (NST)"])
+    def test_enabled_leaves_no_shadow_stale_fault(self, name):
+        _, guest, stale = self._faults(name, prefault=True)
+        assert (guest, stale) == (4, 0)
+
+    @pytest.mark.parametrize("name", ["pvm (BM)", "pvm (NST)"])
+    def test_disabled_pays_one_shadow_stale_fault_each(self, name):
+        fills, guest, stale = self._faults(name, prefault=False)
+        assert fills == 0
+        assert guest == stale == 4

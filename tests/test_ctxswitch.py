@@ -1,7 +1,5 @@
 """Tests for the context-switch workload and PCID-mapping interaction."""
 
-import pytest
-
 from repro import make_machine
 from repro.hypervisors.base import MachineConfig
 from repro.workloads.ctxswitch import measure_hop_ns, token_ring

@@ -5,7 +5,7 @@ import pytest
 from repro import make_machine
 from repro.guest.addrspace import SegfaultError
 from repro.hw.events import diff_snapshots
-from repro.hw.types import KIB, MIB
+from repro.hw.types import MIB
 from repro.hypervisors.base import MachineConfig
 
 

@@ -6,7 +6,6 @@ fully and import-check the rest.
 """
 
 import runpy
-import sys
 from pathlib import Path
 
 import pytest

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro import make_machine
 from repro.bench.harness import (
     HOST_CORES,
     SCENARIOS_BM,

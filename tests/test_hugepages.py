@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import SCENARIOS, make_machine
+from repro import make_machine
 from repro.guest.kernel import GuestKernel
 from repro.hw.costs import DEFAULT_COSTS
 from repro.hw.memory import PhysicalMemory
@@ -10,6 +10,7 @@ from repro.hw.pagetable import HUGE_PAGE_PAGES, PageTable, Pte
 from repro.hw.tlb import Tlb
 from repro.hw.types import MIB, AccessType, Asid, PageFault
 from repro.hypervisors.base import MachineConfig
+from tests.test_kernel import fault_in
 
 
 HUGE_MIB = 2 * MIB
@@ -36,7 +37,7 @@ class TestPageTableHuge:
     def test_one_entry_write(self, pt):
         result = pt.map_huge(0, Pte(frame=0x1000))
         # Root->PDPT->PD path plus the single level-2 entry.
-        assert len(result.written_frames) == 3
+        assert result.written_frames == 3
 
     def test_lookup_returns_shared_pte(self, pt):
         pt.map_huge(0, Pte(frame=0x1000))
@@ -57,7 +58,7 @@ class TestPageTableHuge:
     def test_split_huge(self, pt):
         pt.map_huge(0, Pte(frame=0x1000, writable=True))
         result = pt.split_huge(0)
-        assert len(result.written_frames) >= HUGE_PAGE_PAGES
+        assert result.written_frames >= HUGE_PAGE_PAGES
         assert pt.mapped_pages == HUGE_PAGE_PAGES
         assert not pt.lookup(3).huge
         assert pt.lookup(3).frame == 0x1003
@@ -114,7 +115,7 @@ class TestKernelThp:
     def test_aligned_large_vma_gets_huge(self, kernel):
         proc = kernel.create_process()
         vma = kernel.sys_mmap(proc, 4 * MIB)
-        fix = kernel.fix_fault(proc, vma.start_vpn, AccessType.WRITE)
+        fix = fault_in(kernel, proc, vma.start_vpn, AccessType.WRITE)
         assert fix.huge
         assert fix.vpn % HUGE_PAGE_PAGES == 0
         # The whole block is mapped by one fix.
@@ -123,20 +124,20 @@ class TestKernelThp:
     def test_small_vma_stays_4k(self, kernel):
         proc = kernel.create_process()
         vma = kernel.sys_mmap(proc, 64 << 10)  # 16 pages
-        fix = kernel.fix_fault(proc, vma.start_vpn, AccessType.WRITE)
+        fix = fault_in(kernel, proc, vma.start_vpn, AccessType.WRITE)
         assert not fix.huge
 
     def test_file_mappings_never_huge(self, kernel):
         proc = kernel.create_process()
         vma = kernel.sys_mmap(proc, 4 * MIB, kind="file", file_key="f")
-        fix = kernel.fix_fault(proc, vma.start_vpn, AccessType.READ)
+        fix = fault_in(kernel, proc, vma.start_vpn, AccessType.READ)
         assert not fix.huge
 
     def test_munmap_returns_block(self, kernel):
         proc = kernel.create_process()
         free0 = kernel.phys.free_frames
         vma = kernel.sys_mmap(proc, 2 * MIB)
-        kernel.fix_fault(proc, vma.start_vpn, AccessType.WRITE)
+        fault_in(kernel, proc, vma.start_vpn, AccessType.WRITE)
         kernel.sys_munmap(proc, vma)
         # Page-table nodes may persist... full teardown via exit:
         kernel.exit_process(proc)
@@ -146,7 +147,7 @@ class TestKernelThp:
     def test_fork_splits_huge(self, kernel):
         proc = kernel.create_process()
         vma = kernel.sys_mmap(proc, 2 * MIB)
-        kernel.fix_fault(proc, vma.start_vpn, AccessType.WRITE)
+        fault_in(kernel, proc, vma.start_vpn, AccessType.WRITE)
         work = kernel.sys_fork(proc)
         # Split produced base pages; COW shares them all.
         assert work.pages_shared == HUGE_PAGE_PAGES
@@ -158,8 +159,8 @@ class TestKernelThp:
         free0 = kernel.phys.free_frames
         proc = kernel.create_process()
         vma = kernel.sys_mmap(proc, 4 * MIB)
-        kernel.fix_fault(proc, vma.start_vpn, AccessType.WRITE)
-        kernel.fix_fault(proc, vma.start_vpn + 512, AccessType.WRITE)
+        fault_in(kernel, proc, vma.start_vpn, AccessType.WRITE)
+        fault_in(kernel, proc, vma.start_vpn + 512, AccessType.WRITE)
         kernel.exit_process(proc)
         assert kernel.phys.free_frames == free0
 
@@ -167,7 +168,7 @@ class TestKernelThp:
         kernel = GuestKernel(PhysicalMemory("g", 64 * MIB), DEFAULT_COSTS)
         proc = kernel.create_process()
         vma = kernel.sys_mmap(proc, 4 * MIB)
-        fix = kernel.fix_fault(proc, vma.start_vpn, AccessType.WRITE)
+        fix = fault_in(kernel, proc, vma.start_vpn, AccessType.WRITE)
         assert not fix.huge
 
 

@@ -9,7 +9,6 @@ from repro.core.hypervisor import (
     PvmHypervisor,
     default_pv_ops,
 )
-from repro.core.switcher import GuestWorld
 from repro.hw.costs import DEFAULT_COSTS
 from repro.hw.events import EventLog
 from repro.sim.clock import Clock

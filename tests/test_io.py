@@ -4,7 +4,7 @@ import pytest
 
 from repro import make_machine
 from repro.hw.events import diff_snapshots
-from repro.io.devices import IoStack, VhostNet, VirtioBlk
+from repro.io.devices import VhostNet, VirtioBlk
 from repro.io.virtio import QueueFullError, VirtQueue
 
 

@@ -9,6 +9,12 @@ from repro.hw.memory import PhysicalMemory
 from repro.hw.types import MIB, AccessType, HardwareError
 
 
+def fault_in(kernel, proc, vpn, access):
+    """The kernel's fix of a fault on ``vpn``, given the guest entry a
+    fault handler looks up first."""
+    return kernel.fix_fault(proc, vpn, access, proc.gpt.lookup(vpn))
+
+
 @pytest.fixture
 def kernel():
     return GuestKernel(PhysicalMemory("g", 32 * MIB), DEFAULT_COSTS)
@@ -34,7 +40,7 @@ class TestProcessLifecycle:
         proc = kernel.create_process()
         vma = kernel.sys_mmap(proc, 4 * MIB)
         for vpn in range(vma.start_vpn, vma.start_vpn + 20):
-            kernel.fix_fault(proc, vpn, AccessType.WRITE)
+            fault_in(kernel, proc, vpn, AccessType.WRITE)
         kernel.exit_process(proc)
         assert kernel.phys.free_frames == free0
         assert proc.pid not in kernel.processes
@@ -48,40 +54,40 @@ class TestProcessLifecycle:
 class TestDemandPaging:
     def test_fault_outside_vma_segfaults(self, kernel, proc):
         with pytest.raises(SegfaultError):
-            kernel.fix_fault(proc, 0x1234, AccessType.READ)
+            fault_in(kernel, proc, 0x1234, AccessType.READ)
 
     def test_anon_fault_maps_page(self, kernel, proc):
         vma = kernel.sys_mmap(proc, 1 * MIB)
-        fix = kernel.fix_fault(proc, vma.start_vpn, AccessType.WRITE)
+        fix = fault_in(kernel, proc, vma.start_vpn, AccessType.WRITE)
         assert proc.gpt.lookup(vma.start_vpn).frame == fix.pte.frame
         assert fix.entry_writes >= 1
         assert not fix.cow_break
 
     def test_first_fault_builds_levels(self, kernel, proc):
         vma = kernel.sys_mmap(proc, 1 * MIB)
-        fix = kernel.fix_fault(proc, vma.start_vpn, AccessType.WRITE)
+        fix = fault_in(kernel, proc, vma.start_vpn, AccessType.WRITE)
         assert fix.entry_writes == 4  # fresh table: all levels written
-        fix2 = kernel.fix_fault(proc, vma.start_vpn + 1, AccessType.WRITE)
+        fix2 = fault_in(kernel, proc, vma.start_vpn + 1, AccessType.WRITE)
         assert fix2.entry_writes == 1  # neighbour: leaf only
 
     def test_write_to_readonly_vma_segfaults(self, kernel, proc):
         vma = kernel.sys_mmap(proc, 1 * MIB, writable=False)
         with pytest.raises(SegfaultError):
-            kernel.fix_fault(proc, vma.start_vpn, AccessType.WRITE)
+            fault_in(kernel, proc, vma.start_vpn, AccessType.WRITE)
 
     def test_readonly_vma_read_fault_ok(self, kernel, proc):
         vma = kernel.sys_mmap(proc, 1 * MIB, writable=False)
-        fix = kernel.fix_fault(proc, vma.start_vpn, AccessType.READ)
+        fix = fault_in(kernel, proc, vma.start_vpn, AccessType.READ)
         assert not fix.pte.writable
 
     def test_page_cache_reuse(self, kernel, proc):
         v1 = kernel.sys_mmap(proc, 1 * MIB, writable=False, kind="file",
                              file_key="f")
-        f1 = kernel.fix_fault(proc, v1.start_vpn, AccessType.READ).pte.frame
+        f1 = fault_in(kernel, proc, v1.start_vpn, AccessType.READ).pte.frame
         kernel.sys_munmap(proc, v1)
         v2 = kernel.sys_mmap(proc, 1 * MIB, writable=False, kind="file",
                              file_key="f")
-        f2 = kernel.fix_fault(proc, v2.start_vpn, AccessType.READ).pte.frame
+        f2 = fault_in(kernel, proc, v2.start_vpn, AccessType.READ).pte.frame
         assert f1 == f2  # same file offset -> same page-cache frame
 
     def test_page_cache_distinct_files(self, kernel, proc):
@@ -89,15 +95,15 @@ class TestDemandPaging:
                              file_key="a")
         v2 = kernel.sys_mmap(proc, 1 * MIB, writable=False, kind="file",
                              file_key="b")
-        f1 = kernel.fix_fault(proc, v1.start_vpn, AccessType.READ).pte.frame
-        f2 = kernel.fix_fault(proc, v2.start_vpn, AccessType.READ).pte.frame
+        f1 = fault_in(kernel, proc, v1.start_vpn, AccessType.READ).pte.frame
+        f2 = fault_in(kernel, proc, v2.start_vpn, AccessType.READ).pte.frame
         assert f1 != f2
 
     def test_cache_frames_survive_exit(self, kernel):
         p = kernel.create_process()
         v = kernel.sys_mmap(p, 1 * MIB, writable=False, kind="file",
                             file_key="f")
-        frame = kernel.fix_fault(p, v.start_vpn, AccessType.READ).pte.frame
+        frame = fault_in(kernel, p, v.start_vpn, AccessType.READ).pte.frame
         kernel.exit_process(p)
         assert frame in kernel._cached_frames
 
@@ -111,7 +117,7 @@ class TestMmapFamily:
     def test_munmap_unmaps_touched_pages(self, kernel, proc):
         vma = kernel.sys_mmap(proc, 1 * MIB)
         for vpn in range(vma.start_vpn, vma.start_vpn + 5):
-            kernel.fix_fault(proc, vpn, AccessType.WRITE)
+            fault_in(kernel, proc, vpn, AccessType.WRITE)
         work = kernel.sys_munmap(proc, vma)
         assert work.entry_writes == 5
         assert proc.gpt.mapped_pages == 0
@@ -119,13 +125,13 @@ class TestMmapFamily:
     def test_mprotect_rewrites_present_ptes(self, kernel, proc):
         vma = kernel.sys_mmap(proc, 1 * MIB)
         for vpn in range(vma.start_vpn, vma.start_vpn + 3):
-            kernel.fix_fault(proc, vpn, AccessType.WRITE)
+            fault_in(kernel, proc, vpn, AccessType.WRITE)
         writes = kernel.sys_mprotect(proc, vma, writable=False)
         assert writes == 3
         assert not proc.gpt.lookup(vma.start_vpn).writable
         # A later write fault (VMA re-enabled) upgrades in place.
         kernel.sys_mprotect(proc, vma, writable=True)
-        fix = kernel.fix_fault(proc, vma.start_vpn, AccessType.WRITE)
+        fix = fault_in(kernel, proc, vma.start_vpn, AccessType.WRITE)
         assert fix.pte.writable
 
 
@@ -134,7 +140,7 @@ class TestForkCow:
         proc = kernel.create_process()
         vma = kernel.sys_mmap(proc, n << 12)
         for vpn in range(vma.start_vpn, vma.end_vpn):
-            kernel.fix_fault(proc, vpn, AccessType.WRITE)
+            fault_in(kernel, proc, vpn, AccessType.WRITE)
         return proc, vma
 
     def test_fork_shares_frames_readonly(self, kernel):
@@ -165,7 +171,7 @@ class TestForkCow:
         proc, vma = self._parent_with_pages(kernel)
         child = kernel.sys_fork(proc).child
         old_frame = proc.gpt.lookup(vma.start_vpn).frame
-        fix = kernel.fix_fault(proc, vma.start_vpn, AccessType.WRITE)
+        fix = fault_in(kernel, proc, vma.start_vpn, AccessType.WRITE)
         assert fix.cow_break
         assert proc.gpt.lookup(vma.start_vpn).frame != old_frame
         # Child still sees the original frame.
@@ -195,7 +201,7 @@ class TestExec:
     def test_exec_resets_image(self, kernel):
         proc = kernel.create_process()
         vma = kernel.sys_mmap(proc, 1 * MIB)
-        kernel.fix_fault(proc, vma.start_vpn, AccessType.WRITE)
+        fault_in(kernel, proc, vma.start_vpn, AccessType.WRITE)
         work = kernel.sys_exec(proc, image_pages=32)
         assert work.entry_writes == 1  # the touched page was torn down
         assert not proc.addr_space.covers(vma.start_vpn)
@@ -206,7 +212,7 @@ class TestExec:
     def test_exec_clears_cow_state(self, kernel):
         proc = kernel.create_process()
         vma = kernel.sys_mmap(proc, 1 * MIB)
-        kernel.fix_fault(proc, vma.start_vpn, AccessType.WRITE)
+        fault_in(kernel, proc, vma.start_vpn, AccessType.WRITE)
         kernel.sys_fork(proc)
         kernel.sys_exec(proc)
         assert not proc.cow_pages

@@ -1,10 +1,8 @@
 """Behaviour specific to the KVM baseline machines."""
 
-import pytest
-
 from repro import make_machine
 from repro.hw.events import diff_snapshots
-from repro.hw.types import KIB, MIB
+from repro.hw.types import KIB
 from repro.hypervisors.base import MachineConfig
 
 

@@ -3,8 +3,7 @@
 import pytest
 
 from repro import make_machine, SCENARIOS
-from repro.hw.types import MIB, KIB
-from repro.hypervisors.base import MachineConfig
+from repro.hw.types import KIB
 from repro.guest.addrspace import SegfaultError
 
 

@@ -11,7 +11,6 @@ from repro.containers.migration import (
 )
 from repro.hw.types import KIB
 from repro.security import (
-    TRADITIONAL_CONTAINER_SYSCALLS,
     compare,
     secure_container_hw_nested,
     secure_container_pvm,

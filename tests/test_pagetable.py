@@ -33,15 +33,15 @@ def pt(phys):
 class TestMap:
     def test_first_map_allocates_all_levels(self, pt):
         result = pt.map(0x1000, Pte(frame=5))
-        # Root exists; levels 3, 2, 1 allocated.
-        assert result.allocated_levels == (3, 2, 1)
-        assert len(result.written_frames) == PT_LEVELS
+        # Root exists; the level 3, 2 and 1 nodes are allocated.
+        assert result.allocated_levels == 3
+        assert result.written_frames == PT_LEVELS
 
     def test_neighbour_map_writes_one_entry(self, pt):
         pt.map(0x1000, Pte(frame=5))
         result = pt.map(0x1001, Pte(frame=6))
-        assert result.allocated_levels == ()
-        assert len(result.written_frames) == 1
+        assert result.allocated_levels == 0
+        assert result.written_frames == 1
 
     def test_double_map_rejected(self, pt):
         pt.map(0x1000, Pte(frame=5))
@@ -56,7 +56,7 @@ class TestMap:
     def test_distant_vpns_use_distinct_subtrees(self, pt):
         r1 = pt.map(0, Pte(frame=1))
         r2 = pt.map(1 << 27, Pte(frame=2))  # different level-4 index
-        assert r2.allocated_levels == (3, 2, 1)
+        assert r2.allocated_levels == 3
         assert pt.lookup(0).frame == 1
         assert pt.lookup(1 << 27).frame == 2
 
@@ -91,8 +91,8 @@ class TestEnsure:
 
     def test_installs_like_map(self, pt):
         result = pt.ensure(0x1000, Pte(frame=5))
-        assert result.allocated_levels == (3, 2, 1)
-        assert len(result.written_frames) == PT_LEVELS
+        assert result.allocated_levels == 3
+        assert result.written_frames == PT_LEVELS
         assert pt.lookup(0x1000).frame == 5 and pt.mapped_pages == 1
 
     def test_updates_existing_entry_in_place(self, pt):
@@ -101,15 +101,15 @@ class TestEnsure:
         result = pt.ensure(0x10, Pte(frame=9), frame=2, writable=True)
         pte = pt.lookup(0x10)
         assert result.pte is pte and (pte.frame, pte.writable) == (2, True)
-        assert result.allocated_levels == ()
-        assert len(result.written_frames) == 1
+        assert result.allocated_levels == 0
+        assert result.written_frames == 1
         assert pt.entry_writes == writes + 1 and pt.mapped_pages == 1
 
     def test_without_flags_leaves_existing_entry_alone(self, pt):
         pt.map(0x10, Pte(frame=1))
         writes = pt.entry_writes
         result = pt.ensure(0x10, Pte(frame=9))
-        assert result.written_frames == () and pt.entry_writes == writes
+        assert result.written_frames == 0 and pt.entry_writes == writes
         assert pt.lookup(0x10).frame == 1
 
     def test_huge_entries(self, pt):

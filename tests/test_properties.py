@@ -32,7 +32,7 @@ from repro.hw.types import (
     PageFaultError,
     table_index,
 )
-from repro.guest.addrspace import AddressSpace, SegfaultError, Vma
+from repro.guest.addrspace import AddressSpace
 from repro.memory.qos import MemoryQosConfig
 from repro.sim.clock import Clock
 from repro.sim.locks import SimLock

@@ -1,7 +1,5 @@
 """Unit tests for PVM interrupt virtualization (§3.3.3)."""
 
-import pytest
-
 from repro.core.interrupts import PvmInterruptController, VirtualApic
 from repro.guest.interrupts import (
     HandlerSite,

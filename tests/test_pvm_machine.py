@@ -5,8 +5,7 @@ import pytest
 from repro import make_machine
 from repro.core.switcher import GuestWorld
 from repro.guest.addrspace import SegfaultError
-from repro.hw.events import diff_snapshots
-from repro.hw.types import KIB, MIB
+from repro.hw.types import KIB
 from repro.hypervisors.base import MachineConfig
 
 
@@ -23,7 +22,6 @@ class TestPrefault:
         vma = m.mmap(ctx, proc, 32 * KIB)
         m.touch(ctx, proc, vma.start_vpn, write=True)
         assert m.prefaulter.fills == 1
-        assert m.prefaulter.saved_exits == 1
 
     def test_no_prefault_pays_shadow_fault(self):
         m, ctx, proc = _setup(prefault=False)

@@ -1,7 +1,5 @@
 """Tests for table and chart rendering."""
 
-import math
-
 from repro.bench.harness import ExperimentResult
 from repro.bench.report import render, render_all, render_chart
 

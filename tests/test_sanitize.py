@@ -13,8 +13,6 @@ Also home to the satellite regression tests: ``SimLock.reset`` clearing
 ``Tlb.flush_page`` returning a count.
 """
 
-import os
-
 import pytest
 
 from repro import SCENARIOS, make_machine

@@ -1,7 +1,5 @@
 """Tests for the serverless cold-start workload (§4.4)."""
 
-import pytest
-
 from repro import make_machine
 from repro.workloads.serverless import (
     ColdStartReport,

@@ -8,6 +8,7 @@ from repro.hw.costs import DEFAULT_COSTS
 from repro.hw.memory import PhysicalMemory
 from repro.hw.pagetable import Pte
 from repro.hw.types import MIB, AccessType
+from tests.test_kernel import fault_in
 
 
 @pytest.fixture
@@ -101,7 +102,7 @@ class TestWriteProtection:
     def test_write_protect_tracks_gpt_frames(self, env):
         kernel, shadow, proc = env
         vma = kernel.sys_mmap(proc, 1 * MIB)
-        kernel.fix_fault(proc, vma.start_vpn, AccessType.WRITE)
+        fault_in(kernel, proc, vma.start_vpn, AccessType.WRITE)
         n = shadow.write_protect_gpt(proc)
         assert n == len(proc.gpt.node_frames())
         # Idempotent.
@@ -110,11 +111,11 @@ class TestWriteProtection:
     def test_note_growth_adds_new_nodes(self, env):
         kernel, shadow, proc = env
         vma = kernel.sys_mmap(proc, 8 * MIB)
-        kernel.fix_fault(proc, vma.start_vpn, AccessType.WRITE)
+        fault_in(kernel, proc, vma.start_vpn, AccessType.WRITE)
         shadow.write_protect_gpt(proc)
         before = len(shadow.write_protected_frames)
         # Fault far enough away to allocate a new leaf table.
-        kernel.fix_fault(proc, vma.start_vpn + 1024, AccessType.WRITE)
+        fault_in(kernel, proc, vma.start_vpn + 1024, AccessType.WRITE)
         shadow.note_gpt_growth(proc)
         assert len(shadow.write_protected_frames) > before
 
@@ -123,18 +124,18 @@ class TestWriteProtection:
                                                           monkeypatch):
         kernel, shadow, proc = env
         vma = kernel.sys_mmap(proc, 8 * MIB)
-        kernel.fix_fault(proc, vma.start_vpn, AccessType.WRITE)
+        fault_in(kernel, proc, vma.start_vpn, AccessType.WRITE)
         shadow.note_gpt_growth(proc)
         scans = []
         real = type(proc.gpt).node_frames
         monkeypatch.setattr(proc.gpt, "node_frames",
                             lambda: scans.append(1) or real(proc.gpt))
         # Same leaf table: no node allocated or freed, no rescan.
-        kernel.fix_fault(proc, vma.start_vpn + 1, AccessType.WRITE)
+        fault_in(kernel, proc, vma.start_vpn + 1, AccessType.WRITE)
         shadow.note_gpt_growth(proc)
         assert scans == []
         # A new leaf table moves node_allocations.
-        kernel.fix_fault(proc, vma.start_vpn + 1024, AccessType.WRITE)
+        fault_in(kernel, proc, vma.start_vpn + 1024, AccessType.WRITE)
         shadow.note_gpt_growth(proc)
         assert scans == [1]
         assert set(real(proc.gpt)) <= shadow.write_protected_frames
