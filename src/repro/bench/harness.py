@@ -79,7 +79,7 @@ def measure_concurrent_op_ns(
     outside the timed window.  ``shared_machine`` puts all instances in
     one guest (the Table 3/4 "#C 32" configuration); otherwise each
     instance gets its own machine over a shared L0.  ``reset_stats``
-    zeroes every machine's counters (events, TLB, PSC) at the barrier so
+    zeroes every machine's counters (events, TLB) at the barrier so
     reported hit rates cover only the measured phase.
 
     Raises ValueError if no instance records a measured step — a factory

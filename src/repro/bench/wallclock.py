@@ -29,7 +29,6 @@ from repro.hw.events import EventLog
 from repro.hw.memory import PhysicalMemory
 from repro.hw.mmu import Mmu
 from repro.hw.pagetable import PageTable, Pte
-from repro.hw.psc import PagingStructureCache
 from repro.hw.tlb import HUGE_SPAN, Tlb
 from repro.hw.types import MIB, PAGE_SIZE, AccessType, Asid
 from repro.sim.clock import Clock
@@ -46,7 +45,6 @@ REGRESSION_TOLERANCE = 0.20
 #: rates get the looser ``ABSOLUTE_TOLERANCE`` — see ``check_regressions``.
 GATED_METRICS = (
     "speedup_vs_legacy",
-    "miss_psc_hit_rate",
     "warm_translations_per_sec",
     "miss_walks_per_sec",
     "faults_per_sec",
@@ -211,19 +209,17 @@ def bench_warm_translations(iters: int, working_set: int = 512) -> Dict[str, flo
 
 def bench_miss_walks(iters: int, working_set: int = 4096) -> Dict[str, float]:
     """TLB-miss-heavy loop: the working set is ~3x TLB capacity, so the
-    sequential sweep thrashes the TLB and every pass re-walks.  Runs
-    with paging-structure caches attached — the partial-walk fast path —
-    and reports the PSC hit rate alongside throughput."""
+    sequential sweep thrashes the TLB and every pass re-walks at full
+    depth.  Reports the TLB hit rate alongside throughput (0 when every
+    access misses, as it should)."""
     pt = _mapped_table(working_set)
     asid = Asid(vpid=1, pcid=3)
     access = AccessType.READ
-    mmu = Mmu(Tlb(), EventLog(), DEFAULT_COSTS, psc=PagingStructureCache())
+    mmu = Mmu(Tlb(), EventLog(), DEFAULT_COSTS)
     clock = Clock()
     seq = list(range(working_set))
-    for vpn in seq:  # fill PSCs / steady-state the TLB
+    for vpn in seq:  # steady-state the TLB
         mmu.access_1d(clock, asid, pt, vpn, access, True)
-    psc_stats = mmu.psc.stats
-    psc_stats.reset()
     mmu.tlb.stats.reset()
 
     def miss_loop() -> None:
@@ -235,7 +231,6 @@ def bench_miss_walks(iters: int, working_set: int = 4096) -> Dict[str, float]:
     ops = iters * working_set
     return {
         "miss_walks_per_sec": ops / dt,
-        "miss_psc_hit_rate": psc_stats.hit_rate,
         "miss_tlb_hit_rate": mmu.tlb.stats.hit_rate,
     }
 
@@ -245,11 +240,10 @@ def bench_faults(npages: int) -> Dict[str, float]:
     region and demand-fault every page (two-phase shadow fault dance per
     page) — the simulator's heaviest per-operation path."""
     from repro import make_machine
-    from repro.hypervisors.base import MachineConfig
 
     best = float("inf")
     for _ in range(REPEATS):  # fresh machine per repeat: cold faults only
-        machine = make_machine("pvm (BM)", config=MachineConfig(psc=True))
+        machine = make_machine("pvm (BM)")
         ctx = machine.new_context()
         proc = machine.spawn_process()
         vma = machine.mmap(ctx, proc, npages * PAGE_SIZE)
@@ -389,13 +383,13 @@ def check_regressions(
 ) -> List[str]:
     """Gated metrics that fell below their tolerance versus baseline.
 
-    Same-run ratios (``speedup_vs_legacy``, ``miss_psc_hit_rate``) are
-    immune to host load — both sides of the ratio slow down together —
-    so they carry the tight ``tolerance``.  Absolute ``*_per_sec`` rates
-    move with whatever else the machine is running and are held to the
-    looser :data:`ABSOLUTE_TOLERANCE`; the legacy loop additionally
-    serves as a host-speed probe, waiving absolute shortfalls outright
-    when the untouched legacy code slowed past tolerance too.
+    The same-run ratio ``speedup_vs_legacy`` is immune to host load —
+    both sides of the ratio slow down together — so it carries the
+    tight ``tolerance``.  Absolute ``*_per_sec`` rates move with
+    whatever else the machine is running and are held to the looser
+    :data:`ABSOLUTE_TOLERANCE`; the legacy loop additionally serves as a
+    host-speed probe, waiving absolute shortfalls outright when the
+    untouched legacy code slowed past tolerance too.
     ``parallel_speedup`` is also a same-run ratio, but it scales with
     core count, so it is waived when this host has fewer workers
     (``parallel_jobs``) than the baseline host had.
@@ -435,8 +429,7 @@ def summary_line(results: Dict[str, float]) -> str:
     line = (
         f"wallclock: {results['warm_translations_per_sec'] / 1e6:.2f}M warm "
         f"trans/s ({results['speedup_vs_legacy']:.2f}x vs legacy), "
-        f"{results['miss_walks_per_sec'] / 1e3:.0f}k miss-walks/s "
-        f"(psc hit {results['miss_psc_hit_rate']:.0%}), "
+        f"{results['miss_walks_per_sec'] / 1e3:.0f}k miss-walks/s, "
         f"{results['faults_per_sec'] / 1e3:.1f}k faults/s"
     )
     if "parallel_speedup" in results:

@@ -269,8 +269,8 @@ class ShadowManager:
     def drop(self, proc: Process) -> int:
         """Release all shadow state of a process (exec/exit); returns the
         shadow entries dropped.  Each table goes in one pass
-        (:meth:`PageTable.release_each`), freeing its frames in the
-        page-by-page order."""
+        (:meth:`PageTable.drain`, then :meth:`PageTable.release`),
+        freeing its frames in the page-by-page order."""
         dropped = 0
         for half in ("user", "kernel"):
             table = self._spts.pop((proc.pid, half), None)
@@ -282,7 +282,8 @@ class ShadowManager:
                 if entries is not None:
                     entries.discard((proc.pid, half, vpn))
 
-            dropped += table.release_each(forget)
+            dropped += table.drain(forget)
+            table.release()
         return dropped
 
     # -- internals -----------------------------------------------------------------------------

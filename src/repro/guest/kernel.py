@@ -11,13 +11,13 @@ what lets five different deployment scenarios share one kernel.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from repro.guest.addrspace import AddressSpace, SegfaultError, Vma
 from repro.guest.process import PidAllocator, Process
 from repro.hw.costs import CostModel
-from repro.hw.memory import PhysicalMemory
-from repro.hw.pagetable import PageTable, Pte
+from repro.hw.memory import FrameRange, PhysicalMemory
+from repro.hw.pagetable import HUGE_PAGE_PAGES, PageTable, Pte
 from repro.hw.types import AccessType, HardwareError
 
 
@@ -111,13 +111,10 @@ class GuestKernel:
 
         Frames go back in the order unmapping page by page would free
         them (guest RAM streams, so the order is observable), in one
-        pass over the table (:meth:`PageTable.release_each`).
+        pass over the table (:meth:`PageTable.drain`).
         """
         if not proc.alive:
             raise HardwareError(f"double exit of pid {proc.pid}")
-        from repro.hw.memory import FrameRange
-        from repro.hw.pagetable import HUGE_PAGE_PAGES
-
         released = 0
 
         def release(vpn: int, pte: Pte) -> None:
@@ -128,7 +125,8 @@ class GuestKernel:
             else:
                 released += self._put_frame(proc, vpn, pte)
 
-        proc.gpt.release_each(release)
+        proc.gpt.drain(release)
+        proc.gpt.release()
         proc.alive = False
         del self.processes[proc.pid]
         return released
@@ -204,8 +202,6 @@ class GuestKernel:
 
     def _try_huge_fault(self, proc: Process, vma: Vma, vpn: int):
         """Serve the fault with one 2 MiB mapping when possible."""
-        from repro.hw.pagetable import HUGE_PAGE_PAGES
-
         base = vpn - (vpn % HUGE_PAGE_PAGES)
         if base < vma.start_vpn or base + HUGE_PAGE_PAGES > vma.end_vpn:
             return None
@@ -242,23 +238,11 @@ class GuestKernel:
 
     def sys_munmap(self, proc: Process, vma: Vma) -> UnmapWork:
         """Unmap a VMA: remove its VMA and any installed PTEs."""
-        from repro.hw.memory import FrameRange
-        from repro.hw.pagetable import HUGE_PAGE_PAGES
-
         proc.addr_space.munmap(vma.start_vpn)
         removed: List[int] = []
-
-        def release(vpn: int, pte: Pte) -> None:
-            # Each frame goes back right after its entry, as page-by-page
-            # unmapping would.
-            if pte.huge:
-                self.phys.free(FrameRange(pte.frame, HUGE_PAGE_PAGES))
-            else:
-                self._put_frame(proc, vpn, pte)
-            removed.append(vpn)
-
         # One descent per leaf table of the run.
-        proc.gpt.unmap_each(range(vma.start_vpn, vma.end_vpn), release)
+        proc.gpt.unmap_each(range(vma.start_vpn, vma.end_vpn),
+                            self._releaser(proc, removed))
         return UnmapWork(vpns=tuple(removed), entry_writes=len(removed))
 
     def sys_mprotect(self, proc: Process, vma: Vma, writable: bool) -> int:
@@ -316,21 +300,11 @@ class GuestKernel:
         """Exec: tear down the old image, set up fresh text/data VMAs.
 
         Returns the teardown work; the new image pages fault in lazily.
+        The old image goes in one pass over the table
+        (:meth:`PageTable.drain`), in page-by-page unmapping's order.
         """
-        from repro.hw.memory import FrameRange
-        from repro.hw.pagetable import HUGE_PAGE_PAGES
-
-        writes = 0
         removed: List[int] = []
-        for vpn, pte in list(proc.gpt.iter_mappings()):
-            if pte.huge:
-                proc.gpt.unmap_huge(vpn)
-                self.phys.free(FrameRange(pte.frame, HUGE_PAGE_PAGES))
-            else:
-                proc.gpt.unmap(vpn)
-                self._put_frame(proc, vpn, pte)
-            removed.append(vpn)
-            writes += 1
+        proc.gpt.drain(self._releaser(proc, removed))
         proc.cow_pages.clear()
         proc.addr_space.clear()
         text = Vma(0x400, max(1, image_pages // 2), writable=False,
@@ -338,7 +312,21 @@ class GuestKernel:
         data = Vma(0x400 + image_pages, max(1, image_pages // 2), kind="anon")
         proc.addr_space.insert(text)
         proc.addr_space.insert(data)
-        return UnmapWork(vpns=tuple(removed), entry_writes=writes)
+        return UnmapWork(vpns=tuple(removed), entry_writes=len(removed))
+
+    def _releaser(self, proc: Process,
+                  removed: List[int]) -> Callable[[int, Pte], None]:
+        """An ``on_unmap`` callback for ``proc``'s table: each unmapped
+        entry's frame goes back right after the entry, as page-by-page
+        unmapping would free it, and its vpn is appended to ``removed``."""
+        def release(vpn: int, pte: Pte) -> None:
+            if pte.huge:
+                self.phys.free(FrameRange(pte.frame, HUGE_PAGE_PAGES))
+            else:
+                self._put_frame(proc, vpn, pte)
+            removed.append(vpn)
+
+        return release
 
     # -- COW frame refcounting ----------------------------------------------------
 

@@ -96,11 +96,6 @@ class CostModel:
     tlb_hit: int = 1
     #: Per-level cost of a one-dimensional page walk (cached table reads).
     walk_step_1d: int = 15
-    #: Lookup cost of a paging-structure-cache (PSC) probe that resumes a
-    #: walk below the root (PML4E/PDPTE/PDE caches) or serves a cached
-    #: guest-physical translation during a nested walk.  Charged once per
-    #: PSC-assisted walk on top of the per-level steps actually walked.
-    walk_step_cached: int = 2
     #: Per-level cost of a two-dimensional (GPT x EPT) walk step; each
     #: guest-level step requires an inner EPT walk, hence ~4x.
     walk_step_2d: int = 55

@@ -96,10 +96,6 @@ class EventLog:
         self.hypercalls = Counter("hypercalls")
         self.injections = Counter("injections")
         self.tlb_flushes = Counter("tlb_flushes")
-        #: Paging-structure-cache probe outcomes ("hit"/"miss" for the
-        #: per-level walk caches, "gpa-hit"/"gpa-miss" for the combined
-        #: guest-physical translation cache used by nested walks).
-        self.psc_probes = Counter("psc_probes")
         self.interrupts = Counter("interrupts")
         self.lock_wait_ns = Counter("lock_wait_ns")
         self.emulations = Counter("emulations")
@@ -146,7 +142,6 @@ class EventLog:
             self.hypercalls,
             self.injections,
             self.tlb_flushes,
-            self.psc_probes,
             self.interrupts,
             self.lock_wait_ns,
             self.emulations,

@@ -7,14 +7,10 @@ EPT-assisted translation: the guest dimension (GPT) is walked with each
 step nested through the extended dimension (EPT), exactly the structure
 whose per-step cost the paper's ``walk_step_2d`` reflects.
 
-With a :class:`~repro.hw.psc.PagingStructureCache` attached, TLB misses
-resume their walk from the deepest cached intermediate node and are
-charged only for the levels actually read (plus one ``walk_step_cached``
-probe); nested walks additionally serve repeat guest-physical
-translations from a small per-vCPU GPA cache, collapsing the 2-D walk's
-24-step worst case toward observed EPT behavior.  Without a PSC the MMU
-charges exactly the seed model's full-depth cost — virtual-time numbers
-are bit-identical to the pre-PSC simulator.
+Every TLB miss is charged at full depth (``levels x walk_step_1d``, or
+``levels x walk_step_2d`` for the guest dimension plus
+``ept.levels x walk_step_1d`` per nested EPT leg) — the paper's cost
+model.  Each accessor has exactly one miss path.
 
 A miss is returned, not raised: both accessors return ``-1`` and leave
 the fault descriptor (:class:`~repro.hw.types.PageFault` for the guest
@@ -25,7 +21,7 @@ hypervisor or kernel policy.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple, Union
+from typing import Union
 
 from repro.hw.costs import CostModel
 from repro.hw.events import EventLog
@@ -33,10 +29,8 @@ from repro.hw.pagetable import (
     HUGE_PAGE_PAGES,
     PageTable,
     PageTableNode,
-    WalkResult,
     page_fault,
 )
-from repro.hw.psc import PagingStructureCache
 from repro.hw.tlb import HUGE_SPAN, HUGE_TAG, KEY_SHIFT, Tlb
 from repro.hw.types import (
     ENTRIES_PER_TABLE,
@@ -48,11 +42,6 @@ from repro.hw.types import (
 )
 from repro.sim.clock import Clock
 
-#: Entries in the per-vCPU guest-physical translation cache (the
-#: EPT-side analogue of the paging-structure caches; only active when a
-#: PSC is attached).
-GPA_CACHE_CAPACITY = 512
-
 
 _READ = AccessType.READ
 _WRITE = AccessType.WRITE
@@ -61,33 +50,18 @@ _INDEX_MASK = ENTRIES_PER_TABLE - 1
 
 
 class Mmu:
-    """The address-translation engine of one simulated machine.
-
-    ``psc`` attaches the paging-structure caches; ``None`` (the default)
-    disables them and reproduces the seed cost model exactly.
-    """
+    """The address-translation engine of one simulated machine."""
 
     __slots__ = (
-        "tlb", "events", "costs", "psc", "_gpa_cache",
+        "tlb", "events", "costs",
         "_tlb_get", "_tlb_stats", "_hit_ns",
         "_step_1d_ns", "_step_2d_ns", "fault", "sanitizer",
     )
 
-    def __init__(
-        self,
-        tlb: Tlb,
-        events: EventLog,
-        costs: CostModel,
-        psc: Optional[PagingStructureCache] = None,
-    ) -> None:
+    def __init__(self, tlb: Tlb, events: EventLog, costs: CostModel) -> None:
         self.tlb = tlb
         self.events = events
         self.costs = costs
-        self.psc = psc
-        # ept.uid-tagged gfn -> (walk result, ept.entry_writes stamp).
-        # Any EPT entry write bumps the stamp, conservatively (and
-        # deterministically) invalidating every cached translation.
-        self._gpa_cache: Dict[int, Tuple[WalkResult, int]] = {}
         # Hot-path aliases: the TLB's entry dict is never rebound (see
         # Tlb.__init__) and CostModel is frozen, so the probe can skip
         # two method calls and three attribute chases per translation.
@@ -119,7 +93,7 @@ class Mmu:
         """Translate ``vpn`` through a single page table.
 
         Returns the target frame.  On a miss or permission violation it
-        charges the partial walk, leaves the :class:`PageFault` in
+        charges the walk, leaves the :class:`PageFault` in
         :attr:`fault` and returns -1.
         """
         akey = asid.key
@@ -129,8 +103,8 @@ class Mmu:
             # Inlined clock.advance(costs.tlb_hit): the constant is
             # non-negative by construction, so the guard is redundant.
             clock.now += self._hit_ns
-            # Permission downgrades always flush, so a TLB hit is safe to
-            # trust for permissions in this model.
+            # A hit is trusted without a permission check; ROADMAP item 1
+            # tracks the downgrade paths that leave a stale entry.
             return entry.frame
         entry = self._tlb_get((akey << KEY_SHIFT) | HUGE_TAG | (vpn >> 9))
         if entry is not None:
@@ -138,44 +112,32 @@ class Mmu:
             clock.now += self._hit_ns
             return entry.frame + (vpn % HUGE_SPAN)
         self._tlb_stats.misses += 1
-        psc = self.psc
-        if psc is None:
-            # Seed model: full depth wherever the walk ended (the
-            # difference is below our cost resolution).
-            clock.now += pt.levels * self._step_1d_ns
-            hit = pt.leaves.get((vpn >> LEVEL_BITS) & pt.leaf_key_mask)
-            if hit is not None:
-                # :meth:`PageTable.walk`'s leaf step, with no WalkResult.
-                pte = hit[0].entries.get(vpn & _INDEX_MASK)
-                if pte is None:
-                    self.fault = page_fault(vpn, access, user, False, 1)
-                    return -1
-                if ((user and not pte.user)
-                        or (access is _WRITE and not pte.writable)
-                        or (access is _EXECUTE and not pte.executable)):
-                    self.fault = page_fault(vpn, access, user, True, 1)
-                    return -1
-                pte.accessed = True
-                if access is _WRITE:
-                    pte.dirty = True
-                self.tlb.insert_packed(akey, vpn, pte.frame,
-                                       global_=cache_global and pte.global_)
-                return pte.frame
-            # Starting at the root skips the index probe just missed.
-            result = pt.walk(vpn, access, user, pt.root)
-            if type(result) is PageFault:
-                self.fault = result
+        # Full depth wherever the walk ended (the difference is below
+        # our cost resolution).
+        clock.now += pt.levels * self._step_1d_ns
+        hit = pt.leaves.get((vpn >> LEVEL_BITS) & pt.leaf_key_mask)
+        if hit is not None:
+            # :meth:`PageTable.walk`'s leaf step, with no WalkResult.
+            pte = hit[0].entries.get(vpn & _INDEX_MASK)
+            if pte is None:
+                self.fault = page_fault(vpn, access, user, False, 1)
                 return -1
-        else:
-            start = psc.lookup(pt, akey, vpn)
-            self.events.psc_probes["hit" if start is not None else "miss"] += 1
-            result = pt.walk(vpn, access, user, start=start)
-            clock.now += self._psc_walk_ns(pt, start, result,
-                                           self._step_1d_ns)
-            if type(result) is PageFault:
-                self.fault = result
+            if ((user and not pte.user)
+                    or (access is _WRITE and not pte.writable)
+                    or (access is _EXECUTE and not pte.executable)):
+                self.fault = page_fault(vpn, access, user, True, 1)
                 return -1
-            psc.fill(pt, akey, vpn, result.nodes)
+            pte.accessed = True
+            if access is _WRITE:
+                pte.dirty = True
+            self.tlb.insert_packed(akey, vpn, pte.frame,
+                                   global_=cache_global and pte.global_)
+            return pte.frame
+        # Starting at the root skips the index probe just missed.
+        result = pt.walk(vpn, access, user, pt.root)
+        if type(result) is PageFault:
+            self.fault = result
+            return -1
         self.tlb.insert_packed(
             akey, vpn, result.frame,
             global_=cache_global and result.pte.global_,
@@ -203,10 +165,9 @@ class Mmu:
         an :class:`EptViolation` when the extended dimension misses
         (delivered to the hypervisor).
 
-        Without PSCs the miss is one inline walk per dimension: the
-        guest table is walked once, keeping only the frames of the nodes
-        it reads, then each of those frames and the guest leaf frame
-        takes one EPT leg — with the checks, A/D updates, fault levels
+        The miss is one inline walk per dimension: the guest table is
+        walked once, keeping only the frames of the nodes it reads, then
+        each of those frames and the guest leaf frame takes one EPT leg — with the checks, A/D updates, fault levels
         and charges of :meth:`PageTable.walk`.  Each dimension starts
         at its table's leaf-table index: a hit is one probe plus one
         entry read; the loop runs only for a missing leaf table or a
@@ -232,9 +193,6 @@ class Mmu:
             clock.now += self._hit_ns
             return entry.frame + (vpn % HUGE_SPAN)
         self._tlb_stats.misses += 1
-        if self.psc is not None:
-            return self._access_2d_psc(clock, akey, gpt, ept, vpn, access,
-                                       user)
         # Guest dimension, charged at full depth wherever it stops.
         clock.now += gpt.levels * self._step_2d_ns
         # The guest's table pages live in guest-physical memory; hardware
@@ -352,106 +310,11 @@ class Mmu:
             self.tlb.insert_packed(akey, vpn, frame)
         return frame
 
-    def _access_2d_psc(
-        self,
-        clock: Clock,
-        akey: int,
-        gpt: PageTable,
-        ept: PageTable,
-        vpn: int,
-        access: AccessType,
-        user: bool,
-    ) -> int:
-        """The TLB-miss half of :meth:`access_2d` with PSCs attached."""
-        psc = self.psc
-        start = psc.lookup(gpt, akey, vpn)
-        self.events.psc_probes["hit" if start is not None else "miss"] += 1
-        result = gpt.walk(vpn, access, user, start=start)
-        clock.now += self._psc_walk_ns(gpt, start, result, self._step_2d_ns)
-        if type(result) is PageFault:
-            self.fault = result
-            return -1
-        # A PSC-resumed walk read fewer guest nodes, so it also performs
-        # fewer nested resolutions — the 2-D collapse.
-        for node in result.nodes:
-            if self._ept_resolve(clock, ept, node.frame, _READ) is None:
-                return -1
-        # Finally translate the leaf guest frame with the real access type.
-        leaf = self._ept_resolve(clock, ept, result.frame, access)
-        if leaf is None:
-            return -1
-        # Fill only after every nested leg resolved: caching earlier would
-        # let a retry resume past upper nodes whose EPT violations never
-        # surfaced, making PSC-on runs *behave* differently (fewer
-        # hypervisor mappings) instead of merely costing less.
-        psc.fill(gpt, akey, vpn, result.nodes)
-        self.tlb.insert_packed(akey, vpn, leaf.frame,
-                               huge=result.huge and leaf.huge)
-        return leaf.frame
-
-    def _psc_walk_ns(
-        self,
-        pt: PageTable,
-        start: Optional[PageTableNode],
-        result: Union[WalkResult, PageFault],
-        step: int,
-    ) -> int:
-        """Nanoseconds for one PSC-resumed walk: the levels actually
-        read — down to the faulting level on a fault — plus the probe."""
-        if type(result) is PageFault:
-            start_level = pt.levels if start is None else start.level
-            levels = start_level - result.level + 1
-        else:
-            levels = result.levels_walked
-        cost = levels * step
-        if start is not None:
-            cost += self.costs.walk_step_cached
-        return cost
-
-    def _ept_resolve(
-        self, clock: Clock, ept: PageTable, guest_frame: int, access: AccessType
-    ) -> Optional[WalkResult]:
-        """One nested EPT leg with PSCs attached: the EPT walk of one
-        guest frame, or None with the :class:`EptViolation` in
-        :attr:`fault`.
-
-        Repeat translations of the same guest frame hit the GPA cache at
-        ``walk_step_cached`` instead of re-walking all ``ept.levels``
-        levels.
-        """
-        cache = self._gpa_cache
-        key = (ept.uid << 52) | guest_frame
-        hit = cache.get(key)
-        if hit is not None:
-            walk, stamp = hit
-            if stamp == ept.entry_writes and walk.pte.permits(access, False):
-                clock.now += self.costs.walk_step_cached
-                self.events.psc_probes["gpa-hit"] += 1
-                walk.pte.accessed = True
-                if access is _WRITE:
-                    walk.pte.dirty = True
-                return walk
-            del cache[key]
-        self.events.psc_probes["gpa-miss"] += 1
-        walk = ept.walk(guest_frame, access, user=False)
-        clock.now += ept.levels * self._step_1d_ns
-        if type(walk) is PageFault:
-            self.fault = EptViolation(guest_frame << 12, access, walk.level)
-            return None
-        if len(cache) >= GPA_CACHE_CAPACITY:
-            del cache[next(iter(cache))]
-        cache[key] = (walk, ept.entry_writes)
-        return walk
-
     # -- flush helpers --------------------------------------------------------
 
     def flush_page(self, clock: Clock, asid: Asid, vpn: int) -> int:
         """INVLPG one translation.  Returns entries dropped (0 or 1)."""
         n = self.tlb.flush_page(asid, vpn)
-        if self.psc is not None:
-            # INVLPG also flushes paging-structure-cache entries for the
-            # address (SDM vol. 3 §4.10.4.1).
-            self.psc.invalidate_page(asid.key, vpn)
         self.events.tlb_flushes["page"] += 1
         clock.advance(self.costs.tlb_flush_op)
         san = self.sanitizer
@@ -463,8 +326,6 @@ class Mmu:
         """Flush one (VPID, PCID) — the fine-grained flush PVM's PCID
         mapping makes possible for L2 processes."""
         n = self.tlb.flush_pcid(asid)
-        if self.psc is not None:
-            self.psc.invalidate_asid(asid.key)
         self.events.tlb_flushes["pcid"] += 1
         clock.advance(self.costs.tlb_flush_op)
         san = self.sanitizer
@@ -476,9 +337,6 @@ class Mmu:
         """Flush a whole VM's translations — the coarse flush that makes
         un-mapped-PCID guests pay a cold-start penalty."""
         n = self.tlb.flush_vpid(vpid)
-        if self.psc is not None:
-            self.psc.invalidate_vpid(vpid)
-            self._gpa_cache.clear()
         self.events.tlb_flushes["vpid"] += 1
         clock.advance(self.costs.tlb_flush_op + self.costs.tlb_vpid_flush_extra)
         san = self.sanitizer
@@ -489,9 +347,6 @@ class Mmu:
     def flush_all(self, clock: Clock) -> int:
         """Drop every cached translation."""
         n = self.tlb.flush_all()
-        if self.psc is not None:
-            self.psc.clear()
-            self._gpa_cache.clear()
         self.events.tlb_flushes["full"] += 1
         clock.advance(self.costs.tlb_flush_op + self.costs.tlb_vpid_flush_extra)
         san = self.sanitizer
@@ -504,13 +359,9 @@ class Mmu:
 
         Unlike :meth:`flush_vpid` this charges no time and records no
         event on the *victim*: the initiator pays the IPI cost, while the
-        remote CPU merely loses its cached state.  Keeps the TLB, the
-        paging-structure caches, and the GPA cache coherent in one call.
+        remote CPU merely loses its cached state.
         """
         n = self.tlb.flush_vpid(vpid)
-        if self.psc is not None:
-            self.psc.invalidate_vpid(vpid)
-            self._gpa_cache.clear()
         san = self.sanitizer
         if san is not None:
             san.check_flush_vpid(self.tlb, vpid)

@@ -137,13 +137,10 @@ class PageTableNode:
 class WalkResult:
     """Successful translation of a virtual page.
 
-    ``nodes`` holds the table nodes actually visited, top-down; a walk
-    resumed from a paging-structure-cache hit starts below the root, so
-    ``levels_walked == len(nodes)`` is the number of table reads the
-    hardware performed (and the number of levels the MMU charges for).
+    ``nodes`` holds the table nodes visited, root first.
     """
 
-    __slots__ = ("frame", "pte", "nodes", "huge", "levels_walked")
+    __slots__ = ("frame", "pte", "nodes", "huge")
 
     def __init__(
         self,
@@ -156,7 +153,6 @@ class WalkResult:
         self.pte = pte
         self.nodes = nodes
         self.huge = huge
-        self.levels_walked = len(nodes)
 
 
 class MapResult(NamedTuple):
@@ -191,8 +187,7 @@ class PageTable:
         tests can exercise the level-dependent formulas.
     """
 
-    #: Monotonic source of table identities for paging-structure-cache
-    #: tags (see :attr:`uid`).
+    #: Monotonic source of table identities (see :attr:`uid`).
     _next_uid = 0
 
     def __init__(
@@ -208,14 +203,14 @@ class PageTable:
         self.levels = levels
         #: Allocation tag of this table's node frames.
         self._tag = f"pt:{name}"
-        #: Identity tag binding cached intermediate-walk entries to this
-        #: table instance (a recycled root frame must not revive another
-        #: table's cached nodes).
+        #: Identity of this table instance: it seeds :attr:`stamp`, and
+        #: shadow paging's write-protect stamp includes it, so one
+        #: table's stamp never matches another's.
         self.uid = PageTable._next_uid
         PageTable._next_uid += 1
-        #: Bumped whenever table nodes are freed (unmap pruning, destroy,
-        #: release); paging-structure caches validate their cached node
-        #: references against it so a stale node can never be resumed.
+        #: Bumped whenever table nodes are freed (unmap pruning, drain,
+        #: destroy, release); with :attr:`node_allocations` it tells
+        #: shadow paging when the set of table frames changed.
         self.epoch = 0
         self.root = PageTableNode(levels, phys.alloc_frame(tag=self._tag))
         #: Leaf-table index: for every attached level-1 node, its key
@@ -243,9 +238,6 @@ class PageTable:
         #: same :class:`Pte` in place — so :meth:`Mmu.access_2d`
         #: validates its guest-path memos with it.
         self.stamp = self.uid << _STAMP_BITS
-        #: Optional hook invoked before any entry write with the frame
-        #: being written; shadow paging installs a write-protect check.
-        self.write_hook: Optional[Callable[[int], None]] = None
 
     # -- structure -----------------------------------------------------
 
@@ -474,7 +466,7 @@ class PageTable:
         for key, value in flags.items():
             setattr(pte, key, value)
         # A protection change is an entry write (the guest kernel writes
-        # the PTE in place), so it must pass through the write hook.
+        # the PTE in place).
         self._write_entry(node, idx, pte)
         return pte
 
@@ -538,11 +530,10 @@ class PageTable:
         The fault records the level at which the walk stopped, which the
         fault handlers use to size their fix-up work.
 
-        ``start`` resumes the walk below the root from a cached
-        intermediate node (a paging-structure-cache hit); the result's
-        ``levels_walked`` then counts only the levels actually read, so
-        charged cost and data-structure work agree.  Only a walk from
-        the root starts at the leaf-table index.
+        By default the walk starts at the leaf-table index; passing
+        ``start=self.root`` walks every level from the root instead
+        (the MMU does after an index miss, and the leaf-index
+        properties use it as their reference).
         """
         hit = (self.leaves.get((vpn >> LEVEL_BITS) & self.leaf_key_mask)
                if start is None else None)
@@ -596,9 +587,9 @@ class PageTable:
         Returns ``(accessed_pages, scanned_entries)`` where huge entries
         contribute 512 accessed pages but one scanned entry (the scan
         reads one PTE either way).  Clearing writes the A-bit in place
-        the same way the hardware walker sets it — directly, without
-        passing through the write hook — since A/D updates are not
-        guest-visible PTE stores and must not trip write protection.
+        the same way the hardware walker sets it — directly, not as an
+        entry write — since A/D updates are not guest-visible PTE stores
+        and must not trip write protection.
         """
         accessed_pages = 0
         scanned = 0
@@ -660,31 +651,35 @@ class PageTable:
         self.root = PageTableNode(self.levels, frame=-1)
         self.mapped_pages = 0
 
-    def release_each(self, on_unmap: Callable[[int, Pte], None]) -> int:
+    def drain(self, on_unmap: Callable[[int, Pte], None]) -> int:
         """:meth:`unmap` (or :meth:`unmap_huge`) of every mapping in
-        ascending vpn order, then :meth:`release`, in one pass.  Returns
-        the mappings removed.
+        ascending vpn order, in one pass; the root stays.  Returns the
+        mappings removed.
 
         ``on_unmap(vpn, old pte)`` runs as page-by-page unmapping would
         have it run: right after the entry's removal, so a table node
         freed because its last entry went is freed before that entry's
-        callback.  Nodes that never empty are left to :meth:`release`.
-        The pass visits each node once and writes no entries one by one
-        (the table is going away); ``on_unmap`` must not change it.
+        callback.  Nodes that never empty stay, as they would.  The
+        pass visits each node once and writes no entries one by one,
+        but leaves :attr:`entry_writes`, :attr:`stamp` and :attr:`epoch`
+        where page-by-page unmapping would; ``on_unmap`` must not change
+        the table.  Follow it with :meth:`release` to free the rest.
         """
         free = self.phys.free_frame
-        removed = 0
+        removed = freed = 0
 
         def prune(chain) -> None:
             # :meth:`_prune` over ``(node, parent, index in parent)``,
             # bottom-up: free each node that has just emptied.
+            nonlocal freed
             for node, parent, idx in chain:
                 if node.entries:
                     return
                 free(node.frame)
                 del parent.entries[idx]
+                freed += 1
 
-        def drain(node: PageTableNode, prefix: int, chain) -> None:
+        def visit(node: PageTableNode, prefix: int, chain) -> None:
             nonlocal removed
             entries = node.entries
             keys = sorted(entries)
@@ -703,7 +698,7 @@ class PageTable:
             for idx in keys:
                 child = entries[idx]
                 if type(child) is PageTableNode:
-                    drain(child, (prefix | idx) << LEVEL_BITS,
+                    visit(child, (prefix | idx) << LEVEL_BITS,
                           ((child, node, idx), *chain))
                 else:  # a 2 MiB entry
                     del entries[idx]
@@ -711,8 +706,15 @@ class PageTable:
                     on_unmap((prefix | idx) << LEVEL_BITS, child)
                     removed += 1
 
-        drain(self.root, 0, ())
-        self.release()
+        visit(self.root, 0, ())
+        # Unmapping page by page writes each removed entry and the parent
+        # slot of each freed node, and bumps the epoch per freed node.
+        self.entry_writes += removed + freed
+        self.stamp += removed + freed
+        self.epoch += freed
+        # Every attached level-1 node held an entry, so all were freed.
+        self.leaves.clear()
+        self.mapped_pages = 0
         return removed
 
     # -- internals -------------------------------------------------------
@@ -784,8 +786,6 @@ class PageTable:
             raise ValueError(f"{self.name}: a 1-level table holds no 2 MiB entries")
 
     def _write_entry(self, node: PageTableNode, idx: int, value: object) -> None:
-        if self.write_hook is not None:
-            self.write_hook(node.frame)
         if value is None:
             node.entries.pop(idx, None)
             self.stamp += 1

@@ -131,10 +131,9 @@ NUM_PCIDS = 1 << PCID_BITS
 def asid_key(vpid: int, pcid: int) -> int:
     """Pack a (VPID, PCID) pair into one int.
 
-    The packed form is the tag the TLB and paging-structure caches key
-    their entries by — integer keys hash an order of magnitude faster
-    than tuples of frozen dataclasses, which matters on the translation
-    hot path.
+    The packed form is the tag the TLB keys its entries by — integer
+    keys hash an order of magnitude faster than tuples of frozen
+    dataclasses, which matters on the translation hot path.
     """
     return (vpid << PCID_BITS) | pcid
 

@@ -29,7 +29,6 @@ from repro.hw.events import EventLog, FaultPhase, SwitchKind, TraceEvent
 from repro.hw.memory import PhysicalMemory
 from repro.hw.mmu import Mmu
 from repro.hw.pagetable import PageTable
-from repro.hw.psc import PagingStructureCache
 from repro.hw.tlb import Tlb
 from repro.hw.types import (
     MIB,
@@ -67,10 +66,6 @@ class MachineConfig:
     guest_mem_bytes: int = 512 * MIB
     host_mem_bytes: int = 2048 * MIB
     tlb_capacity: int = 1536
-    #: Paging-structure caches (PML4E/PDPTE/PDE caches + nested GPA
-    #: cache).  Off by default so virtual-time numbers stay bit-identical
-    #: to the seed model; experiments opt in to study partial walks.
-    psc: bool = False
     # -- PVM optimization toggles (ignored by KVM machines) -------------
     direct_switch: bool = True
     prefault: bool = True
@@ -225,18 +220,17 @@ class Machine(abc.ABC):
     # ------------------------------------------------------------------
 
     def new_context(self) -> CpuCtx:
-        """Create one vCPU context (clock + private TLB [+ PSC])."""
+        """Create one vCPU context (clock + private TLB)."""
         if not self._sanitize_checked:
             self._sanitize_checked = True
             self._maybe_attach_sanitizers()
         cpu_id = len(self.contexts)
         tlb = Tlb(self.config.tlb_capacity)
-        psc = PagingStructureCache() if self.config.psc else None
         ctx = CpuCtx(
             cpu_id=cpu_id,
             clock=Clock(),
             tlb=tlb,
-            mmu=Mmu(tlb, self.events, self.costs, psc=psc),
+            mmu=Mmu(tlb, self.events, self.costs),
         )
         if self.sanitizers is not None:
             ctx.mmu.sanitizer = self.sanitizers.shadow

@@ -297,37 +297,24 @@ class PressureStats:
 def reset_phase_stats(machine) -> None:
     """Zero every per-machine counter a benchmark phase reports.
 
-    Covers the event log, each vCPU's TLB stats, and — when paging-
-    structure caches are enabled — each vCPU's PSC stats, so hit rates
+    Covers the event log and each vCPU's TLB stats, so hit rates
     measured after a warm-up phase reflect only the measured phase.
     """
     machine.events.reset()
     for ctx in machine.contexts:
         ctx.tlb.stats.reset()
-        psc = ctx.mmu.psc
-        if psc is not None:
-            psc.stats.reset()
 
 
 def translation_stats(machine) -> Dict[str, float]:
-    """Aggregate TLB + PSC hit-rate summary across a machine's vCPUs."""
+    """Aggregate TLB hit-rate summary across a machine's vCPUs."""
     tlb_hits = tlb_misses = 0
-    psc_hits = psc_misses = 0
     for ctx in machine.contexts:
         tlb_hits += ctx.tlb.stats.hits
         tlb_misses += ctx.tlb.stats.misses
-        psc = ctx.mmu.psc
-        if psc is not None:
-            psc_hits += psc.stats.hits
-            psc_misses += psc.stats.misses
     tlb_lookups = tlb_hits + tlb_misses
-    psc_lookups = psc_hits + psc_misses
     return {
         "tlb_lookups": float(tlb_lookups),
         "tlb_hit_rate": tlb_hits / tlb_lookups if tlb_lookups else 0.0,
-        "psc_lookups": float(psc_lookups),
-        "psc_hit_rate": psc_hits / psc_lookups if psc_lookups else 0.0,
-        "psc_gpa_hits": float(machine.events.psc_probes["gpa-hit"]),
     }
 
 

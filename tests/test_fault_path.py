@@ -20,8 +20,8 @@ op's virtual-ns delta and EventLog counter deltas (by key) with
   pruned are allocated again (the one case a stale leaf-table index
   entry would get wrong).
 
-Every machine runs at its defaults and with the paging-structure caches
-on; machines that can back 2 MiB guest mappings also run with THP, and
+Every machine runs at its defaults; machines that can back 2 MiB guest
+mappings also run with THP, and
 the PVM shadow machines run with each of their fault-path toggles.  The
 fault dances count and trace in place, so every row also runs with a
 detailed EventLog: the pins must hold, and the trace must hold each
@@ -74,7 +74,6 @@ PVM_SHADOW = ("pvm (BM)", "pvm (NST)")
 #: (row label, scenario, config overrides).
 VARIANTS = (
     tuple((name, name, {}) for name in SCENARIOS)
-    + tuple((f"{name} psc", name, {"psc": True}) for name in SCENARIOS)
     + tuple((f"{name} thp", name, {"thp": True}) for name in THP_SCENARIOS)
     + tuple((f"{name} {label}", name, {flag: value})
             for name in PVM_SHADOW

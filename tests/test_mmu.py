@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import make_machine
 from repro.hw.costs import DEFAULT_COSTS
 from repro.hw.events import EventLog
 from repro.hw.memory import PhysicalMemory
@@ -10,6 +11,7 @@ from repro.hw.pagetable import PageTable, Pte
 from repro.hw.tlb import Tlb
 from repro.hw.types import MIB, AccessType, Asid, EptViolation, PageFault
 from repro.sim.clock import Clock
+from repro.sim.stats import reset_phase_stats, translation_stats
 
 
 ASID = Asid(vpid=1, pcid=1)
@@ -46,6 +48,22 @@ class Test1D:
         assert clock.now == pt.levels * DEFAULT_COSTS.walk_step_1d
         # No TLB pollution on fault.
         assert len(tlb) == 0
+
+    def test_every_miss_charges_full_depth(self, env):
+        """Misses into an already-walked leaf table still charge every
+        level: the cost model has no partial walks."""
+        host, guest, tlb, mmu = env
+        pt = PageTable(host, "pt")
+        npages = 64
+        for vpn in range(npages):
+            pt.map(vpn, Pte(frame=vpn))
+        mmu = Mmu(Tlb(4), EventLog(), DEFAULT_COSTS)
+        clock = Clock()
+        for vpn in range(npages):
+            assert mmu.access_1d(clock, ASID, pt, vpn, AccessType.READ,
+                                 True) == vpn
+        assert mmu.tlb.stats.misses == npages
+        assert clock.now == pt.levels * DEFAULT_COSTS.walk_step_1d * npages
 
     def test_global_caching_flag(self, env):
         host, guest, tlb, mmu = env
@@ -107,6 +125,24 @@ class Test2D:
         mmu.access_2d(clock, ASID, gpt, ept, 0x10, AccessType.READ, True)
         assert clock.now == expected + DEFAULT_COSTS.tlb_hit
 
+    def test_every_miss_charges_full_depth(self, env):
+        """Repeat misses through the same guest leaf table charge the
+        full guest walk and every EPT leg each time."""
+        host, guest, tlb, mmu = env
+        gpt, ept = self._guest_tables(env)
+        for vpn in range(4):
+            gpt.map(vpn, Pte(frame=5 + vpn))
+            self._warm_ept(ept, gpt, host, leaf_gfn=5 + vpn)
+        mmu = Mmu(Tlb(1), EventLog(), DEFAULT_COSTS)
+        clock = Clock()
+        for vpn in (0, 1, 2):
+            assert mmu.access_2d(clock, ASID, gpt, ept, vpn, AccessType.READ,
+                                 True) == ept.lookup(5 + vpn).frame
+        assert clock.now == 3 * (
+            gpt.levels * DEFAULT_COSTS.walk_step_2d
+            + 5 * ept.levels * DEFAULT_COSTS.walk_step_1d
+        )
+
     def test_write_needs_ept_write_permission(self, env):
         host, guest, tlb, mmu = env
         gpt, ept = self._guest_tables(env)
@@ -146,3 +182,27 @@ class TestFlushHelpers:
         tlb.insert(ASID, 1, 1)
         assert mmu.flush_all(Clock()) == 1
         assert len(tlb) == 0
+
+    def test_drop_vpid_is_silent_on_the_victim(self, env):
+        host, guest, tlb, mmu = env
+        pt = PageTable(host, "pt")
+        pt.map(0x10, Pte(frame=1))
+        mmu.access_1d(Clock(), ASID, pt, 0x10, AccessType.READ, True)
+        assert mmu.drop_vpid(ASID.vpid) == 1
+        assert tlb.lookup(ASID, 0x10) is None
+        # The initiator pays for a shootdown; the victim records nothing.
+        assert mmu.events.tlb_flushes.total == 0
+
+
+def test_reset_phase_stats_zeroes_tlb_and_events():
+    m = make_machine("pvm (BM)")
+    ctx = m.new_context()
+    proc = m.spawn_process()
+    vma = m.mmap(ctx, proc, 8 * 4096)
+    for vpn in range(vma.start_vpn, vma.start_vpn + 8):
+        m.touch(ctx, proc, vpn, write=True)
+    assert translation_stats(m)["tlb_lookups"] > 0
+    assert m.events.page_faults.total > 0
+    reset_phase_stats(m)
+    assert translation_stats(m) == {"tlb_lookups": 0.0, "tlb_hit_rate": 0.0}
+    assert m.events.page_faults.total == 0

@@ -10,20 +10,22 @@ walk must give the same frame or fault descriptor, the same clock delta
 and the same A/D bits.  The named cases pin the invalidations one by
 one.
 
-``PageTable.release_each`` (process exit, shadow drop) must free frames
-in the order page-by-page unmapping then ``release`` does; guest RAM is
-a streaming allocator, so that order is observable.
+``PageTable.drain`` (process exit and exec, shadow drop) must free
+frames in the order page-by-page unmapping does, and leave the table's
+counters where it leaves them; guest RAM is a streaming allocator, so
+that order is observable.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import make_machine
+from repro.guest.kernel import UnmapWork
 from repro.hw.costs import DEFAULT_COSTS
 from repro.hw.events import EventLog
 from repro.hw.memory import FrameRange, PhysicalMemory
 from repro.hw.mmu import Mmu
-from repro.hw.pagetable import HUGE_PAGE_PAGES, PageTable, Pte
+from repro.hw.pagetable import _STAMP_BITS, HUGE_PAGE_PAGES, PageTable, Pte
 from repro.hw.tlb import Tlb
 from repro.hw.types import (
     KIB,
@@ -373,8 +375,8 @@ def _record_frees(phys, log):
     phys.free = logged_free
 
 
-def release_page_by_page(table, on_unmap):
-    """The reference teardown: unmap every mapping, then release."""
+def unmap_page_by_page(table, on_unmap):
+    """The reference drain: unmap every mapping, one at a time."""
     removed = 0
     for vpn, pte in list(table.iter_mappings()):
         if pte.huge:
@@ -383,25 +385,37 @@ def release_page_by_page(table, on_unmap):
             table.unmap(vpn)
         on_unmap(vpn, pte)
         removed += 1
+    return removed
+
+
+def release_page_by_page(table, on_unmap):
+    """The reference teardown: unmap every mapping, then release."""
+    removed = unmap_page_by_page(table, on_unmap)
     table.release()
     return removed
+
+
+def _counters(table):
+    """What a drain must leave as unmapping page by page leaves it."""
+    return (table.entry_writes, table.stamp - (table.uid << _STAMP_BITS), table.epoch,
+            table.node_allocations, table.mapped_pages, dict(table.leaves))
 
 
 _TEARDOWN_VPNS = st.sampled_from(
     [0, 1, 5, 511, 512, 600, 1023, 1024, 1 << 18, (1 << 18) + 1, 1 << 27])
 
 
-class TestReleaseEach:
+class TestDrain:
     @given(st.lists(st.tuples(st.sampled_from(["map", "huge", "unmap"]),
                               _TEARDOWN_VPNS), max_size=30),
            st.integers(min_value=6, max_value=24))
     @settings(max_examples=100, deadline=None)
     def test_frees_as_page_by_page_unmapping(self, ops, frames):
         """Random tables — 2 MiB entries, pruned subtrees, and the empty
-        upper nodes a failed allocation leaves behind — tear down in
-        the page-by-page order."""
+        upper nodes a failed allocation leaves behind — drain, then
+        release, in the page-by-page order."""
         logs = []
-        for teardown in ("release_each", "reference"):
+        for teardown in ("drain", "reference"):
             phys = PhysicalMemory("t", frames * 4 * KIB, policy="stream")
             pt = PageTable(phys, "t")
             for n, (kind, vpn) in enumerate(ops):
@@ -421,12 +435,15 @@ class TestReleaseEach:
             def on_unmap(vpn, pte):
                 log.append(("unmap", vpn, pte.frame))
 
-            if teardown == "release_each":
-                removed = pt.release_each(on_unmap)
+            if teardown == "drain":
+                removed = pt.drain(on_unmap)
             else:
-                removed = release_page_by_page(pt, on_unmap)
+                removed = unmap_page_by_page(pt, on_unmap)
+            drained = _counters(pt)
             assert pt.mapped_pages == 0 and not pt.leaves
-            logs.append((log, removed, phys.allocator.used_frames,
+            log.append("release")
+            pt.release()
+            logs.append((log, removed, drained, phys.allocator.used_frames,
                          list(phys.allocator._recycled)))
         assert logs[0] == logs[1]
 
@@ -469,6 +486,22 @@ def exit_page_by_page(kernel, proc):
     del kernel.processes[proc.pid]
 
 
+def exec_page_by_page(kernel, proc):
+    """``GuestKernel.sys_exec``'s teardown as unmapping page by page does
+    it."""
+    vpns = []
+
+    def release(vpn, pte):
+        if pte.huge:
+            kernel.phys.free(FrameRange(pte.frame, HUGE_PAGE_PAGES))
+        else:
+            kernel._put_frame(proc, vpn, pte)
+        vpns.append(vpn)
+
+    unmap_page_by_page(proc.gpt, release)
+    return UnmapWork(vpns=tuple(vpns), entry_writes=len(vpns))
+
+
 def drop_page_by_page(shadow, proc):
     """``ShadowManager.drop`` as unmapping page by page does it."""
     for half in ("user", "kernel"):
@@ -483,10 +516,15 @@ def drop_page_by_page(shadow, proc):
         release_page_by_page(table, forget)
 
 
+_THP = pytest.mark.parametrize("thp", [False, True], ids=["4k", "thp"])
+_WHO = pytest.mark.parametrize("who", ["solo", "parent", "child"])
+
+
 class TestTeardownOrder:
-    @pytest.mark.parametrize("thp", [False, True], ids=["4k", "thp"])
-    @pytest.mark.parametrize("who", ["solo", "parent", "child"])
-    def test_exit_and_drop_free_in_page_by_page_order(self, thp, who):
+    """Exit and exec, each followed by the shadow drop, free frames and
+    leave the table's counters as the page-by-page sequence does."""
+
+    def _check(self, thp, who, op):
         runs = []
         for one_pass in (True, False):
             m, procs = _processes(thp)
@@ -496,14 +534,31 @@ class TestTeardownOrder:
             guest_log, table_log = [], []
             _record_frees(m.guest_phys, guest_log)
             _record_frees(m.shadow.table_phys, table_log)
-            if one_pass:
+            work = None
+            if op == "exec":
+                work = (m.kernel.sys_exec(proc) if one_pass
+                        else exec_page_by_page(m.kernel, proc))
+            elif one_pass:
                 m.kernel.exit_process(proc)
-                m.shadow.drop(proc)
             else:
                 exit_page_by_page(m.kernel, proc)
+            if one_pass:
+                m.shadow.drop(proc)
+            else:
                 drop_page_by_page(m.shadow, proc)
             rmap = {gfn: sorted(refs) for gfn, refs in m.shadow._rmap.items()}
             runs.append((guest_log, table_log, rmap,
-                         list(m.guest_phys.allocator._recycled)))
+                         list(m.guest_phys.allocator._recycled),
+                         work, _counters(proc.gpt)))
         assert runs[0] == runs[1]
         assert runs[0][0] and runs[0][1]
+
+    @_THP
+    @_WHO
+    def test_exit_and_drop_free_in_page_by_page_order(self, thp, who):
+        self._check(thp, who, "exit")
+
+    @_THP
+    @_WHO
+    def test_exec_and_drop_free_in_page_by_page_order(self, thp, who):
+        self._check(thp, who, "exec")

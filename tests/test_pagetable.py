@@ -233,11 +233,10 @@ class TestProtect:
         pt.map_huge(512, Pte(frame=2048))
         for vpn in (3, 5, 1030):
             pt.map(vpn, Pte(frame=vpn))
-        hooked = []
-        pt.write_hook = hooked.append
+        before = pt.entry_writes
         # A 2 MiB entry takes one write; holes take none.
         assert pt.protect_range(0, 1100, writable=False) == 4
-        assert len(hooked) == 4
+        assert pt.entry_writes - before == 4
         for vpn in (3, 5, 600, 1030):
             assert not pt.lookup(vpn).writable
         assert pt.protect_range(0, 1100) == 4
@@ -414,13 +413,12 @@ class TestLifecycle:
         pt.release()
         assert phys.free_frames == before
 
-    def test_write_hook_invoked(self, pt):
-        touched = []
-        pt.write_hook = touched.append
+    def test_entry_writes_counted(self, pt):
+        before = pt.entry_writes
         pt.map(0x1, Pte(frame=1))
-        assert len(touched) == PT_LEVELS
+        assert pt.entry_writes - before == PT_LEVELS
         pt.protect(0x1, writable=False)
-        assert len(touched) == PT_LEVELS + 1
+        assert pt.entry_writes - before == PT_LEVELS + 1
 
     def test_node_frames_cover_tree(self, pt):
         pt.map(0x1, Pte(frame=1))

@@ -74,7 +74,6 @@ class TestBaselineContract:
             "warm_translations_per_sec": 5e6,
             "speedup_vs_legacy": 1.7,
             "miss_walks_per_sec": 2e5,
-            "miss_psc_hit_rate": 0.99,
             "faults_per_sec": 1.2e4,
         })
         assert line.startswith("wallclock:") and "vs legacy" in line
@@ -83,7 +82,6 @@ class TestBaselineContract:
             "warm_translations_per_sec": 5e6,
             "speedup_vs_legacy": 1.7,
             "miss_walks_per_sec": 2e5,
-            "miss_psc_hit_rate": 0.99,
             "faults_per_sec": 1.2e4,
             "parallel_speedup": 2.5,
             "parallel_jobs": 4,
@@ -110,6 +108,6 @@ class TestThroughput:
         assert baseline is not None
         assert wallclock.check_regressions(results, baseline) == []
 
-    def test_psc_keeps_miss_walks_partial(self):
+    def test_miss_phase_is_all_misses(self):
         results = wallclock.bench_miss_walks(iters=4)
-        assert results["miss_psc_hit_rate"] > 0.9
+        assert results["miss_tlb_hit_rate"] == 0
