@@ -104,9 +104,7 @@ class DirectPagingMachine(PvmSwitcherMachine):
 
     def _validate(self, ctx: CpuCtx, writes: int) -> None:
         """PVM's set_pte handler: validate a batch of guest PTE updates."""
-        ctx.clock.advance(
-            self.costs.pvm_hypercall_handler
-            + writes * self.costs.direct_paging_validate
-        )
+        ctx.clock.now += (self.costs.pvm_hypercall_handler
+                          + writes * self.costs.direct_paging_validate)
         self._hypercall_counts["set_pte"] += 1
         self.validated_updates += writes

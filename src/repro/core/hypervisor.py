@@ -128,7 +128,7 @@ class PvmHypervisor:
         :class:`~repro.core.emulator.EmulationResult`.
         """
         self.switcher.vm_exit(clock, cpu_id, f"#GP:{mnemonic}")
-        clock.advance(self.costs.instr_emulation)
+        clock.now += self.costs.instr_emulation
         result = None
         if vcpu is not None:
             result = self.emulator.emulate(vcpu, mnemonic)

@@ -42,7 +42,7 @@ class PcidMapper:
         self._map: Dict[Tuple[int, bool], int] = {}
         self.recycled = 0
 
-    def asid_for(self, guest_pcid: int, kernel_half: bool) -> Asid:
+    def asid_for(self, guest_pcid: int, kernel_half: bool = False) -> Asid:
         """The hardware TLB tag for one L2 address space.
 
         When the optimization is disabled every L2 space collapses onto

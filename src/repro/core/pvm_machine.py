@@ -61,6 +61,7 @@ class PvmSwitcherMachine(Machine):
             fine_grained=self.config.fine_grained_locks,
         )
         self.pcids = PcidMapper(self.vpid, enabled=self.config.pcid_mapping)
+        self._user_asid = self.pcids.asid_for
         costs = self.costs
         # Running deprivileged inside a VM instance adds event-delivery
         # bookkeeping to the exception and MSR paths.
@@ -89,7 +90,7 @@ class PvmSwitcherMachine(Machine):
     def _flush_on_cr3_load(self, clock, cpu_id: int) -> None:
         if cpu_id < len(self.contexts):
             self.contexts[cpu_id].mmu.drop_vpid(self.vpid)
-        clock.advance(self.costs.tlb_flush_op + self.costs.tlb_vpid_flush_extra)
+        clock.now += self.costs.tlb_flush_op + self.costs.tlb_vpid_flush_extra
         self.events.tlb_flushes["cr3-load"] += 1
 
     def asid_for(self, proc: Process, kernel_half: bool = False) -> Asid:
@@ -133,13 +134,13 @@ class PvmSwitcherMachine(Machine):
         dance stopped, then run the handler upcall + sigreturn."""
         sw = self.hv.switcher
         state = sw.state_for(ctx.cpu_id)
-        ctx.clock.advance(self.costs.pf_delivery)
+        ctx.clock.now += self.costs.pf_delivery
         if state.world is _KERNEL:
             if self.config.direct_switch:
                 sw.direct_switch_to_user(ctx.clock, ctx.cpu_id)
             else:
                 sw.vm_exit(ctx.clock, ctx.cpu_id, "sysret")
-                ctx.clock.advance(self.costs.pvm_syscall_dispatch)
+                ctx.clock.now += self.costs.pvm_syscall_dispatch
                 sw.vm_enter(ctx.clock, ctx.cpu_id, _USER)
         elif state.world is _HYPERVISOR:
             sw.vm_enter(ctx.clock, ctx.cpu_id, _USER)
@@ -179,7 +180,7 @@ class PvmSwitcherMachine(Machine):
             if other is ctx:
                 continue
             other.mmu.drop_vpid(self.vpid)
-            ctx.clock.advance(self.costs.tlb_shootdown_ipi)
+            ctx.clock.now += self.costs.tlb_shootdown_ipi
         self.events.tlb_flushes["vpid-broadcast"] += 1
 
     def on_cr3_switch(self, ctx: CpuCtx, from_proc: Process, to_proc: Process) -> None:

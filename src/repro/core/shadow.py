@@ -22,6 +22,7 @@ from repro.guest.process import Process
 from repro.hw.costs import CostModel
 from repro.hw.memory import PhysicalMemory
 from repro.hw.pagetable import PageTable, Pte
+from repro.hw.types import build_record
 
 
 class SyncResult(NamedTuple):
@@ -56,10 +57,13 @@ class ShadowManager:
         #: translation happens to preserve contiguity (it usually does
         #: not), so machines that support THP must provide this.
         self.translate_block = translate_block
-        #: Two halves (user + kernel) per process, else the user one.
-        self.dual = dual
-        #: (pid, half) -> shadow table; half is "user" or "kernel".
-        self._spts: Dict[Tuple[int, str], PageTable] = {}
+        #: The halves a user-page sync updates: user + kernel per
+        #: process, else the user one.
+        self._halves = ("user", "kernel") if dual else ("user",)
+        #: (pid, half) -> shadow table; half is "user" or "kernel".  The
+        #: dict is never rebound, and ``Machine.touch`` reads the user
+        #: half from it directly.
+        self.tables: Dict[Tuple[int, str], PageTable] = {}
         #: gfn -> set of (pid, half, vpn) shadow entries mapping it.
         self._rmap: Dict[int, Set[Tuple[int, str, int]]] = {}
         #: Frames of guest page-table pages currently write-protected.
@@ -78,17 +82,17 @@ class ShadowManager:
     def spt(self, proc: Process, half: str = "user") -> PageTable:
         """The process's shadow table for one half (created on demand)."""
         key = (proc.pid, half)
-        table = self._spts.get(key)
+        table = self.tables.get(key)
         if table is None:
             if half not in ("user", "kernel"):
                 raise ValueError(f"half must be user|kernel, got {half!r}")
             table = PageTable(self.table_phys, name=f"SPT12:{proc.pid}:{half}")
-            self._spts[key] = table
+            self.tables[key] = table
         return table
 
     def halves(self, proc: Process) -> List[str]:
         """Which shadow tables a user-page sync must update."""
-        return ["user", "kernel"] if self.dual else ["user"]
+        return list(self._halves)
 
     def tables_for(self, proc: Process) -> List[PageTable]:
         """The process's *existing* shadow tables (no creation).
@@ -99,7 +103,7 @@ class ShadowManager:
         """
         tables = []
         for half in ("user", "kernel"):
-            table = self._spts.get((proc.pid, half))
+            table = self.tables.get((proc.pid, half))
             if table is not None:
                 tables.append(table)
         return tables
@@ -154,22 +158,31 @@ class ShadowManager:
         self._inverse[target] = gpt_pte.frame
         writes = 0
         structural = False
-        for half in self.halves(proc):
+        pid = proc.pid
+        tables = self.tables
+        writable = gpt_pte.writable
+        executable = gpt_pte.executable
+        rmap_entries = self._rmap.get(gpt_pte.frame)
+        if rmap_entries is None:
+            rmap_entries = self._rmap[gpt_pte.frame] = set()
+        for half in self._halves:
+            table = tables.get((pid, half))
+            if table is None:
+                table = self.spt(proc, half)
+            # Positional: frame, writable, user, executable (a keyword
+            # call to a class builds a dict per entry).
+            spte = Pte(target, writable, half == "user", executable)
+            if gpt_pte.huge:
+                spte.huge = True
             # New entries are mapped; an existing one is retargeted and
             # its write permission refreshed — one descent either way.
-            result = self.spt(proc, half).ensure(
-                vpn,
-                Pte(frame=target, writable=gpt_pte.writable,
-                    user=(half == "user"), executable=gpt_pte.executable,
-                    huge=gpt_pte.huge),
-                frame=target, writable=gpt_pte.writable,
-            )
+            result = table.ensure(vpn, spte, frame=target, writable=writable)
             writes += result.written_frames
             if result.allocated_levels:
                 structural = True
-            self._rmap.setdefault(gpt_pte.frame, set()).add((proc.pid, half, vpn))
+            rmap_entries.add((pid, half, vpn))
         self.syncs += 1
-        return SyncResult(vpn, writes, structural, target)
+        return build_record(SyncResult, (vpn, writes, structural, target))
 
     def unmap(self, proc: Process, vpn: int) -> int:
         """Drop the shadow entries covering ``vpn``; returns how many
@@ -186,15 +199,19 @@ class ShadowManager:
         """
         vpns = tuple(vpns)
         removed: Dict[int, int] = {}
+        pid = proc.pid
+        rmap_get = self._rmap.get
+        inverse_get = self._inverse.get
         for half in ("user", "kernel"):
-            table = self._spts.get((proc.pid, half))
+            table = self.tables.get((pid, half))
             if table is None:
                 continue
 
             def drop_rmap(vpn: int, pte: Pte, half: str = half) -> None:
-                entries = self._rmap.get(self._rmap_gfn_of(pte))
+                frame = pte.frame  # :meth:`_rmap_gfn_of`, inlined
+                entries = rmap_get(inverse_get(frame, frame))
                 if entries is not None:
-                    entries.discard((proc.pid, half, vpn))
+                    entries.discard((pid, half, vpn))
                 removed[vpn] = removed.get(vpn, 0) + 1
 
             table.unmap_each(vpns, drop_rmap)
@@ -202,7 +219,7 @@ class ShadowManager:
 
     def lookup(self, proc: Process, vpn: int, half: str = "user") -> Optional[Pte]:
         """Current mapping state without faulting (None when absent)."""
-        table = self._spts.get((proc.pid, half))
+        table = self.tables.get((proc.pid, half))
         return table.lookup(vpn) if table is not None else None
 
     def coherence_error(
@@ -243,7 +260,7 @@ class ShadowManager:
         """
         touched = 0
         for pid, half, vpn in self.entries_for_gfn(gfn):
-            table = self._spts.get((pid, half))
+            table = self.tables.get((pid, half))
             if table is None or table.lookup(vpn) is None:
                 continue
             table.protect(vpn, writable=False)
@@ -256,10 +273,10 @@ class ShadowManager:
     def drop_all(self) -> int:
         """Release every shadow table at once (guest eviction)."""
         dropped = 0
-        for table in self._spts.values():
+        for table in self.tables.values():
             dropped += table.mapped_pages
             table.release()
-        self._spts.clear()
+        self.tables.clear()
         self._rmap.clear()
         self._inverse.clear()
         self.write_protected_frames.clear()
@@ -273,7 +290,7 @@ class ShadowManager:
         freeing its frames in the page-by-page order."""
         dropped = 0
         for half in ("user", "kernel"):
-            table = self._spts.pop((proc.pid, half), None)
+            table = self.tables.pop((proc.pid, half), None)
             if table is None:
                 continue
 

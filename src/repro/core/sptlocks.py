@@ -46,6 +46,10 @@ class SptLockManager:
         # ``LockSet.get`` call.
         self._pt_members = self.pt_locks._locks
         self._rmap_members = self.rmap_locks._locks
+        # The fine-grained sections' hold and acquire/release costs,
+        # read once (validated non-negative ints).
+        self._hold_ns = costs.finegrained_lock_hold
+        self._op_ns = costs.finegrained_lock_op
         #: Optional LockdepSanitizer; see :meth:`install_lockdep`.
         self.lockdep = None
 
@@ -107,18 +111,18 @@ class SptLockManager:
             # Lock-free portion first (walk + target computation); the
             # cost was validated above.
             clock.now += work_ns
-            hold = self.costs.finegrained_lock_hold
-            op = self.costs.finegrained_lock_op
+            hold = self._hold_ns
+            op = self._op_ns
             if structural:
-                self.meta_lock.run_locked(clock, hold_ns=hold, overhead_ns=op)
+                self.meta_lock.run_locked(clock, hold, op)
             lock = self._pt_members.get(pt_key)
             if lock is None:
                 lock = self.pt_locks.get(pt_key)
-            lock.run_locked(clock, hold_ns=hold, overhead_ns=op)
+            lock.run_locked(clock, hold, op)
             lock = self._rmap_members.get(gfn)
             if lock is None:
                 lock = self.rmap_locks.get(gfn)
-            lock.run_locked(clock, hold_ns=hold, overhead_ns=op)
+            lock.run_locked(clock, hold, op)
         finally:
             if ld is not None:
                 ld.end_op()

@@ -18,7 +18,7 @@ from repro.guest.process import PidAllocator, Process
 from repro.hw.costs import CostModel
 from repro.hw.memory import FrameRange, PhysicalMemory
 from repro.hw.pagetable import HUGE_PAGE_PAGES, PageTable, Pte
-from repro.hw.types import AccessType, HardwareError
+from repro.hw.types import AccessType, HardwareError, build_record
 
 
 class GptFix(NamedTuple):
@@ -160,20 +160,15 @@ class GuestKernel:
                 self._cached_frames.add(frame)
         else:
             frame = self.phys.alloc_frame(tag=f"pid{proc.pid}")
-        pte = Pte(
-            frame=frame,
-            writable=vma.writable,
-            user=True,
-            executable=vma.executable,
-        )
+        # Positional: frame, writable, user, executable (a keyword call
+        # to a class builds a dict per entry).
+        pte = Pte(frame, vma.writable, True, vma.executable)
         result = proc.gpt.map(vpn, pte)
-        return GptFix(
-            vpn=vpn,
-            pte=pte,
-            levels_allocated=max(1, result.allocated_levels),
-            entry_writes=result.written_frames,
-            file_backed=vma.kind == "file",
-        )
+        # GptFix(vpn, pte, levels_allocated, entry_writes, cow_break,
+        # huge, file_backed), built without its Python-level __new__.
+        return build_record(GptFix, (
+            vpn, pte, max(1, result.allocated_levels), result.written_frames,
+            False, False, vma.kind == "file"))
 
     def _fix_present_fault(
         self, proc: Process, vma: Vma, vpn: int, pte: Pte, access: AccessType

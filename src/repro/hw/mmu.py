@@ -39,6 +39,7 @@ from repro.hw.types import (
     Asid,
     EptViolation,
     PageFault,
+    build_record,
 )
 from repro.sim.clock import Clock
 
@@ -100,8 +101,8 @@ class Mmu:
         entry = self._tlb_get((akey << KEY_SHIFT) | vpn)
         if entry is not None:
             self._tlb_stats.hits += 1
-            # Inlined clock.advance(costs.tlb_hit): the constant is
-            # non-negative by construction, so the guard is redundant.
+            # ``tlb_hit`` is validated non-negative, so it is added to
+            # the clock directly (no ``Clock.advance`` guard).
             clock.now += self._hit_ns
             # A hit is trusted without a permission check; ROADMAP item 1
             # tracks the downgrade paths that leave a stale entry.
@@ -258,7 +259,8 @@ class Mmu:
         ept_leaves = ept.leaves
         ept_mask = ept.leaf_key_mask
         last = len(frames) - 1
-        reached = []
+        # The node legs' leaves, kept only when there are node legs.
+        reached = [] if last else None
         for i, gfn in enumerate(frames):
             clock.now += leg_ns
             leg_access = access if i == last else _READ
@@ -267,7 +269,8 @@ class Mmu:
                 level = 1
                 leaf = hit[0].entries.get(gfn & _INDEX_MASK)
                 if leaf is None:
-                    self.fault = EptViolation(gfn << 12, leg_access, 1)
+                    self.fault = build_record(EptViolation,
+                                              (gfn << 12, leg_access, 1))
                     return -1
             else:
                 node = ept.root
@@ -277,8 +280,8 @@ class Mmu:
                                             & _INDEX_MASK)
                     if type(leaf) is not PageTableNode:
                         if leaf is None or not leaf.huge or level != 2:
-                            self.fault = EptViolation(gfn << 12, leg_access,
-                                                      level)
+                            self.fault = build_record(
+                                EptViolation, (gfn << 12, leg_access, level))
                             return -1
                         break
                     node = leaf
@@ -286,11 +289,13 @@ class Mmu:
                 else:
                     leaf = node.entries.get(gfn & _INDEX_MASK)
                     if leaf is None:
-                        self.fault = EptViolation(gfn << 12, leg_access, 1)
+                        self.fault = build_record(
+                            EptViolation, (gfn << 12, leg_access, 1))
                         return -1
             if ((leg_access is _WRITE and not leaf.writable)
                     or (leg_access is _EXECUTE and not leaf.executable)):
-                self.fault = EptViolation(gfn << 12, leg_access, level)
+                self.fault = build_record(EptViolation,
+                                          (gfn << 12, leg_access, level))
                 return -1
             leaf.accessed = True
             if leg_access is _WRITE:
@@ -313,13 +318,30 @@ class Mmu:
     # -- flush helpers --------------------------------------------------------
 
     def flush_page(self, clock: Clock, asid: Asid, vpn: int) -> int:
-        """INVLPG one translation.  Returns entries dropped (0 or 1)."""
-        n = self.tlb.flush_page(asid, vpn)
-        self.events.tlb_flushes["page"] += 1
-        clock.advance(self.costs.tlb_flush_op)
+        """INVLPG one translation: a run of one :meth:`flush_pages`.
+        Returns entries dropped (0 or 1)."""
+        return self.flush_pages(clock, asid, (vpn,))
+
+    def flush_pages(self, clock: Clock, asid: Asid, vpns) -> int:
+        """INVLPG each page of a run (a sequence of vpns), in one call.
+
+        Exactly ``len(vpns)`` single-page INVLPGs: each drops its page's
+        entry as :meth:`Tlb.flush_pages` probes it, counts one ``page``
+        flush and costs one ``tlb_flush_op``; the sanitizer checks every
+        page.  An empty run counts and charges nothing.  Returns the
+        entries dropped.
+        """
+        pages = len(vpns)
+        if not pages:
+            return 0
+        tlb = self.tlb
+        n = tlb.flush_pages(asid, vpns)
+        self.events.tlb_flushes["page"] += pages
+        clock.now += pages * self.costs.tlb_flush_op
         san = self.sanitizer
         if san is not None:
-            san.check_flush_page(self.tlb, asid, vpn)
+            for vpn in vpns:
+                san.check_flush_page(tlb, asid, vpn)
         return n
 
     def flush_pcid(self, clock: Clock, asid: Asid) -> int:
@@ -327,7 +349,7 @@ class Mmu:
         mapping makes possible for L2 processes."""
         n = self.tlb.flush_pcid(asid)
         self.events.tlb_flushes["pcid"] += 1
-        clock.advance(self.costs.tlb_flush_op)
+        clock.now += self.costs.tlb_flush_op
         san = self.sanitizer
         if san is not None:
             san.check_flush_pcid(self.tlb, asid)
@@ -338,7 +360,7 @@ class Mmu:
         un-mapped-PCID guests pay a cold-start penalty."""
         n = self.tlb.flush_vpid(vpid)
         self.events.tlb_flushes["vpid"] += 1
-        clock.advance(self.costs.tlb_flush_op + self.costs.tlb_vpid_flush_extra)
+        clock.now += self.costs.tlb_flush_op + self.costs.tlb_vpid_flush_extra
         san = self.sanitizer
         if san is not None:
             san.check_flush_vpid(self.tlb, vpid)
@@ -348,7 +370,7 @@ class Mmu:
         """Drop every cached translation."""
         n = self.tlb.flush_all()
         self.events.tlb_flushes["full"] += 1
-        clock.advance(self.costs.tlb_flush_op + self.costs.tlb_vpid_flush_extra)
+        clock.now += self.costs.tlb_flush_op + self.costs.tlb_vpid_flush_extra
         san = self.sanitizer
         if san is not None:
             san.check_flush_all(self.tlb)

@@ -38,6 +38,7 @@ from repro.hw.types import (
     HardwareError,
     PageFault,
     PageFaultError,
+    build_record,
 )
 
 
@@ -263,13 +264,20 @@ class PageTable:
         Raises :class:`HardwareError` if the page is already mapped;
         callers must unmap first (matching how kernels treat PTE reuse).
         """
-        node, allocated = self._descend(vpn, 1)
+        # :meth:`_descend`'s leaf-table probe, inlined for the common hit.
+        hit = self.leaves.get((vpn >> LEVEL_BITS) & self.leaf_key_mask)
+        if hit is not None:
+            node, allocated = hit[0], 0
+        else:
+            node, allocated = self._descend(vpn, 1)
         idx = vpn & _INDEX_MASK
-        if node.level != 1 or idx in node.entries:
+        entries = node.entries
+        if node.level != 1 or idx in entries:
             raise HardwareError(f"{self.name}: vpn {vpn:#x} already mapped")
-        self._write_entry(node, idx, pte)
+        entries[idx] = pte  # :meth:`_write_entry` of an install, inlined
+        self.entry_writes += 1
         self.mapped_pages += 1
-        return MapResult(pte, allocated, allocated + 1)
+        return build_record(MapResult, (pte, allocated, allocated + 1))
 
     def map_huge(self, vpn_base: int, pte: Pte) -> MapResult:
         """Install one 2 MiB mapping at a 512-page-aligned base.
@@ -342,16 +350,26 @@ class PageTable:
         if pte.huge:
             self._check_huge_base(vpn)
             bottom = 2
-        node, allocated = self._descend(vpn, bottom)
+            node, allocated = self._descend(vpn, 2)
+        else:
+            # :meth:`_descend`'s leaf-table probe, inlined for the
+            # common hit.
+            hit = self.leaves.get((vpn >> LEVEL_BITS) & self.leaf_key_mask)
+            if hit is not None:
+                node, allocated = hit[0], 0
+            else:
+                node, allocated = self._descend(vpn, 1)
         if node.level != bottom:  # a 2 MiB entry covers vpn
             idx = (vpn >> LEVEL_BITS) & _INDEX_MASK
             return self._update(node, idx, node.entries[idx], flags)
         idx = (vpn >> (bottom - 1) * LEVEL_BITS) & _INDEX_MASK
-        entry = node.entries.get(idx)
+        entries = node.entries
+        entry = entries.get(idx)
         if entry is None:
-            self._write_entry(node, idx, pte)
+            entries[idx] = pte  # :meth:`_write_entry` of an install, inlined
+            self.entry_writes += 1
             self.mapped_pages += HUGE_PAGE_PAGES if pte.huge else 1
-            return MapResult(pte, allocated, allocated + 1)
+            return build_record(MapResult, (pte, allocated, allocated + 1))
         if type(entry) is PageTableNode:
             # A 2 MiB install over a leaf table: the base entry decides.
             node, idx = entry, vpn & _INDEX_MASK
@@ -437,13 +455,15 @@ class PageTable:
                     continue
             elif leaf is None:
                 continue
-            idx = vpn & _INDEX_MASK
-            pte = leaf.entries.get(idx)
+            entries = leaf.entries
+            pte = entries.pop(vpn & _INDEX_MASK, None)
             if pte is None:
                 continue
-            self._write_entry(leaf, idx, None)
+            # :meth:`_write_entry` of a removal, inlined: the stamp moves.
+            self.stamp += 1
+            self.entry_writes += 1
             self.mapped_pages -= 1
-            if not leaf.entries:
+            if not entries:
                 self._prune(vpn, nodes)
                 leaf = None
             on_unmap(vpn, pte)
@@ -841,5 +861,6 @@ def page_fault(
         code |= _FETCH_BIT
     if user:
         code |= _USER_BIT
-    return PageFault(vpn << 12, access, _ERROR_CODES[code], level)
+    return build_record(PageFault,
+                        (vpn << 12, access, _ERROR_CODES[code], level))
 

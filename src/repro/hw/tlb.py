@@ -17,7 +17,7 @@ simulations spend their time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Iterable, Optional
 
 from repro.hw.types import Asid, PCID_BITS
 
@@ -73,14 +73,6 @@ HUGE_SPAN = 512
 #: public because the MMU inlines the probe on its hot path.
 KEY_SHIFT = 57
 HUGE_TAG = 1 << 56  # placed just above the vpn field
-
-
-def _key4k(akey: int, vpn: int) -> int:
-    return (akey << KEY_SHIFT) | vpn
-
-
-def _keyhuge(akey: int, vpn: int) -> int:
-    return (akey << KEY_SHIFT) | HUGE_TAG | (vpn >> 9)
 
 
 def _key_akey(key: int) -> int:
@@ -146,7 +138,6 @@ class Tlb:
                       global_: bool = False, huge: bool = False) -> None:
         """Hot-path fill by pre-packed ASID key."""
         entries = self._entries
-        # :func:`_keyhuge` / :func:`_key4k`, inlined.
         if huge:
             key = (akey << KEY_SHIFT) | HUGE_TAG | (vpn >> 9)
             frame -= vpn % HUGE_SPAN
@@ -157,7 +148,7 @@ class Tlb:
             del entries[key]
         elif len(entries) >= self.capacity:
             self._evict_one()
-        entries[key] = TlbEntry(frame=frame, global_=global_, huge=huge)
+        entries[key] = TlbEntry(frame, global_, huge)
         self.stats.insertions += 1
 
     def _evict_one(self) -> None:
@@ -210,25 +201,36 @@ class Tlb:
         return len(victims)
 
     def flush_page(self, asid: Asid, vpn: int) -> int:
-        """INVLPG: drop the translation covering one page.
+        """INVLPG: drop the translation covering one page (a run of one
+        :meth:`flush_pages`).  Returns the entries dropped (0 or 1)."""
+        return self.flush_pages(asid, (vpn,))
 
-        Returns the number of entries dropped (0 or 1), matching the
-        count contract of the other ``flush_*`` methods.
+    def flush_pages(self, asid: Asid, vpns: Iterable[int]) -> int:
+        """INVLPG each page of a run: drop the translation covering it.
+
+        Per page the 4K entry is probed first and a hit ends the probe;
+        only a page with no 4K entry pops its covering 2 MiB entry, which
+        drops the whole huge run (a demotion: 512 pages of reach lost to
+        one INVLPG; experiments want this visible).  Returns the number
+        of entries dropped, matching the count contract of the other
+        ``flush_*`` methods.
         """
-        self.stats.flushes_page += 1
-        akey = asid.key
-        entry = self._entries.pop(_key4k(akey, vpn), None)
-        if entry is None:
-            entry = self._entries.pop(_keyhuge(akey, vpn), None)
-            if entry is not None:
-                # One INVLPG inside a huge run demotes (drops) the whole
-                # 2 MiB entry — 512 pages of reach lost to a single-page
-                # flush; experiments want this visible.
-                self.stats.flushes_huge_demotions += 1
-        if entry is not None:
-            self.stats.entries_flushed += 1
-            return 1
-        return 0
+        pop = self._entries.pop
+        key4k = asid.key << KEY_SHIFT
+        keyhuge = key4k | HUGE_TAG
+        pages = dropped = demotions = 0
+        for vpn in vpns:
+            pages += 1
+            if pop(key4k | vpn, None) is not None:
+                dropped += 1
+            elif pop(keyhuge | (vpn >> 9), None) is not None:
+                dropped += 1
+                demotions += 1
+        stats = self.stats
+        stats.flushes_page += pages
+        stats.flushes_huge_demotions += demotions
+        stats.entries_flushed += dropped
+        return dropped
 
     # -- inspection ---------------------------------------------------------
 

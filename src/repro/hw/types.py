@@ -206,6 +206,13 @@ HOST_VPID = 0
 # Fault descriptors
 # ---------------------------------------------------------------------------
 
+#: ``build_record(Cls, (field, ...))`` builds a NamedTuple record from a
+#: tuple of all its fields, in order, without the class's generated
+#: ``__new__``: a Python function called from C, which costs about as
+#: much again as the record itself.  The fault path builds its
+#: descriptors this way.  Nothing checks the field count: pass them all.
+build_record = tuple.__new__
+
 
 class PageFault(NamedTuple):
     """A page fault the MMU found during a walk.

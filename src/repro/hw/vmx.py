@@ -38,9 +38,12 @@ class ExitReason(enum.Enum):
     VMWRITE = "vmwrite"
 
 
-@dataclass
+@dataclass(frozen=True)
 class PendingEvent:
-    """An event queued for injection at the next VM entry."""
+    """An event queued for injection at the next VM entry.
+
+    Immutable, so one event object may sit in several queues (the nested
+    legs queue one prebuilt event per forwarded reason)."""
 
     kind: ExitReason
     vector: int = 0
@@ -74,9 +77,10 @@ class Vmcs:
         self.generation += 1
 
     def queue_injection(self, event: PendingEvent) -> None:
-        """Queue an event for injection at the next VM entry."""
+        """Queue an event for injection at the next VM entry (a
+        VMWRITE-visible mutation: the generation is bumped in place)."""
         self.pending.append(event)
-        self.write()
+        self.generation += 1
 
     def take_injections(self) -> List[PendingEvent]:
         """Drain and return the pending injections."""

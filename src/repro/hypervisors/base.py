@@ -174,6 +174,9 @@ class Machine(abc.ABC):
         #: The guest's VPID in the host TLB hierarchy.
         self.vpid = 1
         self._asids = AsidTable(self.vpid)
+        #: ``pcid -> Asid`` of a process's user half: the tag ``asid_for``
+        #: gives, looked up in one call (PVM rebinds it to its PCID map).
+        self._user_asid = self._asids.__getitem__
         self.contexts: List[CpuCtx] = []
         #: Root-mode service lock: L0's handling of exits is serialized
         #: per host resource (VMCS merge, EPT02 updates share this).
@@ -330,16 +333,18 @@ class Machine(abc.ABC):
         """Burn ``ns`` of guest user-mode CPU, absorbing timer interrupts."""
         if ns < 0:
             raise ValueError("compute time must be non-negative")
-        end = ctx.clock.now + ns
+        clock = ctx.clock
+        end = clock.now + ns
         interval = self.costs.timer_interval
         while True:
             next_tick = ctx.last_timer + interval
             if next_tick > end:
                 break
-            ctx.clock.advance_to(next_tick)
+            clock.advance_to(next_tick)
             ctx.last_timer = next_tick
             self.deliver_timer(ctx)
-        ctx.clock.advance_to(end)
+        if end > clock.now:  # Clock.advance_to(end), inlined
+            clock.now = end
 
     def syscall(self, ctx: CpuCtx, proc: Process, name: str) -> None:
         """Execute one named syscall: transition + kernel body."""
@@ -358,14 +363,51 @@ class Machine(abc.ABC):
     def touch(self, ctx: CpuCtx, proc: Process, vpn: int, write: bool = False) -> int:
         """Access one user page, handling any faults per-architecture.
 
-        Returns the host frame finally backing the page.  Each failed
-        translation is dispatched on its descriptor's type: a guest
-        :class:`PageFault` or a priced :class:`EptViolation`.
+        Returns the host frame finally backing the page.  Each attempt
+        is one hardware translation in one context: the process's user
+        tag (one ``asid_for`` per attempt, which keeps the PCID LRU
+        order) and the table the hardware walks — the shadow table or,
+        without one, the guest's own — nested over whichever extended
+        table it walks.  Violations on the chain's warm EPT01 are filled
+        in place and the walk repeated; any other failed attempt is
+        dispatched on its descriptor's type: a guest :class:`PageFault`
+        to :meth:`on_guest_fault`, an :class:`EptViolation` on the priced
+        ``walked_ept`` to :meth:`on_ept_violation`.
         """
         access = _WRITE if write else _READ
         mmu = ctx.mmu
+        clock = ctx.clock
+        ept = self.walked_ept
+        shadow = self.shadow
+        memory = self.memory
+        ept01 = memory.ept01
+        user_asid = self._user_asid
         for attempt in range(MAX_FAULT_RETRIES):
-            frame = self.translate(ctx, proc, vpn, access)
+            if ept is not None:
+                # A priced EPT means no shadow: the guest's table is walked.
+                frame = mmu.access_2d(clock, user_asid(proc.pcid), proc.gpt,
+                                      ept, vpn, access, True)
+            else:
+                if shadow is None:
+                    table = proc.gpt
+                else:
+                    table = shadow.tables.get((proc.pid, "user"))
+                    if table is None:
+                        table = shadow.spt(proc, "user")
+                asid = user_asid(proc.pcid)
+                if ept01 is None:
+                    frame = mmu.access_1d(clock, asid, table, vpn, access,
+                                          True)
+                else:
+                    while True:
+                        frame = mmu.access_2d(clock, asid, table, ept01, vpn,
+                                              access, True)
+                        if frame >= 0 or type(mmu.fault) is PageFault:
+                            break
+                        # Warm-EPT01 assumption (§2.2, §4.1): the L1 VM
+                        # has been up for hours; L0 fills violations
+                        # below our notice.
+                        memory.warm_fill(mmu.fault.gpa >> 12)
             if frame >= 0:
                 if attempt and self.sanitizers is not None:
                     # Faults were serviced: audit the translation state
@@ -392,7 +434,7 @@ class Machine(abc.ABC):
              file_key: Optional[str] = None) -> Vma:
         """Guest mmap syscall (lazy; pages fault in on touch)."""
         self._syscall_round_trip(ctx, proc)
-        ctx.clock.advance(self.costs.syscall_dispatch + 300)
+        ctx.clock.now += self.costs.syscall_dispatch + 300
         return self.kernel.sys_mmap(
             proc, length_bytes, writable=writable, kind=kind, file_key=file_key
         )
@@ -400,7 +442,7 @@ class Machine(abc.ABC):
     def munmap(self, ctx: CpuCtx, proc: Process, vma: Vma) -> None:
         """Guest munmap syscall: VMA + PTE + shadow teardown."""
         self._syscall_round_trip(ctx, proc)
-        ctx.clock.advance(self.costs.syscall_dispatch + 300)
+        ctx.clock.now += self.costs.syscall_dispatch + 300
         work = self.kernel.sys_munmap(proc, vma)
         if work.entry_writes:
             self.priced_gpt_writes(ctx, proc, work.entry_writes)
@@ -419,7 +461,7 @@ class Machine(abc.ABC):
         """Fork: page-table-heavy and touch-free (paper §4.2's fork rows)."""
         self._syscall_round_trip(ctx, proc)
         work: ForkWork = self.kernel.sys_fork(proc)
-        ctx.clock.advance(self.costs.fork_body)
+        ctx.clock.now += self.costs.fork_body
         # Per-page duplication work runs under the guest kernel's own
         # process-creation serialization.
         self.guest_fork_lock.run_locked(
@@ -439,7 +481,7 @@ class Machine(abc.ABC):
         """Guest exec: image teardown + fresh VMAs + demand faults."""
         self._syscall_round_trip(ctx, proc)
         work = self.kernel.sys_exec(proc, image_pages=image_pages)
-        ctx.clock.advance(self.costs.exec_body)
+        ctx.clock.now += self.costs.exec_body
         if work.entry_writes:
             self.priced_gpt_writes(ctx, proc, work.entry_writes)
         self.invalidate_asid(ctx, proc)
@@ -454,13 +496,13 @@ class Machine(abc.ABC):
         self._syscall_round_trip(ctx, proc)
         n_pages = proc.gpt.mapped_pages
         self.kernel.exit_process(proc)
-        ctx.clock.advance(self.costs.syscall_dispatch + n_pages * 40)
+        ctx.clock.now += self.costs.syscall_dispatch + n_pages * 40
         self.invalidate_asid(ctx, proc)
         self.on_process_destroyed(ctx, proc)
 
     def context_switch(self, ctx: CpuCtx, from_proc: Process, to_proc: Process) -> None:
         """Guest scheduler switches processes (CR3 load)."""
-        ctx.clock.advance(self.costs.context_switch)
+        ctx.clock.now += self.costs.context_switch
         self.on_cr3_switch(ctx, from_proc, to_proc)
 
     # -- paravirtual I/O ---------------------------------------------------
@@ -629,38 +671,6 @@ class Machine(abc.ABC):
     # architecture-specific machinery
     # ------------------------------------------------------------------
 
-    def translate(self, ctx: CpuCtx, proc: Process, vpn: int,
-                  access: AccessType) -> int:
-        """One hardware translation attempt: the frame, or -1 with the
-        fault descriptor in ``ctx.mmu.fault``.
-
-        The hardware walks the shadow table (or, without one, the
-        guest's own table) nested over whichever extended table it
-        walks.  Violations on a priced table go back to :meth:`touch`
-        for :meth:`on_ept_violation`; those on the chain's warm EPT01
-        are filled here.
-        """
-        mmu = ctx.mmu
-        ept = self.walked_ept
-        if ept is not None:
-            # A priced EPT means no shadow: the guest's table is walked.
-            return mmu.access_2d(ctx.clock, self.asid_for(proc), proc.gpt,
-                                 ept, vpn, access, True)
-        table = (self.shadow.spt(proc, "user") if self.shadow is not None
-                 else proc.gpt)
-        asid = self.asid_for(proc)
-        ept01 = self.memory.ept01
-        if ept01 is None:
-            return mmu.access_1d(ctx.clock, asid, table, vpn, access, True)
-        while True:
-            frame = mmu.access_2d(ctx.clock, asid, table, ept01, vpn,
-                                  access, True)
-            if frame >= 0 or type(mmu.fault) is PageFault:
-                return frame
-            # Warm-EPT01 assumption (§2.2, §4.1): the L1 VM has been
-            # up for hours; L0 fills violations below our notice.
-            self.memory.warm_fill(mmu.fault.gpa >> 12)
-
     def on_guest_fault(self, ctx: CpuCtx, proc: Process, fault: PageFault) -> None:
         """Guest #PF on a hardware-walked guest table: handled entirely
         inside the guest, no exit — one guest-internal switch in, one
@@ -728,9 +738,7 @@ class Machine(abc.ABC):
     def invalidate_pages(self, ctx: CpuCtx, proc: Process, vpns) -> None:
         """Zap stale TLB state after unmap/mprotect."""
         vpns = tuple(vpns)
-        asid = self.asid_for(proc)
-        for vpn in vpns:
-            ctx.mmu.flush_page(ctx.clock, asid, vpn)
+        ctx.mmu.flush_pages(ctx.clock, self.asid_for(proc), vpns)
         self.audit_zap(ctx, proc, vpns)
 
     def invalidate_asid(self, ctx: CpuCtx, proc: Process) -> None:
@@ -741,7 +749,7 @@ class Machine(abc.ABC):
         """Signal delivery for an unservable fault: the kernel builds a
         signal frame and upcalls the user handler (one extra user/kernel
         round trip beyond the fault itself)."""
-        ctx.clock.advance(self.costs.pf_delivery)
+        ctx.clock.now += self.costs.pf_delivery
         self._syscall_round_trip(ctx, proc)  # handler upcall + sigreturn
 
     def on_cr3_switch(self, ctx: CpuCtx, from_proc: Process, to_proc: Process) -> None:

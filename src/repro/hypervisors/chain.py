@@ -33,8 +33,8 @@ def install_ept(ept: PageTable, gfn: int, target: int) -> int:
     """Map gfn -> target in an extended table, or upgrade an existing
     entry (permission upgrade or spurious) to writable in place; one
     descent either way.  Returns the levels written."""
-    result = ept.ensure(gfn, Pte(frame=target, writable=True, user=False),
-                        writable=True)
+    # Positional Pte: frame, writable, user.
+    result = ept.ensure(gfn, Pte(target, True, False), writable=True)
     return result.written_frames
 
 
@@ -71,6 +71,14 @@ class MemoryChain:
         self.ept01 = (
             PageTable(host_phys, name="EPT01") if warm_ept01 else None
         )
+        #: The frame one level below a guest frame, allocated lazily:
+        #: what a shadow entry for it names (gfn1 on two-level chains,
+        #: else the host frame).  Bound once to the level's allocator.
+        self.target = (self.backing_frame if l1_phys is None
+                       else self.gfn1_for)
+        #: :attr:`target` for a whole 2 MiB guest run (its base gfn).
+        self.target_block = (self.backing_block if l1_phys is None
+                             else self.gfn1_block_for)
 
     # -- lazy backing --------------------------------------------------------
 
@@ -117,19 +125,6 @@ class MemoryChain:
             self._l1_huge_bases.add(gfn1)
         return gfn1
 
-    def target(self, gfn: int) -> int:
-        """The frame one level below a guest frame: what a shadow entry
-        for it names (gfn1 on two-level chains, else the host frame)."""
-        if self._l1 is None:
-            return self.backing_frame(gfn)
-        return self.gfn1_for(gfn)
-
-    def target_block(self, base: int) -> int:
-        """:meth:`target` for a whole 2 MiB guest run."""
-        if self._l1 is None:
-            return self.backing_block(base)
-        return self.gfn1_block_for(base)
-
     def fill_ept(self, ept: PageTable, frame: int,
                  huge_base: Optional[int]) -> int:
         """Fill the EPT entry for one bottom-level frame after a
@@ -147,17 +142,23 @@ class MemoryChain:
         return install_ept(ept, frame, self.backing_frame(frame))
 
     def warm_fill(self, gfn1: int) -> None:
-        """Fill (or upgrade) the warm EPT01 entry for one L1 frame."""
+        """Fill (or upgrade) the warm EPT01 entry for one L1 frame:
+        :meth:`fill_ept` on EPT01, one descent, with no hop between."""
         base = gfn1 - (gfn1 % HUGE_PAGE_PAGES)
-        # L0's EPT backs 2 MiB L1 runs with huge entries, preserving the
-        # guest-huge translation's TLB reach.
-        self.fill_ept(self.ept01, gfn1,
-                      base if base in self._l1_huge_bases else None)
+        if base in self._l1_huge_bases:
+            # L0's EPT backs 2 MiB L1 runs with huge entries, preserving
+            # the guest-huge translation's TLB reach.
+            self.ept01.ensure(base, Pte(frame=self.backing_block(base),
+                                        writable=True, user=False, huge=True))
+        else:
+            # :func:`install_ept`, inlined.
+            self.ept01.ensure(gfn1, Pte(self.backing_frame(gfn1), True, False),
+                              writable=True)
 
     # -- read-only probes ------------------------------------------------------
 
     def peek_target(self, gfn: int) -> Optional[int]:
-        """:meth:`target` without allocating (None when unbacked)."""
+        """:attr:`target` without allocating (None when unbacked)."""
         if self._l1 is None:
             return self._host.get(gfn)
         return self._l1.get(gfn)

@@ -44,10 +44,15 @@ class KvmShadowMixin:
         self.shadow = ShadowManager(table_phys, self.costs,
                                     self.memory.target, dual=False)
         self.shadow_lock = lock
-
-    def _shadow_locked(self, ctx: CpuCtx, hold_ns: int) -> None:
-        self.shadow_lock.run_locked(ctx.clock, hold_ns=hold_ns,
-                                    overhead_ns=self.costs.mmu_lock_op)
+        # Lock-section costs, read once (validated non-negative ints):
+        # the acquire/release overhead and the holds of a sync, a
+        # trapped GPT write and a zap.
+        costs = self.costs
+        self._shadow_lock_op_ns = costs.mmu_lock_op
+        self._sync_hold_ns = costs.mmu_lock_hold
+        self._sync_per_entry_ns = costs.spt_sync_per_entry
+        self._gpt_write_hold_ns = costs.wp_emulate_write + costs.mmu_lock_hold
+        self._zap_hold_ns = costs.mmu_lock_hold // 2
 
     def _sync_spte(self, ctx: CpuCtx, proc: Process, vpn: int,
                    gpt_pte: Pte) -> None:
@@ -56,14 +61,15 @@ class KvmShadowMixin:
         san = self.sanitizers
         if san is not None:
             san.shadow.after_sync(ctx, proc, vpn, gpt_pte, result)
-        self._shadow_locked(
-            ctx, self.costs.mmu_lock_hold
-            + result.entry_writes * self.costs.spt_sync_per_entry)
+        self.shadow_lock.run_locked(
+            ctx.clock,
+            self._sync_hold_ns + result.entry_writes * self._sync_per_entry_ns,
+            self._shadow_lock_op_ns)
 
     def _emulate_gpt_write(self, ctx: CpuCtx) -> None:
         """Apply one trapped guest PTE write to the shadow side."""
-        self._shadow_locked(
-            ctx, self.costs.wp_emulate_write + self.costs.mmu_lock_hold)
+        self.shadow_lock.run_locked(ctx.clock, self._gpt_write_hold_ns,
+                                    self._shadow_lock_op_ns)
         self._emulation_counts["gpt-write"] += 1
 
     def invalidate_pages(self, ctx: CpuCtx, proc: Process, vpns) -> None:
@@ -71,10 +77,14 @@ class KvmShadowMixin:
         vpns = tuple(vpns)
         asid = self.asid_for(proc)
         removed = self.shadow.unmap_pages(proc, vpns)
+        clock, mmu, lock = ctx.clock, ctx.mmu, self.shadow_lock
+        # Per vpn, the zap's lock section, then its INVLPG: lock request
+        # times (and so the waits between vCPUs) depend on this order.
         for vpn in vpns:
             if vpn in removed:
-                self._shadow_locked(ctx, self.costs.mmu_lock_hold // 2)
-            ctx.mmu.flush_page(ctx.clock, asid, vpn)
+                lock.run_locked(clock, self._zap_hold_ns,
+                                self._shadow_lock_op_ns)
+            mmu.flush_page(clock, asid, vpn)
         self.audit_zap(ctx, proc, vpns)
 
     def on_process_created(self, ctx: CpuCtx, proc: Process) -> None:
@@ -125,12 +135,12 @@ class KvmSptMachine(KvmShadowMixin, KvmMachine):
                                               "fault", _KEY_SHADOW_PT))
             return
         # True guest fault: inject #PF and resume into the guest handler.
-        ctx.clock.advance(self.costs.irq_inject)
+        ctx.clock.now += self.costs.irq_inject
         self.events.injections["#PF"] += 1
         self.hw_exit_entry(ctx, _HW_L1_L0)  # VM entry (to handler)
-        ctx.clock.advance(self.costs.pf_delivery)
+        ctx.clock.now += self.costs.pf_delivery
         fix = self.kernel.fix_fault(proc, vpn, fault.access, gpt_pte)
-        ctx.clock.advance(self.fault_body_ns(proc, fix))
+        ctx.clock.now += self.fault_body_ns(proc, fix)
         # Each guest PTE write trapped under write protection.
         self.priced_gpt_writes(ctx, proc, fix.entry_writes)
         self.guest_internal_transition(ctx)  # guest iret (no exit)

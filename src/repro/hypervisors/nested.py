@@ -22,16 +22,21 @@ _KEY_L2_L0 = SwitchKind.HW_L2_L0.value
 _EXCEPTION = ExitReason.EXCEPTION
 
 
-class _TrapKeys(dict):
-    """``reason -> prefix + reason``, each key built on first use."""
+class _PerReason(dict):
+    """``reason -> build(reason)``, each value built on first use."""
 
-    def __init__(self, prefix: str) -> None:
+    def __init__(self, build) -> None:
         super().__init__()
-        self.prefix = prefix
+        self.build = build
 
-    def __missing__(self, reason: str) -> str:
-        key = self[reason] = self.prefix + reason
-        return key
+    def __missing__(self, reason: str):
+        value = self[reason] = self.build(reason)
+        return value
+
+
+def _forwarded_event(reason: str) -> PendingEvent:
+    """The event L0 synthesizes into VMCS01 for an L2 trap it forwards."""
+    return PendingEvent(kind=_EXCEPTION, payload=reason)
 
 
 class NestedVmxMixin:
@@ -55,9 +60,11 @@ class NestedVmxMixin:
         #: VMX state-machine sanitizer (repro.sanitize); None when off.
         self.vmx_sanitizer = None
         #: ``l0_exits`` keys of the forwarded, service and direct legs.
-        self._l2_exit_keys = _TrapKeys("l2-exit:")
-        self._l1_service_keys = _TrapKeys("l1-service:")
-        self._l2_direct_keys = _TrapKeys("l2-direct:")
+        self._l2_exit_keys = _PerReason("l2-exit:".__add__)
+        self._l1_service_keys = _PerReason("l1-service:".__add__)
+        self._l2_direct_keys = _PerReason("l2-direct:".__add__)
+        #: One prebuilt (immutable) injection event per forwarded reason.
+        self._forwarded_events = _PerReason(_forwarded_event)
         self._forward_ns = self.costs.l0_forward_overhead
         self._merge_ns = self.costs.vmcs_merge_reload
 
@@ -89,9 +96,10 @@ class NestedVmxMixin:
         if trace is not None:
             trace.append(TraceEvent(clock.now, ctx.cpu_id, "switch", _KEY_L2_L0))
         self.l0_lock.run_locked(clock, self._forward_ns + serialized_ns)
-        self.vmcs01.queue_injection(
-            PendingEvent(kind=_EXCEPTION, payload=reason)
-        )
+        # Vmcs.queue_injection, in place.
+        vmcs01 = self.vmcs01
+        vmcs01.pending.append(self._forwarded_events[reason])
+        vmcs01.generation += 1
         clock.now += self._hw_switch_ns
         counts[_KEY_L1_L0] += 1
         if trace is not None:

@@ -63,13 +63,13 @@ class SptOnEptMachine(KvmShadowMixin, NestedVmxMixin, Machine):
             return
         # First phase: L1 injects the #PF into L2's VMCS12 and resumes
         # into the L2 kernel's fault handler (via L0 again).
-        ctx.clock.advance(self.costs.irq_inject)
-        self.vmcs12.write()
+        ctx.clock.now += self.costs.irq_inject
+        self.vmcs12.generation += 1  # Vmcs.write, in place
         self.events.injections["#PF"] += 1
         self.l1_resume_l2(ctx)
-        ctx.clock.advance(self.costs.pf_delivery)
+        ctx.clock.now += self.costs.pf_delivery
         fix = self.kernel.fix_fault(proc, vpn, fault.access, gpt_pte)
-        ctx.clock.advance(self.fault_body_ns(proc, fix))
+        ctx.clock.now += self.fault_body_ns(proc, fix)
         # Every GPT2 write needs L1's assistance — each one a full
         # L2 -> L0 -> L1 -> L0 -> L2 round (4 switches, 2 L0 exits).
         self.priced_gpt_writes(ctx, proc, fix.entry_writes)

@@ -133,7 +133,7 @@ class IoStack:
             batch = 0
             while remaining and device.queue.free_descriptors:
                 device.queue.add_buf(segment, write=not write)
-                ctx.clock.advance(costs.virtio_add_buf)
+                ctx.clock.now += costs.virtio_add_buf
                 remaining -= 1
                 batch += 1
             if batch == 0:  # pragma: no cover - queue sized generously
@@ -162,7 +162,7 @@ class IoStack:
                 retries += 1
                 for desc in failed:
                     device.queue.add_buf(desc.length, write=desc.write)
-                    ctx.clock.advance(costs.virtio_add_buf)
+                    ctx.clock.now += costs.virtio_add_buf
                 device.queue.kick()
                 machine.virtio_doorbell(ctx)
                 doorbells += 1

@@ -24,6 +24,12 @@ from repro.sim.clock import Clock
 class SimLock:
     """A mutex whose contention is tracked in virtual time."""
 
+    __slots__ = (
+        "name", "events", "free_at", "acquisitions", "total_wait_ns",
+        "total_hold_ns", "stall_hook", "stalls_injected_ns", "lockdep",
+        "lock_class",
+    )
+
     def __init__(self, name: str, events: Optional[EventLog] = None) -> None:
         self.name = name
         self.events = events

@@ -1,17 +1,24 @@
-"""Per-fault call budget: the simulator functions one demand fault calls.
+"""Call budgets: the simulator functions a demand fault, a munmap and a
+TLB hit call.
 
-Each machine touches ``PAGES`` fresh pages (a write each) after a
-warm-up VMA has built its page tables, under ``sys.setprofile`` as
+Each machine touches ``PAGES`` fresh pages (a write each) of a VMA after
+a warm-up VMA has built its page tables, under ``sys.setprofile`` as
 ``tests/test_count_in_place.py`` does, and counts the calls into
-functions defined in ``src/repro``.  The counts are deterministic, so
-they are pinned exactly: a change that adds a call per fault shows up
-here, and a change that removes one updates the pin.
+functions defined in ``src/repro``.  Three operations are measured on
+that VMA, each on its own machine:
 
-The fault path runs the translation attempts, the machine's dance from
-#PF (or EPT violation) to the retry, the guest kernel's fix, the shadow
-or EPT install and the lock work.  Generated constructors (dataclass
-and NamedTuple ``__init__``/``__new__``) are not counted.  Run this
-module to print the counts.
+* ``BUDGET``: the ``PAGES`` demand faults;
+* ``MUNMAP_BUDGET``: the ``munmap`` of the faulted VMA (its page-table,
+  shadow and TLB teardown, per page);
+* ``HIT_BUDGET``: a second write sweep over the faulted VMA, every touch
+  a TLB hit.  This is the per-touch floor a run API for the workloads'
+  page loops has to beat.
+
+The counts are deterministic, so they are pinned exactly: a change that
+adds a call shows up here, and a change that removes one updates the
+pin.  Generated constructors (dataclass and NamedTuple
+``__init__``/``__new__``) are not counted.  Run this module to print
+all three tables, ready to paste.
 """
 
 from __future__ import annotations
@@ -30,25 +37,40 @@ PAGES = 64
 
 #: Calls into ``src/repro`` for ``PAGES`` demand faults, by machine.
 BUDGET = {
-    "kvm-ept (BM)": 1985,  # 31.02 per fault
-    "kvm-spt (BM)": 3457,  # 54.02 per fault
-    "pvm (BM)": 3521,  # 55.02 per fault
-    "kvm-ept (NST)": 2945,  # 46.02 per fault
-    "kvm-spt (NST)": 5057,  # 79.02 per fault
-    "pvm (NST)": 4097,  # 64.02 per fault
-    "pvm-dp (NST)": 2753,  # 43.02 per fault
+    "kvm-ept (BM)": 1345,  # 21.02 per fault
+    "kvm-spt (BM)": 2113,  # 33.02 per fault
+    "pvm (BM)": 2497,  # 39.02 per fault
+    "kvm-ept (NST)": 2049,  # 32.02 per fault
+    "kvm-spt (NST)": 3009,  # 47.02 per fault
+    "pvm (NST)": 2817,  # 44.02 per fault
+    "pvm-dp (NST)": 2049,  # 32.02 per fault
+}
+
+#: Calls for the ``munmap`` of the ``PAGES``-page faulted VMA.
+MUNMAP_BUDGET = {
+    "kvm-ept (BM)": 207,  # 3.23 per page
+    "kvm-spt (BM)": 783,  # 12.23 per page
+    "pvm (BM)": 1112,  # 17.38 per page
+    "kvm-ept (NST)": 207,  # 3.23 per page
+    "kvm-spt (NST)": 979,  # 15.30 per page
+    "pvm (NST)": 1112,  # 17.38 per page
+    "pvm-dp (NST)": 533,  # 8.33 per page
+}
+
+#: Calls for ``PAGES`` touches that all hit the TLB.
+HIT_BUDGET = {
+    "kvm-ept (BM)": 129,  # 2.02 per hit
+    "kvm-spt (BM)": 129,  # 2.02 per hit
+    "pvm (BM)": 193,  # 3.02 per hit
+    "kvm-ept (NST)": 129,  # 2.02 per hit
+    "kvm-spt (NST)": 129,  # 2.02 per hit
+    "pvm (NST)": 193,  # 3.02 per hit
+    "pvm-dp (NST)": 193,  # 3.02 per hit
 }
 
 
-def simulator_calls(scenario: str) -> int:
-    """Calls into the simulator while ``PAGES`` fresh pages fault in."""
-    m = make_machine(scenario)
-    ctx = m.new_context()
-    proc = m.spawn_process()
-    warm = m.mmap(ctx, proc, PAGES * PAGE_SIZE)
-    for vpn in range(warm.start_vpn, warm.end_vpn):
-        m.touch(ctx, proc, vpn, write=True)
-    vma = m.mmap(ctx, proc, PAGES * PAGE_SIZE)
+def _counted(run) -> int:
+    """Calls into the simulator while ``run()`` executes."""
     calls = 0
 
     def hook(frame, event, arg):
@@ -58,10 +80,48 @@ def simulator_calls(scenario: str) -> int:
 
     sys.setprofile(hook)
     try:
-        for vpn in range(vma.start_vpn, vma.end_vpn):
-            m.touch(ctx, proc, vpn, write=True)
+        run()
     finally:
         sys.setprofile(None)
+    return calls
+
+
+def _fresh_vma(scenario: str):
+    """A machine whose guest tables are built, and a fresh VMA on it."""
+    m = make_machine(scenario)
+    ctx = m.new_context()
+    proc = m.spawn_process()
+    warm = m.mmap(ctx, proc, PAGES * PAGE_SIZE)
+    for vpn in range(warm.start_vpn, warm.end_vpn):
+        m.touch(ctx, proc, vpn, write=True)
+    return m, ctx, proc, m.mmap(ctx, proc, PAGES * PAGE_SIZE)
+
+
+def _sweep(m, ctx, proc, vma) -> None:
+    for vpn in range(vma.start_vpn, vma.end_vpn):
+        m.touch(ctx, proc, vpn, write=True)
+
+
+def simulator_calls(scenario: str) -> int:
+    """Calls into the simulator while ``PAGES`` fresh pages fault in."""
+    m, ctx, proc, vma = _fresh_vma(scenario)
+    return _counted(lambda: _sweep(m, ctx, proc, vma))
+
+
+def munmap_calls(scenario: str) -> int:
+    """Calls into the simulator while the faulted VMA is unmapped."""
+    m, ctx, proc, vma = _fresh_vma(scenario)
+    _sweep(m, ctx, proc, vma)
+    return _counted(lambda: m.munmap(ctx, proc, vma))
+
+
+def hit_calls(scenario: str) -> int:
+    """Calls into the simulator for ``PAGES`` TLB-hit touches."""
+    m, ctx, proc, vma = _fresh_vma(scenario)
+    _sweep(m, ctx, proc, vma)
+    hits = ctx.tlb.stats.hits
+    calls = _counted(lambda: _sweep(m, ctx, proc, vma))
+    assert ctx.tlb.stats.hits == hits + PAGES
     return calls
 
 
@@ -70,7 +130,22 @@ def test_calls_per_fault_are_pinned(scenario):
     assert simulator_calls(scenario) == BUDGET[scenario]
 
 
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_calls_per_munmap_are_pinned(scenario):
+    assert munmap_calls(scenario) == MUNMAP_BUDGET[scenario]
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_calls_per_tlb_hit_are_pinned(scenario):
+    assert hit_calls(scenario) == HIT_BUDGET[scenario]
+
+
 if __name__ == "__main__":
-    for name in SCENARIOS:
-        calls = simulator_calls(name)
-        print(f"{name!r}: {calls},  # {calls / PAGES:.2f} per fault")
+    for title, count, unit in (("BUDGET", simulator_calls, "fault"),
+                               ("MUNMAP_BUDGET", munmap_calls, "page"),
+                               ("HIT_BUDGET", hit_calls, "hit")):
+        print(f"{title} = {{")
+        for name in SCENARIOS:
+            calls = count(name)
+            print(f'    "{name}": {calls},  # {calls / PAGES:.2f} per {unit}')
+        print("}")

@@ -194,6 +194,136 @@ class TestFlushHelpers:
         assert mmu.events.tlb_flushes.total == 0
 
 
+#: Three tags; the TLB below holds the same layout under each.
+RANGE_ASIDS = (Asid(vpid=1, pcid=1), Asid(vpid=1, pcid=2), Asid(vpid=2, pcid=1))
+#: A run mixing 4K hits, misses, a page inside a 2 MiB entry (a
+#: demotion), a second page of the run it dropped, and a page that has
+#: both a 4K and a 2 MiB entry.
+RANGE_VPNS = (3, 4, 5, 39, 40, 1029, 1030, 2051, 3000)
+
+
+def _range_tlb() -> Tlb:
+    tlb = Tlb(capacity=4096)
+    for asid in RANGE_ASIDS:
+        for vpn in range(40):
+            tlb.insert(asid, vpn, 1000 + vpn)
+        tlb.insert(asid, 1024 + 5, 5005, huge=True)  # run [1024, 1536)
+        tlb.insert(asid, 2048, 7000, huge=True)  # run [2048, 2560)
+        # The model lets a 4K entry sit over a page of a cached 2 MiB run.
+        tlb.insert(asid, 2051, 9000)
+    return tlb
+
+
+class TestFlushPages:
+    """The range INVLPG, ``Mmu.flush_pages``, against one
+    ``Tlb.flush_page`` per page."""
+
+    def test_matches_per_page_flushes(self):
+        asid = RANGE_ASIDS[1]
+        per_page = _range_tlb()
+        dropped = sum(per_page.flush_page(asid, vpn) for vpn in RANGE_VPNS)
+
+        tlb = _range_tlb()
+        mmu = Mmu(tlb, EventLog(), DEFAULT_COSTS)
+        clock = Clock(100)
+        assert mmu.flush_pages(clock, asid, RANGE_VPNS) == dropped == 6
+        assert tlb._entries == per_page._entries
+        assert vars(tlb.stats) == vars(per_page.stats)
+        assert tlb.stats.flushes_page == len(RANGE_VPNS)
+        assert tlb.stats.flushes_huge_demotions == 1
+        assert tlb.stats.entries_flushed == 6
+        assert clock.now == 100 + len(RANGE_VPNS) * DEFAULT_COSTS.tlb_flush_op
+        assert mmu.events.tlb_flushes["page"] == len(RANGE_VPNS)
+        assert mmu.events.tlb_flushes.total == len(RANGE_VPNS)
+
+    def test_drops_exactly_the_probed_entries(self):
+        """Per page the 4K entry is probed first and a hit ends the
+        probe; only a page without one drops its 2 MiB entry."""
+        asid = RANGE_ASIDS[1]
+        tlb = _range_tlb()
+        before = len(tlb)
+        Mmu(tlb, EventLog(), DEFAULT_COSTS).flush_pages(Clock(), asid,
+                                                         RANGE_VPNS)
+        assert len(tlb) == before - 6
+        for vpn in (3, 4, 5, 39, 1029, 1030):
+            assert tlb.peek_packed(asid.key, vpn) is None
+        # 2051's 4K entry went; the 2 MiB entry under it still serves it.
+        assert tlb.peek_packed(asid.key, 2051) == 7000 + 3
+        assert tlb.peek_packed(asid.key, 2) == 1002
+        for other in (RANGE_ASIDS[0], RANGE_ASIDS[2]):
+            for vpn in (3, 1029, 2051):
+                assert tlb.peek_packed(other.key, vpn) is not None
+
+    def test_flush_page_is_a_run_of_one(self):
+        asid = RANGE_ASIDS[0]
+        one, run = _range_tlb(), _range_tlb()
+        mmu_one = Mmu(one, EventLog(), DEFAULT_COSTS)
+        mmu_run = Mmu(run, EventLog(), DEFAULT_COSTS)
+        c1, c2 = Clock(), Clock()
+        for vpn in RANGE_VPNS:
+            mmu_one.flush_page(c1, asid, vpn)
+        mmu_run.flush_pages(c2, asid, RANGE_VPNS)
+        assert one._entries == run._entries
+        assert vars(one.stats) == vars(run.stats)
+        assert c1.now == c2.now
+        assert (dict(mmu_one.events.tlb_flushes)
+                == dict(mmu_run.events.tlb_flushes) == {"page": 9})
+
+    def test_empty_run_counts_and_charges_nothing(self):
+        tlb = _range_tlb()
+        mmu = Mmu(tlb, EventLog(), DEFAULT_COSTS)
+        clock = Clock(7)
+        assert mmu.flush_pages(clock, RANGE_ASIDS[0], ()) == 0
+        assert clock.now == 7
+        assert "page" not in mmu.events.tlb_flushes
+        assert vars(tlb.stats) == vars(_range_tlb().stats)
+
+    def test_sanitizer_checks_every_page(self, monkeypatch):
+        monkeypatch.setenv("PVM_SANITIZE", "full")
+        m = make_machine("kvm-ept (BM)")
+        ctx = m.new_context()
+        san = ctx.mmu.sanitizer
+        assert san is m.sanitizers.shadow
+        seen = []
+        check = san.check_flush_page
+
+        def record(tlb, asid, vpn):
+            seen.append(vpn)
+            check(tlb, asid, vpn)
+
+        monkeypatch.setattr(san, "check_flush_page", record)
+        asid = RANGE_ASIDS[0]
+        for vpn in range(40):
+            ctx.tlb.insert(asid, vpn, 1000 + vpn)
+        checks = m.sanitizers.report.checks.get("shadow", 0)
+        ctx.mmu.flush_pages(ctx.clock, asid, RANGE_VPNS)
+        assert seen == list(RANGE_VPNS)
+        assert m.sanitizers.report.checks["shadow"] == checks + len(RANGE_VPNS)
+        assert m.sanitizers.violations == []
+        ctx.mmu.flush_pages(ctx.clock, asid, ())
+        assert seen == list(RANGE_VPNS)
+
+    @pytest.mark.parametrize("scenario", ["kvm-ept (BM)", "kvm-ept (NST)"])
+    def test_invalidate_pages_flushes_a_run_once(self, scenario, monkeypatch):
+        runs = []
+        flush_pages = Mmu.flush_pages
+
+        def record(self, clock, asid, vpns):
+            runs.append(tuple(vpns))
+            return flush_pages(self, clock, asid, vpns)
+
+        m = make_machine(scenario)
+        ctx = m.new_context()
+        proc = m.spawn_process()
+        vma = m.mmap(ctx, proc, 16 * 4096)
+        for vpn in range(vma.start_vpn, vma.end_vpn):
+            m.touch(ctx, proc, vpn, write=True)
+        monkeypatch.setattr(Mmu, "flush_pages", record)
+        m.munmap(ctx, proc, vma)
+        assert runs == [tuple(range(vma.start_vpn, vma.end_vpn))]
+        assert m.events.tlb_flushes["page"] == 16
+
+
 def test_reset_phase_stats_zeroes_tlb_and_events():
     m = make_machine("pvm (BM)")
     ctx = m.new_context()

@@ -505,7 +505,7 @@ def exec_page_by_page(kernel, proc):
 def drop_page_by_page(shadow, proc):
     """``ShadowManager.drop`` as unmapping page by page does it."""
     for half in ("user", "kernel"):
-        table = shadow._spts.pop((proc.pid, half), None)
+        table = shadow.tables.pop((proc.pid, half), None)
         if table is None:
             continue
 
