@@ -77,10 +77,9 @@ class DirectPagingMachine(PvmSwitcherMachine):
         clock.now += self.fault_body_ns(proc, fix)
         sw.vm_exit(clock, cpu, "hypercall:set_pte")
         self._validate(ctx, fix.entry_writes)
-        self.locks.locked_fix(
-            clock, pt_key=(proc.pid, vpn >> 9), gfn=fix.pte.frame,
-            work_ns=0, structural=bool(fix.levels_allocated > 1),
-        )
+        # locked_fix(clock, pt_key, gfn, work_ns, structural)
+        self._locked_fix(clock, (proc.pid, vpn >> 9), fix.pte.frame, 0,
+                         fix.levels_allocated > 1)
         sw.vm_enter(clock, cpu, _KERNEL)
         # iret hypercall back to user (2 switches; nothing to prefault —
         # the hardware walks the guest's own table).

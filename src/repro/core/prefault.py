@@ -8,8 +8,9 @@ entry on the iret path — trading :attr:`CostModel.prefault_fill` of
 in-hypervisor work for a whole extra VM exit (two PVM world switches).
 
 The fill happens in the same handler that fixed the fault, so the only
-state is the switch and a count of the fills (each one a saved
-shadow-stale fault).
+state is the switch.  A fill is not counted apart: each one is a
+shadow-stale fault (``phase2:shadow-pt``) that never happens, which the
+EventLog's fault and switch counts show.
 """
 
 from __future__ import annotations
@@ -19,8 +20,6 @@ from dataclasses import dataclass
 
 @dataclass
 class Prefaulter:
-    """The prefault switch and its fill count; one per PVM machine."""
+    """The prefault switch; one per PVM machine."""
 
     enabled: bool = True
-    #: Shadow entries filled on the iret path.
-    fills: int = 0

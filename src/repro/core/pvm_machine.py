@@ -60,6 +60,11 @@ class PvmSwitcherMachine(Machine):
             self.costs, self.events,
             fine_grained=self.config.fine_grained_locks,
         )
+        # The dances' switcher, its per-CPU states and the SPT lock
+        # manager's fix, resolved once (none is ever rebound).
+        self._switcher = self.hv.switcher
+        self._cpu_states = self._switcher.states
+        self._locked_fix = self.locks.locked_fix
         self.pcids = PcidMapper(self.vpid, enabled=self.config.pcid_mapping)
         self._user_asid = self.pcids.asid_for
         costs = self.costs
@@ -120,12 +125,12 @@ class PvmSwitcherMachine(Machine):
     def _resume_world(self, ctx: CpuCtx, fallback: GuestWorld) -> GuestWorld:
         """The guest world to re-enter after a trap taken now (``fallback``
         when the vCPU is already in the hypervisor)."""
-        world = self.hv.switcher.state_for(ctx.cpu_id).world
+        world = self._cpu_states[ctx.cpu_id].world
         return fallback if world is _HYPERVISOR else world
 
     def _iret_hypercall(self, ctx: CpuCtx) -> None:
         """The L2 kernel's iret: one hypercall (switch) into PVM."""
-        self.hv.switcher.vm_exit(ctx.clock, ctx.cpu_id, "hypercall:iret")
+        self._switcher.vm_exit(ctx.clock, ctx.cpu_id, "hypercall:iret")
         ctx.clock.now += self._hypercall_ns
         self._hypercall_counts["iret"] += 1
 
@@ -299,6 +304,8 @@ class PvmMachine(PvmSwitcherMachine):
                                   + costs.direct_switch_extra)
         self._stale_sync_ns = costs.spt_sync_per_entry
         self._prefault_ns = costs.prefault_fill
+        self._wp_less = self.config.wp_less_sync
+        self._wp_write_ns = costs.wp_emulate_write
 
     # -- the Figure 9 fault dance -----------------------------------------------------
 
@@ -307,7 +314,7 @@ class PvmMachine(PvmSwitcherMachine):
         vpn = fault.vaddr >> 12
         access = fault.access
         clock, cpu, trace = ctx.clock, ctx.cpu_id, self._trace
-        sw = self.hv.switcher
+        sw = self._switcher
         gpt_pte = proc.gpt.lookup(vpn)
         shadow_stale = gpt_pte is not None and gpt_pte.permits(access, True)
         if self._triage and not shadow_stale:
@@ -315,7 +322,7 @@ class PvmMachine(PvmSwitcherMachine):
             # injects it straight into the L2 kernel — a light
             # switcher-internal transition instead of a full exit to PVM.
             clock.now += self._triage_inject_ns
-            sw.state_for(cpu).world = _KERNEL
+            self._cpu_states[cpu].world = _KERNEL
             self._switch_counts[_KEY_DIRECT] += 1
             if trace is not None:
                 trace.append(TraceEvent(clock.now, cpu, "switch", _KEY_DIRECT))
@@ -352,9 +359,7 @@ class PvmMachine(PvmSwitcherMachine):
         # (8): the prefault optimization fills SPT12 on the iret path,
         # avoiding the otherwise-inevitable shadow-stale fault.  The fix's
         # PTE is the guest entry now covering ``vpn``.
-        prefaulter = self.prefaulter
-        if prefaulter.enabled:
-            prefaulter.fills += 1
+        if self.prefaulter.enabled:
             self._sync_shadow(ctx, proc, vpn, fix.pte, self._prefault_ns)
         # (9)-(10): back to the L2 user.
         sw.vm_enter(clock, cpu, _USER)
@@ -372,13 +377,10 @@ class PvmMachine(PvmSwitcherMachine):
         san = self.sanitizers
         if san is not None:
             san.shadow.after_sync(ctx, proc, vpn, gpt_pte, result)
-        self.locks.locked_fix(
-            ctx.clock,
-            pt_key=(proc.pid, vpn >> 9),
-            gfn=gpt_pte.frame,
-            work_ns=per_entry_ns * max(1, result.entry_writes // 2),
-            structural=result.structural,
-        )
+        # locked_fix(clock, pt_key, gfn, work_ns, structural)
+        self._locked_fix(ctx.clock, (proc.pid, vpn >> 9), gpt_pte.frame,
+                         per_entry_ns * (result.entry_writes // 2 or 1),
+                         result.structural)
 
     # -- write-protected GPT2 ------------------------------------------------------------
 
@@ -391,25 +393,25 @@ class PvmMachine(PvmSwitcherMachine):
         Under the §5 WP-less extension the writes are ordinary stores;
         the hypervisor validates and synchronizes the dirty entries in
         batch on the next iret, so only per-entry work is charged."""
-        if self.config.wp_less_sync:
+        if self._wp_less:
             ctx.clock.advance(
                 writes * (self.costs.pte_write + self.costs.wpless_sync_per_entry)
             )
             self._emulation_counts["wpless-batch-sync"] += 1
             return
+        clock, cpu = ctx.clock, ctx.cpu_id
+        sw, fix = self._switcher, self._locked_fix
         resume = self._resume_world(ctx, _KERNEL)
+        pt_key, pid, work_ns = ("wp", proc.pid), proc.pid, self._wp_write_ns
+        counts = self._emulation_counts
         for _ in range(writes):
-            self.hv.switcher.vm_exit(ctx.clock, ctx.cpu_id, "gpt-write")
-            self.locks.locked_fix(
-                ctx.clock, pt_key=("wp", proc.pid), gfn=proc.pid,
-                work_ns=self.costs.wp_emulate_write,
-                # Bulk construction (fork/exec) creates shadow pages and
-                # parent/child links: inter-shadow-page state under the
-                # meta lock, which is where PVM forks contend.
-                structural=structural,
-            )
-            self._emulation_counts["gpt-write"] += 1
-            self.hv.switcher.vm_enter(ctx.clock, ctx.cpu_id, resume)
+            sw.vm_exit(clock, cpu, "gpt-write")
+            # Bulk construction (fork/exec) creates shadow pages and
+            # parent/child links: inter-shadow-page state under the meta
+            # lock, which is where PVM forks contend.
+            fix(clock, pt_key, pid, work_ns, structural)
+            counts["gpt-write"] += 1
+            sw.vm_enter(clock, cpu, resume)
 
     # -- invalidation ----------------------------------------------------------------------
 
@@ -419,10 +421,10 @@ class PvmMachine(PvmSwitcherMachine):
         removed = self.shadow.unmap_pages(proc, vpns)
         for vpn in vpns:
             if vpn in removed:
-                self.locks.locked_fix(
-                    ctx.clock, pt_key=(proc.pid, vpn >> 9), gfn=(proc.pid, vpn),
-                    work_ns=self.costs.spt_sync_per_entry // 2,
-                )
+                # locked_fix(clock, pt_key, gfn, work_ns)
+                self._locked_fix(ctx.clock, (proc.pid, vpn >> 9),
+                                 (proc.pid, vpn),
+                                 self.costs.spt_sync_per_entry // 2)
         super().invalidate_pages(ctx, proc, vpns)
 
     # -- process lifecycle ---------------------------------------------------------------------
@@ -441,8 +443,6 @@ class PvmMachine(PvmSwitcherMachine):
                     table = self.shadow.spt(parent, half)
                     if table.lookup(vpn) is not None:
                         table.protect(vpn, writable=False)
-                self.locks.locked_fix(
-                    ctx.clock, pt_key=(parent.pid, vpn >> 9),
-                    gfn=(parent.pid, vpn), work_ns=30,
-                )
+                self._locked_fix(ctx.clock, (parent.pid, vpn >> 9),
+                                 (parent.pid, vpn), 30)
         self.shadow.write_protect_gpt(child)

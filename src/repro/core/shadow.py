@@ -74,7 +74,6 @@ class ShadowManager:
         #: target frame -> guest frame (inverse of translate_gfn, filled
         #: on sync so rmap maintenance on unmap is O(1)).
         self._inverse: Dict[int, int] = {}
-        self.syncs = 0
         self.rmap_invalidations = 0
 
     # -- table access -------------------------------------------------------
@@ -181,7 +180,6 @@ class ShadowManager:
             if result.allocated_levels:
                 structural = True
             rmap_entries.add((pid, half, vpn))
-        self.syncs += 1
         return build_record(SyncResult, (vpn, writes, structural, target))
 
     def unmap(self, proc: Process, vpn: int) -> int:

@@ -41,11 +41,10 @@ class SptLockManager:
         self.meta_lock = SimLock("pvm-meta_lock", events)
         self.pt_locks = LockSet("pvm-pt_lock", events)
         self.rmap_locks = LockSet("pvm-rmap_lock", events)
-        # The sets' member dicts (never rebound; ``reset`` clears them in
-        # place), read directly so a fix on an existing lock makes no
-        # ``LockSet.get`` call.
-        self._pt_members = self.pt_locks._locks
-        self._rmap_members = self.rmap_locks._locks
+        # The sets' member dicts (never rebound), indexed directly so a
+        # fix makes no ``LockSet.get`` call.
+        self._pt_members = self.pt_locks.members
+        self._rmap_members = self.rmap_locks.members
         # The fine-grained sections' hold and acquire/release costs,
         # read once (validated non-negative ints).
         self._hold_ns = costs.finegrained_lock_hold
@@ -68,7 +67,7 @@ class SptLockManager:
         for lockset, cls in ((self.pt_locks, "pt"), (self.rmap_locks, "rmap")):
             lockset.lockdep = lockdep
             lockset.lock_class = cls
-            for member in lockset._locks.values():
+            for member in lockset.members.values():
                 member.lockdep = lockdep
                 member.lock_class = cls
 
@@ -115,14 +114,8 @@ class SptLockManager:
             op = self._op_ns
             if structural:
                 self.meta_lock.run_locked(clock, hold, op)
-            lock = self._pt_members.get(pt_key)
-            if lock is None:
-                lock = self.pt_locks.get(pt_key)
-            lock.run_locked(clock, hold, op)
-            lock = self._rmap_members.get(gfn)
-            if lock is None:
-                lock = self.rmap_locks.get(gfn)
-            lock.run_locked(clock, hold, op)
+            self._pt_members[pt_key].run_locked(clock, hold, op)
+            self._rmap_members[gfn].run_locked(clock, hold, op)
         finally:
             if ld is not None:
                 ld.end_op()

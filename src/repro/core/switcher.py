@@ -29,6 +29,7 @@ from repro.guest.interrupts import HandlerSite, Idt
 from repro.hw.costs import CostModel
 from repro.hw.cpu import SharedIfWord
 from repro.hw.events import EventLog, SwitchKind, TraceEvent
+from repro.hw.types import PerKey
 from repro.sim.clock import Clock
 
 
@@ -63,13 +64,6 @@ class SwitcherState:
     v_ring3_hw_cr3: Optional[int] = None
     host_cr3: Optional[int] = None
     shared_if: SharedIfWord = field(default_factory=SharedIfWord)
-    #: Registers cleared on the last exit (security invariant; tests
-    #: assert this is always True after a world switch to the hypervisor).
-    regs_cleared: bool = True
-    #: Guest-state saves into, and host-state restores from, this
-    #: area (one each per VM exit).
-    saves: int = 0
-    restores: int = 0
 
 
 _HYPERVISOR = GuestWorld.HYPERVISOR
@@ -97,7 +91,9 @@ class Switcher:
         self._switch_counts = events.world_switches
         self._exit_counts = events.l1_exits
         self._trace = events.trace if events.detailed else None
-        self._states: Dict[int, SwitcherState] = {}
+        #: cpu_id -> that CPU's :class:`SwitcherState`, created on first
+        #: use.  Never rebound: the PVM machines read it directly.
+        self.states: Dict[int, SwitcherState] = PerKey(SwitcherState)
         self._world_switch_ns = costs.pvm_world_switch
         self._to_kernel_ns = costs.ring_transition + costs.direct_switch_extra
         self._to_user_ring_ns = costs.direct_switch_extra
@@ -113,11 +109,7 @@ class Switcher:
 
     def state_for(self, cpu_id: int) -> SwitcherState:
         """The per-CPU switcher state (created on first use)."""
-        state = self._states.get(cpu_id)
-        if state is None:
-            state = SwitcherState(cpu_id=cpu_id)
-            self._states[cpu_id] = state
-        return state
+        return self.states[cpu_id]
 
     def entry_va(self, cpu_id: int) -> int:
         """Virtual address of this CPU's entry area (Figure 6 layout)."""
@@ -130,12 +122,11 @@ class Switcher:
 
         One PVM world switch: ring transition into the switcher, guest
         state saved to the per-CPU switcher state, host state restored,
-        general-purpose registers cleared.
+        general-purpose registers cleared.  The switch count (one
+        ``pvm_l2_l1`` switch and one L1 exit) and the charge are the
+        model's record of that work.
         """
-        state = self._states.get(cpu_id) or self.state_for(cpu_id)
-        state.saves += 1
-        state.restores += 1
-        state.regs_cleared = True
+        state = self.states[cpu_id]
         state.world = _HYPERVISOR
         clock.now += self._world_switch_ns
         self._switch_counts[_KEY_L2_L1] += 1
@@ -156,7 +147,7 @@ class Switcher:
         """
         if world is _HYPERVISOR:
             raise ValueError("vm_enter targets a guest world")
-        state = self._states.get(cpu_id) or self.state_for(cpu_id)
+        state = self.states[cpu_id]
         state.world = world
         clock.now += self._world_switch_ns
         self._switch_counts[_KEY_L2_L1] += 1
@@ -178,7 +169,7 @@ class Switcher:
         sysret completes at h_ring3 without re-entering h_ring0 at all,
         saving the ring transition — only the frame/CR3 work remains.
         """
-        state = self._states.get(cpu_id) or self.state_for(cpu_id)
+        state = self.states[cpu_id]
         if state.world is not _KERNEL:
             raise RuntimeError("direct switch to user requires v_ring0")
         state.world = _USER
@@ -203,7 +194,7 @@ class Switcher:
         out is :meth:`direct_switch_to_user`'s leg.  Each leg is followed
         by the CR3-load hook.  The vCPU starts and ends in v_ring3.
         """
-        state = self._states.get(cpu_id) or self.state_for(cpu_id)
+        state = self.states[cpu_id]
         if state.world is not _USER:
             raise RuntimeError("direct switch to kernel requires v_ring3")
         hook, trace = self.on_guest_cr3_load, self._trace

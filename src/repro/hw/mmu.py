@@ -21,7 +21,7 @@ hypervisor or kernel policy.
 
 from __future__ import annotations
 
-from typing import Union
+from typing import Optional, Tuple, Union
 
 from repro.hw.costs import CostModel
 from repro.hw.events import EventLog
@@ -29,6 +29,7 @@ from repro.hw.pagetable import (
     HUGE_PAGE_PAGES,
     PageTable,
     PageTableNode,
+    Pte,
     page_fault,
 )
 from repro.hw.tlb import HUGE_SPAN, HUGE_TAG, KEY_SHIFT, Tlb
@@ -107,11 +108,12 @@ class Mmu:
             # A hit is trusted without a permission check; ROADMAP item 1
             # tracks the downgrade paths that leave a stale entry.
             return entry.frame
-        entry = self._tlb_get((akey << KEY_SHIFT) | HUGE_TAG | (vpn >> 9))
-        if entry is not None:
-            self._tlb_stats.hits += 1
-            clock.now += self._hit_ns
-            return entry.frame + (vpn % HUGE_SPAN)
+        if self.tlb.huge_entries:
+            entry = self._tlb_get((akey << KEY_SHIFT) | HUGE_TAG | (vpn >> 9))
+            if entry is not None:
+                self._tlb_stats.hits += 1
+                clock.now += self._hit_ns
+                return entry.frame + (vpn % HUGE_SPAN)
         self._tlb_stats.misses += 1
         # Full depth wherever the walk ended (the difference is below
         # our cost resolution).
@@ -123,14 +125,17 @@ class Mmu:
             if pte is None:
                 self.fault = page_fault(vpn, access, user, False, 1)
                 return -1
-            if ((user and not pte.user)
-                    or (access is _WRITE and not pte.writable)
+            # A write is decided (and marked dirty) in its own branch.
+            if access is _WRITE:
+                if not pte.writable or (user and not pte.user):
+                    self.fault = page_fault(vpn, access, user, True, 1)
+                    return -1
+                pte.dirty = True
+            elif ((user and not pte.user)
                     or (access is _EXECUTE and not pte.executable)):
                 self.fault = page_fault(vpn, access, user, True, 1)
                 return -1
             pte.accessed = True
-            if access is _WRITE:
-                pte.dirty = True
             self.tlb.insert_packed(akey, vpn, pte.frame,
                                    global_=cache_global and pte.global_)
             return pte.frame
@@ -168,19 +173,21 @@ class Mmu:
 
         The miss is one inline walk per dimension: the guest table is
         walked once, keeping only the frames of the nodes it reads, then
-        each of those frames and the guest leaf frame takes one EPT leg — with the checks, A/D updates, fault levels
-        and charges of :meth:`PageTable.walk`.  Each dimension starts
-        at its table's leaf-table index: a hit is one probe plus one
-        entry read; the loop runs only for a missing leaf table or a
-        2 MiB entry.
+        each of those frames (a node leg, a read) and the guest leaf
+        frame (the leaf leg, with the real access) takes one EPT leg —
+        with the checks, A/D updates, fault levels and charges of
+        :meth:`PageTable.walk`.  Each dimension starts at its table's
+        leaf-table index: a hit is one probe plus one entry read; the
+        loop runs only for a missing leaf table or a 2 MiB entry.
 
         The node legs of an indexed guest leaf table are memoized on its
-        node (``ept_memo``): the EPT leaf entries they reached, valid
-        while ``ept.stamp`` is unchanged.  Node legs are reads, which
-        only fail on a missing entry, and only a removal (which bumps the
-        stamp) takes an entry away; so a hit charges the legs at
-        full depth in one add, sets their accessed bits and runs only
-        the guest leaf frame's leg.
+        node (``ept_memo``): how many there were, valid while
+        ``ept.stamp`` and ``ept.harvests`` are unchanged.  Node legs are
+        reads, which only fail on a missing entry; only a removal (which
+        bumps the stamp) takes an entry away, and only a clearing
+        harvest clears the accessed bits they set.  So a hit charges the
+        legs at full depth in one add and runs only the leaf leg, which
+        is straight-line code.
         """
         akey = asid.key
         entry = self._tlb_get((akey << KEY_SHIFT) | vpn)
@@ -188,11 +195,12 @@ class Mmu:
             self._tlb_stats.hits += 1
             clock.now += self._hit_ns
             return entry.frame
-        entry = self._tlb_get((akey << KEY_SHIFT) | HUGE_TAG | (vpn >> 9))
-        if entry is not None:
-            self._tlb_stats.hits += 1
-            clock.now += self._hit_ns
-            return entry.frame + (vpn % HUGE_SPAN)
+        if self.tlb.huge_entries:
+            entry = self._tlb_get((akey << KEY_SHIFT) | HUGE_TAG | (vpn >> 9))
+            if entry is not None:
+                self._tlb_stats.hits += 1
+                clock.now += self._hit_ns
+                return entry.frame + (vpn % HUGE_SPAN)
         self._tlb_stats.misses += 1
         # Guest dimension, charged at full depth wherever it stops.
         clock.now += gpt.levels * self._step_2d_ns
@@ -228,82 +236,63 @@ class Mmu:
                 if pte is None:
                     self.fault = page_fault(vpn, access, user, False, 1)
                     return -1
-        if ((user and not pte.user)
-                or (access is _WRITE and not pte.writable)
+        # A write is decided (and marked dirty) in its own branch.
+        if access is _WRITE:
+            if not pte.writable or (user and not pte.user):
+                self.fault = page_fault(vpn, access, user, True, level)
+                return -1
+            pte.dirty = True
+        elif ((user and not pte.user)
                 or (access is _EXECUTE and not pte.executable)):
             self.fault = page_fault(vpn, access, user, True, level)
             return -1
         pte.accessed = True
-        if access is _WRITE:
-            pte.dirty = True
         # Extended dimension: one leg per guest node frame (a read), then
         # the guest leaf frame with the real access.  Every leg is charged
         # at full depth, the faulting one included.
         leg_ns = ept.levels * self._step_1d_ns
-        memo_node = None
         if hit is None:
-            frames.append(pte.frame + vpn % HUGE_PAGE_PAGES if guest_huge
-                          else pte.frame)
+            gfn = (pte.frame + vpn % HUGE_PAGE_PAGES if guest_huge
+                   else pte.frame)
         else:
+            gfn = pte.frame
             memo = hit[0].ept_memo
-            if memo is not None and memo[0] == ept.stamp:
-                # The memoized node legs, charged and marked as the loop
-                # below would; only the guest leaf frame's leg runs.
-                clock.now += len(memo[1]) * leg_ns
-                for leaf in memo[1]:
-                    leaf.accessed = True
-                frames = (pte.frame,)
+            if (memo is not None and memo[0] == ept.stamp
+                    and memo[1] == ept.harvests):
+                # The memoized node legs (their entries are present and
+                # still accessed) and the leaf leg, charged in one add.
+                clock.now += (memo[2] + 1) * leg_ns
+                frames = None
             else:
-                memo_node = hit[0]
-                frames = (*hit[2], pte.frame)
-        ept_leaves = ept.leaves
-        ept_mask = ept.leaf_key_mask
-        last = len(frames) - 1
-        # The node legs' leaves, kept only when there are node legs.
-        reached = [] if last else None
-        for i, gfn in enumerate(frames):
-            clock.now += leg_ns
-            leg_access = access if i == last else _READ
-            hit = ept_leaves.get((gfn >> LEVEL_BITS) & ept_mask)
-            if hit is not None:
-                level = 1
-                leaf = hit[0].entries.get(gfn & _INDEX_MASK)
+                frames = hit[2]
+        if frames is not None:
+            # Node legs are reads, which only a missing entry fails.
+            for node_gfn in frames:
+                clock.now += leg_ns
+                leaf, level = _ept_entry(ept, node_gfn)
                 if leaf is None:
-                    self.fault = build_record(EptViolation,
-                                              (gfn << 12, leg_access, 1))
+                    self.fault = build_record(
+                        EptViolation, (node_gfn << 12, _READ, level))
                     return -1
-            else:
-                node = ept.root
-                level = node.level
-                while level > 1:
-                    leaf = node.entries.get((gfn >> (level - 1) * LEVEL_BITS)
-                                            & _INDEX_MASK)
-                    if type(leaf) is not PageTableNode:
-                        if leaf is None or not leaf.huge or level != 2:
-                            self.fault = build_record(
-                                EptViolation, (gfn << 12, leg_access, level))
-                            return -1
-                        break
-                    node = leaf
-                    level -= 1
-                else:
-                    leaf = node.entries.get(gfn & _INDEX_MASK)
-                    if leaf is None:
-                        self.fault = build_record(
-                            EptViolation, (gfn << 12, leg_access, 1))
-                        return -1
-            if ((leg_access is _WRITE and not leaf.writable)
-                    or (leg_access is _EXECUTE and not leaf.executable)):
-                self.fault = build_record(EptViolation,
-                                          (gfn << 12, leg_access, level))
-                return -1
-            leaf.accessed = True
-            if leg_access is _WRITE:
-                leaf.dirty = True
-            if i < last:
-                reached.append(leaf)
-        if memo_node is not None:
-            memo_node.ept_memo = (ept.stamp, tuple(reached))
+                leaf.accessed = True
+            if hit is not None:
+                hit[0].ept_memo = (ept.stamp, ept.harvests, len(frames))
+            clock.now += leg_ns  # the leaf leg
+        # The leaf leg, with :func:`_ept_entry`'s leaf-table probe inlined.
+        hit = ept.leaves.get((gfn >> LEVEL_BITS) & ept.leaf_key_mask)
+        if hit is not None:
+            level = 1
+            leaf = hit[0].entries.get(gfn & _INDEX_MASK)
+        else:
+            leaf, level = _ept_entry(ept, gfn)
+        if leaf is None or not (
+                leaf.writable if access is _WRITE
+                else access is not _EXECUTE or leaf.executable):
+            self.fault = build_record(EptViolation, (gfn << 12, access, level))
+            return -1
+        leaf.accessed = True
+        if access is _WRITE:
+            leaf.dirty = True
         # ``level`` is where the leaf leg ended: 2 for a huge EPT entry.
         # A guest-huge translation can only fill a huge TLB entry when the
         # extended dimension preserves contiguity, i.e. that leaf is huge.
@@ -388,3 +377,24 @@ class Mmu:
         if san is not None:
             san.check_flush_vpid(self.tlb, vpid)
         return n
+
+
+def _ept_entry(ept: PageTable, gfn: int) -> Tuple[Optional[Pte], int]:
+    """The extended entry translating ``gfn`` and the level it sits at
+    (2 for a 2 MiB entry), as :meth:`PageTable.walk` finds it; the entry
+    is None where the walk stops at a missing entry."""
+    hit = ept.leaves.get((gfn >> LEVEL_BITS) & ept.leaf_key_mask)
+    if hit is not None:
+        return hit[0].entries.get(gfn & _INDEX_MASK), 1
+    node = ept.root
+    level = node.level
+    while level > 1:
+        entry = node.entries.get((gfn >> (level - 1) * LEVEL_BITS)
+                                 & _INDEX_MASK)
+        if type(entry) is not PageTableNode:
+            if entry is None or not entry.huge or level != 2:
+                return None, level
+            return entry, level
+        node = entry
+        level -= 1
+    return node.entries.get(gfn & _INDEX_MASK), 1

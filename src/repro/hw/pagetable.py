@@ -116,10 +116,11 @@ class PageTableNode:
     """One table page of the radix tree, backed by a physical frame.
 
     ``ept_memo`` is only used on the level-1 nodes of tables the MMU
-    walks nested over an extended table: ``(stamp, entries)``, the
-    extended table's :attr:`PageTable.stamp` when this node was last
-    walked over it and the extended leaf entries that translate the
-    frames of this node's root-down path (see :meth:`Mmu.access_2d`).
+    walks nested over an extended table: ``(stamp, harvests, legs)``,
+    the extended table's :attr:`PageTable.stamp` and
+    :attr:`PageTable.harvests` when this node's root-down path was last
+    walked over it, and the number of that path's node legs (see
+    :meth:`Mmu.access_2d`).
     """
 
     __slots__ = ("level", "frame", "entries", "ept_memo")
@@ -129,7 +130,7 @@ class PageTableNode:
         self.frame = frame
         # Sparse storage: index -> child node (level > 1) or Pte (level 1).
         self.entries: Dict[int, object] = {}
-        self.ept_memo: Optional[Tuple[int, Tuple[Pte, ...]]] = None
+        self.ept_memo: Optional[Tuple[int, int, int]] = None
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<PTNode L{self.level} frame={self.frame:#x} n={len(self.entries)}>"
@@ -239,6 +240,10 @@ class PageTable:
         #: same :class:`Pte` in place — so :meth:`Mmu.access_2d`
         #: validates its guest-path memos with it.
         self.stamp = self.uid << _STAMP_BITS
+        #: Clearing :meth:`harvest_accessed` scans so far: the only way
+        #: an accessed bit is ever cleared.  While it and :attr:`stamp`
+        #: are unchanged, every entry seen accessed still is.
+        self.harvests = 0
 
     # -- structure -----------------------------------------------------
 
@@ -613,6 +618,8 @@ class PageTable:
         """
         accessed_pages = 0
         scanned = 0
+        if clear:
+            self.harvests += 1
         for _vpn, pte in self.iter_mappings():
             scanned += 1
             if pte.accessed:

@@ -28,7 +28,6 @@ class TlbStats:
 
     hits: int = 0
     misses: int = 0
-    insertions: int = 0
     evictions: int = 0
     flushes_full: int = 0
     flushes_vpid: int = 0
@@ -88,9 +87,14 @@ class Tlb:
     entry of reach 512x, which is THP's TLB-pressure win.  Global
     entries (used for the PVM switcher, which the paper pins in the
     TLB) are only removed by a full flush.
+
+    :attr:`huge_entries` is the exact number of 2 MiB entries cached.
+    Every method that adds or drops an entry keeps it (the fill, the
+    FIFO eviction and each flush), so a probe may skip the 2 MiB key
+    while it is 0; the shadow sanitizer audits it in ``full`` mode.
     """
 
-    __slots__ = ("capacity", "_entries", "stats")
+    __slots__ = ("capacity", "_entries", "stats", "huge_entries")
 
     def __init__(self, capacity: int = 1536) -> None:
         if capacity <= 0:
@@ -100,6 +104,8 @@ class Tlb:
         # the MMU aliases it to inline the hot-path probe.
         self._entries: Dict[int, TlbEntry] = {}
         self.stats = TlbStats()
+        #: 2 MiB entries in ``_entries`` (keys with ``HUGE_TAG`` set).
+        self.huge_entries = 0
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -111,16 +117,18 @@ class Tlb:
         return self.lookup_packed(asid.key, vpn)
 
     def lookup_packed(self, akey: int, vpn: int) -> Optional[int]:
-        """Hot-path lookup by pre-packed ASID key (see ``asid_key``)."""
+        """Hot-path lookup by pre-packed ASID key (see ``asid_key``);
+        the 2 MiB key is probed only while 2 MiB entries are cached."""
         entries = self._entries
         entry = entries.get((akey << KEY_SHIFT) | vpn)
         if entry is not None:
             self.stats.hits += 1
             return entry.frame
-        entry = entries.get((akey << KEY_SHIFT) | HUGE_TAG | (vpn >> 9))
-        if entry is not None:
-            self.stats.hits += 1
-            return entry.frame + (vpn % HUGE_SPAN)
+        if self.huge_entries:
+            entry = entries.get((akey << KEY_SHIFT) | HUGE_TAG | (vpn >> 9))
+            if entry is not None:
+                self.stats.hits += 1
+                return entry.frame + (vpn % HUGE_SPAN)
         self.stats.misses += 1
         return None
 
@@ -141,6 +149,8 @@ class Tlb:
         if huge:
             key = (akey << KEY_SHIFT) | HUGE_TAG | (vpn >> 9)
             frame -= vpn % HUGE_SPAN
+            if key not in entries:
+                self.huge_entries += 1  # any eviction below is counted
         else:
             key = (akey << KEY_SHIFT) | vpn
         if key in entries:
@@ -149,17 +159,18 @@ class Tlb:
         elif len(entries) >= self.capacity:
             self._evict_one()
         entries[key] = TlbEntry(frame, global_, huge)
-        self.stats.insertions += 1
 
     def _evict_one(self) -> None:
         entries = self._entries
         for key, entry in entries.items():
             if not entry.global_:
-                del entries[key]
-                self.stats.evictions += 1
-                return
-        # Pathological: TLB full of global entries.  Evict oldest anyway.
-        del entries[next(iter(entries))]
+                break
+        else:
+            # Pathological: TLB full of global entries.  Evict oldest.
+            key, entry = next(iter(entries.items()))
+        del entries[key]
+        if entry.huge:
+            self.huge_entries -= 1
         self.stats.evictions += 1
 
     # -- flushes -----------------------------------------------------------
@@ -168,6 +179,7 @@ class Tlb:
         """Drop everything, including global entries.  Returns count."""
         n = len(self._entries)
         self._entries.clear()
+        self.huge_entries = 0
         self.stats.flushes_full += 1
         self.stats.entries_flushed += n
         return n
@@ -180,10 +192,8 @@ class Tlb:
             k for k, e in entries.items()
             if _key_akey(k) >> PCID_BITS == vpid and not e.global_
         ]
-        for k in victims:
-            del entries[k]
+        self._drop(victims)
         self.stats.flushes_vpid += 1
-        self.stats.entries_flushed += len(victims)
         return len(victims)
 
     def flush_pcid(self, asid: Asid) -> int:
@@ -194,11 +204,20 @@ class Tlb:
             k for k, e in entries.items()
             if _key_akey(k) == akey and not e.global_
         ]
-        for k in victims:
-            del entries[k]
+        self._drop(victims)
         self.stats.flushes_pcid += 1
-        self.stats.entries_flushed += len(victims)
         return len(victims)
+
+    def _drop(self, keys) -> None:
+        """Drop the entries of ``keys`` (a flush's victims), keeping
+        :attr:`huge_entries` exact."""
+        entries = self._entries
+        huge = 0
+        for key in keys:
+            if entries.pop(key).huge:
+                huge += 1
+        self.huge_entries -= huge
+        self.stats.entries_flushed += len(keys)
 
     def flush_page(self, asid: Asid, vpn: int) -> int:
         """INVLPG: drop the translation covering one page (a run of one
@@ -226,6 +245,7 @@ class Tlb:
             elif pop(keyhuge | (vpn >> 9), None) is not None:
                 dropped += 1
                 demotions += 1
+        self.huge_entries -= demotions
         stats = self.stats
         stats.flushes_page += pages
         stats.flushes_huge_demotions += demotions
@@ -240,7 +260,8 @@ class Tlb:
         Same resolution as :meth:`lookup_packed` (4K entry first, then
         the covering 2 MiB entry) but touches no hit/miss counters —
         this is the sanitizer's oracle probe, which must not perturb
-        the statistics it is auditing.
+        the statistics it is auditing.  It always probes both keys, so
+        it does not trust the :attr:`huge_entries` count it audits.
         """
         entries = self._entries
         entry = entries.get((akey << KEY_SHIFT) | vpn)

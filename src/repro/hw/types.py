@@ -181,6 +181,22 @@ class Asid:
         return hash((self.vpid, self.pcid))
 
 
+class PerKey(dict):
+    """``key -> build(key)``, each value built on first use.
+
+    Indexing with a key never seen builds and keeps its value, so a hot
+    path reads an existing one with a plain subscript.
+    """
+
+    def __init__(self, build) -> None:
+        super().__init__()
+        self.build = build
+
+    def __missing__(self, key):
+        value = self[key] = self.build(key)
+        return value
+
+
 class AsidTable(dict):
     """``pcid -> Asid`` of one VPID, each tag built once on first use.
 

@@ -103,7 +103,6 @@ class VmcsShadow:
     vmcs02: Vmcs = field(init=False)
     _merged_gen01: int = field(init=False, default=-1)
     _merged_gen12: int = field(init=False, default=-1)
-    merges: int = 0
     #: Optional VmxStateSanitizer notified on every merge (attached
     #: after construction, so the ``__post_init__`` bootstrap merge is
     #: never checked — there is no legality question before L2 exists).
@@ -125,19 +124,19 @@ class VmcsShadow:
         """Recompute VMCS02 from VMCS01 + VMCS12 (L0 root-mode work)."""
         if self.sanitizer is not None:
             self.sanitizer.on_merge()
-        self.vmcs02.guest_cr3_frame = self.vmcs12.guest_cr3_frame
-        self.vmcs02.guest_pcid = self.vmcs12.guest_pcid
+        vmcs01, vmcs12, vmcs02 = self.vmcs01, self.vmcs12, self.vmcs02
+        vmcs02.guest_cr3_frame = vmcs12.guest_cr3_frame
+        vmcs02.guest_pcid = vmcs12.guest_pcid
         # The EPTP in VMCS02 is L0's choice: under SPT-on-EPT it is EPT01
         # (L1's own EPT); under EPT-on-EPT it is the compressed EPT02.
         # Callers overwrite eptp_frame after merge as appropriate.
-        self.vmcs02.eptp_frame = self.vmcs01.eptp_frame
-        self.vmcs02.vpid = self.vmcs12.vpid
-        if self.vmcs12.pending:
-            self.vmcs02.pending.extend(self.vmcs12.take_injections())
-        self._merged_gen01 = self.vmcs01.generation
-        self._merged_gen12 = self.vmcs12.generation
-        self.merges += 1
-        return self.vmcs02
+        vmcs02.eptp_frame = vmcs01.eptp_frame
+        vmcs02.vpid = vmcs12.vpid
+        if vmcs12.pending:
+            vmcs02.pending.extend(vmcs12.take_injections())
+        self._merged_gen01 = vmcs01.generation
+        self._merged_gen12 = vmcs12.generation
+        return vmcs02
 
 
 class VmxCapabilities:

@@ -787,11 +787,12 @@ class Machine(abc.ABC):
             self._trace.append(TraceEvent(clock.now, ctx.cpu_id, "switch", key))
 
     def _hw_round_trip(self, ctx: CpuCtx, reason: str, work_ns: int,
-                       lock: Optional[SimLock] = None) -> None:
+                       lock: Optional[SimLock] = None,
+                       lock_op_ns: int = 0) -> None:
         """An exit to L0 for ``reason``, ``work_ns`` of root-mode work
-        (under ``lock`` when given) and the entry back: two
-        ``HW_L1_L0`` switches and one L0 trap.  ``work_ns`` is a
-        validated cost."""
+        (under ``lock`` when given, whose acquire/release costs
+        ``lock_op_ns``) and the entry back: two ``HW_L1_L0`` switches
+        and one L0 trap.  ``work_ns`` is a validated cost."""
         clock = ctx.clock
         clock.now += self._hw_switch_ns
         counts = self._switch_counts
@@ -803,7 +804,7 @@ class Machine(abc.ABC):
         if lock is None:
             clock.now += work_ns
         else:
-            lock.run_locked(clock, work_ns)
+            lock.run_locked(clock, work_ns, lock_op_ns)
         clock.now += self._hw_switch_ns
         counts[_KEY_L1_L0] += 1
         if trace is not None:

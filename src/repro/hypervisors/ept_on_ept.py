@@ -40,6 +40,11 @@ class EptOnEptMachine(NestedVmxMixin, Machine):
         self.ept02 = PageTable(self.host_phys, name="EPT02")
         self.priced_epts = (self.ept12, self.ept02)
         self.walked_ept = self.ept02
+        # Root-mode work of one trapped EPT12 write and of one EPT02
+        # level, read once (validated non-negative ints).
+        self._ept12_write_ns = (self.costs.wp_emulate_write
+                                + self.costs.ept_fix_per_level)
+        self._ept_fix_ns = self.costs.ept_fix_per_level
 
     # -- fault handling ------------------------------------------------------------
 
@@ -69,9 +74,7 @@ class EptOnEptMachine(NestedVmxMixin, Machine):
         else:
             install_huge_ept(self.ept02, base2, self.memory.backing_block(gfn1))
             writes02 = 1
-        self.l2_l0_roundtrip(
-            ctx, writes02 * self.costs.ept_fix_per_level, reason="ept02-fix"
-        )
+        self.l2_l0_roundtrip(ctx, writes02 * self._ept_fix_ns, "ept02-fix")
         self._fault_counts[_KEY_SHADOW_PT] += 1
         if self._trace is not None:
             self._trace.append(TraceEvent(ctx.clock.now, ctx.cpu_id, "fault",
@@ -83,11 +86,7 @@ class EptOnEptMachine(NestedVmxMixin, Machine):
         L2 (merge + real entry)."""
         self.l2_exit_to_l1(ctx, "ept-violation")
         for _ in range(writes):
-            self.l1_l0_service(
-                ctx,
-                self.costs.wp_emulate_write + self.costs.ept_fix_per_level,
-                reason="ept12-write",
-            )
+            self.l1_l0_service(ctx, self._ept12_write_ns, "ept12-write")
         self.l1_resume_l2(ctx)
 
     def priced_gpt_writes(self, ctx: CpuCtx, proc: Process, writes: int,

@@ -126,7 +126,7 @@ class KvmSptMachine(KvmShadowMixin, KvmMachine):
         self.hw_exit_entry(ctx, _HW_L1_L0)  # #PF VM exit
         self._l0_counts["spt-fault"] += 1
         gpt_pte = proc.gpt.lookup(vpn)
-        if gpt_pte is not None and gpt_pte.permits(fault.access, user=True):
+        if gpt_pte is not None and gpt_pte.permits(fault.access, True):
             self._sync_spte(ctx, proc, vpn, gpt_pte)
             self.hw_exit_entry(ctx, _HW_L1_L0)  # VM entry
             self._fault_counts[_KEY_SHADOW_PT] += 1
@@ -157,11 +157,11 @@ class KvmSptMachine(KvmShadowMixin, KvmMachine):
                           kernel_pages: bool = False,
                           structural: bool = False) -> None:
         """Every guest PTE write traps: exit, emulate under mmu_lock, enter."""
+        lock, hold_ns = self.shadow_lock, self._gpt_write_hold_ns
+        op_ns = self._shadow_lock_op_ns
         for _ in range(writes):
-            self.hw_exit_entry(ctx, _HW_L1_L0)
-            self._l0_counts["gpt-write"] += 1
-            self._emulate_gpt_write(ctx)
-            self.hw_exit_entry(ctx, _HW_L1_L0)
+            self._hw_round_trip(ctx, "gpt-write", hold_ns, lock, op_ns)
+            self._emulation_counts["gpt-write"] += 1
 
     # -- transitions -------------------------------------------------------------------
 

@@ -13,6 +13,7 @@ bottleneck" effect behind Figures 10-12.
 from __future__ import annotations
 
 from repro.hw.events import SwitchKind, TraceEvent
+from repro.hw.types import PerKey
 from repro.hw.vmx import ExitReason, PendingEvent, Vmcs, VmcsShadow, VmxCapabilities
 from repro.hypervisors.base import CpuCtx, Machine
 
@@ -20,18 +21,6 @@ from repro.hypervisors.base import CpuCtx, Machine
 _KEY_L1_L0 = SwitchKind.HW_L1_L0.value
 _KEY_L2_L0 = SwitchKind.HW_L2_L0.value
 _EXCEPTION = ExitReason.EXCEPTION
-
-
-class _PerReason(dict):
-    """``reason -> build(reason)``, each value built on first use."""
-
-    def __init__(self, build) -> None:
-        super().__init__()
-        self.build = build
-
-    def __missing__(self, reason: str):
-        value = self[reason] = self.build(reason)
-        return value
 
 
 def _forwarded_event(reason: str) -> PendingEvent:
@@ -60,11 +49,11 @@ class NestedVmxMixin:
         #: VMX state-machine sanitizer (repro.sanitize); None when off.
         self.vmx_sanitizer = None
         #: ``l0_exits`` keys of the forwarded, service and direct legs.
-        self._l2_exit_keys = _PerReason("l2-exit:".__add__)
-        self._l1_service_keys = _PerReason("l1-service:".__add__)
-        self._l2_direct_keys = _PerReason("l2-direct:".__add__)
+        self._l2_exit_keys = PerKey("l2-exit:".__add__)
+        self._l1_service_keys = PerKey("l1-service:".__add__)
+        self._l2_direct_keys = PerKey("l2-direct:".__add__)
         #: One prebuilt (immutable) injection event per forwarded reason.
-        self._forwarded_events = _PerReason(_forwarded_event)
+        self._forwarded_events = PerKey(_forwarded_event)
         self._forward_ns = self.costs.l0_forward_overhead
         self._merge_ns = self.costs.vmcs_merge_reload
 

@@ -52,7 +52,7 @@ class SptOnEptMachine(KvmShadowMixin, NestedVmxMixin, Machine):
         vpn = fault.vaddr >> 12
         self.l2_exit_to_l1(ctx, "#PF")
         gpt_pte = proc.gpt.lookup(vpn)
-        if gpt_pte is not None and gpt_pte.permits(fault.access, user=True):
+        if gpt_pte is not None and gpt_pte.permits(fault.access, True):
             # Second phase: L1 syncs SPT12 and resumes L2 user directly.
             self._sync_spte(ctx, proc, vpn, gpt_pte)
             self.l1_resume_l2(ctx)

@@ -13,6 +13,8 @@ product code itself:
 =====================  ====================================================
 skip-flush             ``Tlb.flush_pcid`` replaced with a no-op; the next
                        PCID flush leaves stale entries behind
+huge-count             a TLB's 2 MiB entry count zeroed while a 2 MiB
+                       entry is cached; the next ``full`` audit recounts
 lock-order inversion   an operation acquires ``rmap`` before ``pt``
 VMX double entry       VM entry while L2 is already in non-root execution
 VMX exit w/o entry     two consecutive VM exits
@@ -70,6 +72,27 @@ def _drill_skip_flush(mode: str) -> None:
         Tlb.flush_pcid = original
 
 
+def _drill_huge_count(mode: str) -> None:
+    """A zeroed 2 MiB entry count must trip the ``full`` TLB audit.
+
+    The count is only audited in ``full`` mode, so the drill always
+    runs full; ``mode`` is accepted for a uniform drill signature.
+    """
+    from repro import make_machine
+    from repro.hypervisors.base import MachineConfig
+
+    machine = make_machine("kvm-ept (BM)", config=MachineConfig(
+        thp=True, sanitize=True, sanitize_mode="full"))
+    ctx = machine.new_context()
+    proc = machine.spawn_process()
+    vma = machine.mmap(ctx, proc, 6 << 20)
+    base = -(-vma.start_vpn // 512) * 512  # two whole 2 MiB runs follow
+    machine.touch(ctx, proc, base, write=True)
+    assert ctx.tlb.huge_entries == 1
+    ctx.tlb.huge_entries = 0  # the planted bug
+    machine.touch(ctx, proc, base + 512, write=True)  # faults: full audit
+
+
 def _drill_lock_inversion(mode: str) -> None:
     """rmap taken before pt inside one operation must trip lockdep."""
     machine, ctx = _sanitized_machine("pvm (BM)", mode)
@@ -110,6 +133,8 @@ def run_selftest(mode: str = "sampled") -> int:
     drills: Tuple[Tuple[str, str, Callable[[], None]], ...] = (
         ("skip-flush", "stale-after-pcid-flush",
          lambda: _drill_skip_flush(mode)),
+        ("huge-count", "tlb-huge-count-mismatch",
+         lambda: _drill_huge_count(mode)),
         ("lock-order-inversion", "lock-order-inversion",
          lambda: _drill_lock_inversion(mode)),
         ("vmx-double-entry", "vmcs02-double-entry",

@@ -17,7 +17,9 @@ families:
 
 ``after_zap`` and ``after_fault`` audit the cached TLB entries against
 the reference walk: every Nth call in ``sampled`` mode (deterministic
-counter, never wall clock or RNG), every call in ``full`` mode.
+counter, never wall clock or RNG), every call in ``full`` mode.  A
+``full`` audit also recounts each TLB's 2 MiB entries against the
+:attr:`Tlb.huge_entries` count the MMU trusts to skip the 2 MiB probe.
 
 All probes are read-only and charge no virtual time: the oracle uses
 ``PageTable.lookup`` (never ``walk``, which sets accessed/dirty bits),
@@ -171,8 +173,11 @@ class ShadowCoherenceSanitizer:
         ``translate`` and are not among the owners.
         """
         owners = self.machine.tlb_owners()
+        full = self.report.mode == "full"
         checked = 0
         for ctx in self.machine.contexts:
+            if full:
+                self._check_huge_count(ctx.tlb)
             for key, entry in ctx.tlb._entries.items():
                 if entry.global_:
                     continue
@@ -184,6 +189,19 @@ class ShadowCoherenceSanitizer:
         if checked:
             self.report.check("shadow-scan", checked)
         return checked
+
+    def _check_huge_count(self, tlb: Tlb) -> None:
+        """The TLB's 2 MiB count must equal its 2 MiB keys: a count that
+        reads low makes the MMU skip a cached 2 MiB translation."""
+        huge = sum(1 for key in tlb._entries if key & HUGE_TAG)
+        if huge != tlb.huge_entries:
+            self.report.violation(Violation(
+                checker="shadow", kind="tlb-huge-count-mismatch",
+                detail=f"TLB counts {tlb.huge_entries} 2 MiB entries but "
+                       f"caches {huge}",
+                vpid=self.machine.vpid, expected=huge,
+                actual=tlb.huge_entries,
+            ))
 
     def _check_entry(self, ctx, proc, key: int, entry) -> None:
         vpn = self._entry_vpn(key, entry)

@@ -26,17 +26,16 @@ class SimLock:
 
     __slots__ = (
         "name", "events", "free_at", "acquisitions", "total_wait_ns",
-        "total_hold_ns", "stall_hook", "stalls_injected_ns", "lockdep",
-        "lock_class",
+        "stall_hook", "stalls_injected_ns", "lockdep", "lock_class",
     )
 
-    def __init__(self, name: str, events: Optional[EventLog] = None) -> None:
+    def __init__(self, name: str, events: Optional[EventLog] = None,
+                 lockdep=None, lock_class: Optional[str] = None) -> None:
         self.name = name
         self.events = events
         self.free_at = 0
         self.acquisitions = 0
         self.total_wait_ns = 0
-        self.total_hold_ns = 0
         #: Optional fault hook ``(request_time_ns) -> extra_hold_ns``:
         #: a holder stall injected by a fault plan extends this
         #: acquisition's hold, so every later waiter queues behind it.
@@ -45,10 +44,10 @@ class SimLock:
         #: Optional :class:`repro.sanitize.lockdep.LockdepSanitizer`;
         #: when set, every acquisition is reported to it.  Checks charge
         #: no virtual time, so results are identical with or without.
-        self.lockdep = None
+        self.lockdep = lockdep
         #: Lockdep ordering class ("meta", "pt", "rmap", ...).  ``None``
         #: means the lock gets its own singleton class (its name).
-        self.lock_class: Optional[str] = None
+        self.lock_class = lock_class
 
     def run_locked(self, clock: Clock, hold_ns: int, overhead_ns: int = 0) -> int:
         """Execute a critical section of ``hold_ns`` under this lock.
@@ -74,24 +73,21 @@ class SimLock:
                     raise ValueError("stall hook returned a negative hold")
                 hold_ns += extra
                 self.stalls_injected_ns += extra
-        # Every duration is non-negative, so ``end`` is never before the
-        # caller's clock and can be assigned to it.
-        request = clock.now
-        free_at = self.free_at
-        if free_at > request:
-            wait = free_at - request
-            end = free_at + overhead_ns + hold_ns
+        # Every duration is non-negative, so the section's end is never
+        # before the caller's clock and can be assigned to it.
+        start = clock.now
+        if self.free_at > start:
+            # Queued behind the holder: the section starts when it frees.
+            wait = self.free_at - start
+            start = self.free_at
             self.total_wait_ns += wait
             # Only a real wait is counted: zero waits never add a key.
             if self.events is not None:
                 self.events.lock_wait_ns[self.name] += wait
         else:
             wait = 0
-            end = request + overhead_ns + hold_ns
-        self.free_at = end
-        clock.now = end
+        clock.now = self.free_at = start + overhead_ns + hold_ns
         self.acquisitions += 1
-        self.total_hold_ns += hold_ns
         return wait
 
     @property
@@ -104,12 +100,32 @@ class SimLock:
         self.free_at = 0
         self.acquisitions = 0
         self.total_wait_ns = 0
-        self.total_hold_ns = 0
         self.stall_hook = None
         self.stalls_injected_ns = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<SimLock {self.name} free_at={self.free_at}>"
+
+
+class _Members(dict):
+    """``key -> SimLock`` of one :class:`LockSet`, each lock created on
+    first use (named ``prefix[key]``, with the set's lockdep class).
+
+    A :class:`~repro.hw.types.PerKey` would call one more function per
+    new lock, and PVM creates one per demand fault and zapped page.
+    """
+
+    __slots__ = ("lockset",)
+
+    def __init__(self, lockset: "LockSet") -> None:
+        super().__init__()
+        self.lockset = lockset
+
+    def __missing__(self, key: object) -> SimLock:
+        owner = self.lockset
+        lock = self[key] = SimLock(f"{owner.prefix}[{key}]", owner.events,
+                                   owner.lockdep, owner.lock_class)
+        return lock
 
 
 @dataclass
@@ -119,34 +135,34 @@ class LockSet:
     prefix: str
     events: Optional[EventLog] = None
     #: Lockdep sanitizer + ordering class propagated to every member
-    #: lock created by :meth:`get` (None = lockdep off).
+    #: lock created from now on (None = lockdep off).
     lockdep: Optional[object] = None
     lock_class: Optional[str] = None
-    _locks: Dict[object, SimLock] = field(default_factory=dict)
+    #: key -> member lock; indexing it with a new key creates the lock.
+    #: Never rebound (``reset`` clears it), so hot paths index it
+    #: directly instead of calling :meth:`get`.
+    members: Dict[object, SimLock] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.members = _Members(self)
 
     def get(self, key: object) -> SimLock:
-        """Fetch by key (creating/None-defaulting as documented by the class)."""
-        lock = self._locks.get(key)
-        if lock is None:
-            lock = SimLock(f"{self.prefix}[{key}]", self.events)
-            lock.lockdep = self.lockdep
-            lock.lock_class = self.lock_class
-            self._locks[key] = lock
-        return lock
+        """The member lock for ``key``, created on first use."""
+        return self.members[key]
 
     def __len__(self) -> int:
-        return len(self._locks)
+        return len(self.members)
 
     @property
     def total_wait_ns(self) -> int:
         """Accumulated lock wait across all members."""
-        return sum(l.total_wait_ns for l in self._locks.values())
+        return sum(l.total_wait_ns for l in self.members.values())
 
     @property
     def acquisitions(self) -> int:
         """Total lock acquisitions across all members."""
-        return sum(l.acquisitions for l in self._locks.values())
+        return sum(l.acquisitions for l in self.members.values())
 
     def reset(self) -> None:
         """Reset all counters/state."""
-        self._locks.clear()
+        self.members.clear()

@@ -18,7 +18,10 @@ The counts are deterministic, so they are pinned exactly: a change that
 adds a call shows up here, and a change that removes one updates the
 pin.  Generated constructors (dataclass and NamedTuple
 ``__init__``/``__new__``) are not counted.  Run this module to print
-all three tables, ready to paste.
+all three tables, ready to paste, and then the opcodes per demand fault
+of each machine (:func:`opcodes_per_fault`: ``OPCODE_PAGES`` fresh
+write faults after the warm-up VMA, every bytecode the simulator and
+its generated constructors execute, under ``sys.settrace``).
 """
 
 from __future__ import annotations
@@ -34,22 +37,24 @@ from repro.hw.types import PAGE_SIZE
 
 SRC_DIR = os.path.dirname(repro.__file__)
 PAGES = 64
+#: Demand faults per machine in :func:`opcodes_per_fault`.
+OPCODE_PAGES = 512
 
 #: Calls into ``src/repro`` for ``PAGES`` demand faults, by machine.
 BUDGET = {
     "kvm-ept (BM)": 1345,  # 21.02 per fault
-    "kvm-spt (BM)": 2113,  # 33.02 per fault
-    "pvm (BM)": 2497,  # 39.02 per fault
+    "kvm-spt (BM)": 1985,  # 31.02 per fault
+    "pvm (BM)": 2433,  # 38.02 per fault
     "kvm-ept (NST)": 2049,  # 32.02 per fault
     "kvm-spt (NST)": 3009,  # 47.02 per fault
-    "pvm (NST)": 2817,  # 44.02 per fault
+    "pvm (NST)": 2753,  # 43.02 per fault
     "pvm-dp (NST)": 2049,  # 32.02 per fault
 }
 
 #: Calls for the ``munmap`` of the ``PAGES``-page faulted VMA.
 MUNMAP_BUDGET = {
     "kvm-ept (BM)": 207,  # 3.23 per page
-    "kvm-spt (BM)": 783,  # 12.23 per page
+    "kvm-spt (BM)": 655,  # 10.23 per page
     "pvm (BM)": 1112,  # 17.38 per page
     "kvm-ept (NST)": 207,  # 3.23 per page
     "kvm-spt (NST)": 979,  # 15.30 per page
@@ -86,7 +91,33 @@ def _counted(run) -> int:
     return calls
 
 
-def _fresh_vma(scenario: str):
+def _opcodes(run) -> int:
+    """Bytecodes executed in the simulator and in generated constructors
+    (whose code has a ``<string>`` file name) while ``run()`` executes."""
+    opcodes = 0
+
+    def local(frame, event, arg):
+        nonlocal opcodes
+        if event == "opcode":
+            opcodes += 1
+        return local
+
+    def hook(frame, event, arg):
+        name = frame.f_code.co_filename
+        if name.startswith(SRC_DIR) or name.startswith("<"):
+            frame.f_trace_opcodes = True
+            return local
+        return None
+
+    sys.settrace(hook)
+    try:
+        run()
+    finally:
+        sys.settrace(None)
+    return opcodes
+
+
+def _fresh_vma(scenario: str, pages: int = PAGES):
     """A machine whose guest tables are built, and a fresh VMA on it."""
     m = make_machine(scenario)
     ctx = m.new_context()
@@ -94,7 +125,7 @@ def _fresh_vma(scenario: str):
     warm = m.mmap(ctx, proc, PAGES * PAGE_SIZE)
     for vpn in range(warm.start_vpn, warm.end_vpn):
         m.touch(ctx, proc, vpn, write=True)
-    return m, ctx, proc, m.mmap(ctx, proc, PAGES * PAGE_SIZE)
+    return m, ctx, proc, m.mmap(ctx, proc, pages * PAGE_SIZE)
 
 
 def _sweep(m, ctx, proc, vma) -> None:
@@ -106,6 +137,12 @@ def simulator_calls(scenario: str) -> int:
     """Calls into the simulator while ``PAGES`` fresh pages fault in."""
     m, ctx, proc, vma = _fresh_vma(scenario)
     return _counted(lambda: _sweep(m, ctx, proc, vma))
+
+
+def opcodes_per_fault(scenario: str) -> float:
+    """Opcodes per demand fault over ``OPCODE_PAGES`` fresh pages."""
+    m, ctx, proc, vma = _fresh_vma(scenario, OPCODE_PAGES)
+    return _opcodes(lambda: _sweep(m, ctx, proc, vma)) / OPCODE_PAGES
 
 
 def munmap_calls(scenario: str) -> int:
@@ -149,3 +186,10 @@ if __name__ == "__main__":
             calls = count(name)
             print(f'    "{name}": {calls},  # {calls / PAGES:.2f} per {unit}')
         print("}")
+    total = 0.0
+    print(f"opcodes per demand fault ({OPCODE_PAGES} faults):")
+    for name in SCENARIOS:
+        per_fault = opcodes_per_fault(name)
+        total += per_fault
+        print(f"    {name:16s} {per_fault:8.1f}")
+    print(f"    {'sum':16s} {total:8.1f}")

@@ -92,9 +92,16 @@ class TestEptOnEpt:
     def test_vmcs_merge_per_resume(self):
         m = make_machine("kvm-ept (NST)")
         ctx = m.new_context()
-        merges_before = m.vmcs_shadow.merges
+        resumes = m.events.l0_exits["vmresume"]
+        before = ctx.clock.now
         m.hypercall(ctx)
-        assert m.vmcs_shadow.merges == merges_before + 1
+        # One VMRESUME trap, and exactly one merge/reload charged on top
+        # of the four switches, the forward and the handler.
+        assert m.events.l0_exits["vmresume"] == resumes + 1
+        costs = m.costs
+        assert ctx.clock.now - before == (
+            4 * costs.hw_world_switch + costs.l0_forward_overhead
+            + costs.hypercall_handler + costs.vmcs_merge_reload)
 
     def test_ept12_and_ept02_populated(self):
         m = make_machine("kvm-ept (NST)")

@@ -92,17 +92,20 @@ class TestSptLockManager:
         locks = SptLockManager(DEFAULT_COSTS, fine_grained=False)
         c = Clock()
         locks.locked_fix(c, "a", 1, work_ns=1000)
-        assert locks.mmu_lock.total_hold_ns == (
-            DEFAULT_COSTS.mmu_lock_hold + 1000)
+        # The whole fix is one mmu_lock section, held until it ends.
+        assert c.now == locks.mmu_lock.free_at == (
+            DEFAULT_COSTS.mmu_lock_op + DEFAULT_COSTS.mmu_lock_hold + 1000)
 
     def test_fine_grained_work_outside_locks(self):
         locks = SptLockManager(DEFAULT_COSTS, fine_grained=True)
         c = Clock()
         locks.locked_fix(c, "a", 1, work_ns=1000)
-        # Held time is only the short critical sections.
-        held = (locks.pt_locks.get("a").total_hold_ns
-                + locks.rmap_locks.get(1).total_hold_ns)
-        assert held == 2 * DEFAULT_COSTS.finegrained_lock_hold
+        # The work runs first, lock-free; each lock is then held only
+        # for its short critical section.
+        section = (DEFAULT_COSTS.finegrained_lock_op
+                   + DEFAULT_COSTS.finegrained_lock_hold)
+        assert locks.pt_locks.get("a").free_at == 1000 + section
+        assert locks.rmap_locks.get(1).free_at == c.now == 1000 + 2 * section
 
     def test_meta_lock_only_for_structural(self):
         locks = SptLockManager(DEFAULT_COSTS, fine_grained=True)

@@ -20,7 +20,7 @@ from repro.hypervisors.base import MachineConfig
 from repro.hw.memory import FrameAllocator
 from repro.hw.pagetable import PageTable, PageTableNode, Pte
 from repro.hw.memory import PhysicalMemory
-from repro.hw.tlb import Tlb
+from repro.hw.tlb import HUGE_TAG, KEY_SHIFT, Tlb
 from repro.hw.types import (
     MIB,
     NUM_PCIDS,
@@ -543,6 +543,65 @@ class TestTlbProperties:
         for vpid, pcid, vpn in inserts:
             if vpid == 1:
                 assert tlb.lookup(Asid(vpid, pcid), vpn) is None
+
+
+def _two_probe(tlb, akey, vpn):
+    """The frame a TLB caches for ``vpn``: its 4K entry, else its covering
+    2 MiB entry, read from the entry dict with no count to trust."""
+    entry = tlb._entries.get((akey << KEY_SHIFT) | vpn)
+    if entry is not None:
+        return entry.frame
+    entry = tlb._entries.get((akey << KEY_SHIFT) | HUGE_TAG | (vpn >> 9))
+    return None if entry is None else entry.frame + vpn % 512
+
+
+_TLB_ASIDS = [Asid(vpid, pcid) for vpid in (1, 2) for pcid in (0, 1)]
+_TLB_VPNS = st.integers(min_value=0, max_value=3 * 512 - 1)
+_TLB_OPS = st.one_of(
+    # (op, asid index, vpn, huge, global): fills, refreshes and, under a
+    # small capacity, FIFO evictions.
+    st.tuples(st.just("insert"), st.integers(0, 3), _TLB_VPNS,
+              st.booleans(), st.booleans()),
+    st.tuples(st.just("insert"), st.integers(0, 3), _TLB_VPNS,
+              st.just(True), st.just(False)),
+    st.tuples(st.just("flush_pages"), st.integers(0, 3),
+              st.lists(_TLB_VPNS, max_size=6)),
+    st.tuples(st.just("flush_pcid"), st.integers(0, 3)),
+    st.tuples(st.just("flush_vpid"), st.sampled_from([1, 2])),
+    st.tuples(st.just("flush_all")),
+)
+
+
+class TestTlbHugeCountProperties:
+    @given(st.lists(_TLB_OPS, min_size=1, max_size=60),
+           st.integers(min_value=1, max_value=12))
+    @settings(max_examples=150, deadline=None)
+    def test_count_is_exact_and_lookup_agrees(self, ops, capacity):
+        """After every step the 2 MiB count equals the 2 MiB keys, and a
+        lookup that trusts it finds what probing both keys finds."""
+        tlb = Tlb(capacity=capacity)
+        probes = [(asid.key, vpn) for asid in _TLB_ASIDS
+                  for vpn in (0, 1, 511, 512, 700, 1535)]
+        for op in ops:
+            kind = op[0]
+            if kind == "insert":
+                _, a, vpn, huge, global_ = op
+                tlb.insert(_TLB_ASIDS[a], vpn, frame=0x1000 + vpn,
+                           global_=global_, huge=huge)
+                probes.append((_TLB_ASIDS[a].key, vpn))
+            elif kind == "flush_pages":
+                tlb.flush_pages(_TLB_ASIDS[op[1]], op[2])
+            elif kind == "flush_pcid":
+                tlb.flush_pcid(_TLB_ASIDS[op[1]])
+            elif kind == "flush_vpid":
+                tlb.flush_vpid(op[1])
+            else:
+                tlb.flush_all()
+            assert tlb.huge_entries == sum(
+                1 for key in tlb._entries if key & HUGE_TAG)
+            for akey, vpn in probes:
+                assert tlb.lookup_packed(akey, vpn) == _two_probe(
+                    tlb, akey, vpn)
 
 
 class TestLockProperties:

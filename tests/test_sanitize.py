@@ -172,6 +172,14 @@ class TestBugDrills:
         assert v.actual is not None  # the surviving cached frame
         assert v.events_tail  # last EventLog records ride along
 
+    def test_zeroed_huge_count_is_caught(self):
+        with pytest.raises(SanitizerError) as err:
+            selftest._drill_huge_count("sampled")
+        v = err.value.violation
+        assert v.kind == "tlb-huge-count-mismatch"
+        # The audit follows the second 2 MiB fill: two entries, count 1.
+        assert (v.expected, v.actual) == (2, 1)
+
     def test_lock_order_inversion_is_caught(self):
         with pytest.raises(SanitizerError) as err:
             selftest._drill_lock_inversion("sampled")

