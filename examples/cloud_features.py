@@ -51,11 +51,11 @@ def show_balloon() -> None:
     for vpn in range(vma.start_vpn, vma.end_vpn):
         m.touch(ctx, proc, vpn, write=True)
     m.munmap(ctx, proc, vma)  # guest frees; host backing lingers
-    host_before = m.host_phys.allocator.used_frames
+    host_before = m.host_phys.used_frames
     got = m.balloon.inflate(ctx, 8 * MIB)
     print(f"ballooned {got} pages; host frames released: "
           f"{m.balloon.host_frames_released} "
-          f"(host usage {host_before} -> {m.host_phys.allocator.used_frames})")
+          f"(host usage {host_before} -> {m.host_phys.used_frames})")
     m.balloon.deflate(ctx, 8 * MIB)
     print(f"deflated; guest free frames restored, "
           f"balloon holds {m.balloon.held_pages} pages\n")

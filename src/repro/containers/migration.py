@@ -144,8 +144,8 @@ class MigrationManager:
     @staticmethod
     def _l1_footprint_pages(machine: Machine) -> int:
         """Pages the L1 VM actually uses for this guest (RAM + tables)."""
-        used = machine.guest_phys.allocator.used_frames
+        used = machine.guest_phys.used_frames
         l1_phys = machine.memory.l1_phys
         if l1_phys is not None:
-            used += l1_phys.allocator.used_frames
+            used += l1_phys.used_frames
         return used

@@ -138,7 +138,9 @@ class FaultPlan:
         self.seed = seed
         self._injectors: Dict[str, List[Injector]] = {}
         self._streams: Dict[str, random.Random] = {}
-        #: Fire counts by site.
+        #: Fire counts by site.  Not a copy of ``faults_injected``: the
+        #: boot retries, the migration link, the pressure spike and the
+        #: L0 stall hook query the plan without an EventLog.
         self.counts = Counter("faults")
 
     # -- construction ----------------------------------------------------
@@ -176,16 +178,18 @@ class FaultPlan:
 
     # -- querying --------------------------------------------------------
 
-    def fires(self, site: str, now_ns: int, events=None) -> bool:
-        """Whether an injector at ``site`` fires at virtual time ``now_ns``.
+    def _draw(self, site: str, now_ns: int, events) -> Optional[Injector]:
+        """The injector at ``site`` that fires at virtual time ``now_ns``,
+        or None.
 
         Draws one random number per *active* injector per query, from
-        the site's private stream.  Records firings in :attr:`counts`
-        and, when ``events`` is given, in ``events.faults_injected``.
+        the site's private stream, and stops at the first that fires.
+        Records the firing in :attr:`counts` and, when ``events`` is
+        given, in ``events.faults_injected``.
         """
         injectors = self._injectors.get(site)
         if not injectors:
-            return False
+            return None
         for inj in injectors:
             if not inj.active(now_ns):
                 continue
@@ -194,24 +198,18 @@ class FaultPlan:
                 self.counts[site] += 1
                 if events is not None:
                     events.faults_injected[site] += 1
-                return True
-        return False
+                return inj
+        return None
+
+    def fires(self, site: str, now_ns: int, events=None) -> bool:
+        """Whether an injector at ``site`` fires at virtual time ``now_ns``
+        (see :meth:`_draw`)."""
+        return self._draw(site, now_ns, events) is not None
 
     def stall_ns(self, site: str, now_ns: int, events=None) -> int:
         """Extra hold time injected at a lock site (0 when nothing fires)."""
-        injectors = self._injectors.get(site)
-        if not injectors:
-            return 0
-        for inj in injectors:
-            if not inj.active(now_ns):
-                continue
-            if self._stream(site).random() < inj.probability:
-                inj.fires += 1
-                self.counts[site] += 1
-                if events is not None:
-                    events.faults_injected[site] += 1
-                return inj.stall_ns
-        return 0
+        inj = self._draw(site, now_ns, events)
+        return 0 if inj is None else inj.stall_ns
 
     def lock_stall_hook(self, site: str = SITE_L0_STALL,
                         events=None) -> Callable[[int], int]:

@@ -80,8 +80,8 @@ class GuestKernel:
         self.thp = thp
         self.pids = PidAllocator()
         self.processes: Dict[int, Process] = {}
-        #: vpn -> reference count for COW frames (shared between forks).
-        self._cow_refs: Dict[Tuple[int, int], int] = {}
+        #: frame -> reference count of a COW frame shared between forks.
+        self._cow_refs: Dict[int, int] = {}
         #: Page cache: (file_key, page offset) -> frame.  Cache-owned
         #: frames are never freed by unmap (the cache holds a reference).
         self.page_cache: Dict[Tuple[str, int], int] = {}
@@ -115,21 +115,12 @@ class GuestKernel:
         """
         if not proc.alive:
             raise HardwareError(f"double exit of pid {proc.pid}")
-        released = 0
-
-        def release(vpn: int, pte: Pte) -> None:
-            nonlocal released
-            if pte.huge:
-                self.phys.free(FrameRange(pte.frame, HUGE_PAGE_PAGES))
-                released += HUGE_PAGE_PAGES
-            else:
-                released += self._put_frame(proc, vpn, pte)
-
-        proc.gpt.drain(release)
+        freed: List[int] = []
+        proc.gpt.drain(self._releaser(freed))
         proc.gpt.release()
         proc.alive = False
         del self.processes[proc.pid]
-        return released
+        return sum(freed)
 
     # -- demand paging --------------------------------------------------------
 
@@ -159,7 +150,7 @@ class GuestKernel:
                 self.page_cache[key] = frame
                 self._cached_frames.add(frame)
         else:
-            frame = self.phys.alloc_frame(tag=f"pid{proc.pid}")
+            frame = self.phys.alloc_frame(tag=proc.tag)
         # Positional: frame, writable, user, executable (a keyword call
         # to a class builds a dict per entry).
         pte = Pte(frame, vma.writable, True, vma.executable)
@@ -178,8 +169,8 @@ class GuestKernel:
             # Present + non-write fault: user bit or NX violation — fatal.
             raise SegfaultError(vpn << 12)
         if vpn in proc.cow_pages:
-            new_frame = self.phys.alloc_frame(tag=f"pid{proc.pid}")
-            self._put_frame(proc, vpn, pte)
+            new_frame = self.phys.alloc_frame(tag=proc.tag)
+            self._put_frame(pte.frame)
             proc.cow_pages.discard(vpn)
             pte.frame = new_frame
             new_pte = proc.gpt.protect(vpn, writable=True)
@@ -201,9 +192,7 @@ class GuestKernel:
         if base < vma.start_vpn or base + HUGE_PAGE_PAGES > vma.end_vpn:
             return None
         try:
-            frames = self.phys.alloc_aligned(
-                HUGE_PAGE_PAGES, tag=f"pid{proc.pid}"
-            )
+            frames = self.phys.alloc_aligned(HUGE_PAGE_PAGES, tag=proc.tag)
         except MemoryError:
             return None
         pte = Pte(frame=frames.start, writable=vma.writable, user=True,
@@ -237,7 +226,7 @@ class GuestKernel:
         removed: List[int] = []
         # One descent per leaf table of the run.
         proc.gpt.unmap_each(range(vma.start_vpn, vma.end_vpn),
-                            self._releaser(proc, removed))
+                            self._releaser(removed=removed))
         return UnmapWork(vpns=tuple(removed), entry_writes=len(removed))
 
     def sys_mprotect(self, proc: Process, vma: Vma, writable: bool) -> int:
@@ -274,7 +263,7 @@ class GuestKernel:
                 parent_writes += 1
             proc.cow_pages.add(vpn)
             child.cow_pages.add(vpn)
-            self._cow_share(proc, vpn, pte.frame)
+            self._cow_share(pte.frame)
             child_pte = Pte(
                 frame=pte.frame,
                 writable=False,
@@ -299,7 +288,7 @@ class GuestKernel:
         (:meth:`PageTable.drain`), in page-by-page unmapping's order.
         """
         removed: List[int] = []
-        proc.gpt.drain(self._releaser(proc, removed))
+        proc.gpt.drain(self._releaser(removed=removed))
         proc.cow_pages.clear()
         proc.addr_space.clear()
         text = Vma(0x400, max(1, image_pages // 2), writable=False,
@@ -309,38 +298,42 @@ class GuestKernel:
         proc.addr_space.insert(data)
         return UnmapWork(vpns=tuple(removed), entry_writes=len(removed))
 
-    def _releaser(self, proc: Process,
-                  removed: List[int]) -> Callable[[int, Pte], None]:
-        """An ``on_unmap`` callback for ``proc``'s table: each unmapped
+    def _releaser(self, freed: Optional[List[int]] = None,
+                  removed: Optional[List[int]] = None
+                  ) -> Callable[[int, Pte], None]:
+        """An ``on_unmap`` callback for a process's table: each unmapped
         entry's frame goes back right after the entry, as page-by-page
-        unmapping would free it, and its vpn is appended to ``removed``."""
+        unmapping would free it.  The frames freed per entry are
+        appended to ``freed``, the vpn to ``removed``."""
         def release(vpn: int, pte: Pte) -> None:
             if pte.huge:
                 self.phys.free(FrameRange(pte.frame, HUGE_PAGE_PAGES))
+                n = HUGE_PAGE_PAGES
             else:
-                self._put_frame(proc, vpn, pte)
-            removed.append(vpn)
+                n = self._put_frame(pte.frame)
+            if freed is not None:
+                freed.append(n)
+            if removed is not None:
+                removed.append(vpn)
 
         return release
 
     # -- COW frame refcounting ----------------------------------------------------
 
-    def _cow_share(self, proc: Process, vpn: int, frame: int) -> None:
-        key = (frame, 0)
-        self._cow_refs[key] = self._cow_refs.get(key, 1) + 1
+    def _cow_share(self, frame: int) -> None:
+        self._cow_refs[frame] = self._cow_refs.get(frame, 1) + 1
 
-    def _put_frame(self, proc: Process, vpn: int, pte: Pte) -> int:
+    def _put_frame(self, frame: int) -> int:
         """Release one reference to a frame; free it on last drop.
 
         Returns 1 if the frame was actually freed.
         """
-        if pte.frame in self._cached_frames:
+        if frame in self._cached_frames:
             return 0  # page-cache frame: the cache keeps its reference
-        key = (pte.frame, 0)
-        refs = self._cow_refs.get(key)
+        refs = self._cow_refs.get(frame)
         if refs is not None and refs > 1:
-            self._cow_refs[key] = refs - 1
+            self._cow_refs[frame] = refs - 1
             return 0
-        self._cow_refs.pop(key, None)
-        self.phys.free_frame(pte.frame)
+        self._cow_refs.pop(frame, None)
+        self.phys.free_frame(frame)
         return 1

@@ -33,6 +33,11 @@ class Process:
     #: Pages currently shared copy-on-write with relatives (vpns).
     cow_pages: Set[int] = field(default_factory=set)
     alive: bool = True
+    #: Allocation tag of the process's own data frames.
+    tag: str = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.tag = f"pid{self.pid}"
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Process pid={self.pid} pcid={self.pcid} vmas={len(self.addr_space)}>"

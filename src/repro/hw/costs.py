@@ -45,9 +45,6 @@ class CostModel:
     #: EPT-on-EPT, revalidating the compressed EPT02 pointer.  Dominates
     #: the nested round-trip (Table 1: 7.43 us hypercall).
     vmcs_merge_reload: int = 5600
-    #: VMREAD/VMWRITE emulated by L0 when VMCS shadowing is *disabled*.
-    #: With shadowing enabled these are free (handled by hardware).
-    vmcs_access_exit: int = 1500
     #: CPU-ring transition via syscall/iret within one address space
     #: (h_ring3 -> h_ring0 entry into the switcher).
     ring_transition: int = 65
@@ -79,8 +76,6 @@ class CostModel:
     pvm_nst_event_extra: int = 440
 
     # -- syscall path ------------------------------------------------------
-    #: Kernel work of a trivial syscall (get_pid) once inside the kernel.
-    syscall_body: int = 60
     #: Extra per-syscall cost of KPTI on a native/EPT guest: CR3 write and
     #: incidental TLB effects on entry and exit combined.
     kpti_syscall_overhead: int = 160
@@ -157,10 +152,6 @@ class CostModel:
     #: page-fault fix (the serialized portion; the paper's fine-grained
     #: design shrinks and splits this).
     mmu_lock_hold: int = 900
-    #: KVM's classic shadow-MMU holds mmu_lock across the *whole* anon
-    #: two-phase fault service (guest-table walk, unsync tracking, rmap
-    #: and sync work) — much longer than a single sync.
-    kvm_spt_fault_lock_hold: int = 6250
     #: Serialized critical-section length per lock class under PVM's
     #: fine-grained scheme (meta/pt/rmap each hold briefly).
     finegrained_lock_hold: int = 120

@@ -3,9 +3,10 @@
 Each virtualization level owns a :class:`PhysicalMemory`: the host's
 machine memory (frames identified by HPA frame numbers), an L1 VM's
 guest-physical memory, and an L2 guest's guest-physical memory.  Frames
-are identified by integer frame numbers; the allocator hands them out
-first-fit from a free list and tracks ownership tags so tests can verify
-that teardown releases everything.
+are identified by integer frame numbers; a :class:`PhysicalMemory` is
+its own :class:`FrameAllocator`, which hands them out first-fit from a
+free list and tracks ownership tags so tests can verify that teardown
+releases everything.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import bisect
 from collections import deque
 from operator import attrgetter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Deque, Dict, Iterator, List, Optional, Set
 
 from repro.hw.types import GIB, PAGE_SHIFT, PAGE_SIZE, HardwareError
@@ -247,46 +248,19 @@ class FrameAllocator:
             free.insert(i, FrameRange(start, count))
 
 
-@dataclass
-class PhysicalMemory:
-    """The physical address space of one virtualization level.
+class PhysicalMemory(FrameAllocator):
+    """The physical address space of one virtualization level: the frame
+    allocator over its ``size_bytes``.
 
-    ``name`` identifies the level ("host", "l1-vm", "l2-guest-3", ...);
-    the embedded allocator manages its frames.  We do not store page
-    *contents* — the evaluation never depends on data values, only on
-    mapping state — but we do track per-frame metadata via the allocator.
+    ``name`` identifies the level ("host", "l1-vm", "l2-guest-3", ...).
+    We do not store page *contents* — the evaluation never depends on
+    data values, only on mapping state — but the allocator tracks each
+    frame's owner tag.
     """
 
-    name: str
-    size_bytes: int = 4 * GIB
-    policy: str = "firstfit"
-    allocator: FrameAllocator = field(init=False)
-
-    def __post_init__(self) -> None:
-        if self.size_bytes % PAGE_SIZE:
+    def __init__(self, name: str, size_bytes: int = 4 * GIB,
+                 policy: str = "firstfit") -> None:
+        if size_bytes % PAGE_SIZE:
             raise ValueError("memory size must be page-aligned")
-        self.allocator = FrameAllocator(self.size_bytes >> PAGE_SHIFT, policy=self.policy)
-        #: One-frame allocation and release are the allocator's own
-        #: methods (:meth:`FrameAllocator.alloc_frame`/``free_frame``),
-        #: bound here so a page-table node or a backing frame costs one
-        #: call.  The allocator is never rebound.
-        self.alloc_frame = self.allocator.alloc_frame
-        self.free_frame = self.allocator.free_frame
-
-    @property
-    def total_frames(self) -> int:
-        """Total frames in the pool."""
-        return self.allocator.total_frames
-
-    @property
-    def free_frames(self) -> int:
-        """Frames currently available."""
-        return self.allocator.free_frames
-
-    def alloc_aligned(self, count: int, tag: str = "anon") -> FrameRange:
-        """Allocate naturally-aligned contiguous frames."""
-        return self.allocator.alloc_aligned(count, tag)
-
-    def free(self, frames: FrameRange) -> None:
-        """Return frames to the pool."""
-        self.allocator.free(frames)
+        super().__init__(size_bytes >> PAGE_SHIFT, policy)
+        self.name = name

@@ -25,13 +25,7 @@ from typing import Optional, Tuple, Union
 
 from repro.hw.costs import CostModel
 from repro.hw.events import EventLog
-from repro.hw.pagetable import (
-    HUGE_PAGE_PAGES,
-    PageTable,
-    PageTableNode,
-    Pte,
-    page_fault,
-)
+from repro.hw.pagetable import HUGE_PAGE_PAGES, PageTable, Pte, page_fault
 from repro.hw.tlb import HUGE_SPAN, HUGE_TAG, KEY_SHIFT, Tlb
 from repro.hw.types import (
     ENTRIES_PER_TABLE,
@@ -67,7 +61,7 @@ class Mmu:
         # Hot-path aliases: the TLB's entry dict is never rebound (see
         # Tlb.__init__) and CostModel is frozen, so the probe can skip
         # two method calls and three attribute chases per translation.
-        self._tlb_get = tlb._entries.get  # bound once; dict never rebound
+        self._tlb_get = tlb.entries.get
         self._tlb_stats = tlb.stats
         self._hit_ns = costs.tlb_hit
         # Walk-step costs, validated non-negative by the CostModel, so
@@ -90,66 +84,62 @@ class Mmu:
         vpn: int,
         access: AccessType,
         user: bool,
-        cache_global: bool = False,
     ) -> int:
         """Translate ``vpn`` through a single page table.
 
         Returns the target frame.  On a miss or permission violation it
         charges the walk, leaves the :class:`PageFault` in
-        :attr:`fault` and returns -1.
+        :attr:`fault` and returns -1.  The entry comes from the
+        leaf-table index, else from :meth:`PageTable.locate`; one check
+        and one fill serve both, 2 MiB entries included.
         """
         akey = asid.key
-        entry = self._tlb_get((akey << KEY_SHIFT) | vpn)
-        if entry is not None:
+        frame = self._tlb_get((akey << KEY_SHIFT) | vpn)
+        if frame is not None:
             self._tlb_stats.hits += 1
             # ``tlb_hit`` is validated non-negative, so it is added to
             # the clock directly (no ``Clock.advance`` guard).
             clock.now += self._hit_ns
             # A hit is trusted without a permission check; ROADMAP item 1
             # tracks the downgrade paths that leave a stale entry.
-            return entry.frame
+            return frame
         if self.tlb.huge_entries:
-            entry = self._tlb_get((akey << KEY_SHIFT) | HUGE_TAG | (vpn >> 9))
-            if entry is not None:
+            frame = self._tlb_get((akey << KEY_SHIFT) | HUGE_TAG | (vpn >> 9))
+            if frame is not None:
                 self._tlb_stats.hits += 1
                 clock.now += self._hit_ns
-                return entry.frame + (vpn % HUGE_SPAN)
+                return frame + (vpn % HUGE_SPAN)
         self._tlb_stats.misses += 1
         # Full depth wherever the walk ended (the difference is below
         # our cost resolution).
         clock.now += pt.levels * self._step_1d_ns
         hit = pt.leaves.get((vpn >> LEVEL_BITS) & pt.leaf_key_mask)
         if hit is not None:
-            # :meth:`PageTable.walk`'s leaf step, with no WalkResult.
-            pte = hit[0].entries.get(vpn & _INDEX_MASK)
-            if pte is None:
-                self.fault = page_fault(vpn, access, user, False, 1)
-                return -1
-            # A write is decided (and marked dirty) in its own branch.
-            if access is _WRITE:
-                if not pte.writable or (user and not pte.user):
-                    self.fault = page_fault(vpn, access, user, True, 1)
-                    return -1
-                pte.dirty = True
-            elif ((user and not pte.user)
-                    or (access is _EXECUTE and not pte.executable)):
-                self.fault = page_fault(vpn, access, user, True, 1)
-                return -1
-            pte.accessed = True
-            self.tlb.insert_packed(akey, vpn, pte.frame,
-                                   global_=cache_global and pte.global_)
-            return pte.frame
-        # Starting at the root skips the index probe just missed.
-        result = pt.walk(vpn, access, user, pt.root)
-        if type(result) is PageFault:
-            self.fault = result
+            node = hit[0]
+            pte = node.entries.get(vpn & _INDEX_MASK)
+        else:
+            path, pte = pt.locate(vpn)
+            node = path[-1]
+        if pte is None:
+            self.fault = page_fault(vpn, access, user, False, node.level)
             return -1
-        self.tlb.insert_packed(
-            akey, vpn, result.frame,
-            global_=cache_global and result.pte.global_,
-            huge=result.huge,
-        )
-        return result.frame
+        # A write is decided (and marked dirty) in its own branch.
+        if access is _WRITE:
+            if not pte.writable or (user and not pte.user):
+                self.fault = page_fault(vpn, access, user, True, node.level)
+                return -1
+            pte.dirty = True
+        elif ((user and not pte.user)
+                or (access is _EXECUTE and not pte.executable)):
+            self.fault = page_fault(vpn, access, user, True, node.level)
+            return -1
+        pte.accessed = True
+        if pte.huge:
+            frame = pte.frame + vpn % HUGE_PAGE_PAGES
+            self.tlb.insert_packed(akey, vpn, frame, True)
+            return frame
+        self.tlb.insert_packed(akey, vpn, pte.frame)
+        return pte.frame
 
     # -- two-dimensional translation ------------------------------------------
 
@@ -171,14 +161,14 @@ class Mmu:
         an :class:`EptViolation` when the extended dimension misses
         (delivered to the hypervisor).
 
-        The miss is one inline walk per dimension: the guest table is
-        walked once, keeping only the frames of the nodes it reads, then
-        each of those frames (a node leg, a read) and the guest leaf
-        frame (the leaf leg, with the real access) takes one EPT leg —
-        with the checks, A/D updates, fault levels and charges of
+        The miss is one search per dimension: the guest table is read
+        once, keeping only the frames of the nodes on the entry's path,
+        then each of those frames (a node leg, a read) and the guest
+        leaf frame (the leaf leg, with the real access) takes one EPT
+        leg — with the checks, A/D updates, fault levels and charges of
         :meth:`PageTable.walk`.  Each dimension starts at its table's
-        leaf-table index: a hit is one probe plus one entry read; the
-        loop runs only for a missing leaf table or a 2 MiB entry.
+        leaf-table index: a hit is one probe plus one entry read; only a
+        missing leaf table or a 2 MiB entry takes :meth:`PageTable.locate`.
 
         The node legs of an indexed guest leaf table are memoized on its
         node (``ept_memo``): how many there were, valid while
@@ -190,70 +180,51 @@ class Mmu:
         is straight-line code.
         """
         akey = asid.key
-        entry = self._tlb_get((akey << KEY_SHIFT) | vpn)
-        if entry is not None:
+        frame = self._tlb_get((akey << KEY_SHIFT) | vpn)
+        if frame is not None:
             self._tlb_stats.hits += 1
             clock.now += self._hit_ns
-            return entry.frame
+            return frame
         if self.tlb.huge_entries:
-            entry = self._tlb_get((akey << KEY_SHIFT) | HUGE_TAG | (vpn >> 9))
-            if entry is not None:
+            frame = self._tlb_get((akey << KEY_SHIFT) | HUGE_TAG | (vpn >> 9))
+            if frame is not None:
                 self._tlb_stats.hits += 1
                 clock.now += self._hit_ns
-                return entry.frame + (vpn % HUGE_SPAN)
+                return frame + (vpn % HUGE_SPAN)
         self._tlb_stats.misses += 1
         # Guest dimension, charged at full depth wherever it stops.
         clock.now += gpt.levels * self._step_2d_ns
         # The guest's table pages live in guest-physical memory; hardware
         # translates each of them through the EPT during the nested walk.
-        guest_huge = False
         hit = gpt.leaves.get((vpn >> LEVEL_BITS) & gpt.leaf_key_mask)
         if hit is not None:
-            level = 1
-            pte = hit[0].entries.get(vpn & _INDEX_MASK)
-            if pte is None:
-                self.fault = page_fault(vpn, access, user, False, 1)
-                return -1
+            node = hit[0]
+            pte = node.entries.get(vpn & _INDEX_MASK)
         else:
-            node = gpt.root
-            frames = [node.frame]
-            level = node.level
-            while level > 1:
-                pte = node.entries.get((vpn >> (level - 1) * LEVEL_BITS)
-                                       & _INDEX_MASK)
-                if type(pte) is not PageTableNode:
-                    if pte is None or not pte.huge or level != 2:
-                        self.fault = page_fault(vpn, access, user, False,
-                                                level)
-                        return -1
-                    guest_huge = True
-                    break
-                node = pte
-                frames.append(node.frame)
-                level -= 1
-            else:
-                pte = node.entries.get(vpn & _INDEX_MASK)
-                if pte is None:
-                    self.fault = page_fault(vpn, access, user, False, 1)
-                    return -1
+            path, pte = gpt.locate(vpn)
+            node = path[-1]
+        if pte is None:
+            self.fault = page_fault(vpn, access, user, False, node.level)
+            return -1
         # A write is decided (and marked dirty) in its own branch.
         if access is _WRITE:
             if not pte.writable or (user and not pte.user):
-                self.fault = page_fault(vpn, access, user, True, level)
+                self.fault = page_fault(vpn, access, user, True, node.level)
                 return -1
             pte.dirty = True
         elif ((user and not pte.user)
                 or (access is _EXECUTE and not pte.executable)):
-            self.fault = page_fault(vpn, access, user, True, level)
+            self.fault = page_fault(vpn, access, user, True, node.level)
             return -1
         pte.accessed = True
         # Extended dimension: one leg per guest node frame (a read), then
         # the guest leaf frame with the real access.  Every leg is charged
         # at full depth, the faulting one included.
         leg_ns = ept.levels * self._step_1d_ns
+        guest_huge = pte.huge
         if hit is None:
-            gfn = (pte.frame + vpn % HUGE_PAGE_PAGES if guest_huge
-                   else pte.frame)
+            gfn = pte.frame + vpn % HUGE_PAGE_PAGES if guest_huge else pte.frame
+            frames = [n.frame for n in path]
         else:
             gfn = pte.frame
             memo = hit[0].ept_memo
@@ -278,13 +249,14 @@ class Mmu:
             if hit is not None:
                 hit[0].ept_memo = (ept.stamp, ept.harvests, len(frames))
             clock.now += leg_ns  # the leaf leg
-        # The leaf leg, with :func:`_ept_entry`'s leaf-table probe inlined.
+        # The leaf leg: :func:`_ept_entry` inlined.
         hit = ept.leaves.get((gfn >> LEVEL_BITS) & ept.leaf_key_mask)
         if hit is not None:
             level = 1
             leaf = hit[0].entries.get(gfn & _INDEX_MASK)
         else:
-            leaf, level = _ept_entry(ept, gfn)
+            path, leaf = ept.locate(gfn)
+            level = path[-1].level
         if leaf is None or not (
                 leaf.writable if access is _WRITE
                 else access is not _EXECUTE or leaf.executable):
@@ -381,20 +353,11 @@ class Mmu:
 
 def _ept_entry(ept: PageTable, gfn: int) -> Tuple[Optional[Pte], int]:
     """The extended entry translating ``gfn`` and the level it sits at
-    (2 for a 2 MiB entry), as :meth:`PageTable.walk` finds it; the entry
-    is None where the walk stops at a missing entry."""
+    (2 for a 2 MiB entry), from the leaf-table index, else from
+    :meth:`PageTable.locate`; the entry is None where the search stops
+    at a missing entry."""
     hit = ept.leaves.get((gfn >> LEVEL_BITS) & ept.leaf_key_mask)
     if hit is not None:
         return hit[0].entries.get(gfn & _INDEX_MASK), 1
-    node = ept.root
-    level = node.level
-    while level > 1:
-        entry = node.entries.get((gfn >> (level - 1) * LEVEL_BITS)
-                                 & _INDEX_MASK)
-        if type(entry) is not PageTableNode:
-            if entry is None or not entry.huge or level != 2:
-                return None, level
-            return entry, level
-        node = entry
-        level -= 1
-    return node.entries.get(gfn & _INDEX_MASK), 1
+    path, entry = ept.locate(gfn)
+    return entry, path[-1].level

@@ -65,6 +65,8 @@ _FETCH_BIT = PageFaultError.FETCH.value
 
 #: The :class:`Pte` fields :meth:`PageTable.protect` may change.
 _PROTECTION_FLAGS = frozenset({"writable", "user", "executable", "global_"})
+#: ... and :meth:`PageTable.ensure`, which may also move the frame.
+_UPDATE_FLAGS = _PROTECTION_FLAGS | {"frame"}
 
 #: :attr:`PageTable.stamp` values of one table stay below the next
 #: table's start (``uid << _STAMP_BITS``).
@@ -306,22 +308,13 @@ class PageTable:
         """Remove a 2 MiB mapping; returns its PTE."""
         if vpn_base % HUGE_PAGE_PAGES:
             raise ValueError(f"huge base {vpn_base:#x} not aligned")
-        node = self.root
-        nodes = [node]
-        for level in range(self.levels, 2, -1):
-            child = node.entries.get(
-                (vpn_base >> (level - 1) * LEVEL_BITS) & _INDEX_MASK)
-            if type(child) is not PageTableNode:
-                raise HardwareError(f"{self.name}: {vpn_base:#x} not huge-mapped")
-            node = child
-            nodes.append(node)
-        idx = (vpn_base >> LEVEL_BITS) & _INDEX_MASK
-        pte = node.entries.get(idx)
-        if type(pte) is not Pte or not pte.huge:
+        path, pte = self.locate(vpn_base)
+        if pte is None or not pte.huge:
             raise HardwareError(f"{self.name}: {vpn_base:#x} not huge-mapped")
-        self._write_entry(node, idx, None)
+        self._write_entry(path[-1], (vpn_base >> LEVEL_BITS) & _INDEX_MASK,
+                          None)
         self.mapped_pages -= HUGE_PAGE_PAGES
-        self._prune(vpn_base, nodes)
+        self._prune(vpn_base, path)
         return pte
 
     def split_huge(self, vpn_base: int) -> MapResult:
@@ -366,22 +359,25 @@ class PageTable:
                 node, allocated = self._descend(vpn, 1)
         if node.level != bottom:  # a 2 MiB entry covers vpn
             idx = (vpn >> LEVEL_BITS) & _INDEX_MASK
-            return self._update(node, idx, node.entries[idx], flags)
-        idx = (vpn >> (bottom - 1) * LEVEL_BITS) & _INDEX_MASK
-        entries = node.entries
-        entry = entries.get(idx)
-        if entry is None:
-            entries[idx] = pte  # :meth:`_write_entry` of an install, inlined
-            self.entry_writes += 1
-            self.mapped_pages += HUGE_PAGE_PAGES if pte.huge else 1
-            return build_record(MapResult, (pte, allocated, allocated + 1))
-        if type(entry) is PageTableNode:
-            # A 2 MiB install over a leaf table: the base entry decides.
-            node, idx = entry, vpn & _INDEX_MASK
-            entry = node.entries.get(idx)
+            entry = node.entries[idx]
+        else:
+            idx = (vpn >> (bottom - 1) * LEVEL_BITS) & _INDEX_MASK
+            entries = node.entries
+            entry = entries.get(idx)
             if entry is None:
-                raise HardwareError(
-                    f"{self.name}: level-2 slot for {vpn:#x} already used")
+                entries[idx] = pte  # :meth:`_write_entry` of an install
+                self.entry_writes += 1
+                self.mapped_pages += HUGE_PAGE_PAGES if pte.huge else 1
+                return build_record(MapResult, (pte, allocated, allocated + 1))
+            if type(entry) is PageTableNode:
+                # A 2 MiB install over a leaf table: the base entry decides.
+                node, idx = entry, vpn & _INDEX_MASK
+                entry = node.entries.get(idx)
+                if entry is None:
+                    raise HardwareError(
+                        f"{self.name}: level-2 slot for {vpn:#x} already used")
+        if not flags:
+            return MapResult(entry, 0, 0)
         return self._update(node, idx, entry, flags)
 
     def unmap(self, vpn: int) -> Pte:
@@ -436,27 +432,17 @@ class PageTable:
                     leaf = self.root
                     nodes = (leaf,)
                 else:
+                    # No leaf table: at most a 2 MiB entry covers vpn.
                     leaf = None
-                    node = self.root
-                    path = [node]
-                    for level in range(self.levels, 2, -1):
-                        node = node.entries.get(
-                            (vpn >> (level - 1) * LEVEL_BITS) & _INDEX_MASK)
-                        if type(node) is not PageTableNode:
-                            break
-                        path.append(node)
-                    else:
-                        # No leaf table: at most a 2 MiB entry covers vpn.
-                        idx = key & _INDEX_MASK
-                        pte = node.entries.get(idx)
-                        if pte is not None:
-                            if vpn & _INDEX_MASK:
-                                leaf_key = -1  # only the base unmaps the run
-                                continue
-                            self._write_entry(node, idx, None)
-                            self.mapped_pages -= HUGE_PAGE_PAGES
-                            self._prune(vpn, path)
-                            on_unmap(vpn, pte)
+                    path, pte = self.locate(vpn)
+                    if pte is not None:
+                        if vpn & _INDEX_MASK:
+                            leaf_key = -1  # only the base unmaps the run
+                            continue
+                        self._write_entry(path[-1], key & _INDEX_MASK, None)
+                        self.mapped_pages -= HUGE_PAGE_PAGES
+                        self._prune(vpn, path)
+                        on_unmap(vpn, pte)
                     continue
             elif leaf is None:
                 continue
@@ -474,26 +460,18 @@ class PageTable:
             on_unmap(vpn, pte)
 
     def protect(self, vpn: int, **flags: bool) -> Pte:
-        """Update permission flags of an existing mapping in place.
+        """Update permission flags of an existing mapping in place (one
+        entry write: the guest kernel writes the PTE in place).
 
         Accepts only the permission flags of :class:`Pte` (``writable``,
         ``user``, ``executable``, ``global_``); any other keyword raises
         :class:`ValueError` before the entry is touched.  Returns the
         updated PTE.
         """
-        unknown = flags.keys() - _PROTECTION_FLAGS
-        if unknown:
-            raise ValueError(f"not a PTE protection flag: {sorted(unknown)}")
-        found = self._leaf_of(vpn)
-        if found is None:
+        node, idx, pte = self._covering(vpn)
+        if pte is None:
             raise HardwareError(f"{self.name}: vpn {vpn:#x} not mapped")
-        node, idx, pte = found
-        for key, value in flags.items():
-            setattr(pte, key, value)
-        # A protection change is an entry write (the guest kernel writes
-        # the PTE in place).
-        self._write_entry(node, idx, pte)
-        return pte
+        return self._update(node, idx, pte, flags, _PROTECTION_FLAGS).pte
 
     def protect_range(self, start: int, end: int, **flags: bool) -> int:
         """:meth:`protect` every mapping met scanning ``[start, end)``,
@@ -502,21 +480,15 @@ class PageTable:
         A 2 MiB entry is written once, at the vpn where the scan meets
         it, and the scan resumes 512 pages further on.
         """
-        unknown = flags.keys() - _PROTECTION_FLAGS
-        if unknown:
-            raise ValueError(f"not a PTE protection flag: {sorted(unknown)}")
         writes = 0
         vpn = start
         while vpn < end:
-            found = self._leaf_of(vpn)
-            if found is None:
+            node, idx, pte = self._covering(vpn)
+            if pte is None:
                 vpn += 1
                 continue
-            node, idx, pte = found
-            for key, value in flags.items():
-                setattr(pte, key, value)
-            self._write_entry(node, idx, pte)
-            writes += 1
+            writes += self._update(node, idx, pte, flags,
+                                   _PROTECTION_FLAGS).written_frames
             vpn += HUGE_PAGE_PAGES if pte.huge else 1
         return writes
 
@@ -529,15 +501,31 @@ class PageTable:
         hit = self.leaves.get((vpn >> LEVEL_BITS) & self.leaf_key_mask)
         if hit is not None:
             return hit[0].entries.get(vpn & _INDEX_MASK)
+        return self.locate(vpn)[1]
+
+    def locate(self, vpn: int) -> Tuple[List[PageTableNode], Optional[Pte]]:
+        """Search from the root for the entry covering ``vpn``.
+
+        Returns the nodes from the root down to the one holding that
+        entry, and the entry: a 4K or a 2 MiB :class:`Pte`, or None
+        where the search stopped at a missing entry (the last node's
+        level is then the level a walk would fault at).  It reads no
+        leaf-table index, sets no A/D bit and checks no permission: the
+        one root-down search every operation that misses the index
+        shares.  :meth:`walk` keeps its own loop as their reference.
+        """
         node = self.root
-        for level in range(self.levels, 1, -1):
-            child = node.entries.get((vpn >> (level - 1) * LEVEL_BITS) & _INDEX_MASK)
+        path = [node]
+        level = node.level
+        while level > 1:
+            child = node.entries.get(
+                (vpn >> (level - 1) * LEVEL_BITS) & _INDEX_MASK)
             if type(child) is not PageTableNode:
-                if child is not None and child.huge and level == 2:
-                    return child
-                return None
+                return path, child  # missing, or a 2 MiB entry
             node = child
-        return node.entries.get(vpn & _INDEX_MASK)
+            path.append(node)
+            level -= 1
+        return path, node.entries.get(vpn & _INDEX_MASK)
 
     # -- walking -------------------------------------------------------
 
@@ -556,9 +544,9 @@ class PageTable:
         fault handlers use to size their fix-up work.
 
         By default the walk starts at the leaf-table index; passing
-        ``start=self.root`` walks every level from the root instead
-        (the MMU does after an index miss, and the leaf-index
-        properties use it as their reference).
+        ``start=self.root`` walks every level from the root instead.
+        The MMU does not walk (it reads the index, else :meth:`locate`);
+        this walk is the reference the tests compare both against.
         """
         hit = (self.leaves.get((vpn >> LEVEL_BITS) & self.leaf_key_mask)
                if start is None else None)
@@ -652,19 +640,14 @@ class PageTable:
         yield from rec(self.root, 0)
 
     def destroy(self) -> None:
-        """Bulk-clear: free every table frame, then rebuild an empty root.
+        """Bulk-clear: :meth:`release`, then rebuild an empty root.
 
         Leaf target frames are not freed — they belong to whoever
         allocated the data pages.
         """
-        for frame in self.node_frames():
-            self.phys.free_frame(frame)
-        self.epoch += 1
-        self.stamp += 1
-        self.leaves.clear()
-        self.root = PageTableNode(self.levels, self.phys.alloc_frame(tag=self._tag))
+        self.release()
+        self.root = PageTableNode(self.levels, self.phys.alloc_frame(self._tag))
         self.node_allocations += 1
-        self.mapped_pages = 0
 
     def release(self) -> None:
         """Final teardown: free every table frame including the root.
@@ -821,12 +804,12 @@ class PageTable:
         self.entry_writes += 1
 
     def _update(self, node: PageTableNode, idx: int, pte: Pte,
-                flags: Dict[str, object]) -> MapResult:
-        """Apply ``flags`` to an existing entry in place (one entry
-        write, none without flags); the :meth:`ensure` result."""
-        if not flags:
-            return MapResult(pte, 0, 0)
-        unknown = flags.keys() - _PROTECTION_FLAGS - {"frame"}
+                flags: Dict[str, object],
+                allowed: frozenset = _UPDATE_FLAGS) -> MapResult:
+        """Apply ``flags`` to an existing entry in place with one entry
+        write.  A flag outside ``allowed`` raises :class:`ValueError`
+        before anything changes."""
+        unknown = flags.keys() - allowed
         if unknown:
             raise ValueError(f"not a PTE update flag: {sorted(unknown)}")
         for key, value in flags.items():
@@ -834,27 +817,16 @@ class PageTable:
         self._write_entry(node, idx, pte)
         return MapResult(pte, 0, 1)
 
-    def _leaf_of(self, vpn: int) -> Optional[Tuple[PageTableNode, int, Pte]]:
+    def _covering(self, vpn: int) -> Tuple[PageTableNode, int, Optional[Pte]]:
         """``(node, index, entry)`` of the entry covering ``vpn`` (a
-        2 MiB one included), or None when nothing maps it."""
+        2 MiB one included); the entry is None when nothing maps it."""
         hit = self.leaves.get((vpn >> LEVEL_BITS) & self.leaf_key_mask)
         if hit is not None:
-            node = hit[0]
-        else:
-            node = self.root
-            for level in range(self.levels, 1, -1):
-                idx = (vpn >> (level - 1) * LEVEL_BITS) & _INDEX_MASK
-                child = node.entries.get(idx)
-                if type(child) is not PageTableNode:
-                    if child is not None and child.huge and level == 2:
-                        return node, idx, child
-                    return None
-                node = child
-        idx = vpn & _INDEX_MASK
-        pte = node.entries.get(idx)
-        if pte is None:
-            return None
-        return node, idx, pte
+            idx = vpn & _INDEX_MASK
+            return hit[0], idx, hit[0].entries.get(idx)
+        path, pte = self.locate(vpn)
+        node = path[-1]
+        return node, (vpn >> (node.level - 1) * LEVEL_BITS) & _INDEX_MASK, pte
 
 
 def page_fault(

@@ -7,11 +7,13 @@ VPID granularity, wiping every process's entries.  This module models
 exactly that hierarchy so the optimization's effect is emergent, not
 assumed.
 
-Entries are stored in one insertion-ordered dict keyed by packed ints
-(``tagged-asid << 56 | vpn``); packing the (VPID, PCID) pair into the
+Entries are stored in one insertion-ordered dict from packed int keys
+(see ``KEY_SHIFT``) to frames; packing the (VPID, PCID) pair into the
 key makes the hot-path lookup a single int hash instead of hashing a
 tuple holding a frozen dataclass, which is where translation-bound
-simulations spend their time.
+simulations spend their time.  The key says everything else about an
+entry (its tag, its page, and ``HUGE_TAG`` for a 2 MiB one), so the
+value is the frame alone.
 """
 
 from __future__ import annotations
@@ -55,14 +57,6 @@ class TlbStats:
             setattr(self, name, 0)
 
 
-@dataclass(slots=True)
-class TlbEntry:
-    """One cached translation (4K or 2 MiB)."""
-    frame: int
-    global_: bool = False
-    huge: bool = False
-
-
 #: Pages per huge TLB entry (2 MiB / 4 KiB).
 HUGE_SPAN = 512
 
@@ -74,19 +68,12 @@ KEY_SHIFT = 57
 HUGE_TAG = 1 << 56  # placed just above the vpn field
 
 
-def _key_akey(key: int) -> int:
-    """Recover the packed ASID from an entry key."""
-    return key >> KEY_SHIFT
-
-
 class Tlb:
     """A capacity-bounded, FIFO-evicting TLB with 4K and 2M entries.
 
     4K entries are keyed by ``(asid, vpn)``; huge entries by
     ``(asid, vpn >> 9)`` and serve any page in their 2 MiB run — one
-    entry of reach 512x, which is THP's TLB-pressure win.  Global
-    entries (used for the PVM switcher, which the paper pins in the
-    TLB) are only removed by a full flush.
+    entry of reach 512x, which is THP's TLB-pressure win.
 
     :attr:`huge_entries` is the exact number of 2 MiB entries cached.
     Every method that adds or drops an entry keeps it (the fill, the
@@ -94,21 +81,23 @@ class Tlb:
     while it is 0; the shadow sanitizer audits it in ``full`` mode.
     """
 
-    __slots__ = ("capacity", "_entries", "stats", "huge_entries")
+    __slots__ = ("capacity", "entries", "stats", "huge_entries")
 
     def __init__(self, capacity: int = 1536) -> None:
         if capacity <= 0:
             raise ValueError(f"capacity must be positive, got {capacity}")
         self.capacity = capacity
-        # The dict object is never rebound (flushes clear it in place):
-        # the MMU aliases it to inline the hot-path probe.
-        self._entries: Dict[int, TlbEntry] = {}
+        #: Packed key -> frame (a 2 MiB entry's frame is its run's
+        #: first).  Never rebound (flushes clear it in place): the MMU
+        #: aliases its ``get`` and the sanitizer iterates it.  Only this
+        #: class adds or drops entries.
+        self.entries: Dict[int, int] = {}
         self.stats = TlbStats()
-        #: 2 MiB entries in ``_entries`` (keys with ``HUGE_TAG`` set).
+        #: 2 MiB entries in :attr:`entries` (keys with ``HUGE_TAG`` set).
         self.huge_entries = 0
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self.entries)
 
     # -- lookup / fill ---------------------------------------------------
 
@@ -119,33 +108,32 @@ class Tlb:
     def lookup_packed(self, akey: int, vpn: int) -> Optional[int]:
         """Hot-path lookup by pre-packed ASID key (see ``asid_key``);
         the 2 MiB key is probed only while 2 MiB entries are cached."""
-        entries = self._entries
-        entry = entries.get((akey << KEY_SHIFT) | vpn)
-        if entry is not None:
+        entries = self.entries
+        frame = entries.get((akey << KEY_SHIFT) | vpn)
+        if frame is not None:
             self.stats.hits += 1
-            return entry.frame
+            return frame
         if self.huge_entries:
-            entry = entries.get((akey << KEY_SHIFT) | HUGE_TAG | (vpn >> 9))
-            if entry is not None:
+            frame = entries.get((akey << KEY_SHIFT) | HUGE_TAG | (vpn >> 9))
+            if frame is not None:
                 self.stats.hits += 1
-                return entry.frame + (vpn % HUGE_SPAN)
+                return frame + (vpn % HUGE_SPAN)
         self.stats.misses += 1
         return None
 
-    def insert(self, asid: Asid, vpn: int, frame: int, global_: bool = False,
+    def insert(self, asid: Asid, vpn: int, frame: int,
                huge: bool = False) -> None:
-        """Fill an entry, evicting the oldest non-global entry if full.
+        """Fill an entry, evicting the oldest entry if full.
 
         For huge fills, ``vpn`` may be any page in the run and ``frame``
         its frame; the entry is normalized to the 2 MiB base.
         """
-        self.insert_packed(asid.key, vpn, frame,
-                           global_=global_, huge=huge)
+        self.insert_packed(asid.key, vpn, frame, huge)
 
     def insert_packed(self, akey: int, vpn: int, frame: int,
-                      global_: bool = False, huge: bool = False) -> None:
+                      huge: bool = False) -> None:
         """Hot-path fill by pre-packed ASID key."""
-        entries = self._entries
+        entries = self.entries
         if huge:
             key = (akey << KEY_SHIFT) | HUGE_TAG | (vpn >> 9)
             frame -= vpn % HUGE_SPAN
@@ -157,28 +145,20 @@ class Tlb:
             # Refresh: move to the back of the FIFO order.
             del entries[key]
         elif len(entries) >= self.capacity:
-            self._evict_one()
-        entries[key] = TlbEntry(frame, global_, huge)
-
-    def _evict_one(self) -> None:
-        entries = self._entries
-        for key, entry in entries.items():
-            if not entry.global_:
-                break
-        else:
-            # Pathological: TLB full of global entries.  Evict oldest.
-            key, entry = next(iter(entries.items()))
-        del entries[key]
-        if entry.huge:
-            self.huge_entries -= 1
-        self.stats.evictions += 1
+            # FIFO eviction of the oldest entry.
+            oldest = next(iter(entries))
+            del entries[oldest]
+            if oldest & HUGE_TAG:
+                self.huge_entries -= 1
+            self.stats.evictions += 1
+        entries[key] = frame
 
     # -- flushes -----------------------------------------------------------
 
     def flush_all(self) -> int:
-        """Drop everything, including global entries.  Returns count."""
-        n = len(self._entries)
-        self._entries.clear()
+        """Drop everything.  Returns count."""
+        n = len(self.entries)
+        self.entries.clear()
         self.huge_entries = 0
         self.stats.flushes_full += 1
         self.stats.entries_flushed += n
@@ -186,12 +166,9 @@ class Tlb:
 
     def flush_vpid(self, vpid: int) -> int:
         """Drop all entries of one VM, all PCIDs — the coarse flush the
-        paper's PCID mapping avoids.  Global entries survive."""
-        entries = self._entries
-        victims = [
-            k for k, e in entries.items()
-            if _key_akey(k) >> PCID_BITS == vpid and not e.global_
-        ]
+        paper's PCID mapping avoids."""
+        victims = [k for k in self.entries
+                   if k >> (KEY_SHIFT + PCID_BITS) == vpid]
         self._drop(victims)
         self.stats.flushes_vpid += 1
         return len(victims)
@@ -199,11 +176,7 @@ class Tlb:
     def flush_pcid(self, asid: Asid) -> int:
         """Drop one process's entries only (fine-grained flush)."""
         akey = asid.key
-        entries = self._entries
-        victims = [
-            k for k, e in entries.items()
-            if _key_akey(k) == akey and not e.global_
-        ]
+        victims = [k for k in self.entries if k >> KEY_SHIFT == akey]
         self._drop(victims)
         self.stats.flushes_pcid += 1
         return len(victims)
@@ -211,10 +184,11 @@ class Tlb:
     def _drop(self, keys) -> None:
         """Drop the entries of ``keys`` (a flush's victims), keeping
         :attr:`huge_entries` exact."""
-        entries = self._entries
+        entries = self.entries
         huge = 0
         for key in keys:
-            if entries.pop(key).huge:
+            del entries[key]
+            if key & HUGE_TAG:
                 huge += 1
         self.huge_entries -= huge
         self.stats.entries_flushed += len(keys)
@@ -234,7 +208,7 @@ class Tlb:
         of entries dropped, matching the count contract of the other
         ``flush_*`` methods.
         """
-        pop = self._entries.pop
+        pop = self.entries.pop
         key4k = asid.key << KEY_SHIFT
         keyhuge = key4k | HUGE_TAG
         pages = dropped = demotions = 0
@@ -263,11 +237,11 @@ class Tlb:
         the statistics it is auditing.  It always probes both keys, so
         it does not trust the :attr:`huge_entries` count it audits.
         """
-        entries = self._entries
-        entry = entries.get((akey << KEY_SHIFT) | vpn)
-        if entry is not None:
-            return entry.frame
-        entry = entries.get((akey << KEY_SHIFT) | HUGE_TAG | (vpn >> 9))
-        if entry is not None:
-            return entry.frame + (vpn % HUGE_SPAN)
+        entries = self.entries
+        frame = entries.get((akey << KEY_SHIFT) | vpn)
+        if frame is not None:
+            return frame
+        frame = entries.get((akey << KEY_SHIFT) | HUGE_TAG | (vpn >> 9))
+        if frame is not None:
+            return frame + (vpn % HUGE_SPAN)
         return None

@@ -61,37 +61,36 @@ class ShadowCoherenceSanitizer:
         """
         self.report.check("shadow")
         akey = asid.key
-        if (akey << KEY_SHIFT) | vpn in tlb._entries:
+        if (akey << KEY_SHIFT) | vpn in tlb.entries:
             self._stale(tlb, akey, vpn, "stale-after-page-flush",
                         "4K entry survived flush_page")
 
     def check_flush_pcid(self, tlb: Tlb, asid: Asid) -> None:
-        """After a PCID flush, no non-global entry of the ASID remains."""
+        """After a PCID flush, no entry of the ASID remains."""
         self.report.check("shadow")
         akey = asid.key
-        for key, entry in tlb._entries.items():
-            if key >> KEY_SHIFT == akey and not entry.global_:
-                self._stale(tlb, akey, self._entry_vpn(key, entry),
+        for key in tlb.entries:
+            if key >> KEY_SHIFT == akey:
+                self._stale(tlb, akey, _entry_vpn(key),
                             "stale-after-pcid-flush",
                             "entry survived flush_pcid")
 
     def check_flush_vpid(self, tlb: Tlb, vpid: int) -> None:
-        """After a VPID flush, no non-global entry of the VM remains."""
+        """After a VPID flush, no entry of the VM remains."""
         self.report.check("shadow")
-        for key, entry in tlb._entries.items():
+        for key in tlb.entries:
             akey = key >> KEY_SHIFT
-            if akey >> PCID_BITS == vpid and not entry.global_:
-                self._stale(tlb, akey, self._entry_vpn(key, entry),
+            if akey >> PCID_BITS == vpid:
+                self._stale(tlb, akey, _entry_vpn(key),
                             "stale-after-vpid-flush",
                             "entry survived flush_vpid")
 
     def check_flush_all(self, tlb: Tlb) -> None:
         """After a full flush the TLB must be empty."""
         self.report.check("shadow")
-        if tlb._entries:
-            key, entry = next(iter(tlb._entries.items()))
-            akey = key >> KEY_SHIFT
-            self._stale(tlb, akey, self._entry_vpn(key, entry),
+        if tlb.entries:
+            key = next(iter(tlb.entries))
+            self._stale(tlb, key >> KEY_SHIFT, _entry_vpn(key),
                         "stale-after-full-flush", "entry survived flush_all")
 
     # -- shadow fix / zap hooks (shadow-paging machines) -----------------
@@ -178,14 +177,12 @@ class ShadowCoherenceSanitizer:
         for ctx in self.machine.contexts:
             if full:
                 self._check_huge_count(ctx.tlb)
-            for key, entry in ctx.tlb._entries.items():
-                if entry.global_:
-                    continue
+            for key, frame in ctx.tlb.entries.items():
                 proc = owners.get(key >> KEY_SHIFT)
                 if proc is None:
                     continue
                 checked += 1
-                self._check_entry(ctx, proc, key, entry)
+                self._check_entry(proc, key, frame)
         if checked:
             self.report.check("shadow-scan", checked)
         return checked
@@ -193,7 +190,7 @@ class ShadowCoherenceSanitizer:
     def _check_huge_count(self, tlb: Tlb) -> None:
         """The TLB's 2 MiB count must equal its 2 MiB keys: a count that
         reads low makes the MMU skip a cached 2 MiB translation."""
-        huge = sum(1 for key in tlb._entries if key & HUGE_TAG)
+        huge = sum(1 for key in tlb.entries if key & HUGE_TAG)
         if huge != tlb.huge_entries:
             self.report.violation(Violation(
                 checker="shadow", kind="tlb-huge-count-mismatch",
@@ -203,12 +200,12 @@ class ShadowCoherenceSanitizer:
                 actual=tlb.huge_entries,
             ))
 
-    def _check_entry(self, ctx, proc, key: int, entry) -> None:
-        vpn = self._entry_vpn(key, entry)
+    def _check_entry(self, proc, key: int, frame: int) -> None:
+        vpn = _entry_vpn(key)
         # A huge entry is keyed (and its frame normalized) at its 2 MiB
         # base, which is the vpn compared here.
         expected = self.machine.expected_frame(proc, vpn)
-        if expected == entry.frame:
+        if expected == frame:
             return  # the cached translation is what a fresh walk gives
         # Disagreement: classify it against the guest PTE.
         machine = self.machine
@@ -218,15 +215,16 @@ class ShadowCoherenceSanitizer:
                 checker="shadow", kind="tlb-maps-unmapped",
                 detail="cached translation for a guest-unmapped page",
                 vpid=machine.vpid, pcid=proc.pcid, vpn=vpn,
-                expected=None, actual=entry.frame,
+                expected=None, actual=frame,
             ))
-        elif entry.huge != gpt_pte.huge:
+        elif bool(key & HUGE_TAG) != gpt_pte.huge:
+            cached_huge = not gpt_pte.huge
             self.report.violation(Violation(
                 checker="shadow", kind="tlb-page-size-mismatch",
-                detail=f"cached huge={entry.huge} but guest PTE "
+                detail=f"cached huge={cached_huge} but guest PTE "
                        f"huge={gpt_pte.huge}",
                 vpid=machine.vpid, pcid=proc.pcid, vpn=vpn,
-                expected=gpt_pte.huge, actual=entry.huge,
+                expected=gpt_pte.huge, actual=cached_huge,
             ))
         elif expected is not None:  # None: backing not materialized
             self.report.violation(Violation(
@@ -234,7 +232,7 @@ class ShadowCoherenceSanitizer:
                 detail="cached frame disagrees with a fresh walk of the "
                        "guest table through the memory chain",
                 vpid=machine.vpid, pcid=proc.pcid, vpn=vpn,
-                expected=expected, actual=entry.frame,
+                expected=expected, actual=frame,
             ))
 
     # -- internals --------------------------------------------------------
@@ -244,11 +242,6 @@ class ShadowCoherenceSanitizer:
         if self.report.mode == "full" or self._tick % SAMPLE_EVERY == 0:
             self.scan_tlbs()
 
-    def _entry_vpn(self, key: int, entry) -> int:
-        if entry.huge:
-            return (key & (HUGE_TAG - 1)) << 9
-        return key & (HUGE_TAG - 1)
-
     def _stale(self, tlb: Tlb, akey: int, vpn: int, kind: str,
                detail: str) -> None:
         self.report.violation(Violation(
@@ -256,3 +249,10 @@ class ShadowCoherenceSanitizer:
             vpid=akey >> PCID_BITS, pcid=akey & (NUM_PCIDS - 1), vpn=vpn,
             expected=None, actual=tlb.peek_packed(akey, vpn),
         ))
+
+
+def _entry_vpn(key: int) -> int:
+    """The vpn a TLB key caches: a 2 MiB entry's is its run's base."""
+    if key & HUGE_TAG:
+        return (key & (HUGE_TAG - 1)) << 9
+    return key & (HUGE_TAG - 1)

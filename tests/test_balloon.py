@@ -58,13 +58,13 @@ class TestHostRelease:
         released when the balloon reclaims and reports them."""
         m, ctx, proc, vma = _warm("kvm-ept (BM)", pages=64)
         m.munmap(ctx, proc, vma)  # guest frees; host backing persists
-        host_used_before = m.host_phys.allocator.used_frames
+        host_used_before = m.host_phys.used_frames
         m.balloon.inflate(ctx, 64 << 12)
         # The streaming guest allocator hands the balloon *fresh* frames
         # first, so the released count depends on overlap; assert the
         # accounting is consistent rather than a fixed number.
         released = m.balloon.host_frames_released
-        assert m.host_phys.allocator.used_frames == host_used_before - released
+        assert m.host_phys.used_frames == host_used_before - released
 
     def test_ept_entries_zapped(self):
         m, ctx, proc, vma = _warm("kvm-ept (BM)", pages=8)
@@ -80,9 +80,9 @@ class TestHostRelease:
         m, ctx, proc, vma = _warm("kvm-ept (NST)", pages=8)
         gfn2 = proc.gpt.lookup(vma.start_vpn).frame
         m.munmap(ctx, proc, vma)
-        l1_used = m.l1_phys.allocator.used_frames
+        l1_used = m.l1_phys.used_frames
         assert m.discard_gfn_backing(gfn2)
-        assert m.l1_phys.allocator.used_frames == l1_used - 1
+        assert m.l1_phys.used_frames == l1_used - 1
         assert m.ept02.lookup(gfn2) is None
 
     def test_pvm_shadow_entries_dropped(self):
@@ -125,23 +125,23 @@ class TestRecycledInflate:
     def test_inflate_releases_host_backing(self, name):
         m, ctx, proc, vma = _warm(name, pages=32)
         m.munmap(ctx, proc, vma)  # guest frees; frames go to recycled
-        host_used = m.host_phys.allocator.used_frames
+        host_used = m.host_phys.used_frames
         got = m.balloon.inflate(ctx, 32 << 12)
         assert got == 32
         released = m.balloon.host_frames_released
         assert released > 0
-        assert m.host_phys.allocator.used_frames == host_used - released
+        assert m.host_phys.used_frames == host_used - released
 
     def test_fresh_frames_release_nothing(self):
         """Fresh (never-touched) guest frames have no host backing, so
         inflating them cannot release host memory — the pre-fix
         behavior, still reachable with ``prefer_recycled=False``."""
         m, ctx, proc, vma = _warm("kvm-ept (BM)", pages=8)
-        host_used = m.host_phys.allocator.used_frames
+        host_used = m.host_phys.used_frames
         got = m.balloon.inflate(ctx, 8 << 12, prefer_recycled=False)
         assert got == 8
         assert m.balloon.host_frames_released == 0
-        assert m.host_phys.allocator.used_frames == host_used
+        assert m.host_phys.used_frames == host_used
 
 
 def _churn_to_refault(m, ctx, proc, max_pages=64):

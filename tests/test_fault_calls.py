@@ -55,11 +55,11 @@ BUDGET = {
 MUNMAP_BUDGET = {
     "kvm-ept (BM)": 207,  # 3.23 per page
     "kvm-spt (BM)": 655,  # 10.23 per page
-    "pvm (BM)": 1112,  # 17.38 per page
+    "pvm (BM)": 984,  # 15.38 per page
     "kvm-ept (NST)": 207,  # 3.23 per page
     "kvm-spt (NST)": 979,  # 15.30 per page
-    "pvm (NST)": 1112,  # 17.38 per page
-    "pvm-dp (NST)": 533,  # 8.33 per page
+    "pvm (NST)": 984,  # 15.38 per page
+    "pvm-dp (NST)": 405,  # 6.33 per page
 }
 
 #: Calls for ``PAGES`` touches that all hit the TLB.

@@ -49,7 +49,7 @@ class TestCrossScenarioConsistency:
 
     def test_no_guest_frame_leaks(self, results):
         for name, (m, _) in results.items():
-            usage = m.guest_phys.allocator.usage_by_tag()
+            usage = m.guest_phys.usage_by_tag()
             # All anonymous data pages were released by munmap; only
             # page-table frames (for live processes) remain.
             data = {t: n for t, n in usage.items() if t.startswith("pid")}

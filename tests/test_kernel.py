@@ -156,11 +156,11 @@ class TestForkCow:
 
     def test_fork_does_not_allocate_data_frames(self, kernel):
         proc, _ = self._parent_with_pages(kernel)
-        used_before = kernel.phys.allocator.used_frames
+        used_before = kernel.phys.used_frames
         kernel.sys_fork(proc)
-        used_after = kernel.phys.allocator.used_frames
+        used_after = kernel.phys.used_frames
         # Only page-table frames were allocated, no data pages.
-        data_tags = kernel.phys.allocator.usage_by_tag()
+        data_tags = kernel.phys.usage_by_tag()
         assert used_after > used_before
         assert all(
             t.startswith("pt:") or t.startswith("pid") or t == "page-cache"

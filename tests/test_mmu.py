@@ -65,16 +65,6 @@ class Test1D:
         assert mmu.tlb.stats.misses == npages
         assert clock.now == pt.levels * DEFAULT_COSTS.walk_step_1d * npages
 
-    def test_global_caching_flag(self, env):
-        host, guest, tlb, mmu = env
-        pt = PageTable(host, "pt")
-        pt.map(0x10, Pte(frame=7, global_=True))
-        mmu.access_1d(Clock(), ASID, pt, 0x10, AccessType.READ, True,
-                      cache_global=True)
-        # Entry survives a VPID flush because it was inserted global.
-        tlb.flush_vpid(ASID.vpid)
-        assert tlb.lookup(ASID, 0x10) == 7
-
 
 class Test2D:
     def _guest_tables(self, env):
@@ -227,7 +217,7 @@ class TestFlushPages:
         mmu = Mmu(tlb, EventLog(), DEFAULT_COSTS)
         clock = Clock(100)
         assert mmu.flush_pages(clock, asid, RANGE_VPNS) == dropped == 6
-        assert tlb._entries == per_page._entries
+        assert tlb.entries == per_page.entries
         assert vars(tlb.stats) == vars(per_page.stats)
         assert tlb.stats.flushes_page == len(RANGE_VPNS)
         assert tlb.stats.flushes_huge_demotions == 1
@@ -263,7 +253,7 @@ class TestFlushPages:
         for vpn in RANGE_VPNS:
             mmu_one.flush_page(c1, asid, vpn)
         mmu_run.flush_pages(c2, asid, RANGE_VPNS)
-        assert one._entries == run._entries
+        assert one.entries == run.entries
         assert vars(one.stats) == vars(run.stats)
         assert c1.now == c2.now
         assert (dict(mmu_one.events.tlb_flushes)

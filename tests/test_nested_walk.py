@@ -443,8 +443,8 @@ class TestDrain:
             assert pt.mapped_pages == 0 and not pt.leaves
             log.append("release")
             pt.release()
-            logs.append((log, removed, drained, phys.allocator.used_frames,
-                         list(phys.allocator._recycled)))
+            logs.append((log, removed, drained, phys.used_frames,
+                         list(phys._recycled)))
         assert logs[0] == logs[1]
 
 
@@ -479,7 +479,7 @@ def exit_page_by_page(kernel, proc):
         if pte.huge:
             kernel.phys.free(FrameRange(pte.frame, HUGE_PAGE_PAGES))
         else:
-            kernel._put_frame(proc, vpn, pte)
+            kernel._put_frame(pte.frame)
 
     release_page_by_page(proc.gpt, release)
     proc.alive = False
@@ -495,7 +495,7 @@ def exec_page_by_page(kernel, proc):
         if pte.huge:
             kernel.phys.free(FrameRange(pte.frame, HUGE_PAGE_PAGES))
         else:
-            kernel._put_frame(proc, vpn, pte)
+            kernel._put_frame(pte.frame)
         vpns.append(vpn)
 
     unmap_page_by_page(proc.gpt, release)
@@ -548,7 +548,7 @@ class TestTeardownOrder:
                 drop_page_by_page(m.shadow, proc)
             rmap = {gfn: sorted(refs) for gfn, refs in m.shadow._rmap.items()}
             runs.append((guest_log, table_log, rmap,
-                         list(m.guest_phys.allocator._recycled),
+                         list(m.guest_phys._recycled),
                          work, _counters(proc.gpt)))
         assert runs[0] == runs[1]
         assert runs[0][0] and runs[0][1]

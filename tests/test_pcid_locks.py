@@ -9,6 +9,7 @@ from repro.core.pcid import PcidMapper
 from repro.core.sptlocks import SptLockManager
 from repro.hw.costs import DEFAULT_COSTS
 from repro.hw.types import (
+    PAGE_SIZE,
     PVM_GUEST_KERNEL_PCID_BASE,
     PVM_GUEST_PCIDS_PER_CLASS,
     PVM_GUEST_USER_PCID_BASE,
@@ -181,3 +182,26 @@ def test_spt_lock_waits_match_run_locked(returned_waits, fine_grained):
     keys = set(m.events.lock_wait_ns)
     assert keys and all(k.startswith("pvm-") for k in keys)
     _assert_waits_recorded(m.events, returned_waits)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "a recycled TLB tag keeps its previous owner's entries (ROADMAP "
+    "item 1)"))
+@pytest.mark.parametrize("scenario", [
+    "kvm-ept (BM)", "kvm-spt (BM)", "pvm (BM)", "kvm-ept (NST)",
+    "kvm-spt (NST)", "pvm (NST)", "pvm-dp (NST)"])
+def test_recycled_tlb_tag_serves_no_stale_translation(scenario):
+    """70 live processes each write the first page of a fresh 4-page
+    VMA, so some TLB tag must serve two of them: PVM maps 16 hardware
+    PCIDs per class and steals the least recently used one, and a KVM
+    guest's PCIDs are ``pid % 64``.  Every write must still fault in the
+    writer's own table and land in a frame of its own."""
+    m = make_machine(scenario)
+    ctx = m.new_context()
+    frames = set()
+    for _ in range(70):
+        proc = m.spawn_process()
+        vma = m.mmap(ctx, proc, 4 * PAGE_SIZE)
+        frames.add(m.touch(ctx, proc, vma.start_vpn, write=True))
+        assert proc.gpt.lookup(vma.start_vpn) is not None
+    assert len(frames) == 70

@@ -477,6 +477,38 @@ class TestLeafIndexProperties:
                 break
 
 
+class TestLocateProperties:
+    """:meth:`PageTable.locate` is the root-down search a read walk
+    makes: the same nodes and entry, or the walk's fault level."""
+
+    @given(st.integers(1, 4), st.lists(_pt_ops, max_size=25))
+    @settings(max_examples=80, deadline=None)
+    def test_locate_matches_root_walk(self, levels, ops):
+        pt = PageTable(PhysicalMemory("t", 64 * MIB), "p", levels=levels)
+        for n, op in enumerate(ops):
+            if op[0] == "release":
+                break
+            _apply_unchecked(pt, op, n)
+            for vpn in _PROBE_VPNS:
+                path, entry = pt.locate(vpn)
+                pte = pt.lookup(vpn)
+                saved = None if pte is None else (pte.accessed, pte.dirty)
+                ref = pt.walk(vpn, AccessType.READ, False, start=pt.root)
+                if pte is not None:
+                    pte.accessed, pte.dirty = saved
+                if type(ref) is PageFault:
+                    # A read in kernel mode faults only where nothing maps.
+                    assert entry is None
+                    assert path[-1].level == ref.level
+                    assert path[0] is pt.root
+                    for parent, child in zip(path, path[1:]):
+                        assert parent.entries[
+                            table_index(vpn, parent.level)] is child
+                else:
+                    assert entry is ref.pte
+                    assert tuple(path) == ref.nodes
+
+
 class TestAllocatorProperties:
     @given(st.lists(st.integers(min_value=1, max_value=16),
                     min_size=1, max_size=30),
@@ -548,22 +580,22 @@ class TestTlbProperties:
 def _two_probe(tlb, akey, vpn):
     """The frame a TLB caches for ``vpn``: its 4K entry, else its covering
     2 MiB entry, read from the entry dict with no count to trust."""
-    entry = tlb._entries.get((akey << KEY_SHIFT) | vpn)
-    if entry is not None:
-        return entry.frame
-    entry = tlb._entries.get((akey << KEY_SHIFT) | HUGE_TAG | (vpn >> 9))
-    return None if entry is None else entry.frame + vpn % 512
+    frame = tlb.entries.get((akey << KEY_SHIFT) | vpn)
+    if frame is not None:
+        return frame
+    frame = tlb.entries.get((akey << KEY_SHIFT) | HUGE_TAG | (vpn >> 9))
+    return None if frame is None else frame + vpn % 512
 
 
 _TLB_ASIDS = [Asid(vpid, pcid) for vpid in (1, 2) for pcid in (0, 1)]
 _TLB_VPNS = st.integers(min_value=0, max_value=3 * 512 - 1)
 _TLB_OPS = st.one_of(
-    # (op, asid index, vpn, huge, global): fills, refreshes and, under a
-    # small capacity, FIFO evictions.
+    # (op, asid index, vpn, huge): fills, refreshes and, under a small
+    # capacity, FIFO evictions.
     st.tuples(st.just("insert"), st.integers(0, 3), _TLB_VPNS,
-              st.booleans(), st.booleans()),
+              st.booleans()),
     st.tuples(st.just("insert"), st.integers(0, 3), _TLB_VPNS,
-              st.just(True), st.just(False)),
+              st.just(True)),
     st.tuples(st.just("flush_pages"), st.integers(0, 3),
               st.lists(_TLB_VPNS, max_size=6)),
     st.tuples(st.just("flush_pcid"), st.integers(0, 3)),
@@ -585,9 +617,9 @@ class TestTlbHugeCountProperties:
         for op in ops:
             kind = op[0]
             if kind == "insert":
-                _, a, vpn, huge, global_ = op
+                _, a, vpn, huge = op
                 tlb.insert(_TLB_ASIDS[a], vpn, frame=0x1000 + vpn,
-                           global_=global_, huge=huge)
+                           huge=huge)
                 probes.append((_TLB_ASIDS[a].key, vpn))
             elif kind == "flush_pages":
                 tlb.flush_pages(_TLB_ASIDS[op[1]], op[2])
@@ -598,7 +630,7 @@ class TestTlbHugeCountProperties:
             else:
                 tlb.flush_all()
             assert tlb.huge_entries == sum(
-                1 for key in tlb._entries if key & HUGE_TAG)
+                1 for key in tlb.entries if key & HUGE_TAG)
             for akey, vpn in probes:
                 assert tlb.lookup_packed(akey, vpn) == _two_probe(
                     tlb, akey, vpn)

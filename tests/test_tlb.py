@@ -49,14 +49,6 @@ class TestEviction:
         assert tlb.lookup(A1, 3) == 3
         assert tlb.stats.evictions == 1
 
-    def test_global_entries_survive_eviction(self):
-        tlb = Tlb(capacity=2)
-        tlb.insert(A1, 1, 1, global_=True)
-        tlb.insert(A1, 2, 2)
-        tlb.insert(A1, 3, 3)
-        assert tlb.lookup(A1, 1) == 1  # global skipped for eviction
-        assert tlb.lookup(A1, 2) is None
-
     def test_capacity_bound(self):
         tlb = Tlb(capacity=8)
         for i in range(100):
@@ -70,26 +62,27 @@ class TestFlushes:
         tlb.insert(A1, 1, 1)
         tlb.insert(A2, 2, 2)
         tlb.insert(B1, 3, 3)
-        tlb.insert(A1, 4, 4, global_=True)
+        tlb.insert(B1, 4, 4)
         return tlb
 
     def test_flush_all(self):
         tlb = self._filled()
-        assert tlb.flush_all() == 4  # including globals
+        assert tlb.flush_all() == 4
         assert len(tlb) == 0
 
-    def test_flush_vpid_spares_other_vms_and_globals(self):
+    def test_flush_vpid_spares_other_vms(self):
         tlb = self._filled()
         flushed = tlb.flush_vpid(1)
-        assert flushed == 2  # A1:1 and A2:2; global survives
+        assert flushed == 2  # A1:1 and A2:2
         assert tlb.lookup(B1, 3) == 3
-        assert tlb.lookup(A1, 4) == 4
+        assert tlb.lookup(B1, 4) == 4
 
     def test_flush_pcid_is_fine_grained(self):
         tlb = self._filled()
         assert tlb.flush_pcid(A1) == 1
         assert tlb.lookup(A2, 2) == 2
         assert tlb.lookup(A1, 1) is None
+        assert tlb.lookup(B1, 4) == 4
 
     def test_flush_page(self):
         tlb = self._filled()
